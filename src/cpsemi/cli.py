@@ -47,8 +47,6 @@ from . import (
     extract_gauge,
     gauge_shift,
     hamiltonian_lindblad,
-    is_conditionally_cp,
-    is_hermiticity_preserving,
     kraus_to_superop,
     make_unit,
     product_system_check,
@@ -57,7 +55,7 @@ from . import (
     symbols_equal,
     verify_unit,
 )
-from .generator import GklsForm, _two_sided_term
+from .generator import GklsForm, gkls_superop
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
 
@@ -132,10 +130,7 @@ def load_generator(path: str, tol: Tolerances) -> tuple[np.ndarray, int]:
             raise ParseError("'kraus' must be a list of matrices")
         ops = [_j2m(op, n, n, f"kraus[{i}]") for i, op in enumerate(kraus_doc)]
         k = _j2m(doc.get("k"), n, n, "k")
-        mat = _two_sided_term(k)
-        if ops:
-            mat = mat + kraus_to_superop(ops)
-        return mat, n
+        return gkls_superop(k, kraus_to_superop(ops) if ops else None), n
     if kind == "hamiltonian_lindblad":
         h = _j2m(doc.get("h"), n, n, "h")
         lind_doc = doc.get("lindblad")
@@ -192,19 +187,17 @@ def _emit(report: dict, output: str | None) -> None:
 def cmd_analyze(args, tol: Tolerances) -> int:
     mat, n = load_generator(args.input, tol)
     report: dict = {"command": "analyze", "n": n}
-    report["hermiticity_preserving"] = is_hermiticity_preserving(mat, tol)
-    report["ccp"] = bool(
-        report["hermiticity_preserving"] and is_conditionally_cp(mat, tol)
-    )
+    # decompose applies the Hermiticity and CCP tests and raises on failure.
     try:
         d = decompose(mat, tol)
     except (NotCCP, NotHermiticityPreserving) as exc:
-        report["error"] = str(exc)
+        report.update(hermiticity_preserving=isinstance(exc, NotCCP), ccp=False, error=str(exc))
         if isinstance(exc, NotCCP) and exc.witness is not None:
             report["witness"] = [_c2j(z) for z in exc.witness]
             report["projected_eigenvalue"] = float(exc.eigenvalue)
         _emit(report, args.output)
         return EXIT_NOT_GENERATOR
+    report.update(hermiticity_preserving=True, ccp=True)
     # The semigroup exp(tL) is unital iff the generator kills the identity.
     lone = apply_superop(mat, np.eye(n))
     report["unital"] = bool(
@@ -319,7 +312,7 @@ def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict
             np.conj(l) * v for l, v in zip(lam, d.space.basis)
         )
         k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * np.eye(d.n)
-        mat2 = shifted + _two_sided_term(k2)
+        mat2 = gkls_superop(k2, shifted)
         d2 = decompose(mat2, tol)
         same = same_generator(d, d2, tol)
         gauge = extract_gauge(d, d2, tol)

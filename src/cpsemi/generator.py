@@ -28,20 +28,20 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotCCP, NotHermitian, NotHermiticityPreserving
-from .numerics import DEFAULT_TOL, Tolerances, expm, frob, lstsq
-from .opspace import MetricOperatorSpace, _empty_space, space_from_kraus
+from .numerics import DEFAULT_TOL, Tolerances, expm, frob, lstsq, spectrum
+from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
-    choi_to_kraus,
     dim_of,
     is_hermiticity_preserving,
     kraus_to_superop,
     superop_to_choi,
     vec,
 )
-from .symbols import ccp_defect, projected_choi
+from .symbols import _partial_traces, projected_choi
 
 __all__ = [
     "GklsForm",
+    "gkls_superop",
     "decompose",
     "rebuild",
     "rank",
@@ -70,11 +70,18 @@ class GklsForm:
     residual: float
 
 
-def _two_sided_term(k: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of x -> k x + x k*."""
-    n = k.shape[0]
-    eye = np.eye(n)
-    return np.kron(eye, k) + np.kron(k.conj(), eye)
+def gkls_superop(k: np.ndarray, cp: np.ndarray | None = None) -> np.ndarray:
+    """Superoperator matrix of x -> P(x) + k x + x k*.
+
+    :param cp: superoperator matrix of the completely positive part P, for
+        example ``kraus_to_superop(ops)``; None for P = 0.
+    """
+    k = np.asarray(k, dtype=complex)
+    eye = np.eye(k.shape[0])
+    out = np.kron(eye, k) + np.kron(k.conj(), eye)
+    if cp is not None:
+        out = out + cp
+    return out
 
 
 def _solve_drift(d: np.ndarray, n: int) -> np.ndarray:
@@ -86,9 +93,7 @@ def _solve_drift(d: np.ndarray, n: int) -> np.ndarray:
 
         k = (S1 + conj(S2) - 2 tau 1) / (2n).
     """
-    d4 = np.asarray(d, dtype=complex).reshape(n, n, n, n)
-    s1 = np.einsum("iaib->ab", d4)
-    s2 = np.einsum("iaja->ij", d4)
+    s1, s2 = _partial_traces(d)
     tau = float(np.real(np.trace(np.asarray(d, dtype=complex))) / (2.0 * n))
     k = (s1 + s2.conj() - 2.0 * tau * np.eye(n)) / (2.0 * n)
     # The formula already leaves tr k real; clean up the last float dust.
@@ -98,6 +103,9 @@ def _solve_drift(d: np.ndarray, n: int) -> np.ndarray:
 
 def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
     """Canonical decomposition of a generator.
+
+    One eigendecomposition of the projected Choi matrix gives the verdict,
+    the witness, the Kraus basis and the space's inner product.
 
     :param mat: superoperator matrix of a Hermiticity-preserving,
         conditionally completely positive map.
@@ -110,38 +118,35 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
         raise NotHermiticityPreserving(
             "generator does not preserve Hermiticity (Choi matrix not Hermitian)"
         )
-    low, witness, scale = ccp_defect(mat)
-    if low < -tol.psd_slack * scale:
+    s = spectrum(projected_choi(mat))
+    if not s.psd(tol):
+        low = float(s.w[-1])
         raise NotCCP(
             f"projected Choi matrix has negative eigenvalue {low:.3e}",
-            witness=witness,
+            witness=s.u[:, -1].copy(),
             eigenvalue=low,
         )
-    jp = projected_choi(mat)
-    ops = choi_to_kraus(jp, tol)
-    if ops:
-        space = space_from_kraus(ops, tol)
-        cp_part = kraus_to_superop(ops)
+    space = space_from_spectrum(s, tol)
+    if space.dim:
+        cp_part = kraus_to_superop(space.basis)
     else:
-        space = _empty_space(n)
         cp_part = np.zeros((n * n, n * n), dtype=complex)
     k = _solve_drift(np.asarray(mat, dtype=complex) - cp_part, n)
-    rebuilt = cp_part + _two_sided_term(k)
+    rebuilt = gkls_superop(k, cp_part)
     residual = frob(rebuilt - mat) / max(1.0, frob(np.asarray(mat)))
     return GklsForm(n=n, space=space, k=k, residual=residual)
 
 
 def rebuild(d: GklsForm) -> np.ndarray:
     """Superoperator matrix of the generator described by a canonical form."""
-    if d.space.dim:
-        cp_part = kraus_to_superop(d.space.basis)
-    else:
-        cp_part = np.zeros((d.n * d.n, d.n * d.n), dtype=complex)
-    return cp_part + _two_sided_term(d.k)
+    return gkls_superop(d.k, kraus_to_superop(d.space.basis) if d.space.dim else None)
 
 
 def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a generator: the dimension of its metric operator space."""
+    """Rank of a generator: the dimension of its metric operator space.  It
+    is also the numerical index of the semigroup the generator generates
+    (the index of its minimal dilation to a semigroup of *-endomorphisms),
+    so :func:`cpsemi.semigroup.index` is this function."""
     return decompose(mat, tol).space.dim
 
 
@@ -250,10 +255,7 @@ def dominates(
     m2 = np.asarray(mat2, dtype=complex)
     for t in t_samples:
         diff = expm(t * m2) - expm(t * m1)
-        j = superop_to_choi(diff)
-        w = np.linalg.eigvalsh((j + j.conj().T) / 2.0)
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-        if w.size and w[0] < -tol.psd_slack * scale:
+        if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
             return False
     return True
 
@@ -307,7 +309,4 @@ def hamiltonian_lindblad(
     k = 1j * h - 0.5 * sum(
         (v @ v.conj().T for v in ops), start=np.zeros((n, n), dtype=complex)
     )
-    out = _two_sided_term(k)
-    if ops:
-        out = out + kraus_to_superop(ops)
-    return out
+    return gkls_superop(k, kraus_to_superop(ops) if ops else None)

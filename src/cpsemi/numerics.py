@@ -1,28 +1,29 @@
-"""Shared numerical kernels: eigendecompositions, pseudo-inverses, matrix
-exponentials and least squares, with one consistent tolerance policy.
+"""Shared numerical kernels: Hermitian spectra, matrix exponentials, ranks
+and least squares, with one consistent tolerance policy.
 
-All comparisons against zero are relative, anchored at the operand's largest
-singular value (with a floor of 1 so that tiny matrices do not pass
-vacuously strict checks).
+Every PSD, rank, Kraus and pseudo-inverse decision on a Hermitian matrix is
+read off one :class:`Spectrum`, whose ``scale`` is max(1, largest
+|eigenvalue|): the anchor of the relative cuts (the floor of 1 keeps tiny
+matrices from facing vacuously strict checks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotHermitian, NotPSD
+from .errors import NotHermitian
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "frob",
-    "spectral_norm",
-    "hermitian_eig",
+    "Spectrum",
+    "spectrum",
     "expm",
-    "pinv_psd",
     "rank_tol",
     "lstsq",
 ]
@@ -58,29 +59,53 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
-
-
-def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+class Spectrum(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 
-    :param m: square matrix with ``||m - m*|| <= residual * ||m||``.
-    :return: ``(w, u)`` with real eigenvalues ``w`` in descending order and
-        the matching orthonormal eigenvector columns in ``u``.
-    :raises NotHermitian: if the Hermiticity check fails.
+    ``w`` holds the eigenvalues in descending order, ``u`` the matching
+    orthonormal eigenvector columns (None when only eigenvalues were asked
+    for), and ``scale = max(1, largest |eigenvalue|)`` anchors every relative
+    comparison made on them.
+    """
+
+    w: np.ndarray
+    u: np.ndarray | None
+    scale: float
+
+    def psd(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+        """True iff no eigenvalue sits below ``-psd_slack * scale``."""
+        return bool(self.w.size == 0 or self.w[-1] >= -tol.psd_slack * self.scale)
+
+    def kept(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Mask of the eigenvalues above the cut ``eig_cut * scale``; the rest
+        count as zero for ranks, Kraus bases and pseudo-inverses."""
+        return self.w > tol.eig_cut * self.scale
+
+
+def spectrum(
+    m: np.ndarray, tol: Tolerances | None = None, vectors: bool = True
+) -> Spectrum:
+    """Spectrum of the Hermitian part (m + m*) / 2 of a square matrix.
+
+    :param tol: when given, ``m`` itself must be Hermitian:
+        ``||m - m*|| <= residual * max(1, ||m||)`` (Frobenius norms).
+    :param vectors: also compute the eigenvectors.
+    :raises NotHermitian: if ``tol`` is given and the Hermiticity check fails.
     """
     m = np.asarray(m, dtype=complex)
-    defect = frob(m - m.conj().T)
-    if defect > tol.residual * max(1.0, frob(m)):
-        raise NotHermitian(
-            f"matrix is not Hermitian: ||m - m*|| = {defect:.3e}"
-        )
-    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w[::-1].copy(), u[:, ::-1].copy()
+    if tol is not None:
+        defect = frob(m - m.conj().T)
+        if not defect <= tol.residual * max(1.0, frob(m)):
+            raise NotHermitian(f"matrix is not Hermitian: ||m - m*|| = {defect:.3e}")
+    h = (m + m.conj().T) / 2.0
+    if vectors:
+        w, u = np.linalg.eigh(h)
+        u = u[:, ::-1].copy()
+    else:
+        w, u = np.linalg.eigvalsh(h), None
+    w = w[::-1].copy()
+    scale = max(1.0, float(max(w[0], -w[-1]))) if w.size else 1.0
+    return Spectrum(w, u, scale)
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -100,28 +125,6 @@ def expm(m: np.ndarray) -> np.ndarray:
         t, z = scipy.linalg.schur(m, output="complex")
         return (z * np.exp(np.diag(t))) @ z.conj().T
     return scipy.linalg.expm(m)
-
-
-def pinv_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a positive semidefinite matrix.
-
-    Eigenvalues below the relative cut are treated as exactly zero.
-
-    :raises NotPSD: if ``m`` is not PSD within ``psd_slack`` (non-Hermitian
-        input counts as not PSD).
-    """
-    try:
-        w, u = hermitian_eig(m, tol)
-    except NotHermitian as exc:
-        raise NotPSD(str(exc)) from exc
-    if w.size == 0:
-        return np.zeros_like(np.asarray(m, dtype=complex))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w[-1] < -tol.psd_slack * scale:
-        raise NotPSD(f"matrix has negative eigenvalue {w[-1]:.3e}")
-    cut = tol.eig_cut * scale
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return (u * inv) @ u.conj().T
 
 
 def rank_tol(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:

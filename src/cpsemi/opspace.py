@@ -17,10 +17,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotCP, NotMember, NotPSD
-from .numerics import DEFAULT_TOL, Tolerances, frob, hermitian_eig, rank_tol
-from .superop import choi_to_kraus, kraus_to_choi, superop_to_choi, vec
+from .numerics import DEFAULT_TOL, Spectrum, Tolerances, spectrum
+from .superop import choi_spectrum, kraus_from_spectrum, kraus_to_choi, superop_to_choi, vec
 
-__all__ = ["MetricOperatorSpace", "space_from_cp_map", "space_from_kraus"]
+__all__ = ["MetricOperatorSpace", "space_from_spectrum", "space_from_cp_map", "space_from_kraus"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,23 +109,28 @@ def _empty_space(n: int) -> MetricOperatorSpace:
     )
 
 
-def _space_from_choi_parts(
-    n: int, basis: Sequence[np.ndarray], choi: np.ndarray, tol: Tolerances
+def space_from_spectrum(
+    s: Spectrum, tol: Tolerances = DEFAULT_TOL, basis: Sequence[np.ndarray] | None = None
 ) -> MetricOperatorSpace:
-    w, u = hermitian_eig(choi, tol)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    keep = w > tol.eig_cut * scale
-    kept_u = u[:, keep]
-    kept_w = w[keep]
-    inv = kept_u @ np.diag(1.0 / kept_w) @ kept_u.conj().T
-    proj = kept_u @ kept_u.conj().T
+    """Metric operator space of the CP map whose Choi matrix has spectrum ``s``.
+
+    The eigenpairs above the cut give everything at once: the dimension, the
+    Choi matrix restricted to them, its pseudo-inverse and its range
+    projection.  The basis defaults to the Kraus operators read off the same
+    eigenpairs (:func:`kraus_from_spectrum`); a caller that already holds an
+    independent Kraus family of the map passes it as ``basis``.
+    """
+    keep = s.kept(tol)
+    u, w = s.u[:, keep], s.w[keep]
+    if basis is None:
+        basis = kraus_from_spectrum(s, tol)
     return MetricOperatorSpace(
-        n=n,
-        dim=int(np.sum(keep)),
+        n=int(round(np.sqrt(s.w.size))),
+        dim=int(w.size),
         basis=tuple(np.asarray(v, dtype=complex).copy() for v in basis),
-        choi=np.asarray(choi, dtype=complex),
-        choi_pinv=inv,
-        range_proj=proj,
+        choi=(u * w) @ u.conj().T,
+        choi_pinv=(u / w) @ u.conj().T,
+        range_proj=u @ u.conj().T,
     )
 
 
@@ -138,15 +143,11 @@ def space_from_cp_map(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MetricO
 
     :raises NotCP: if the map is not completely positive within tolerance.
     """
-    n = int(round(np.sqrt(np.asarray(mat).shape[0])))
-    j = superop_to_choi(mat)
     try:
-        ops = choi_to_kraus(j, tol)
+        s = choi_spectrum(superop_to_choi(mat), tol)
     except NotPSD as exc:
         raise NotCP(f"map is not completely positive: {exc}") from exc
-    if not ops:
-        return _empty_space(n)
-    return _space_from_choi_parts(n, ops, kraus_to_choi(ops), tol)
+    return space_from_spectrum(s, tol)
 
 
 def space_from_kraus(
@@ -154,14 +155,16 @@ def space_from_kraus(
 ) -> MetricOperatorSpace:
     """Metric operator space presented by an explicit Kraus family.
 
-    The operators must be linearly independent; they then form an orthonormal
-    basis of the space in its own inner product and are stored as given.
+    The operators must be linearly independent, which is tested on the
+    spectrum of their Choi matrix: it must keep one eigenvalue per operator.
+    They then form an orthonormal basis of the space in its own inner product
+    and are stored as given.
     """
     ops = [np.asarray(v, dtype=complex) for v in ops]
     if not ops:
         raise ValueError("need at least one Kraus operator (or use an empty space)")
-    n = ops[0].shape[0]
-    stacked = np.column_stack([vec(v) for v in ops])
-    if rank_tol(stacked, tol) != len(ops):
-        raise ValueError("Kraus family is linearly dependent")
-    return _space_from_choi_parts(n, ops, kraus_to_choi(ops), tol)
+    s = spectrum(kraus_to_choi(ops))
+    kept = int(np.sum(s.kept(tol)))
+    if kept != len(ops):
+        raise ValueError(f"Kraus family is linearly dependent: the cut keeps {kept} of {len(ops)}")
+    return space_from_spectrum(s, tol, basis=ops)

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD
-from .numerics import DEFAULT_TOL, Tolerances, frob, hermitian_eig, spectral_norm
+from .errors import DimensionMismatch, NotHermitian, NotPSD
+from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, spectrum
 
 __all__ = [
     "vec",
@@ -39,12 +39,12 @@ __all__ = [
     "kraus_to_choi",
     "superop_to_choi",
     "choi_to_superop",
+    "choi_spectrum",
+    "kraus_from_spectrum",
     "choi_to_kraus",
     "is_hermiticity_preserving",
     "is_completely_positive",
     "is_unital",
-    "choi_min_eig",
-    "superop_norm_bound",
 ]
 
 
@@ -152,6 +152,42 @@ def choi_to_superop(choi: np.ndarray) -> np.ndarray:
     return _reshuffle(choi)
 
 
+def choi_spectrum(choi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """Spectrum of a Choi matrix that must be positive semidefinite.
+
+    :raises NotPSD: if the matrix is not Hermitian, or has an eigenvalue
+        below ``-psd_slack`` (relative to its scale).
+    """
+    try:
+        s = spectrum(choi, tol)
+    except NotHermitian as exc:
+        raise NotPSD(f"Choi matrix is not Hermitian: {exc}") from exc
+    if not s.psd(tol):
+        raise NotPSD(
+            f"Choi matrix has negative eigenvalue {s.w[-1]:.3e} "
+            f"(slack {tol.psd_slack * s.scale:.3e})"
+        )
+    return s
+
+
+def kraus_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+    """Kraus operators sqrt(w_m) unvec(u_m) of the eigenpairs above the cut.
+
+    Each operator's phase is fixed by making its largest-magnitude entry real
+    and positive, so the output is deterministic.
+    """
+    keep = s.kept(tol)
+    ops = []
+    for lam, col in zip(s.w[keep], s.u[:, keep].T):
+        v = np.sqrt(lam) * unvec(col)
+        idx = int(np.argmax(np.abs(v)))
+        entry = v.reshape(-1)[idx]
+        if abs(entry) > 0:
+            v = v * (entry.conjugate() / abs(entry))
+        ops.append(v)
+    return ops
+
+
 def choi_to_kraus(
     choi: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> list[np.ndarray]:
@@ -159,37 +195,14 @@ def choi_to_kraus(
 
     Eigenvalues of the Choi matrix in ``[-psd_slack, eig_cut]`` (relative to
     its scale) are clamped to zero; anything more negative raises
-    :class:`NotPSD`.  Each operator's phase is fixed by making its
-    largest-magnitude entry real and positive, so the output is deterministic.
+    :class:`NotPSD`.
 
     :return: list of n x n operators ``v_m`` with
         ``sum_m vec(v_m) vec(v_m)* = choi`` up to the clamped part, ordered by
-        descending Choi eigenvalue.
+        descending Choi eigenvalue, phases as in :func:`kraus_from_spectrum`.
     """
-    n = dim_of(choi)
-    try:
-        w, u = hermitian_eig(choi, tol)
-    except Exception as exc:  # non-Hermitian Choi cannot be PSD
-        raise NotPSD(f"Choi matrix is not Hermitian: {exc}") from exc
-    if w.size == 0:
-        return []
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w[-1] < -tol.psd_slack * scale:
-        raise NotPSD(
-            f"Choi matrix has negative eigenvalue {w[-1]:.3e} "
-            f"(slack {tol.psd_slack * scale:.3e})"
-        )
-    ops = []
-    for lam, col in zip(w, u.T):
-        if lam <= tol.eig_cut * scale:
-            continue
-        v = np.sqrt(lam) * unvec(col, n)
-        idx = int(np.argmax(np.abs(v)))
-        entry = v.reshape(-1)[idx]
-        if abs(entry) > 0:
-            v = v * (entry.conjugate() / abs(entry))
-        ops.append(v)
-    return ops
+    dim_of(choi)
+    return kraus_from_spectrum(choi_spectrum(choi, tol), tol)
 
 
 def is_hermiticity_preserving(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -201,12 +214,10 @@ def is_hermiticity_preserving(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) ->
 
 def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the Choi matrix is PSD within ``psd_slack`` (relative)."""
-    if not is_hermiticity_preserving(mat, tol):
+    try:
+        return spectrum(superop_to_choi(mat), tol, vectors=False).psd(tol)
+    except NotHermitian:
         return False
-    j = superop_to_choi(mat)
-    w = np.linalg.eigvalsh((j + j.conj().T) / 2.0)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return bool(w.size == 0 or w[0] >= -tol.psd_slack * scale)
 
 
 def is_unital(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -214,19 +225,3 @@ def is_unital(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     n = dim_of(mat)
     p1 = apply_superop(mat, np.eye(n))
     return frob(p1 - np.eye(n)) <= tol.residual * max(1.0, frob(p1))
-
-
-def choi_min_eig(mat: np.ndarray) -> tuple[float, float]:
-    """Smallest eigenvalue of the (hermitized) Choi matrix and the scale
-    ``max(1, largest |eigenvalue|)`` it should be compared against."""
-    j = superop_to_choi(mat)
-    w = np.linalg.eigvalsh((j + j.conj().T) / 2.0)
-    if w.size == 0:
-        return 0.0, 1.0
-    return float(w[0]), max(1.0, float(np.max(np.abs(w))))
-
-
-def superop_norm_bound(mat: np.ndarray) -> float:
-    """Certified upper bound on the operator norm of the map itself:
-    n * ||mat||_2 (conservative)."""
-    return dim_of(mat) * spectral_norm(np.asarray(mat, dtype=complex))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstraintViolated
-from .numerics import DEFAULT_TOL, Tolerances, frob
+from .numerics import DEFAULT_TOL, Tolerances, frob, spectrum
 from .superop import (
     apply_superop,
     dim_of,
@@ -84,18 +84,9 @@ def symbol_table(mat: np.ndarray) -> np.ndarray:
     return t1 - t2 - t3 + t4
 
 
-def symbols_equal(
-    mat1: np.ndarray, mat2: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """True iff the two maps have the same symbol (tables agree entrywise
-    within ``residual``, relative to the larger table)."""
-    t1 = symbol_table(mat1)
-    t2 = symbol_table(mat2)
-    scale = max(1.0, float(np.linalg.norm(t1)), float(np.linalg.norm(t2)))
-    return float(np.linalg.norm(t1 - t2)) <= tol.residual * scale
-
-
 def _partial_traces(mat: np.ndarray):
+    """Partial traces (S1, S2) of a superoperator matrix over its first and
+    second tensor factor, the data of every two-sided least-squares fit."""
     n = dim_of(mat)
     m4 = np.asarray(mat, dtype=complex).reshape(n, n, n, n)
     s1 = np.einsum("iaib->ab", m4)
@@ -103,17 +94,15 @@ def _partial_traces(mat: np.ndarray):
     return s1, s2
 
 
-def recover_linear_form(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """If L(x) = a x + x b for some a, b, recover such a pair; else None.
+def _two_sided_fit(mat: np.ndarray):
+    """Least-squares fit L(x) ~ a x + x b: ``(a, b, ||fit - mat||)``.
 
-    The pair is only determined up to (a + z*1, b - z*1); the gauge is fixed
-    by the minimum-norm least-squares solution, which makes tr(a) = tr(b) and
-    in particular returns b = a* whenever L is Hermiticity-preserving.  The
-    closed-form solution of the normal equations is used:
+    The minimum-norm solution of the normal equations, in closed form
 
         a = (Tr_1(mat) - tau * 1) / n,   b = (Tr_2(mat).T - tau * 1) / n,
 
-    with tau = tr(mat) / (2n).
+    with tau = tr(mat) / (2n), makes tr(a) = tr(b), so b = a* whenever L is
+    Hermiticity-preserving.
     """
     n = dim_of(mat)
     s1, s2 = _partial_traces(mat)
@@ -121,7 +110,34 @@ def recover_linear_form(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     a = (s1 - tau * np.eye(n)) / n
     b = (s2.T - tau * np.eye(n)) / n
     rebuilt = np.kron(np.eye(n), a) + np.kron(b.T, np.eye(n))
-    err = frob(rebuilt - mat)
+    return a, b, frob(rebuilt - mat)
+
+
+def symbols_equal(
+    mat1: np.ndarray, mat2: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> bool:
+    """True iff the two maps have the same symbol.
+
+    The symbol is linear in L and vanishes exactly on the two-sided maps
+    x -> a x + x b, so the symbols agree iff L1 - L2 is two-sided: the
+    residual of its two-sided fit is at most ``residual`` times
+    max(1, ||mat1||, ||mat2||).  :func:`symbol_table` gives the same verdict
+    from the n^6 symbol values.
+    """
+    m1 = np.asarray(mat1, dtype=complex)
+    m2 = np.asarray(mat2, dtype=complex)
+    _, _, err = _two_sided_fit(m1 - m2)
+    return err <= tol.residual * max(1.0, frob(m1), frob(m2))
+
+
+def recover_linear_form(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """If L(x) = a x + x b for some a, b, recover such a pair; else None.
+
+    The pair is only determined up to (a + z*1, b - z*1); the gauge is fixed
+    by the minimum-norm least-squares solution of :func:`_two_sided_fit`,
+    which returns b = a* whenever L is Hermiticity-preserving.
+    """
+    a, b, err = _two_sided_fit(mat)
     if err > tol.residual * max(1.0, frob(np.asarray(mat))):
         return None
     return a, b
@@ -141,20 +157,18 @@ def projected_choi(mat: np.ndarray) -> np.ndarray:
 def ccp_defect(mat: np.ndarray):
     """Smallest eigenvalue of the projected Choi matrix along with a matching
     eigenvector and the comparison scale max(1, largest |eigenvalue|)."""
-    jp = projected_choi(mat)
-    w, u = np.linalg.eigh(jp)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return float(w[0]), u[:, 0].copy(), scale
+    s = spectrum(projected_choi(mat))
+    return float(s.w[-1]), s.u[:, -1].copy(), s.scale
 
 
 def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``mat`` generates a semigroup of completely positive maps:
     the map is Hermiticity-preserving and its projected Choi matrix is PSD
-    within ``psd_slack``."""
+    within ``psd_slack``.  This is the test :func:`~cpsemi.generator.decompose`
+    applies before it raises NotCCP."""
     if not is_hermiticity_preserving(mat, tol):
         return False
-    low, _, scale = ccp_defect(mat)
-    return low >= -tol.psd_slack * scale
+    return spectrum(projected_choi(mat)).psd(tol)
 
 
 def check_block_positivity(
@@ -190,10 +204,7 @@ def check_block_positivity(
         for xk, ak in zip(xs, as_):
             mid = apply_superop(mat, xj.conj().T @ xk)
             s += aj.conj().T @ mid @ ak
-    s = (s + s.conj().T) / 2.0
-    w = np.linalg.eigvalsh(s)
-    sscale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return bool(w.size == 0 or w[0] >= -tol.psd_slack * sscale)
+    return spectrum(s, vectors=False).psd(tol)
 
 
 def _defect_tuple(mat: np.ndarray):

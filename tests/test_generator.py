@@ -9,15 +9,16 @@ from cpsemi.generator import (
     dominates,
     extract_gauge,
     gauge_shift,
+    gkls_superop,
     hamiltonian_lindblad,
     rank,
     rebuild,
     same_generator,
     split_k,
 )
-from cpsemi.opspace import space_from_kraus
+from cpsemi.opspace import space_from_cp_map, space_from_kraus
 from cpsemi.sampling import random_ccp_generator, random_matrix
-from cpsemi.semigroup import evolve
+from cpsemi.semigroup import evolve, index
 from cpsemi.superop import (
     ad_superop,
     apply_superop,
@@ -260,3 +261,40 @@ def test_hamiltonian_lindblad_matches_hand_built():
 def test_hamiltonian_lindblad_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hamiltonian_lindblad(np.array([[0.0, 1.0], [0.0, 0.0]]), [SZ])
+
+
+def test_gkls_superop_adds_drift_to_cp_part(rng):
+    ops = [random_matrix(rng, 3) for _ in range(2)]
+    k = random_matrix(rng, 3)
+    x = random_matrix(rng, 3)
+    want = sum(v @ x @ v.conj().T for v in ops) + k @ x + x @ k.conj().T
+    np.testing.assert_allclose(
+        apply_superop(gkls_superop(k, kraus_to_superop(ops)), x), want, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        apply_superop(gkls_superop(k), x), k @ x + x @ k.conj().T, atol=1e-12
+    )
+
+
+def test_decompose_uses_one_eigendecomposition(rng, monkeypatch):
+    # The verdict, witness, Kraus basis and inner product all come from one
+    # eigendecomposition of the projected Choi matrix.
+    channel = evolve(dephasing_generator(), 0.5)  # expm has its own eigh
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k)
+    )
+    d = decompose(random_ccp_generator(rng, 3, m=4))
+    assert d.space.dim == len(d.space.basis) == 4
+    assert len(calls) == 1
+    with pytest.raises(NotCCP):
+        decompose(transpose_superop(2))
+    assert len(calls) == 2
+    space_from_cp_map(channel)
+    assert len(calls) == 3
+
+
+def test_index_is_rank():
+    assert index is rank

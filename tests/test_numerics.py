@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cpsemi.errors import NotHermitian, NotPSD
+from cpsemi.errors import NotHermitian
 from cpsemi.numerics import (
     DEFAULT_TOL,
     Tolerances,
     expm,
     frob,
-    hermitian_eig,
     lstsq,
-    pinv_psd,
     rank_tol,
-    spectral_norm,
+    spectrum,
 )
 
 
@@ -23,21 +21,46 @@ def test_tolerances_defaults():
 def test_norms_match_numpy(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert frob(m) == pytest.approx(np.linalg.norm(m))
-    assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2))
 
 
-def test_hermitian_eig_descending_and_reconstructs(rng):
+def test_spectrum_descending_and_reconstructs(rng):
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     h = (a + a.conj().T) / 2
-    w, u = hermitian_eig(h)
+    w, u, scale = spectrum(h, DEFAULT_TOL)
     assert np.all(np.diff(w) <= 0)
     np.testing.assert_allclose(u @ np.diag(w) @ u.conj().T, h, atol=1e-12)
+    assert scale == max(1.0, np.abs(w).max())
+    # eigenvalues alone: the same values, no vectors
+    wv, uv, scale_v = spectrum(h, vectors=False)
+    assert uv is None
+    np.testing.assert_allclose(wv, w, atol=1e-12)
+    assert scale_v == pytest.approx(scale)
 
 
-def test_hermitian_eig_rejects_non_hermitian(rng):
+def test_spectrum_rejects_non_hermitian(rng):
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     with pytest.raises(NotHermitian):
-        hermitian_eig(m)
+        spectrum(m, DEFAULT_TOL)
+    # without tolerances the Hermitian part is decomposed
+    np.testing.assert_allclose(
+        spectrum(m).w, np.linalg.eigvalsh((m + m.conj().T) / 2)[::-1], atol=1e-12
+    )
+
+
+def test_spectrum_psd_and_kept():
+    tol = Tolerances(eig_cut=1e-6, psd_slack=1e-3)
+    s = spectrum(np.diag([4.0, 1e-5, 1e-6, -1e-3]))
+    assert s.scale == 4.0
+    assert s.psd(tol)  # -1e-3 >= -1e-3 * 4
+    assert not spectrum(np.diag([4.0, -1e-2])).psd(tol)
+    np.testing.assert_array_equal(s.kept(tol), [True, True, False, False])
+    # the scale has a floor of 1
+    small = spectrum(np.diag([1e-3, -1e-4]))
+    assert small.scale == 1.0
+    assert small.psd(Tolerances(psd_slack=1e-4)) and not small.psd(Tolerances(psd_slack=1e-5))
+    # the empty matrix is PSD with nothing kept
+    empty = spectrum(np.zeros((0, 0)))
+    assert empty.psd() and empty.kept().size == 0 and empty.scale == 1.0
 
 
 def test_expm_matches_scipy(rng):
@@ -50,19 +73,6 @@ def test_expm_matches_scipy(rng):
 
 def test_expm_zero_is_identity():
     np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-
-
-def test_pinv_psd_moore_penrose_on_singular():
-    u = np.linalg.qr(np.arange(9).reshape(3, 3) + 1.0 + 1j * np.eye(3))[0]
-    m = u @ np.diag([2.0, 0.5, 0.0]) @ u.conj().T
-    p = pinv_psd(m)
-    np.testing.assert_allclose(m @ p @ m, m, atol=1e-10)
-    np.testing.assert_allclose(p @ m @ p, p, atol=1e-10)
-
-
-def test_pinv_psd_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        pinv_psd(np.diag([1.0, -1.0]))
 
 
 def test_rank_tol():

@@ -168,3 +168,25 @@ def test_space_from_cp_map_rejects_non_cp():
 
     with pytest.raises(NotCP):
         space_from_cp_map(transpose_superop(2))
+
+
+def test_space_from_kraus_tests_independence_on_the_choi_spectrum():
+    # The Choi eigenvalue of eps * sigma_plus is eps^2: above the cut at
+    # eps = 1e-3, below it at eps = 1e-5, where the family is dependent
+    # within tolerance and must not yield a space with dim != len(basis).
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    e = space_from_kraus([SZ, 1e-3 * sp])
+    assert e.dim == len(e.basis) == 2
+    for v in e.basis:
+        assert e.membership(v) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        space_from_kraus([SZ, 1e-5 * sp])
+
+
+def test_space_from_cp_map_dim_matches_basis(rng):
+    for n in (2, 3):
+        for m in (1, 2, n * n):
+            e = space_from_cp_map(random_cp_map(rng, n, m=m))
+            assert e.dim == len(e.basis) == m
+            for v in e.basis:
+                assert e.membership(v) == pytest.approx(1.0)

@@ -6,7 +6,6 @@ from cpsemi.errors import NotPSD
 from cpsemi.superop import (
     ad_superop,
     apply_superop,
-    choi_min_eig,
     choi_to_kraus,
     choi_to_superop,
     identity_superop,
@@ -16,7 +15,6 @@ from cpsemi.superop import (
     kraus_to_choi,
     kraus_to_superop,
     left_right_superop,
-    superop_norm_bound,
     superop_to_choi,
     unvec,
     vec,
@@ -119,21 +117,9 @@ def test_transpose_choi_spectrum():
     # the transpose map's Choi matrix is the swap, eigenvalues {-1, 1, 1, 1}
     j = superop_to_choi(transpose_superop(2))
     np.testing.assert_allclose(np.linalg.eigvalsh(j), [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
-    low, scale = choi_min_eig(transpose_superop(2))
-    assert low == pytest.approx(-1.0)
-    assert scale >= 1.0
 
 
 def test_is_unital():
     u = np.linalg.qr(np.arange(4).reshape(2, 2) + 1j * np.eye(2))[0]
     assert is_unital(ad_superop(u))
     assert not is_unital(0.5 * identity_superop(2))
-
-
-def test_norm_bound_controls_action(rng):
-    mat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    bound = superop_norm_bound(mat)
-    for _ in range(20):
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        x = x / np.linalg.norm(x, 2)
-        assert np.linalg.norm(apply_superop(mat, x), 2) <= bound + 1e-12

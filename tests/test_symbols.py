@@ -3,6 +3,7 @@ import pytest
 from conftest import SX, SZ, dephasing_generator, transpose_superop
 
 from cpsemi.errors import ConstraintViolated
+from cpsemi.numerics import DEFAULT_TOL
 from cpsemi.sampling import (
     random_constrained_tuple,
     random_cp_map,
@@ -13,9 +14,9 @@ from cpsemi.superop import (
     ad_superop,
     identity_superop,
     kraus_to_superop,
-    superop_norm_bound,
 )
 from cpsemi.symbols import (
+    _two_sided_fit,
     block_positivity_witness,
     ccp_defect,
     check_block_positivity,
@@ -174,7 +175,7 @@ def test_symbol_norm_bound(rng):
         mat = np.asarray(
             rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
         )
-        bound = 4.0 * superop_norm_bound(mat)
+        bound = 4.0 * n * np.linalg.norm(mat, 2)
         for _ in range(20):
             x = random_matrix(rng, n)
             y = random_matrix(rng, n)
@@ -188,3 +189,50 @@ def test_symbols_equal_respects_hermitian_drift(rng):
     mat = dephasing_generator()
     k = random_matrix(rng, 2)
     assert symbols_equal(mat, mat + two_sided(k, k.conj().T))
+
+
+def _table_distance(mat1, mat2, residual):
+    """The n^6 oracle: distance of the symbol tables over its bound."""
+    t1 = symbol_table(mat1)
+    t2 = symbol_table(mat2)
+    bound = residual * max(1.0, np.linalg.norm(t1), np.linalg.norm(t2))
+    return np.linalg.norm(t1 - t2) / bound
+
+
+def _fit_distance(mat1, mat2, residual):
+    """What symbols_equal compares: the two-sided fit residual over its bound."""
+    _, _, err = _two_sided_fit(mat1 - mat2)
+    return err / (residual * max(1.0, np.linalg.norm(mat1), np.linalg.norm(mat2)))
+
+
+def test_symbols_equal_agrees_with_symbol_table_oracle():
+    # 300 frozen pairs at n <= 4 and scales 1e-6 .. 1e6: two-sided shifts
+    # (equal symbols), CP perturbations of relative size 1e-14 .. 1
+    # (straddling the threshold) and unrelated maps (different symbols).
+    # The two tests measure the symbol difference in equivalent norms, so
+    # they may only disagree where both distances sit near their bounds.
+    rng = np.random.default_rng(20261017)
+    residual = DEFAULT_TOL.residual
+    disagree = 0
+    for i in range(300):
+        n = int(rng.integers(2, 5))
+        s = 10.0 ** rng.uniform(-6, 6)
+        mat1 = s * random_matrix(rng, n * n)
+        if i % 3 == 0:
+            mat2 = mat1 + s * two_sided(random_matrix(rng, n), random_matrix(rng, n))
+        elif i % 3 == 1:
+            eps = 10.0 ** rng.uniform(-14, 0)
+            mat2 = mat1 + s * eps * ad_superop(random_matrix(rng, n))
+        else:
+            mat2 = s * random_matrix(rng, n * n)
+        verdict = symbols_equal(mat1, mat2)
+        oracle = _table_distance(mat1, mat2, residual)
+        if verdict != (oracle <= 1.0):
+            disagree += 1
+            assert 0.1 <= oracle <= 10.0
+            assert 0.1 <= _fit_distance(mat1, mat2, residual) <= 10.0
+        if i % 3 == 0:
+            assert verdict
+        elif i % 3 == 2:
+            assert not verdict
+    assert disagree <= 6
