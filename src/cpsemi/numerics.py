@@ -1,10 +1,10 @@
-"""Shared numerical kernels: Hermitian spectra, matrix exponentials, ranks
-and least squares, with one consistent tolerance policy.
+"""Shared numerical kernels: Hermitian spectra, matrix exponentials and
+least squares, with one consistent tolerance policy.
 
-Every PSD, rank, Kraus and pseudo-inverse decision on a Hermitian matrix is
-read off one :class:`Spectrum`, whose ``scale`` is max(1, largest
-|eigenvalue|): the anchor of the relative cuts (the floor of 1 keeps tiny
-matrices from facing vacuously strict checks).
+Every PSD, rank, Kraus and pseudo-inverse decision is read off the
+eigenvalues of one Hermitian matrix, held in one :class:`Spectrum`, whose
+``scale`` is max(1, largest |eigenvalue|): the anchor of the relative cuts
+(the floor of 1 keeps tiny matrices from facing vacuously strict checks).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "expm",
-    "rank_tol",
     "lstsq",
 ]
 
@@ -33,8 +32,8 @@ __all__ = [
 class Tolerances:
     """Tolerance knobs used throughout the library.
 
-    :param eig_cut: eigenvalues/singular values below this (relative) cut are
-        treated as zero when computing ranks, pseudo-inverses and Kraus bases.
+    :param eig_cut: eigenvalues below this (relative) cut are treated as
+        zero when computing ranks, pseudo-inverses and Kraus bases.
     :param psd_slack: how far below zero an eigenvalue may sit (relative to the
         matrix scale) while the matrix still counts as positive semidefinite.
     :param residual: relative residual allowed when deciding that two maps or
@@ -125,17 +124,6 @@ def expm(m: np.ndarray) -> np.ndarray:
         t, z = scipy.linalg.schur(m, output="complex")
         return (z * np.exp(np.diag(t))) @ z.conj().T
     return scipy.linalg.expm(m)
-
-
-def rank_tol(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank: number of singular values above the relative cut."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol.eig_cut * max(1.0, float(s[0]))))
 
 
 def lstsq(a: np.ndarray, b: np.ndarray):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .superop import choi_to_superop, kraus_to_superop
 
@@ -67,17 +66,12 @@ def random_ccp_generator(
 def random_constrained_tuple(rng: np.random.Generator, n: int, r: int = 3):
     """Random tuple (xs, as) of length ``r`` with sum_k x_k a_k = 0.
 
-    The a's are drawn from the null space of the linear map
-    (a_1, ..., a_r) -> sum_k x_k a_k.
+    All x's and a_1, ..., a_{r-1} are random; the last a solves the
+    constraint, a_r = -x_r^{-1} sum_{k<r} x_k a_k (x_r is almost surely
+    invertible).
     """
     xs = [random_matrix(rng, n) for _ in range(r)]
-    eye = np.eye(n)
-    design = np.hstack([np.kron(eye, x) for x in xs])
-    null = scipy.linalg.null_space(design)
-    coef = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
-    stacked = null @ coef
-    as_ = []
-    for k in range(r):
-        seg = stacked[k * n * n : (k + 1) * n * n]
-        as_.append(seg.reshape(n, n).T)
+    as_ = [random_matrix(rng, n) for _ in range(r - 1)]
+    rest = sum((x @ a for x, a in zip(xs, as_)), np.zeros((n, n), dtype=complex))
+    as_.append(-np.linalg.solve(xs[-1], rest))
     return xs, as_

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from cpsemi import numerics
 from cpsemi.errors import NotHermitian
 from cpsemi.numerics import (
     DEFAULT_TOL,
@@ -9,7 +13,6 @@ from cpsemi.numerics import (
     expm,
     frob,
     lstsq,
-    rank_tol,
     spectrum,
 )
 
@@ -75,13 +78,6 @@ def test_expm_zero_is_identity():
     np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
 
-def test_rank_tol():
-    m = np.diag([3.0, 1e-3, 0.0])
-    assert rank_tol(m) == 2
-    assert rank_tol(np.zeros((4, 4))) == 0
-    assert rank_tol(np.eye(4)) == 4
-
-
 def test_lstsq_min_norm_and_residual(rng):
     # underdetermined consistent system: solution has minimal norm
     a = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
@@ -94,3 +90,15 @@ def test_lstsq_min_norm_and_residual(rng):
     a2 = np.array([[1.0, 0.0], [1.0, 0.0]])
     _, res2 = lstsq(a2, np.array([0.0, 1.0]))
     assert res2 == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def test_eigendecompositions_only_in_numerics():
+    # every PSD and rank decision reads one Spectrum: no other module
+    # eigendecomposes or takes a rank, and no module takes singular values
+    sources = sorted(Path(numerics.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        text = path.read_text()
+        assert "svd" not in text, path.name
+        if path.name != "numerics.py":
+            assert not re.search(r"\b(eigh|eigvalsh|matrix_rank)\b", text), path.name

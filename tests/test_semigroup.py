@@ -3,8 +3,7 @@ import pytest
 from conftest import SX, SY, SZ, dephasing_generator
 
 from cpsemi.errors import LogBranch, NotCP, NotMember, OwnerMismatch
-from cpsemi.generator import decompose, rebuild
-from cpsemi.numerics import rank_tol
+from cpsemi.generator import decompose, hamiltonian_lindblad, rebuild
 from cpsemi.sampling import random_ccp_generator
 from cpsemi.semigroup import (
     covariance,
@@ -79,6 +78,14 @@ def test_product_system_check(dephasing):
     assert product_system_check(np.zeros((4, 4)), 0.3, 0.9)
     assert product_system_check(dephasing, 0.5, 0.5)
     assert product_system_check(dephasing, 0.3, 0.7)
+    # strong commuting dephasing: products of its Kraus operators include
+    # roundoff-sized ones, which must not count as new directions
+    strong = hamiltonian_lindblad(np.zeros((2, 2)), [np.diag([10, 10j])])
+    assert product_system_check(strong, 0.5, 0.5)
+    with pytest.raises(ValueError):
+        product_system_check(dephasing, 0.0, 0.5)
+    with pytest.raises(NotCP):
+        product_system_check(-ad_superop(SZ), 0.5, 0.5)
 
 
 def test_make_unit_checks_dimensions(dephasing):
@@ -270,7 +277,8 @@ def test_covariance_invariant_under_redecomposition(rng):
     s1 = np.column_stack([vec(v) for v in d1.space.basis] + [vec(np.eye(2))])
     s2 = np.column_stack([vec(v) for v in d2.space.basis] + [vec(np.eye(2))])
     both = np.hstack([s1, s2])
-    assert rank_tol(both) == rank_tol(s1) == rank_tol(s2)
+    rank = np.linalg.matrix_rank
+    assert rank(both) == rank(s1) == rank(s2)
     us1 = sample_units(d1, d1.space.dim + 2, seed=2)
     us2 = [
         make_unit(d2, u.c, d2.space.coords(d1.space.from_coords(u.v_coords)))
