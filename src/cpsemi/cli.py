@@ -9,22 +9,25 @@ Subcommands::
     cpsemi index      --input gen.json            rank / index only
 
 Input files are JSON generator specs.  Complex scalars are encoded as
-[re, im] pairs, matrices as row-major nested lists of such pairs::
+[re, im] pairs of finite JSON numbers (not booleans), matrices as row-major
+nested lists of such pairs::
 
     {"type": "superop", "n": 2, "matrix": [[...n^2 pairs...], ...]}
     {"type": "gkls", "n": 2, "kraus": [[[..]..]..], "k": [[..]..]}
     {"type": "hamiltonian_lindblad", "n": 2, "h": [[..]..], "lindblad": [..]}
 
 Output is key-sorted JSON (stdout or --output), byte-identical for
-identical (input, flags, seed).  Exit codes: 0 ok, 1 parse error, 2 input
-is not a generator, 3 numerical limit exceeded (or a verification check
-failed).
+identical (input, flags, seed).  Exit codes: 0 ok, 1 parse error (including
+a bad flag value), 2 input is not a generator (one report for every
+subcommand, see :func:`_rejection`), 3 numerical limit exceeded (or a
+verification check failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,7 +42,6 @@ from . import (
     NotPSD,
     ParseError,
     Tolerances,
-    apply_superop,
     covariance,
     covariance_estimate,
     decompose,
@@ -55,7 +57,7 @@ from . import (
     symbols_equal,
     verify_unit,
 )
-from .generator import GklsForm, gkls_superop
+from .generator import GklsForm, gkls_superop, is_unital_generator
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
 
@@ -74,100 +76,93 @@ _INDEX_NOTE = (
 # JSON (de)serialization
 
 
-def _c2j(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def encode(a) -> list:
+    """JSON form of a complex scalar or array: the same nesting, with every
+    entry an [re, im] pair of floats."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _m2j(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[_c2j(z) for z in row] for row in m]
+def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Complex array of the given shape from its JSON form (see :func:`encode`).
+
+    The nesting must have shape ``shape + (2,)`` and every number must be
+    finite and exactly an ``int`` or a ``float`` (``bool`` is a subclass of
+    ``int``, so JSON ``true`` is not a number here).
+    """
+    want = shape + (2,)
+    a = np.array(obj, dtype=object)
+    if a.shape == (0,) and shape[:1] == (0,):  # [] carries no inner shape
+        a = a.reshape(want)
+    if a.shape != want:
+        raise ParseError(f"{what}: expected [re, im] pairs nested to shape {want}, got {a.shape}")
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise ParseError(f"{what}: every entry must be a JSON number")
+    try:
+        f = a.astype(float)
+        finite = np.isfinite(f).all()
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ParseError(f"{what}: every entry must be finite")
+    return f.view(complex).reshape(shape)
 
 
-def _j2c(obj, what: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
-    ):
-        raise ParseError(f"{what}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+def _read_json(path: str) -> dict:
+    """The top-level JSON object of an input file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top-level JSON value must be an object")
+    return doc
 
 
-def _j2m(obj, rows: int, cols: int, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != rows:
-        raise ParseError(f"{what}: expected {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"{what}: row {i} must have {cols} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _j2c(entry, f"{what}[{i}][{j}]")
-    return out
+def _decode_stack(doc: dict, key: str, n: int) -> np.ndarray:
+    ops = doc.get(key)
+    if not isinstance(ops, list):
+        raise ParseError(f"'{key}' must be a list of matrices")
+    return decode(ops, (len(ops), n, n), key)
 
 
 def load_generator(path: str, tol: Tolerances) -> tuple[np.ndarray, int]:
     """Read a generator spec file and return (superoperator matrix, n)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
+    doc = _read_json(path)
     kind = doc.get("type")
     n = doc.get("n")
-    if not isinstance(n, int) or not 2 <= n <= 16:
+    if type(n) is not int or not 2 <= n <= 16:
         raise ParseError("'n' must be an integer between 2 and 16")
     if kind == "superop":
-        mat = _j2m(doc.get("matrix"), n * n, n * n, "matrix")
-        return mat, n
+        return decode(doc.get("matrix"), (n * n, n * n), "matrix"), n
     if kind == "gkls":
-        kraus_doc = doc.get("kraus")
-        if not isinstance(kraus_doc, list):
-            raise ParseError("'kraus' must be a list of matrices")
-        ops = [_j2m(op, n, n, f"kraus[{i}]") for i, op in enumerate(kraus_doc)]
-        k = _j2m(doc.get("k"), n, n, "k")
-        return gkls_superop(k, kraus_to_superop(ops) if ops else None), n
+        ops = _decode_stack(doc, "kraus", n)
+        k = decode(doc.get("k"), (n, n), "k")
+        return gkls_superop(k, kraus_to_superop(ops) if len(ops) else None), n
     if kind == "hamiltonian_lindblad":
-        h = _j2m(doc.get("h"), n, n, "h")
-        lind_doc = doc.get("lindblad")
-        if not isinstance(lind_doc, list):
-            raise ParseError("'lindblad' must be a list of matrices")
-        ops = [_j2m(op, n, n, f"lindblad[{i}]") for i, op in enumerate(lind_doc)]
+        h = decode(doc.get("h"), (n, n), "h")
+        ops = _decode_stack(doc, "lindblad", n)
         try:
-            mat = hamiltonian_lindblad(h, ops, tol)
+            return hamiltonian_lindblad(h, ops, tol), n
         except NotHermitian as exc:
             raise ParseError(str(exc)) from exc
-        return mat, n
     raise ParseError(f"unknown generator type {kind!r}")
 
 
-def load_units(path: str, d: GklsForm, tol: Tolerances):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    entries = doc.get("units") if isinstance(doc, dict) else None
+def load_units(path: str, d: GklsForm):
+    entries = _read_json(path).get("units")
     if not isinstance(entries, list) or len(entries) < 2:
         raise ParseError("units file must contain a 'units' list with two entries")
     units = []
     for i, entry in enumerate(entries[:2]):
         if not isinstance(entry, dict):
             raise ParseError(f"units[{i}] must be an object")
-        c = _j2c(entry.get("c"), f"units[{i}].c")
-        v_doc = entry.get("v")
-        if not isinstance(v_doc, list) or len(v_doc) != d.space.dim:
-            raise ParseError(
-                f"units[{i}].v must list {d.space.dim} coordinate pairs"
-            )
-        coords = [_j2c(p, f"units[{i}].v[{j}]") for j, p in enumerate(v_doc)]
-        units.append(make_unit(d, c, coords))
+        c = decode(entry.get("c"), (), f"units[{i}].c")
+        v = decode(entry.get("v"), (d.space.dim,), f"units[{i}].v")
+        units.append(make_unit(d, c, v))
     return units
 
 
@@ -181,106 +176,93 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Reports.  Each subcommand gets the decomposed generator and returns
+# (report, exit code); main() writes the report.
 
 
-def cmd_analyze(args, tol: Tolerances) -> int:
-    mat, n = load_generator(args.input, tol)
-    report: dict = {"command": "analyze", "n": n}
-    # decompose applies the Hermiticity and CCP tests and raises on failure.
-    try:
-        d = decompose(mat, tol)
-    except (NotCCP, NotHermiticityPreserving) as exc:
-        report.update(hermiticity_preserving=isinstance(exc, NotCCP), ccp=False, error=str(exc))
-        if isinstance(exc, NotCCP) and exc.witness is not None:
-            report["witness"] = [_c2j(z) for z in exc.witness]
-            report["projected_eigenvalue"] = float(exc.eigenvalue)
-        _emit(report, args.output)
-        return EXIT_NOT_GENERATOR
-    report.update(hermiticity_preserving=True, ccp=True)
-    # The semigroup exp(tL) is unital iff the generator kills the identity.
-    lone = apply_superop(mat, np.eye(n))
-    report["unital"] = bool(
-        float(np.linalg.norm(lone)) <= tol.residual * max(1.0, float(np.linalg.norm(mat)))
-    )
-    report["rank"] = d.space.dim
-    report["index"] = d.space.dim
-    report["index_note"] = _INDEX_NOTE
-    report["kraus"] = [_m2j(v) for v in d.space.basis]
-    report["k"] = _m2j(d.k)
-    report["residual"] = d.residual
+def _rejection(command: str, n: int, exc: NotCCP | NotHermiticityPreserving) -> dict:
+    """The exit-2 report of an input that is not a generator."""
+    report = {
+        "ccp": False,
+        "command": command,
+        "error": str(exc),
+        "hermiticity_preserving": isinstance(exc, NotCCP),
+        "n": n,
+    }
+    if isinstance(exc, NotCCP) and exc.witness is not None:
+        report["witness"] = encode(exc.witness)
+        report["projected_eigenvalue"] = float(exc.eigenvalue)
+    return report
+
+
+def _canonical(d: GklsForm) -> dict:
+    return {
+        "k": encode(d.k),
+        "kraus": encode(d.space.basis),
+        "n": d.n,
+        "rank": d.space.dim,
+        "residual": d.residual,
+    }
+
+
+def _index(d: GklsForm) -> dict:
+    return {"index": d.space.dim, "index_note": _INDEX_NOTE, "n": d.n, "rank": d.space.dim}
+
+
+def cmd_analyze(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
+    report = {
+        "command": "analyze",
+        **_canonical(d),
+        **_index(d),
+        "ccp": True,
+        "hermiticity_preserving": True,
+        "unital": is_unital_generator(mat, tol),
+    }
     if d.space.dim == 0:
         report["note"] = "rank 0: the semigroup consists of *-automorphisms"
-    _emit(report, args.output)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_covariance(args, tol: Tolerances) -> int:
-    mat, n = load_generator(args.input, tol)
-    try:
-        d = decompose(mat, tol)
-    except (NotCCP, NotHermiticityPreserving) as exc:
-        _emit({"command": "covariance", "error": str(exc)}, args.output)
-        return EXIT_NOT_GENERATOR
-    u1, u2 = load_units(args.units, d, tol)
+def cmd_decompose(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
+    return {"type": "gkls", **_canonical(d)}, EXIT_OK
+
+
+def cmd_index(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
+    return {"command": "index", **_index(d)}, EXIT_OK
+
+
+def cmd_covariance(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
+    u1, u2 = load_units(args.units, d)
     closed = covariance(d, u1, u2)
+    report = {"command": "covariance", "closed": encode(closed), "m": args.m, "t": args.t}
     try:
         est = covariance_estimate(mat, u1, u2, t=args.t, m=args.m, tol=tol)
     except (LogBranch, NotMember) as exc:
-        _emit(
-            {
-                "command": "covariance",
-                "closed": _c2j(closed),
-                "error": str(exc),
-                "m": args.m,
-                "t": args.t,
-            },
-            args.output,
-        )
-        return EXIT_NUMERICAL
-    report = {
-        "command": "covariance",
-        "closed": _c2j(closed),
-        "estimate": _c2j(est),
-        "abs_error": abs(est - closed),
-        "m": args.m,
-        "n": n,
-        "t": args.t,
-    }
-    _emit(report, args.output)
-    return EXIT_OK
+        return {**report, "error": str(exc)}, EXIT_NUMERICAL
+    report.update(estimate=encode(est), abs_error=abs(est - closed), n=d.n)
+    return report, EXIT_OK
 
 
 _ALL_CHECKS = ("product_system", "domination", "gauge", "units", "covariance")
 
 
-def cmd_verify(args, tol: Tolerances) -> int:
-    mat, n = load_generator(args.input, tol)
-    wanted = args.checks.split(",") if args.checks else list(_ALL_CHECKS)
-    for name in wanted:
-        if name not in _ALL_CHECKS:
-            raise ParseError(f"unknown check {name!r}")
-    try:
-        d = decompose(mat, tol)
-    except (NotCCP, NotHermiticityPreserving) as exc:
-        _emit({"command": "verify", "error": str(exc)}, args.output)
-        return EXIT_NOT_GENERATOR
+def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
     rng = np.random.default_rng(args.seed)
     checks: dict = {}
-    if "product_system" in wanted:
+    if "product_system" in args.checks:
         ok1 = product_system_check(mat, 0.5, 0.5, tol)
         ok2 = product_system_check(mat, 0.3, 0.7, tol)
         checks["product_system"] = {"pass": bool(ok1 and ok2)}
-    if "domination" in wanted:
-        bigger = mat + random_cp_map(rng, n, m=1)
+    if "domination" in args.checks:
+        bigger = mat + random_cp_map(rng, d.n, m=1)
         checks["domination"] = {"pass": bool(dominates(mat, bigger, tol=tol))}
-    if "gauge" in wanted:
+    if "gauge" in args.checks:
         checks["gauge"] = _gauge_check(d, rng, tol)
-    if "units" in wanted:
+    if "units" in args.checks:
         units = sample_units(d, 2, seed=args.seed)
         ok = all(verify_unit(mat, u, (0.1, 0.5, 1.0), tol) for u in units)
         checks["units"] = {"pass": bool(ok)}
-    if "covariance" in wanted:
+    if "covariance" in args.checks:
         units = sample_units(d, d.space.dim + 3, seed=args.seed)
         kern = covariance_kernel(d, units)
         herm = bool(
@@ -292,12 +274,11 @@ def cmd_verify(args, tol: Tolerances) -> int:
     report = {
         "checks": checks,
         "command": "verify",
-        "n": n,
+        "n": d.n,
         "pass": bool(all_pass),
         "seed": args.seed,
     }
-    _emit(report, args.output)
-    return EXIT_OK if all_pass else EXIT_NUMERICAL
+    return report, EXIT_OK if all_pass else EXIT_NUMERICAL
 
 
 def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict:
@@ -331,46 +312,6 @@ def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict
         "shift_same_generator": bool(same),
         "symbols_equal": bool(sym_ok),
     }
-
-
-def cmd_decompose(args, tol: Tolerances) -> int:
-    mat, n = load_generator(args.input, tol)
-    try:
-        d = decompose(mat, tol)
-    except (NotCCP, NotHermiticityPreserving) as exc:
-        report = {"command": "decompose", "error": str(exc)}
-        if isinstance(exc, NotCCP) and exc.witness is not None:
-            report["witness"] = [_c2j(z) for z in exc.witness]
-        _emit(report, args.output)
-        return EXIT_NOT_GENERATOR
-    report = {
-        "type": "gkls",
-        "n": n,
-        "kraus": [_m2j(v) for v in d.space.basis],
-        "k": _m2j(d.k),
-        "rank": d.space.dim,
-        "residual": d.residual,
-    }
-    _emit(report, args.output)
-    return EXIT_OK
-
-
-def cmd_index(args, tol: Tolerances) -> int:
-    mat, n = load_generator(args.input, tol)
-    try:
-        d = decompose(mat, tol)
-    except (NotCCP, NotHermiticityPreserving) as exc:
-        _emit({"command": "index", "error": str(exc)}, args.output)
-        return EXIT_NOT_GENERATOR
-    report = {
-        "command": "index",
-        "index": d.space.dim,
-        "index_note": _INDEX_NOTE,
-        "n": n,
-        "rank": d.space.dim,
-    }
-    _emit(report, args.output)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +363,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> Tolerances:
+    """Reject bad flag values as parse errors; return the tolerances of
+    ``--tol``.  Normalises ``--checks`` to a list of check names."""
+    for flag in ("tol", "t"):
+        value = getattr(args, flag, 1.0)
+        if not (math.isfinite(value) and value > 0):
+            raise ParseError(f"--{flag} must be a finite number > 0, got {value}")
+    if getattr(args, "m", 1) < 1:
+        raise ParseError(f"--m must be at least 1, got {args.m}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be at least 0, got {args.seed}")
+    if args.command == "verify":
+        args.checks = args.checks.split(",") if args.checks else list(_ALL_CHECKS)
+        for name in args.checks:
+            if name not in _ALL_CHECKS:
+                raise ParseError(f"unknown check {name!r}")
+    return Tolerances(eig_cut=args.tol, psd_slack=args.tol, residual=args.tol / 10.0)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    tol = Tolerances(eig_cut=args.tol, psd_slack=args.tol, residual=args.tol / 10.0)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, tol)
+        tol = _check_flags(args)
+        mat, n = load_generator(args.input, tol)
+        try:
+            d = decompose(mat, tol)
+        except (NotCCP, NotHermiticityPreserving) as exc:
+            report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
+        else:
+            report, code = args.func(args, mat, d, tol)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -437,6 +402,8 @@ def main(argv=None) -> int:
     except (LogBranch, NotMember) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    _emit(report, args.output)
+    return code
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .errors import NotCCP, NotHermitian, NotHermiticityPreserving
 from .numerics import DEFAULT_TOL, Tolerances, expm, frob, lstsq, spectrum
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
+    apply_superop,
     dim_of,
     is_hermiticity_preserving,
     kraus_to_superop,
@@ -45,6 +46,7 @@ __all__ = [
     "decompose",
     "rebuild",
     "rank",
+    "is_unital_generator",
     "gauge_shift",
     "same_generator",
     "GaugeRelation",
@@ -148,6 +150,13 @@ def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     (the index of its minimal dilation to a semigroup of *-endomorphisms),
     so :func:`cpsemi.semigroup.index` is this function."""
     return decompose(mat, tol).space.dim
+
+
+def is_unital_generator(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff L(1) = 0 within ``residual``, relative to max(1, ||L||): the
+    semigroup exp(tL) is then unital."""
+    lone = apply_superop(mat, np.eye(dim_of(mat)))
+    return bool(frob(lone) <= tol.residual * max(1.0, frob(mat)))
 
 
 def gauge_shift(d: GklsForm, lam: Sequence[complex], c: complex = 0.0) -> np.ndarray:

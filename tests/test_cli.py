@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import SZ, dephasing_generator, transpose_superop
 
-from cpsemi.cli import main
+from cpsemi.cli import decode, encode, main
 from cpsemi.generator import decompose, same_generator
 from cpsemi.superop import ad_superop, identity_superop
 
@@ -214,3 +214,140 @@ def test_index_command_writes_output(dephasing_file, tmp_path, capsys):
     rep = json.loads(open(out_path).read())
     assert rep["index"] == 1
     assert "dilation" in rep["index_note"]
+
+
+# ---------------------------------------------------------------------------
+# The array codec, malformed input, the shared exit-2 report, goldens
+
+
+def test_encode_matches_reference_and_decode_inverts(rng):
+    mat = dephasing_generator()
+    kraus = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    vector = np.array([0.5 - 2j, -0.0 + 0j, complex(0.0, -0.0)])
+    odd = np.array([[5e-324 - 0.0j, -2.2250738585072014e-308j], [1e300 + 1e-300j, -0.0]])
+    cases = [
+        (mat, m2j(mat)),
+        (kraus, [m2j(v) for v in kraus]),
+        (vector, [c2j(z) for z in vector]),
+        (np.complex128(-0.0 + 3j), c2j(-0.0 + 3j)),
+        (odd, m2j(odd)),
+        (np.zeros((0, 2, 2), dtype=complex), []),
+    ]
+    for x, ref in cases:
+        text = json.dumps(encode(x), sort_keys=True, indent=2)
+        assert text == json.dumps(ref, sort_keys=True, indent=2)
+        back = decode(json.loads(text), np.shape(x), "x")
+        assert back.shape == np.shape(x)
+        assert back.tobytes() == np.asarray(x, dtype=complex).tobytes()
+    assert encode(()) == []
+
+
+def _first_number(obj):
+    """The innermost list that holds the first number of a nested list."""
+    while isinstance(obj[0], list):
+        obj = obj[0]
+    return obj
+
+
+def _specs():
+    return {
+        "superop": superop_doc(dephasing_generator(), 2),
+        "gkls": {"type": "gkls", "n": 2, "kraus": [m2j(SZ)], "k": m2j(-0.5 * np.eye(2))},
+        "hamiltonian_lindblad": {
+            "type": "hamiltonian_lindblad", "n": 2, "h": m2j(np.zeros((2, 2))),
+            "lindblad": [m2j(SZ)],
+        },
+        "units": {"units": [{"c": [0.0, 0.0], "v": [[1.0, 0.0]]},
+                            {"c": [0.0, 0.0], "v": [[-1.0, 0.0]]}]},
+    }
+
+
+_BAD_NUMBERS = {"nan": float("nan"), "inf": float("inf"), "true": True, "10**400": 10**400}
+_FIELDS = [
+    ("superop", ("matrix",), "matrix"),
+    ("gkls", ("kraus",), "kraus"),
+    ("gkls", ("k",), "k"),
+    ("hamiltonian_lindblad", ("h",), "h"),
+    ("hamiltonian_lindblad", ("lindblad",), "lindblad"),
+    ("units", ("units", 0, "c"), "units[0].c"),
+    ("units", ("units", 1, "v"), "units[1].v"),
+]
+_BAD_FLAGS = [
+    ["--tol", "-1"], ["--tol", "nan"], ["--tol", "0"], ["--t", "nan"],
+    ["--t", "-1"], ["--m", "0"], ["--seed", "-1"],
+]
+
+
+def _malformed_cases():
+    for spec, keys, field in _FIELDS:
+        for name, bad in _BAD_NUMBERS.items():
+            yield pytest.param(spec, keys, bad, [], field, id=f"{field}={name}")
+    for flags in _BAD_FLAGS:
+        yield pytest.param(None, (), None, flags, flags[0], id=" ".join(flags))
+
+
+@pytest.mark.parametrize("spec, keys, bad, flags, field", _malformed_cases())
+def test_malformed_numbers_and_flags_are_parse_errors(
+    spec, keys, bad, flags, field, tmp_path, capsys
+):
+    docs = _specs()
+    if spec is not None:
+        target = docs[spec]
+        for key in keys:
+            target = target[key]
+        _first_number(target)[0] = bad
+    gen = docs[spec] if spec in ("gkls", "hamiltonian_lindblad") else docs["superop"]
+    argv = [
+        "covariance",
+        "--input", write(tmp_path, "gen.json", gen),
+        "--units", write(tmp_path, "units.json", docs["units"]),
+        *flags,
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("cmd", ["decompose", "index", "covariance", "verify"])
+def test_other_subcommands_reject_transpose_with_analyze_report(cmd, tmp_path, capsys):
+    path = write(tmp_path, "tr.json", superop_doc(transpose_superop(2), 2))
+    argv = [cmd, "--input", path]
+    if cmd == "covariance":
+        argv += ["--units", write(tmp_path, "units.json", _specs()["units"])]
+    rc, out = run(capsys, argv)
+    assert rc == 2
+    rep = json.loads(out)
+    assert rep["command"] == cmd
+    assert rep["n"] == 2
+    assert rep["ccp"] is False
+    assert rep["hermiticity_preserving"] is True
+    assert rep["projected_eigenvalue"] == pytest.approx(-1.0)
+    assert len(rep["witness"]) == 4
+    assert "negative eigenvalue" in rep["error"]
+
+
+_NOTE = (
+    "dimension of the generator's metric operator space; equals the numerical "
+    "index of the minimal dilation to a semigroup of *-endomorphisms"
+)
+_K = [[[-0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+_KRAUS = [[[[1.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0], [-1.0, 0.0]]]]
+# Reports on the dephasing fixture, as the commands printed them before the
+# codec was rewritten; the signs of the zeros are part of the check.
+_GOLDEN = {
+    "analyze": {
+        "ccp": True, "command": "analyze", "hermiticity_preserving": True, "index": 1,
+        "index_note": _NOTE, "k": _K, "kraus": _KRAUS, "n": 2, "rank": 1,
+        "residual": 0.0, "unital": True,
+    },
+    "decompose": {"k": _K, "kraus": _KRAUS, "n": 2, "rank": 1, "residual": 0.0, "type": "gkls"},
+    "index": {"command": "index", "index": 1, "index_note": _NOTE, "n": 2, "rank": 1},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_GOLDEN))
+def test_dephasing_reports_are_golden(cmd, dephasing_file, capsys):
+    rc, out = run(capsys, [cmd, "--input", dephasing_file])
+    assert rc == 0
+    assert out == json.dumps(_GOLDEN[cmd], sort_keys=True, indent=2) + "\n"

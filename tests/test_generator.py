@@ -11,6 +11,7 @@ from cpsemi.generator import (
     gauge_shift,
     gkls_superop,
     hamiltonian_lindblad,
+    is_unital_generator,
     rank,
     rebuild,
     same_generator,
@@ -116,6 +117,8 @@ def test_unitality_equivalences(rng):
     np.testing.assert_allclose(apply_superop(mat, np.eye(2)), 0, atol=1e-11)
     total = sum(v @ v.conj().T for v in d.space.basis) + d.k + d.k.conj().T
     np.testing.assert_allclose(total, 0, atol=1e-10)
+    assert is_unital_generator(mat)
+    assert not is_unital_generator(random_ccp_generator(rng, 2, unital=False))
 
 
 def test_rank_zero_semigroup_is_multiplicative(rng):
