@@ -48,6 +48,7 @@ from .semigroup import (
     space_at,
     unit_matrix,
     verify_unit,
+    verify_units,
 )
 from .superop import (
     ad_superop,

@@ -16,9 +16,11 @@ nested lists of such pairs::
     {"type": "gkls", "n": 2, "kraus": [[[..]..]..], "k": [[..]..]}
     {"type": "hamiltonian_lindblad", "n": 2, "h": [[..]..], "lindblad": [..]}
 
-Output is key-sorted JSON (stdout or --output), byte-identical for
-identical (input, flags, seed).  Exit codes: 0 ok, 1 parse error (including
-a bad flag value), 2 input is not a generator (one report for every
+Output (stdout or --output) is the text of json.dumps(report,
+sort_keys=True, indent=2) plus a newline, written in pieces (see
+:func:`_write`); it is byte-identical for identical (input, flags, seed).
+Exit codes: 0 ok, 1 parse error (including a bad flag value and a usage
+error), 2 input is not a generator (one report for every
 subcommand, see :func:`_rejection`), 3 numerical limit exceeded (or a
 verification check failed).
 """
@@ -26,6 +28,7 @@ verification check failed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -55,7 +58,7 @@ from . import (
     same_generator,
     sample_units,
     symbols_equal,
-    verify_unit,
+    verify_units,
 )
 from .generator import GklsForm, gkls_superop, is_unital_generator
 from .sampling import random_cp_map
@@ -166,13 +169,88 @@ def load_units(path: str, d: GklsForm):
     return units
 
 
-def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+# ---------------------------------------------------------------------------
+# Report writer: the bytes of json.dumps(obj, sort_keys=True, indent=2),
+# written in pieces.  The standard encoder falls back to pure Python once
+# ``indent`` is set; arrays of floats are the bulk of a report, and are
+# formatted here a leading-axis slice at a time.
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_array(obj) -> np.ndarray | None:
+    """``obj`` as a float array if it is a non-empty regular nesting of lists
+    whose leaves are all exactly ``float``, else None."""
+    try:
+        a = np.array(obj, dtype=object)
+    except ValueError:  # ragged below the first level
+        return None
+    if a.size == 0 or set(map(type, a.flat)) != {float}:
+        return None
+    return a.astype(float)
+
+
+def _write_floats(a: np.ndarray, write, pad: str) -> None:
+    """Write a non-empty float array as nested lists, indented as
+    ``json.dumps(a.tolist(), indent=2)`` indents them under ``pad``."""
+    depth = a.ndim
+    ind = [pad + "  " * level for level in range(depth + 1)]
+
+    def sep(r: int) -> str:  # between two numbers where r inner lists roll over
+        closes = "".join(f"\n{ind[depth - 1 - q]}]" for q in range(r))
+        opens = "".join(f"\n{ind[depth - r + q]}[" for q in range(r))
+        return f"{closes},{opens}\n{ind[depth]}"
+
+    seps = [sep(r) for r in range(depth)]
+    chunks = a if depth > 1 else a[None]
+    shape = chunks.shape[1:]
+    # How many inner lists of a chunk close before each number but the first.
+    after = np.arange(1, int(np.prod(shape)))
+    roll = np.zeros(after.size, dtype=int)
+    for q in range(1, len(shape)):
+        roll += after % int(np.prod(shape[q:])) == 0
+    parts = [""] * (2 * after.size + 1)
+    parts[1::2] = [seps[r] for r in roll.tolist()]
+    finite = bool(np.isfinite(a).all())
+
+    write("[" + "".join(f"\n{ind[level]}[" for level in range(1, depth)) + "\n" + ind[depth])
+    for i, chunk in enumerate(chunks):
+        if i:
+            write(seps[depth - 1])
+        nums = list(map(float.__repr__, chunk.ravel().tolist()))
+        parts[::2] = nums if finite else [_NONFINITE.get(s, s) for s in nums]
+        write("".join(parts))
+    write("".join(f"\n{ind[level]}]" for level in range(depth - 1, -1, -1)))
+
+
+def _write(obj, write, pad: str = "") -> None:
+    """Write ``obj`` through ``write`` as the text of
+    ``json.dumps(obj, sort_keys=True, indent=2)``, without building it whole.
+    Dict keys are strings, as in every report."""
+    if isinstance(obj, dict) and obj:
+        inner = pad + "  "
+        for i, key in enumerate(sorted(obj)):
+            write(("{" if i == 0 else ",") + f"\n{inner}{json.dumps(str(key))}: ")
+            _write(obj[key], write, inner)
+        write(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        a = _float_array(obj)
+        if a is not None:
+            _write_floats(a, write, pad)
+            return
+        inner = pad + "  "
+        for i, item in enumerate(obj):
+            write(("[" if i == 0 else ",") + f"\n{inner}")
+            _write(item, write, inner)
+        write(f"\n{pad}]")
     else:
-        sys.stdout.write(text)
+        write(json.dumps(obj))
+
+
+def _emit(report: dict, output: str | None) -> None:
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        _write(report, fh.write)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +338,7 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
         checks["gauge"] = _gauge_check(d, rng, tol)
     if "units" in args.checks:
         units = sample_units(d, 2, seed=args.seed)
-        ok = all(verify_unit(mat, u, (0.1, 0.5, 1.0), tol) for u in units)
-        checks["units"] = {"pass": bool(ok)}
+        checks["units"] = {"pass": verify_units(mat, units, (0.1, 0.5, 1.0), tol)}
     if "covariance" in args.checks:
         units = sample_units(d, d.space.dim + 3, seed=args.seed)
         kern = covariance_kernel(d, units)
@@ -325,8 +402,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors (an unknown flag, a missing
+    ``--input``, ``--tol abc``) exit 1 like every other parse error; the
+    subparsers inherit it.  argparse's own exit code 2 would read as "the
+    input is not a generator"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpsemi",
         description="analyze generators of completely positive semigroups",
     )

@@ -153,10 +153,17 @@ def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def is_unital_generator(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff L(1) = 0 within ``residual``, relative to max(1, ||L||): the
-    semigroup exp(tL) is then unital."""
+    """True iff L(1) = 0 within ``residual``, relative to ||L||: the
+    semigroup exp(tL) is then unital.
+
+    The bound has no absolute floor, so the verdict is the same for L and sL
+    at every s > 0.  The zero map is unital.
+    """
+    scale = frob(mat)
+    if scale == 0.0:
+        return True
     lone = apply_superop(mat, np.eye(dim_of(mat)))
-    return bool(frob(lone) <= tol.residual * max(1.0, frob(mat)))
+    return bool(frob(lone) <= tol.residual * scale)
 
 
 def gauge_shift(d: GklsForm, lam: Sequence[complex], c: complex = 0.0) -> np.ndarray:

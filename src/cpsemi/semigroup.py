@@ -40,6 +40,7 @@ __all__ = [
     "make_unit",
     "unit_matrix",
     "verify_unit",
+    "verify_units",
     "covariance",
     "covariance_estimate",
     "index",
@@ -128,6 +129,37 @@ def unit_matrix(u: Unit, t: float) -> np.ndarray:
     return np.exp(u.c * t) * expm(t * (v + d.k))
 
 
+def verify_units(
+    mat: np.ndarray,
+    units: Sequence[Unit],
+    t_samples: Sequence[float] = (0.1, 0.5, 1.0),
+    tol: Tolerances = DEFAULT_TOL,
+    alpha: float | None = None,
+) -> bool:
+    """Verify the defining property of every unit against the semigroup of
+    ``mat``; True iff :func:`verify_unit` holds for each of them.
+
+    exp(tL) and its space are computed once per sampled t and shared by all
+    units.  ``alpha``, when given, replaces the default of every unit.
+    Returns False at the first failure.
+    """
+    alphas = [
+        float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real) if alpha is None else alpha
+        for u in units
+    ]
+    for t in t_samples:
+        big = evolve(mat, t)
+        space = space_from_cp_map(big, tol)
+        for u, a in zip(units, alphas):
+            tt = unit_matrix(u, t)
+            if space.membership(tt, tol) is None:
+                return False
+            diff = np.exp(a * t) * big - ad_superop(tt)
+            if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
+                return False
+    return True
+
+
 def verify_unit(
     mat: np.ndarray,
     u: Unit,
@@ -141,18 +173,7 @@ def verify_unit(
     and that the Choi matrix of e^{alpha t} exp(tL) - (x -> T x T*) is PSD
     within ``psd_slack``, with alpha = <v, v> + 2 Re c by default.
     """
-    if alpha is None:
-        alpha = float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real)
-    for t in t_samples:
-        big = evolve(mat, t)
-        tt = unit_matrix(u, t)
-        space = space_from_cp_map(big, tol)
-        if space.membership(tt, tol) is None:
-            return False
-        diff = np.exp(alpha * t) * big - ad_superop(tt)
-        if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
-            return False
-    return True
+    return verify_units(mat, [u], t_samples, tol, alpha)
 
 
 def covariance(d: GklsForm, u1: Unit, u2: Unit) -> complex:

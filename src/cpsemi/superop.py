@@ -105,17 +105,31 @@ def apply_superop(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def kraus_to_superop(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Superoperator matrix of x -> sum_m v_m @ x @ v_m*."""
-    ops = [np.asarray(v, dtype=complex) for v in ops]
-    if not ops:
+    """Superoperator matrix of x -> sum_m v_m @ x @ v_m*.
+
+    Its (i, j) block of size n x n is sum_m conj(v_m[i, j]) v_m, the (i, j)
+    block of sum_m kron(v_m.conj(), v_m).  Each block is summed over m in
+    order, starting from +0.0, so the result is bit-identical to adding the
+    Kronecker products one operator at a time; a matrix product would round
+    differently.
+    """
+    if not len(ops):
         raise DimensionMismatch("need at least one Kraus operator")
-    n = ops[0].shape[0]
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for v in ops:
-        if v.shape != (n, n):
-            raise DimensionMismatch("Kraus operators must share a square shape")
-        out += np.kron(v.conj(), v)
-    return out
+    try:
+        v = np.asarray(ops, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch("Kraus operators must share a square shape") from exc
+    if v.ndim != 3 or v.shape[1] != v.shape[2]:
+        raise DimensionMismatch("Kraus operators must share a square shape")
+    r, n, _ = v.shape
+    flat = v.reshape(r, n * n)
+    conj = flat.conj()
+    blocks = np.empty((n * n, n * n), dtype=complex)  # row i*n + j holds block (i, j)
+    prod = np.empty_like(flat)
+    for p in range(n * n):
+        np.multiply(conj[:, p, None], flat, out=prod)
+        np.add.reduce(prod, axis=0, initial=0.0, out=blocks[p])
+    return blocks.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def kraus_to_choi(ops: Sequence[np.ndarray]) -> np.ndarray:

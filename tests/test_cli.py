@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from conftest import SZ, dephasing_generator, transpose_superop
 
-from cpsemi.cli import decode, encode, main
+from cpsemi import DEFAULT_TOL
+from cpsemi.cli import _write, cmd_analyze, decode, encode, main
 from cpsemi.generator import decompose, same_generator
+from cpsemi.sampling import random_ccp_generator
 from cpsemi.superop import ad_superop, identity_superop
 
 
@@ -351,3 +353,83 @@ def test_dephasing_reports_are_golden(cmd, dephasing_file, capsys):
     rc, out = run(capsys, [cmd, "--input", dephasing_file])
     assert rc == 0
     assert out == json.dumps(_GOLDEN[cmd], sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The report writer and usage errors
+
+
+def _written(obj) -> str:
+    pieces = []
+    _write(obj, pieces.append)
+    return "".join(pieces)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_WRITER_CASES = [
+    -0.0, 5e-324, 1e300, _NAN, _INF, -_INF, 3, True, None, "x",
+    [], [[]], {}, [{}], [[], []], [[[]]], {"a": {}, "b": [[], [1.0]]},
+    [1.0], [[1.0]], [-0.0, 5e-324, 1e300, -1e-300], [_NAN, _INF, -_INF, 0.0],
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, -0.0]]],
+    [[1.0], [2.0, 3.0]], [[1.0, [2.0]], [3.0, 4.0]], [[[1.0]], [2.0]],
+    [1.0, 2, True], [[1.0, 2.0], [3, 4.0]], [[False, 1.0]], [np.float64(1.5), 2.0],
+    (1.0, 2.0), {"t": ((1.0,), (2.0,))}, [{"a": 1.0}, [1.0, 2.0]],
+    {"\u00e9\"q": ["a\"b\\", "\u00fc\u2603", "tab\there", None]}, {"z": 1, "a": 2, "m": [3.0]},
+]
+
+
+@pytest.mark.parametrize("obj", _WRITER_CASES, ids=range(len(_WRITER_CASES)))
+def test_writer_matches_json_dumps_on_edge_cases(obj):
+    assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_writer_matches_json_dumps_on_random_arrays():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 6)))
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        x[rng.random(shape) < 0.1] = -0.0
+        x[rng.random(shape) < 0.05] = np.nan
+        x[rng.random(shape) < 0.05] = -np.inf
+        obj = {"x": x.tolist(), "y": [x.tolist(), 1], "z": [[x.tolist()]]}
+        assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_writer_matches_json_dumps_on_analyze_report(tmp_path, capsys):
+    mat = random_ccp_generator(np.random.default_rng(5), 4, m=15)
+    report, code = cmd_analyze(None, mat, decompose(mat), DEFAULT_TOL)
+    assert code == 0 and report["rank"] == 15
+    text = json.dumps(report, sort_keys=True, indent=2)
+    assert _written(report) == text
+    path = write(tmp_path, "r15.json", superop_doc(mat, 4))
+    out_path = tmp_path / "report.json"
+    rc, out = run(capsys, ["analyze", "--input", path])
+    assert main(["analyze", "--input", path, "--output", str(out_path)]) == rc == 0
+    assert out_path.read_bytes() == out.encode()
+    assert json.loads(out)["rank"] == 15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "x.json", "--tol", "abc"],
+        ["analyze", "--input", "x.json", "--bogus"],
+        ["analyze"],
+        ["nosuchcommand"],
+    ],
+    ids=["tol-abc", "unknown-flag", "missing-input", "unknown-command"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: cpsemi" in captured.err and "error:" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out

@@ -121,6 +121,15 @@ def test_unitality_equivalences(rng):
     assert not is_unital_generator(random_ccp_generator(rng, 2, unital=False))
 
 
+def test_unital_verdict_is_scale_invariant():
+    unital = random_ccp_generator(np.random.default_rng(3), 2, unital=True)
+    nonunital = random_ccp_generator(np.random.default_rng(3), 2, unital=False)
+    for s in (1e-12, 1.0, 1e12):
+        assert is_unital_generator(s * unital)
+        assert not is_unital_generator(s * nonunital)
+    assert is_unital_generator(np.zeros((4, 4), dtype=complex))
+
+
 def test_rank_zero_semigroup_is_multiplicative(rng):
     h = np.diag([0.4, -0.1, -0.3]) + 0j
     h[0, 1] = 0.2 + 0.1j

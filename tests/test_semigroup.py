@@ -18,6 +18,7 @@ from cpsemi.semigroup import (
     space_at,
     unit_matrix,
     verify_unit,
+    verify_units,
 )
 from cpsemi.superop import ad_superop, apply_superop, identity_superop, vec
 from cpsemi.errors import DimensionMismatch
@@ -112,6 +113,27 @@ def test_unit_matrix_goldens(dephasing):
         np.exp(1j * t) * unit_matrix(make_unit(d, 0.0, [0.0]), t),
         atol=1e-12,
     )
+
+
+def test_verify_units_shares_each_time_between_units(monkeypatch):
+    import cpsemi.semigroup as semigroup
+
+    mat = random_ccp_generator(np.random.default_rng(4), 3, m=4, unital=True)
+    d = decompose(mat)
+    units = sample_units(d, 3, seed=1)
+    calls = []
+    real = semigroup.evolve
+    monkeypatch.setattr(semigroup, "evolve", lambda m, t: calls.append(t) or real(m, t))
+    assert verify_units(mat, units)
+    assert calls == [0.1, 0.5, 1.0]
+    calls.clear()
+    assert all(verify_unit(mat, u) for u in units)
+    assert len(calls) == 9
+    # alpha below the default breaks positivity; the first failure stops it
+    calls.clear()
+    assert not verify_units(mat, units, alpha=-1.0)
+    assert calls == [0.1]
+    assert not verify_unit(mat, units[0], alpha=-1.0)
 
 
 def test_verify_unit(dephasing):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import SX, SZ, superop_of, transpose_superop
 
-from cpsemi.errors import NotPSD
+from cpsemi.errors import DimensionMismatch, NotPSD
 from cpsemi.superop import (
     ad_superop,
     apply_superop,
@@ -51,6 +51,40 @@ def test_kraus_to_superop_sums_conjugations(rng):
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     want = sum(v @ x @ v.conj().T for v in ops)
     np.testing.assert_allclose(apply_superop(m, x), want, atol=1e-12)
+
+
+def _kron_loop(ops):
+    """Reference: the Kronecker products added one operator at a time."""
+    n = ops[0].shape[0]
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for v in ops:
+        out += np.kron(v.conj(), v)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_kraus_to_superop_is_bit_identical_to_kron_loop(n):
+    rng = np.random.default_rng(n)
+    for r in sorted({1, 2, n, n * n - 1, n * n}):
+        ops = rng.standard_normal((r, n, n)) + 1j * rng.standard_normal((r, n, n))
+        got = kraus_to_superop(list(ops))
+        assert got.tobytes() == _kron_loop(ops).tobytes()
+        assert kraus_to_superop(ops).tobytes() == got.tobytes()
+    # many signed zeros: a sum that started from the first product instead
+    # of +0.0 would keep some of them as -0.0
+    ops = np.abs(rng.standard_normal((6, n, n))) + 1j * np.abs(rng.standard_normal((6, n, n)))
+    ops.imag[rng.random(ops.shape) < 0.3] = 0.0
+    ops.real[:, 0, :] = ops.imag[:, 0, :] = -0.0
+    want = _kron_loop(ops)
+    products = [np.kron(v.conj(), v) for v in ops]
+    assert sum(products[1:], products[0]).tobytes() != want.tobytes()
+    assert kraus_to_superop(ops).tobytes() == want.tobytes()
+
+
+def test_kraus_to_superop_rejects_bad_families():
+    for ops in ([], np.zeros((0, 2, 2)), [SZ, np.eye(3)], [np.ones((2, 3))]):
+        with pytest.raises(DimensionMismatch):
+            kraus_to_superop(ops)
 
 
 def test_choi_blocks_are_images_of_matrix_units(rng):
