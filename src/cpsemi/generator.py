@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotCCP, NotHermitian, NotHermiticityPreserving
-from .numerics import DEFAULT_TOL, Tolerances, expm, frob, lstsq, spectrum
+from .numerics import DEFAULT_TOL, Tolerances, expm_times, frob, lstsq, spectrum
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
     apply_superop,
@@ -197,6 +197,12 @@ def same_generator(d1: GklsForm, d2: GklsForm, tol: Tolerances = DEFAULT_TOL) ->
     return frob(m1 - m2) <= tol.residual * scale
 
 
+def _scalar_design(d: GklsForm) -> np.ndarray:
+    """Columns vec(b_1), ..., vec(b_dim), vec(1): d's space basis, then the
+    identity, as the design of a least-squares fit over E + C1."""
+    return np.column_stack([vec(v) for v in d.space.basis] + [vec(np.eye(d.n))])
+
+
 class GaugeRelation(NamedTuple):
     """How two canonical forms of one generator are related.
 
@@ -221,24 +227,21 @@ def extract_gauge(
 ) -> GaugeRelation:
     """Extract the gauge relating two decompositions of the same generator.
 
-    Each basis element of d1's space is expanded over d2's basis plus the
-    identity; the identity components define a linear functional that is
-    represented by ``v2`` in d2's inner product.
+    Each basis element u_i of d1's space is expanded over d2's basis plus
+    the identity, all in one least-squares solve, and must leave a residual
+    of at most ``eig_cut * max(1, ||u_i||)``; the identity components define
+    a linear functional that is represented by ``v2`` in d2's inner product.
     """
     if d1.n != d2.n or d1.space.dim != d2.space.dim:
         raise ValueError("forms do not describe spaces of equal dimension")
     n = d1.n
     dim = d1.space.dim
-    cols = [vec(v) for v in d2.space.basis] + [vec(np.eye(n))]
-    design = np.column_stack(cols) if cols else np.zeros((n * n, 0))
-    theta = np.zeros((dim, dim), dtype=complex)
-    f = np.zeros(dim, dtype=complex)
-    for i, u in enumerate(d1.space.basis):
-        sol, res = lstsq(design, vec(u))
-        if res > tol.eig_cut * max(1.0, frob(u)):
-            raise ValueError("spaces do not agree modulo scalars")
-        theta[:, i] = sol[:dim]
-        f[i] = sol[dim]
+    rhs = _scalar_design(d1)[:, :dim]  # the columns vec(u_i), one solve for all
+    sol, res = lstsq(_scalar_design(d2), rhs)
+    if np.any(res > tol.eig_cut * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
+        raise ValueError("spaces do not agree modulo scalars")
+    theta = sol[:dim]
+    f = sol[dim]
     if dim:
         gamma_conj, _ = lstsq(theta.T, f)
         gamma = gamma_conj.conj()
@@ -263,15 +266,14 @@ def dominates(
 
     When L2 - L1 is completely positive this holds for every t >= 0; the
     check verifies the Choi matrix of the difference is PSD within
-    ``psd_slack`` at the sampled times.
+    ``psd_slack`` at the sampled times, stopping at the first that is not.
+    Each semigroup reuses its exponentials across the times
+    (:func:`~cpsemi.numerics.expm_times`).
     """
     if np.asarray(mat1).shape != np.asarray(mat2).shape:
         raise ValueError("generators must act on the same algebra")
-    m1 = np.asarray(mat1, dtype=complex)
-    m2 = np.asarray(mat2, dtype=complex)
-    for t in t_samples:
-        diff = expm(t * m2) - expm(t * m1)
-        if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
+    for p2, p1 in zip(expm_times(mat2, t_samples), expm_times(mat1, t_samples)):
+        if not spectrum(superop_to_choi(p2 - p1), vectors=False).psd(tol):
             return False
     return True
 
@@ -292,9 +294,7 @@ def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """
     kcand = np.asarray(kcand, dtype=complex)
     n = d.n
-    cols = [vec(v) for v in d.space.basis] + [vec(np.eye(n))]
-    design = np.column_stack(cols)
-    sol, res = lstsq(design, vec(kcand))
+    sol, res = lstsq(_scalar_design(d), vec(kcand))
     if res > tol.eig_cut * max(1.0, frob(kcand)):
         return None
     if d.space.dim:

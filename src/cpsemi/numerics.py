@@ -10,7 +10,7 @@ eigenvalues of one Hermitian matrix, held in one :class:`Spectrum`, whose
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +24,7 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "expm",
+    "expm_times",
     "lstsq",
 ]
 
@@ -126,13 +127,37 @@ def expm(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
+def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
+    """Yield exp(t m) for each t of ``times``, in order, lazily.
+
+    Multiples of one matrix commute, so exp(t m) = exp(t' m) exp((t - t') m)
+    for any t'.  When the step t - t' from the previous time t' is exactly an
+    earlier sample time, the result is the previous one times the kept
+    exponential of that time; every other time gets its own :func:`expm`.
+    Only the exponentials that a later step reuses are kept.  For the times
+    (0.1, 0.25, 0.5, 0.75, 1.0) that is 2 exponentials and 3 products.
+    """
+    m = np.asarray(m, dtype=complex)
+    times = [float(t) for t in times]
+    steps = [None] + [b - a for a, b in zip(times, times[1:])]
+    reused = {step for i, step in enumerate(steps) if step in times[:i]}
+    kept: dict[float, np.ndarray] = {}
+    last = None
+    for t, step in zip(times, steps):
+        last = last @ kept[step] if step in kept else expm(t * m)
+        if t in reused:
+            kept[t] = last
+        yield last
+
+
 def lstsq(a: np.ndarray, b: np.ndarray):
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
-    :return: ``(x, residual)`` with ``residual = ||a @ x - b||``.
+    :return: ``(x, residual)`` with ``residual = ||a @ x - b||``; for a
+        matrix ``b`` one residual per column, as an array.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ x - b))
-    return x, residual
+    residual = np.linalg.norm(a @ x - b, axis=0)
+    return x, residual if b.ndim > 1 else float(residual)

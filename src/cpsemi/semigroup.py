@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, LogBranch, NotCP, NotMember, NotPSD, OwnerMismatch
 from .generator import GklsForm, rank
-from .numerics import DEFAULT_TOL, Tolerances, expm, spectrum
+from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, spectrum
 from .opspace import MetricOperatorSpace, space_from_cp_map
 from .superop import ad_superop, choi_spectrum, superop_to_choi, vec
 
@@ -87,12 +87,19 @@ def product_system_check(
     Kraus bases :func:`space_at` extracts from those ranges, which
     ``test_space_at_goldens`` and acceptance criterion 2 cover.
 
+    Each distinct time of {s, t, s + t} gets its own :func:`evolve` (two
+    when s == t).  The check never derives exp((s + t) L) from the factors,
+    as :func:`~cpsemi.numerics.expm_times` would: the law it tests would
+    then hold by construction.
+
     :raises NotCP: if exp(s L) exp(t L) or exp((s + t) L) is not completely
         positive within tolerance (i.e. L was not a generator to begin with).
     """
     if s <= 0 or t <= 0:
         raise ValueError("the spaces are defined for strictly positive times")
-    j_prod = superop_to_choi(evolve(mat, s) @ evolve(mat, t))
+    p_s = evolve(mat, s)
+    p_t = p_s if t == s else evolve(mat, t)
+    j_prod = superop_to_choi(p_s @ p_t)
     j_target = superop_to_choi(evolve(mat, s + t))
     try:
         r_prod = choi_spectrum(j_prod, tol).kept(tol).sum()
@@ -140,15 +147,17 @@ def verify_units(
     ``mat``; True iff :func:`verify_unit` holds for each of them.
 
     exp(tL) and its space are computed once per sampled t and shared by all
-    units.  ``alpha``, when given, replaces the default of every unit.
-    Returns False at the first failure.
+    units, and exp(tL) reuses the exponentials of earlier times
+    (:func:`~cpsemi.numerics.expm_times`).  ``alpha``, when given, replaces
+    the default of every unit.  Returns False at the first failure.
     """
+    if any(t < 0 for t in t_samples):
+        raise ValueError("evolution time must be nonnegative")
     alphas = [
         float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real) if alpha is None else alpha
         for u in units
     ]
-    for t in t_samples:
-        big = evolve(mat, t)
+    for t, big in zip(t_samples, expm_times(mat, t_samples)):
         space = space_from_cp_map(big, tol)
         for u, a in zip(units, alphas):
             tt = unit_matrix(u, t)

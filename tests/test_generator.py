@@ -17,8 +17,9 @@ from cpsemi.generator import (
     same_generator,
     split_k,
 )
+from cpsemi.numerics import expm, spectrum
 from cpsemi.opspace import space_from_cp_map, space_from_kraus
-from cpsemi.sampling import random_ccp_generator, random_matrix
+from cpsemi.sampling import random_ccp_generator, random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, index
 from cpsemi.superop import (
     ad_superop,
@@ -27,6 +28,8 @@ from cpsemi.superop import (
     is_completely_positive,
     is_unital,
     kraus_to_superop,
+    superop_to_choi,
+    vec,
 )
 from cpsemi.symbols import symbols_equal
 
@@ -226,6 +229,90 @@ def test_dominates(rng):
     upper = lower + ad_superop(random_matrix(rng, 2))
     assert dominates(lower, upper)
     assert not dominates(upper, lower)
+
+
+def _dominates_oracle(mat1, mat2, t_samples=(0.1, 0.25, 0.5, 0.75, 1.0)):
+    """Every sampled exponential computed on its own."""
+    return all(
+        spectrum(superop_to_choi(expm(t * mat2) - expm(t * mat1)), vectors=False).psd()
+        for t in t_samples
+    )
+
+
+def test_dominates_agrees_with_per_time_expm():
+    verdicts = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = (2, 3, 4)[seed % 3]
+        mat = random_ccp_generator(rng, n, unital=bool(seed % 2))
+        cp = random_cp_map(rng, n)
+        v = random_matrix(rng, n)
+        for s in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+            for other in (mat + s * cp, mat - s * ad_superop(v)):
+                for m1, m2 in ((mat, other), (other, mat)):
+                    want = _dominates_oracle(m1, m2)
+                    assert dominates(m1, m2) == want, (seed, s)
+                    verdicts.append(want)
+    assert len(verdicts) == 240
+    assert 50 < verdicts.count(False) < 190
+
+
+def _extract_gauge_oracle(d1, d2):
+    """The gauge with one least-squares solve per basis element of d1."""
+    n, dim = d1.n, d1.space.dim
+    design = np.column_stack([vec(v) for v in d2.space.basis] + [vec(np.eye(n))])
+    theta = np.zeros((dim, dim), dtype=complex)
+    f = np.zeros(dim, dtype=complex)
+    for i, u in enumerate(d1.space.basis):
+        sol = np.linalg.lstsq(design, vec(u), rcond=None)[0]
+        theta[:, i] = sol[:dim]
+        f[i] = sol[dim]
+    gamma = np.linalg.lstsq(theta.T, f, rcond=None)[0].conj()
+    v2 = d2.space.from_coords(gamma)
+    resid_mat = d2.k - d1.k - v2 - 0.5 * float(np.vdot(gamma, gamma).real) * np.eye(n)
+    c = float(np.trace(resid_mat).imag / n)
+    return theta, v2, c, float(np.linalg.norm(resid_mat - 1j * c * np.eye(n)))
+
+
+def _regauged(d, rng):
+    """A second canonical form of the generator of ``d``, with its Kraus
+    family shifted by random scalars and the drift compensated."""
+    dim = d.space.dim
+    lam = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    u = sum(np.conj(l) * v for l, v in zip(lam, d.space.basis))
+    k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * np.eye(d.n)
+    return decompose(gkls_superop(k2, gauge_shift(d, lam)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("which", ["1", "2", "n^2-1"])
+def test_extract_gauge_matches_per_column_solves(n, which):
+    m = {"1": 1, "2": 2, "n^2-1": n * n - 1}[which]
+    rng = np.random.default_rng(10 * n + m)
+    d1 = decompose(random_ccp_generator(rng, n, m=m, unital=bool(m % 2)))
+    assert d1.space.dim == m
+    d2 = _regauged(d1, rng)
+    rel = extract_gauge(d1, d2)
+    theta, v2, c, residual = _extract_gauge_oracle(d1, d2)
+    np.testing.assert_allclose(rel.theta, theta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rel.v2, v2, rtol=0, atol=1e-12)
+    assert abs(rel.c - c) <= 1e-12
+    assert abs(rel.residual - residual) <= 1e-12
+    assert rel.residual <= 1e-8
+
+
+def test_extract_gauge_rejects_one_column_outside_span():
+    rng = np.random.default_rng(5)
+    d1 = decompose(random_ccp_generator(rng, 3, m=4))
+    # d2's space keeps all of d1's basis but the last element
+    ops = list(d1.space.basis[:-1]) + [random_matrix(rng, 3)]
+    d2 = GklsForm(n=3, space=space_from_kraus(ops), k=d1.k, residual=0.0)
+    with pytest.raises(ValueError, match="modulo scalars"):
+        extract_gauge(d1, d2)
+    # every other column is in the span, so the same forms pass without it
+    keep = GklsForm(n=3, space=space_from_kraus(d1.space.basis[:-1]), k=d1.k, residual=0.0)
+    short = GklsForm(n=3, space=space_from_kraus(ops[:-1]), k=d1.k, residual=0.0)
+    assert extract_gauge(keep, short).residual <= 1e-12
 
 
 def test_split_k_scalar(dephasing):

@@ -7,10 +7,12 @@ import scipy.linalg
 
 from cpsemi import numerics
 from cpsemi.errors import NotHermitian
+from cpsemi.sampling import random_ccp_generator
 from cpsemi.numerics import (
     DEFAULT_TOL,
     Tolerances,
     expm,
+    expm_times,
     frob,
     lstsq,
     spectrum,
@@ -78,6 +80,64 @@ def test_expm_zero_is_identity():
     np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
 
+DOMINATION_TIMES = (0.1, 0.25, 0.5, 0.75, 1.0)
+UNITS_TIMES = (0.1, 0.5, 1.0)
+
+
+def _expm_spy(monkeypatch):
+    calls = []
+    real = numerics.expm
+    monkeypatch.setattr(numerics, "expm", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("unital", [True, False])
+def test_expm_times_matches_per_time_expm(n, unital):
+    mat = random_ccp_generator(np.random.default_rng(100 + n), n, unital=unital)
+    for times in (DOMINATION_TIMES, UNITS_TIMES, (0.0, 0.5, 1.0), (1.0, 0.25, 0.5, 0.75)):
+        got = list(expm_times(mat, times))
+        assert len(got) == len(times)
+        for t, p in zip(times, got):
+            want = expm(t * mat)
+            assert frob(p - want) <= 1e-12 * frob(want), (n, unital, times, t)
+
+
+@pytest.mark.parametrize(
+    "times, expm_at",
+    [
+        # steps 0.15, then 0.25 = an earlier time three times
+        (DOMINATION_TIMES, [0.1, 0.25]),
+        # step 0.4, then 0.5 = an earlier time
+        (UNITS_TIMES, [0.1, 0.5]),
+        # steps 0.2 and 0.4: no earlier time
+        ((0.1, 0.3, 0.7), [0.1, 0.3, 0.7]),
+        # a grid from 0: the first step is 0.5, an earlier time only later
+        ((0.0, 0.5, 1.0, 1.5), [0.0, 0.5]),
+        # unsorted: steps -0.5 and -0.25, then 0.5 = an earlier time
+        ((1.0, 0.5, 0.25, 0.75), [1.0, 0.5, 0.25]),
+    ],
+)
+def test_expm_times_exponentiates_only_unreached_times(monkeypatch, times, expm_at):
+    mat = random_ccp_generator(np.random.default_rng(3), 2)
+    calls = _expm_spy(monkeypatch)
+    out = list(expm_times(mat, times))
+    assert len(out) == len(times)
+    assert len(calls) == len(expm_at)
+    for m, t in zip(calls, expm_at):
+        assert np.array_equal(m, t * mat)
+
+
+def test_expm_times_is_lazy(monkeypatch):
+    mat = random_ccp_generator(np.random.default_rng(3), 2)
+    calls = _expm_spy(monkeypatch)
+    gen = expm_times(mat, DOMINATION_TIMES)
+    assert calls == []
+    first = next(gen)
+    assert len(calls) == 1
+    assert np.array_equal(first, expm(0.1 * mat))
+
+
 def test_lstsq_min_norm_and_residual(rng):
     # underdetermined consistent system: solution has minimal norm
     a = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
@@ -89,7 +149,21 @@ def test_lstsq_min_norm_and_residual(rng):
     # inconsistent system reports a nonzero residual
     a2 = np.array([[1.0, 0.0], [1.0, 0.0]])
     _, res2 = lstsq(a2, np.array([0.0, 1.0]))
+    assert isinstance(res2, float)
     assert res2 == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def test_lstsq_matrix_rhs_reports_residual_per_column(rng):
+    a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    b = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    b[:, 1] = a @ np.array([1.0, -2.0j, 0.5])  # one column in the range
+    x, res = lstsq(a, b)
+    assert x.shape == (3, 4) and res.shape == (4,)
+    for j in range(4):
+        xj, rj = lstsq(a, b[:, j])
+        np.testing.assert_allclose(x[:, j], xj, atol=1e-12)
+        assert res[j] == pytest.approx(rj, rel=1e-10, abs=1e-13)
+    assert res[1] <= 1e-12 and np.all(np.delete(res, 1) > 1e-3)
 
 
 def test_eigendecompositions_only_in_numerics():

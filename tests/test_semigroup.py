@@ -89,6 +89,20 @@ def test_product_system_check(dephasing):
         product_system_check(-ad_superop(SZ), 0.5, 0.5)
 
 
+def test_product_system_check_evolves_each_distinct_time_once(monkeypatch):
+    import cpsemi.semigroup as semigroup
+
+    mat = random_ccp_generator(np.random.default_rng(4), 3, m=2, unital=True)
+    calls = []
+    real = semigroup.evolve
+    monkeypatch.setattr(semigroup, "evolve", lambda m, t: calls.append(t) or real(m, t))
+    assert product_system_check(mat, 0.5, 0.5)
+    assert sorted(calls) == [0.5, 1.0]
+    calls.clear()
+    assert product_system_check(mat, 0.3, 0.7)
+    assert sorted(calls) == [0.3, 0.7, 1.0]
+
+
 def test_make_unit_checks_dimensions(dephasing):
     d = decompose(dephasing)
     with pytest.raises(DimensionMismatch):
@@ -116,24 +130,43 @@ def test_unit_matrix_goldens(dephasing):
 
 
 def test_verify_units_shares_each_time_between_units(monkeypatch):
+    import cpsemi.numerics as numerics
     import cpsemi.semigroup as semigroup
 
     mat = random_ccp_generator(np.random.default_rng(4), 3, m=4, unital=True)
     d = decompose(mat)
     units = sample_units(d, 3, seed=1)
-    calls = []
-    real = semigroup.evolve
-    monkeypatch.setattr(semigroup, "evolve", lambda m, t: calls.append(t) or real(m, t))
+    # the exponentials of the semigroup (unit operators are n x n, not spied)
+    calls, spaces = [], []
+    real_expm, real_space = numerics.expm, semigroup.space_from_cp_map
+    monkeypatch.setattr(numerics, "expm", lambda m: calls.append(m) or real_expm(m))
+    monkeypatch.setattr(
+        semigroup,
+        "space_from_cp_map",
+        lambda big, tol: spaces.append(big) or real_space(big, tol),
+    )
     assert verify_units(mat, units)
-    assert calls == [0.1, 0.5, 1.0]
+    # one space per time for all units; exp(1.0 L) = exp(0.5 L) exp(0.5 L)
+    assert len(spaces) == 3
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], 0.1 * mat) and np.array_equal(calls[1], 0.5 * mat)
     calls.clear()
+    spaces.clear()
     assert all(verify_unit(mat, u) for u in units)
-    assert len(calls) == 9
+    assert len(calls) == 6 and len(spaces) == 9
     # alpha below the default breaks positivity; the first failure stops it
     calls.clear()
+    spaces.clear()
     assert not verify_units(mat, units, alpha=-1.0)
-    assert calls == [0.1]
+    assert len(calls) == 1 and np.array_equal(calls[0], 0.1 * mat)
+    assert len(spaces) == 1
     assert not verify_unit(mat, units[0], alpha=-1.0)
+
+
+def test_verify_units_rejects_negative_time(dephasing):
+    d = decompose(dephasing)
+    with pytest.raises(ValueError):
+        verify_units(dephasing, [make_unit(d, 0.0, [0.0])], (0.5, -0.1))
 
 
 def test_verify_unit(dephasing):
