@@ -34,6 +34,7 @@ import math
 import sys
 
 import numpy as np
+import orjson
 
 from . import (
     LogBranch,
@@ -57,6 +58,7 @@ from . import (
     product_system_check,
     same_generator,
     sample_units,
+    space_from_kraus,
     symbols_equal,
     verify_units,
 )
@@ -111,15 +113,64 @@ def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
     return f.view(complex).reshape(shape)
 
 
+# Deepest nesting handed to orjson.  A spec nests 5 deep; orjson 3.8 recurses
+# without a limit when it builds the Python objects, so a document nested
+# about 10^5 deep overflows the C stack (the json module raises
+# RecursionError instead).
+_MAX_DEPTH = 64
+# Every byte but brackets, quotes and the backslash (see _nesting_depth).
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+
+
+def _nesting_depth(raw: bytes) -> int:
+    """Deepest nesting of arrays and objects in the JSON text ``raw``, for
+    text that is valid JSON (orjson builds nothing from any other).
+
+    Without a backslash no quote is escaped, so the quotes pair up and
+    brackets between a pair belong to a string.  Text with a backslash counts
+    as nested ``len(raw)`` deep.
+    """
+    skeleton = raw.translate(None, _NOT_STRUCTURE)
+    if b"\\" in skeleton:
+        return len(raw)
+    brackets = np.frombuffer(b"".join(skeleton.split(b'"')[::2]), dtype=np.uint8)
+    steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
+
+
+def _parse(path: str, raw: bytes):
+    """The JSON value of the bytes of an input file.
+
+    orjson parses the file.  The json module, which defines the input format,
+    parses what orjson refuses (NaN, Infinity, numbers beyond the float range,
+    lone surrogates, malformed text) and what nests deeper than
+    ``_MAX_DEPTH``: it either accepts it, and ``decode`` then names a
+    non-finite entry, or its message is the parse error.  Where both accept a
+    text they give the same values: floats are correctly rounded by both, and
+    an integer beyond 64 bits, which orjson returns as a float, is a float
+    after ``decode`` and out of range for ``n`` either way.
+    """
+    if _nesting_depth(raw) <= _MAX_DEPTH:
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    try:
+        # The text a text-mode open() reads: UTF-8, universal newlines.
+        text = raw.decode().replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also bytes that are not UTF-8
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _read_json(path: str) -> dict:
     """The top-level JSON object of an input file."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, or bytes that are not text
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    doc = _parse(path, raw)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -362,6 +413,12 @@ def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict
     dim = d.space.dim
     lam = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     if dim:
+        # The shifted family's nonzero Choi eigenvalues lie between min w and
+        # max w + n |lam|^2 (the basis is traceless), and the cut scales with
+        # the largest.  Shrink a shift that could lift the cut above min w,
+        # keeping half the room as a margin.
+        room = d.space.w.min() / tol.eig_cut - max(1.0, d.space.w.max())
+        lam = lam * min(1.0, math.sqrt(room / (2 * d.n * np.vdot(lam, lam).real)))
         shifted = gauge_shift(d, lam)
         sym_ok = symbols_equal(
             shifted, gauge_shift(d, np.zeros(dim)), tol
@@ -369,9 +426,12 @@ def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict
         u = sum(
             np.conj(l) * v for l, v in zip(lam, d.space.basis)
         )
-        k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * np.eye(d.n)
-        mat2 = gkls_superop(k2, shifted)
-        d2 = decompose(mat2, tol)
+        eye = np.eye(d.n)
+        k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * eye
+        # The shifted presentation itself, not its canonical form, so that
+        # extract_gauge has a nonzero v2 to recover.
+        shifted_ops = [v + l * eye for l, v in zip(lam, d.space.basis)]
+        d2 = GklsForm(n=d.n, space=space_from_kraus(shifted_ops, tol), k=k2, residual=0.0)
         same = same_generator(d, d2, tol)
         gauge = extract_gauge(d, d2, tol)
         gauge_ok = gauge.residual <= 1e-8 * max(1.0, float(np.linalg.norm(d.k)))

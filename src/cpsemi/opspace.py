@@ -11,6 +11,7 @@ vec(a)* J^+ vec(a) with J the Choi matrix of P and J^+ its pseudo-inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,19 +29,32 @@ class MetricOperatorSpace:
     """A subspace of M_n(C) with the inner product induced by a CP map.
 
     ``basis`` is an orthonormal basis in the space's own inner product (not,
-    in general, in the Frobenius one).  ``choi`` is the Choi matrix of the
-    associated CP map sum_m v_m x v_m* over the basis; ``choi_pinv`` its
-    pseudo-inverse and ``range_proj`` the orthogonal projection onto its
-    range, both cached because every membership and inner-product query
-    uses them.
+    in general, in the Frobenius one).  ``u`` and ``w`` are the eigenvectors
+    (n^2 x dim) and eigenvalues kept from the Choi matrix of the associated CP
+    map sum_m v_m x v_m* over the basis.  ``choi`` is that Choi matrix,
+    ``choi_pinv`` its pseudo-inverse and ``range_proj`` the orthogonal
+    projection onto its range; each is built from ``u`` and ``w`` on first
+    use and then kept, because every membership and inner-product query uses
+    them.
     """
 
     n: int
     dim: int
     basis: tuple[np.ndarray, ...]
-    choi: np.ndarray
-    choi_pinv: np.ndarray
-    range_proj: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        return (self.u * self.w) @ self.u.conj().T
+
+    @cached_property
+    def choi_pinv(self) -> np.ndarray:
+        return (self.u / self.w) @ self.u.conj().T
+
+    @cached_property
+    def range_proj(self) -> np.ndarray:
+        return self.u @ self.u.conj().T
 
     def membership(self, a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float | None:
         """Squared norm <a, a>_E if ``a`` lies in the space, else None.
@@ -103,9 +117,8 @@ class MetricOperatorSpace:
 
 
 def _empty_space(n: int) -> MetricOperatorSpace:
-    z = np.zeros((n * n, n * n), dtype=complex)
     return MetricOperatorSpace(
-        n=n, dim=0, basis=(), choi=z, choi_pinv=z.copy(), range_proj=z.copy()
+        n=n, dim=0, basis=(), u=np.zeros((n * n, 0), dtype=complex), w=np.zeros(0)
     )
 
 
@@ -116,9 +129,10 @@ def space_from_spectrum(
 
     The eigenpairs above the cut give everything at once: the dimension, the
     Choi matrix restricted to them, its pseudo-inverse and its range
-    projection.  The basis defaults to the Kraus operators read off the same
-    eigenpairs (:func:`kraus_from_spectrum`); a caller that already holds an
-    independent Kraus family of the map passes it as ``basis``.
+    projection (the last three built when first queried).  The basis
+    defaults to the Kraus operators read off the same eigenpairs
+    (:func:`kraus_from_spectrum`); a caller that already holds an independent
+    Kraus family of the map passes it as ``basis``.
     """
     keep = s.kept(tol)
     u, w = s.u[:, keep], s.w[keep]
@@ -128,9 +142,8 @@ def space_from_spectrum(
         n=int(round(np.sqrt(s.w.size))),
         dim=int(w.size),
         basis=tuple(np.asarray(v, dtype=complex).copy() for v in basis),
-        choi=(u * w) @ u.conj().T,
-        choi_pinv=(u / w) @ u.conj().T,
-        range_proj=u @ u.conj().T,
+        u=u,
+        w=w,
     )
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from conftest import SZ, dephasing_generator, transpose_superop
 
-from cpsemi import DEFAULT_TOL
+import cpsemi.cli as cli
+from cpsemi import DEFAULT_TOL, ParseError
 from cpsemi.cli import _write, cmd_analyze, decode, encode, main
 from cpsemi.generator import decompose, same_generator
 from cpsemi.sampling import random_ccp_generator
@@ -197,6 +198,47 @@ def test_verify_all_checks(dephasing_file, capsys):
         "covariance",
     }
     assert all(entry["pass"] for entry in rep["checks"].values())
+
+
+def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
+    """The gauge check hands extract_gauge the shifted Kraus family itself, so
+    the relation it recovers is not the trivial one between two canonical
+    forms."""
+    mat = random_ccp_generator(np.random.default_rng(3), 3, m=2)
+    path = write(tmp_path, "gen.json", superop_doc(mat, 3))
+    relations = []
+    real = cli.extract_gauge
+
+    def spy(d1, d2, tol):
+        relations.append(real(d1, d2, tol))
+        return relations[-1]
+
+    monkeypatch.setattr(cli, "extract_gauge", spy)
+    rc, out = run(capsys, ["verify", "--input", path, "--checks", "gauge", "--seed", "5"])
+    assert rc == 0
+    assert json.loads(out)["checks"]["gauge"] == {
+        "pass": True, "perturbation_detected": True, "shift_same_generator": True,
+        "symbols_equal": True,
+    }
+    (rel,) = relations
+    assert np.linalg.norm(rel.v2) > 0.1
+    assert rel.residual <= 1e-10
+
+
+def test_verify_gauge_passes_with_two_weak_jump_operators(tmp_path, capsys):
+    """Two Choi eigenvalues about 1e-8 of the largest, 20 times the cut: a
+    shift of unit size would lift the shifted family's cut above both, and
+    the family would read as linearly dependent."""
+    rng = np.random.default_rng(0)
+    n, m = 6, 20
+    ops = (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))) / np.sqrt(m * n)
+    ops[:2] *= 3e-4
+    k = -0.5 * sum(v @ v.conj().T for v in ops)
+    doc = {"type": "gkls", "n": n, "kraus": [m2j(v) for v in ops], "k": m2j(k)}
+    path = write(tmp_path, "weak.json", doc)
+    rc, out = run(capsys, ["verify", "--input", path, "--checks", "gauge", "--seed", "1"])
+    assert rc == 0
+    assert json.loads(out)["checks"]["gauge"]["pass"] is True
 
 
 def test_verify_subset_of_checks(dephasing_file, capsys):
@@ -433,3 +475,172 @@ def test_help_exits_0(capsys):
         main(["analyze", "--help"])
     assert exc.value.code == 0
     assert "--input" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The input reader: orjson, with the json module as the reference
+
+
+def _reference_read_json(path):
+    """The json module on the file opened in text mode: the reference for
+    what the reader accepts and for its messages."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top-level JSON value must be an object")
+    return doc
+
+
+def _load_outcome(path):
+    try:
+        mat, n = cli.load_generator(path, DEFAULT_TOL)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", n, mat.shape, mat.tobytes()
+
+
+def _spec_text(entry="0.0", n="2"):
+    """A superop spec whose first matrix entry and whose n are the given
+    JSON literals."""
+    doc = superop_doc(dephasing_generator(), 2)
+    doc["matrix"][0][0][0] = "ENTRY"
+    doc["n"] = "N"
+    return json.dumps(doc).replace('"ENTRY"', entry).replace('"N"', n)
+
+
+_ENTRY_LITERALS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400,
+    str(2**64), str(2**64 - 1), str(-(2**63) - 1), str(-(2**63)), str(2**64 + 2048),
+    str(2**64 + 2049), str(2**65 + 4096), "123456789012345678901234567890", str(2**53 + 1),
+    "-0", "-0.0", "0", "1E5", "1e-5", "1.5E+300", "4.9e-324", "2.4703282292062327e-324",
+    "2.2250738585072011e-308", "1e-400", "0.1000000000000000055511151231257827",
+    "2.00000000000000011102230246251565404236316680908203125", "9007199254740993.0",
+    "1.7976931348623157e308", "1.7976931348623159e308", "true", "null", '"1"', "[]",
+]
+_N_LITERALS = [
+    str(2**64), str(-(2**63) - 1), "1" + "0" * 400, "2.0", "2e0", "-0", "NaN", "16", "17",
+    "true",
+]
+_DOCUMENTS = {
+    "bom": b"\xef\xbb\xbf" + _spec_text().encode(),
+    "invalid-utf8": _spec_text().replace("superop", "super\x00op").encode().replace(
+        b"\x00", b"\xff"),
+    "empty": b"",
+    "whitespace": b" \r\n\t",
+    "top-level-array": b"[1, 2]",
+    "top-level-null": b"null",
+    "duplicate-n-last-wins": _spec_text().replace('{"type"', '{"n": 99, "type"').encode(),
+    "duplicate-n-last-bad": _spec_text()[:-1].encode() + b', "n": 99}',
+    "lone-surrogate": _spec_text().replace('"superop"', '"\\ud800"').encode(),
+    "paired-surrogates": _spec_text().replace('"superop"', '"\\ud83d\\ude00"').encode(),
+    "escaped-key": _spec_text().replace('"type"', '"t\\u0079pe"').encode(),
+    "brackets-in-string": _spec_text().replace('"superop"', '"]]]superop[["').encode(),
+    "crlf-truncated": b'{\r\n  "type": "superop",\r\n  "n": 2,\r\n',
+    "cr-whitespace": _spec_text().replace(", ", ",\r").encode(),
+    "crlf-bad-token": b'{\r\n"n":\r\n 2,\r\n "type": bogus}',
+    "control-character": _spec_text().replace("superop", "super\x01op").encode(),
+    "trailing-comma": _spec_text()[:-1].encode() + b", }",
+    "extra-data": _spec_text().encode() + b" {}",
+    "leading-zero": _spec_text("01").encode(),
+    "deep-matrix": _spec_text("[" * 80 + "1" + "]" * 80).encode(),
+}
+_READER_CASES = (
+    [pytest.param(_spec_text(lit).encode(), id=f"entry={lit[:24]}") for lit in _ENTRY_LITERALS]
+    + [pytest.param(_spec_text(n=lit).encode(), id=f"n={lit[:24]}") for lit in _N_LITERALS]
+    + [pytest.param(raw, id=name) for name, raw in _DOCUMENTS.items()]
+)
+
+
+@pytest.mark.parametrize("raw", _READER_CASES)
+def test_reader_matches_the_json_module(raw, tmp_path, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_bytes(raw)
+    got = _load_outcome(str(path))
+    monkeypatch.setattr(cli, "_read_json", _reference_read_json)
+    assert got == _load_outcome(str(path))
+
+
+def test_reader_rounds_numbers_like_the_json_module(tmp_path):
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    literals = [repr(x) for x in bits[np.isfinite(bits)].tolist()]
+    for _ in range(1500):  # 27 significant digits, subnormal to near overflow
+        digits = "".join(map(str, rng.integers(0, 10, size=27)))
+        literals.append(f"{'-' if rng.random() < 0.5 else ''}{digits[0]}.{digits[1:]}"
+                        f"e{int(rng.integers(-330, 308))}")
+    for _ in range(500):  # integers, most beyond 64 bits
+        digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 300)))))
+        literals.append(digits.lstrip("0") or "0")
+    path = tmp_path / "numbers.json"
+    path.write_text('{"x": [' + ", ".join(literals) + "]}")
+    got = cli._read_json(str(path))["x"]
+    ref = _reference_read_json(str(path))["x"]
+    assert len(got) == len(ref) == len(literals)
+    assert np.array(got, dtype=float).tobytes() == np.array(ref, dtype=float).tobytes()
+    # orjson returns an integer beyond 64 bits as a float; decode makes every
+    # entry a float either way, so that is the only difference of type
+    assert all(type(g) is type(r) or abs(r) >= 2**63 for g, r in zip(got, ref))
+
+
+def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
+    calls = []
+    real = json.loads
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    good = tmp_path / "good.json"
+    good.write_text(_spec_text())
+    nan = tmp_path / "nan.json"
+    nan.write_text(_spec_text("NaN"))
+    monkeypatch.setattr(cli.json, "loads", spy)
+    mat, n = cli.load_generator(str(good), DEFAULT_TOL)
+    assert n == 2 and mat.tobytes() == dephasing_generator().tobytes()
+    assert calls == []
+    with pytest.raises(ParseError, match="^matrix: every entry must be finite$"):
+        cli.load_generator(str(nan), DEFAULT_TOL)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "raw, depth",
+    [
+        (b"", 0), (b"1", 0), (b'"[[{"', 0), (b'{"a": [[1], {"b": []}]}', 4),
+        (b'{"k": "]]]]]]", "v": [[[]]]}', 4), (b'["}", ["{"]]', 2),
+        (b'{"k\\"": [1]}', 12),
+    ],
+)
+def test_nesting_depth(raw, depth):
+    assert cli._nesting_depth(raw) == depth
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"k": "' + b"]" * 100 + b'", "v": ' + b"[" * 100 + b"]" * 100 + b"}",
+        b'{"k\\u0041": [' + b"1, " * 40 + b"1]}",
+    ],
+    ids=["200000-deep", "closers-in-a-string", "escape"],
+)
+def test_deep_or_escaped_text_never_reaches_orjson(raw, tmp_path, monkeypatch, capsys):
+    """orjson 3.8 recurses without a limit and overflows the C stack on text
+    nested ~10^5 deep; such text goes to the json module, and so does text
+    with an escape and more than _MAX_DEPTH bytes, whose string boundaries
+    the depth scan cannot see."""
+    seen = []
+    monkeypatch.setattr(cli.orjson, "loads", seen.append)
+    path = tmp_path / "deep.json"
+    path.write_bytes(raw)
+    assert main(["analyze", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert seen == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if raw.startswith(b"[["):
+        assert err.startswith(f"error: {path} is not valid JSON: maximum recursion depth")

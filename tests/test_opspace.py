@@ -190,3 +190,31 @@ def test_space_from_cp_map_dim_matches_basis(rng):
             assert e.dim == len(e.basis) == m
             for v in e.basis:
                 assert e.membership(v) == pytest.approx(1.0)
+
+
+def test_space_builds_its_products_on_first_query(rng):
+    mat = random_cp_map(rng, 3, m=4)
+    space = space_from_cp_map(mat)
+    assert not {"choi", "choi_pinv", "range_proj"} & space.__dict__.keys()
+    u, w = space.u, space.w
+    assert u.shape == (9, space.dim) == (9, w.size)
+    # the expressions the space used to build eagerly, bit for bit
+    want = {
+        "choi": (u * w) @ u.conj().T,
+        "choi_pinv": (u / w) @ u.conj().T,
+        "range_proj": u @ u.conj().T,
+    }
+    for name, ref in want.items():
+        got = getattr(space, name)
+        assert got.tobytes() == ref.tobytes()
+        assert getattr(space, name) is got  # built once
+    np.testing.assert_allclose(space.choi, superop_to_choi(mat), atol=1e-12)
+
+
+def test_empty_space_products_are_zero():
+    empty, _ = space_from_cp_map(identity_superop(2)).split_identity()
+    assert empty.dim == 0 and empty.u.shape == (4, 0)
+    for name in ("choi", "choi_pinv", "range_proj"):
+        assert np.array_equal(getattr(empty, name), np.zeros((4, 4)))
+    assert empty.membership(np.zeros((2, 2))) == 0.0
+    assert empty.membership(SX) is None
