@@ -72,7 +72,6 @@ from .symbols import (
     is_conditionally_cp,
     recover_linear_form,
     symbol,
-    symbol_table,
     symbols_equal,
 )
 

@@ -5,6 +5,8 @@ Every PSD, rank, Kraus and pseudo-inverse decision is read off the
 eigenvalues of one Hermitian matrix, held in one :class:`Spectrum`, whose
 ``scale`` is max(1, largest |eigenvalue|): the anchor of the relative cuts
 (the floor of 1 keeps tiny matrices from facing vacuously strict checks).
+A stack of matrices, shape (..., k, k), is decomposed in one call under the
+same rule: one scale and one verdict per matrix.
 """
 
 from __future__ import annotations
@@ -60,52 +62,65 @@ def frob(m: np.ndarray) -> float:
 
 
 class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     ``w`` holds the eigenvalues in descending order, ``u`` the matching
     orthonormal eigenvector columns (None when only eigenvalues were asked
     for), and ``scale = max(1, largest |eigenvalue|)`` anchors every relative
-    comparison made on them.
+    comparison made on them.  For a stack of shape (..., k, k) the fields
+    keep the leading axes: ``w`` is (..., k), ``u`` is (..., k, k) and
+    ``scale`` is an array of shape (...), one anchor per matrix.
     """
 
     w: np.ndarray
     u: np.ndarray | None
-    scale: float
+    scale: float | np.ndarray
 
-    def psd(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """True iff no eigenvalue sits below ``-psd_slack * scale``."""
-        return bool(self.w.size == 0 or self.w[-1] >= -tol.psd_slack * self.scale)
+    def psd(self, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
+        """True iff no eigenvalue sits below ``-psd_slack * scale``; for a
+        stack, a boolean array with one verdict per matrix."""
+        if self.w.shape[-1] == 0:
+            verdict = np.ones(self.w.shape[:-1], dtype=bool)
+        else:
+            verdict = self.w[..., -1] >= -tol.psd_slack * self.scale
+        return bool(verdict) if self.w.ndim == 1 else verdict
 
     def kept(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Mask of the eigenvalues above the cut ``eig_cut * scale``; the rest
         count as zero for ranks, Kraus bases and pseudo-inverses."""
-        return self.w > tol.eig_cut * self.scale
+        return self.w > tol.eig_cut * np.asarray(self.scale)[..., None]
 
 
 def spectrum(
     m: np.ndarray, tol: Tolerances | None = None, vectors: bool = True
 ) -> Spectrum:
-    """Spectrum of the Hermitian part (m + m*) / 2 of a square matrix.
+    """Spectrum of the Hermitian part (m + m*) / 2 of a square matrix, or of
+    each matrix of a stack of shape (..., k, k).
 
     :param tol: when given, ``m`` itself must be Hermitian:
-        ``||m - m*|| <= residual * max(1, ||m||)`` (Frobenius norms).
+        ``||m - m*|| <= residual * max(1, ||m||)`` (Frobenius norms), for
+        every matrix of a stack.
     :param vectors: also compute the eigenvectors.
     :raises NotHermitian: if ``tol`` is given and the Hermiticity check fails.
     """
     m = np.asarray(m, dtype=complex)
     if tol is not None:
-        defect = frob(m - m.conj().T)
-        if not defect <= tol.residual * max(1.0, frob(m)):
-            raise NotHermitian(f"matrix is not Hermitian: ||m - m*|| = {defect:.3e}")
-    h = (m + m.conj().T) / 2.0
+        for one in m.reshape((-1,) + m.shape[-2:]):
+            defect = frob(one - one.conj().T)
+            if not defect <= tol.residual * max(1.0, frob(one)):
+                raise NotHermitian(f"matrix is not Hermitian: ||m - m*|| = {defect:.3e}")
+    h = (m + m.conj().swapaxes(-1, -2)) / 2.0
     if vectors:
         w, u = np.linalg.eigh(h)
-        u = u[:, ::-1].copy()
+        u = u[..., ::-1].copy()
     else:
         w, u = np.linalg.eigvalsh(h), None
-    w = w[::-1].copy()
-    scale = max(1.0, float(max(w[0], -w[-1]))) if w.size else 1.0
-    return Spectrum(w, u, scale)
+    w = w[..., ::-1].copy()
+    if w.shape[-1] == 0:
+        scale = np.ones(w.shape[:-1])
+    else:
+        scale = np.maximum(1.0, np.maximum(w[..., 0], -w[..., -1]))
+    return Spectrum(w, u, float(scale) if m.ndim == 2 else scale)
 
 
 def expm(m: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ __all__ = [
     "random_cp_map",
     "random_ccp_generator",
     "random_constrained_tuple",
+    "random_constrained_tuples",
 ]
 
 
@@ -63,15 +64,28 @@ def random_ccp_generator(
     return kraus_to_superop(ops) + np.kron(eye, k) + np.kron(k.conj(), eye)
 
 
-def random_constrained_tuple(rng: np.random.Generator, n: int, r: int = 3):
-    """Random tuple (xs, as) of length ``r`` with sum_k x_k a_k = 0.
+def random_constrained_tuples(
+    rng: np.random.Generator, n: int, count: int, r: int = 3
+):
+    """``count`` random tuples of length ``r`` with sum_k x_k a_k = 0, as two
+    arrays ``xs`` and ``as_`` of shape (count, r, n, n).
 
-    All x's and a_1, ..., a_{r-1} are random; the last a solves the
-    constraint, a_r = -x_r^{-1} sum_{k<r} x_k a_k (x_r is almost surely
-    invertible).
+    All x's and a_1, ..., a_{r-1} are random, drawn as by :func:`random_matrix`
+    in the order x_1, ..., x_r, a_1, ..., a_{r-1}, tuple after tuple, so one
+    call consumes the stream exactly as ``count`` calls of
+    :func:`random_constrained_tuple` do.  The last a solves the constraint,
+    a_r = -x_r^{-1} sum_{k<r} x_k a_k (x_r is almost surely invertible).
     """
-    xs = [random_matrix(rng, n) for _ in range(r)]
-    as_ = [random_matrix(rng, n) for _ in range(r - 1)]
-    rest = sum((x @ a for x, a in zip(xs, as_)), np.zeros((n, n), dtype=complex))
-    as_.append(-np.linalg.solve(xs[-1], rest))
-    return xs, as_
+    normal = rng.standard_normal((count, 2 * r - 1, 2, n, n))
+    ops = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
+    xs, free = ops[:, :r], ops[:, r:]
+    rest = np.matmul(xs[:, :-1], free).sum(axis=1)
+    last = -np.linalg.solve(xs[:, -1], rest)
+    return xs, np.concatenate([free, last[:, None]], axis=1)
+
+
+def random_constrained_tuple(rng: np.random.Generator, n: int, r: int = 3):
+    """One random tuple (xs, as) of length ``r`` with sum_k x_k a_k = 0, as
+    two lists: the count-1 case of :func:`random_constrained_tuples`."""
+    xs, as_ = random_constrained_tuples(rng, n, 1, r)
+    return list(xs[0]), list(as_[0])

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstraintViolated
+from .errors import ConstraintViolated, DimensionMismatch, NotHermiticityPreserving
 from .numerics import DEFAULT_TOL, Tolerances, frob, spectrum
+from .sampling import random_constrained_tuples
 from .superop import (
     apply_superop,
     dim_of,
@@ -31,7 +32,6 @@ from .superop import (
 
 __all__ = [
     "symbol",
-    "symbol_table",
     "symbols_equal",
     "recover_linear_form",
     "projected_choi",
@@ -54,34 +54,6 @@ def symbol(mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         - apply_superop(mat, x) @ y
         + x @ lone @ y
     )
-
-
-def _unit_images(mat: np.ndarray) -> np.ndarray:
-    """Tensor LE with LE[i, j] = L(E_ij) as an n x n block."""
-    n = dim_of(mat)
-    le = np.empty((n, n, n, n), dtype=complex)
-    m = np.asarray(mat, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            le[i, j] = unvec(m[:, j * n + i], n)
-    return le
-
-
-def symbol_table(mat: np.ndarray) -> np.ndarray:
-    """All symbol values on pairs of matrix units.
-
-    :return: tensor ``T`` of shape (n, n, n, n, n, n) with
-        ``T[i, j, k, l] = sigma_L(E_ij, E_kl)``.
-    """
-    n = dim_of(mat)
-    le = _unit_images(mat)
-    lone = apply_superop(mat, np.eye(n))
-    eye = np.eye(n)
-    t1 = np.einsum("jk,ilab->ijklab", eye, le)
-    t2 = np.einsum("ai,kljb->ijklab", eye, le)
-    t3 = np.einsum("ijak,bl->ijklab", le, eye)
-    t4 = np.einsum("jk,ai,bl->ijklab", lone, eye, eye)
-    return t1 - t2 - t3 + t4
 
 
 def _partial_traces(mat: np.ndarray):
@@ -121,8 +93,8 @@ def symbols_equal(
     The symbol is linear in L and vanishes exactly on the two-sided maps
     x -> a x + x b, so the symbols agree iff L1 - L2 is two-sided: the
     residual of its two-sided fit is at most ``residual`` times
-    max(1, ||mat1||, ||mat2||).  :func:`symbol_table` gives the same verdict
-    from the n^6 symbol values.
+    max(1, ||mat1||, ||mat2||).  The tests hold this verdict against the n^6
+    symbol values on pairs of matrix units.
     """
     m1 = np.asarray(mat1, dtype=complex)
     m2 = np.asarray(mat2, dtype=complex)
@@ -171,6 +143,57 @@ def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return spectrum(projected_choi(mat)).psd(tol)
 
 
+def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> None:
+    """The tuple criterion characterises CCP only for Hermiticity-preserving
+    maps: for L = i c id, S = i c |sum_k x_k a_k|^2 = 0 on every constrained
+    tuple, although L is not CCP."""
+    if not is_hermiticity_preserving(mat, tol):
+        raise NotHermiticityPreserving(
+            "block positivity decides CCP only for Hermiticity-preserving maps"
+        )
+
+
+def _block_operators(
+    mat: np.ndarray, xs: np.ndarray, as_: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """S = sum_{j,k} a_j* L(x_j* x_k) a_k for each tuple of a stack, shape
+    (count, n, n); ``xs`` and ``as_`` have shape (count, r, n, n).
+
+    With X = [x_1 ... x_r] the blocks x_j* x_k are those of X* X; L acts on
+    all their vecs in one product, and S = A* M A for the column
+    A = [a_1; ...; a_r] and the block matrix M of the images L(x_j* x_k).
+
+    :raises ConstraintViolated: if a tuple has sum_k x_k a_k != 0, beyond
+        ``residual`` times max(1, sum_k ||x_k|| ||a_k||); the message names
+        the worst one.
+    """
+    count, r, n, _ = xs.shape
+    mat = np.asarray(mat, dtype=complex)
+    total = np.linalg.norm(np.matmul(xs, as_).sum(axis=1), axis=(-2, -1))
+    sizes = np.linalg.norm(xs, axis=(-2, -1)) * np.linalg.norm(as_, axis=(-2, -1))
+    bound = np.maximum(1.0, sizes.sum(axis=1))
+    if np.any(total > tol.residual * bound):
+        worst = int(np.argmax(total / bound))
+        raise ConstraintViolated(
+            f"sum_k x_k a_k has norm {total[worst]:.3e}, expected 0"
+            + (f" (tuple {worst} of {count})" if count > 1 else "")
+        )
+    big_x = xs.transpose(0, 2, 1, 3).reshape(count, n, r * n)
+    gram = big_x.conj().swapaxes(-1, -2) @ big_x
+    vecs = gram.reshape(count, r, n, r, n).transpose(0, 1, 3, 4, 2)
+    images = (vecs.reshape(count, r, r, n * n) @ mat.T).reshape(count, r, r, n, n)
+    blocks = images.transpose(0, 1, 4, 2, 3).reshape(count, r * n, r * n)
+    col = as_.reshape(count, r * n, n)
+    return col.conj().swapaxes(-1, -2) @ blocks @ col
+
+
+def _block_psd(
+    mat: np.ndarray, xs: np.ndarray, as_: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """One PSD verdict per tuple of the stack, from one stacked spectrum."""
+    return spectrum(_block_operators(mat, xs, as_, tol), vectors=False).psd(tol)
+
+
 def check_block_positivity(
     mat: np.ndarray,
     xs: list[np.ndarray],
@@ -183,32 +206,31 @@ def check_block_positivity(
 
         S = sum_{j,k} a_j* L(x_j* x_k) a_k
 
-    is PSD.  Conditional complete positivity of L is equivalent to this
-    holding for every constrained tuple.
+    is PSD.  For a Hermiticity-preserving L, conditional complete positivity
+    is equivalent to this holding for every constrained tuple.
 
-    :raises ConstraintViolated: if the tuple does not satisfy the constraint.
+    :raises ConstraintViolated: if the lists differ in length or are empty,
+        or the tuple does not satisfy the constraint.
+    :raises DimensionMismatch: if an operator is not n x n.
+    :raises NotHermiticityPreserving: if L is not Hermiticity-preserving.
     """
-    if len(xs) != len(as_) or not xs:
+    if len(xs) != len(as_) or len(xs) == 0:
         raise ConstraintViolated("need equally many x's and a's, at least one each")
     n = dim_of(mat)
-    xs = [np.asarray(x, dtype=complex) for x in xs]
-    as_ = [np.asarray(a, dtype=complex) for a in as_]
-    total = sum(x @ a for x, a in zip(xs, as_))
-    scale = max(1.0, sum(frob(x) * frob(a) for x, a in zip(xs, as_)))
-    if frob(total) > tol.residual * scale:
-        raise ConstraintViolated(
-            f"sum_k x_k a_k has norm {frob(total):.3e}, expected 0"
-        )
-    s = np.zeros((n, n), dtype=complex)
-    for j, (xj, aj) in enumerate(zip(xs, as_)):
-        for xk, ak in zip(xs, as_):
-            mid = apply_superop(mat, xj.conj().T @ xk)
-            s += aj.conj().T @ mid @ ak
-    return spectrum(s, vectors=False).psd(tol)
+    ops = [np.asarray(op, dtype=complex) for op in (*xs, *as_)]
+    for op in ops:
+        if op.shape != (n, n):
+            raise DimensionMismatch(
+                f"operator shape {op.shape} does not match algebra dimension {n}"
+            )
+    _require_hermiticity_preserving(mat, tol)
+    stack = np.stack(ops).reshape(2, 1, len(xs), n, n)
+    return bool(_block_psd(mat, stack[0], stack[1], tol)[0])
 
 
 def _defect_tuple(mat: np.ndarray):
-    """Constrained tuple built from the projected-Choi defect direction.
+    """Constrained tuple built from the projected-Choi defect direction, as
+    two arrays of shape (n, n, n).
 
     If the projected Choi matrix has a negative eigenvalue with eigenvector
     u, the tuple x_k = E_0k, a_k = (column k of unvec(u)) e_0* violates the
@@ -220,15 +242,11 @@ def _defect_tuple(mat: np.ndarray):
     omega = vec(np.eye(n))
     u = u - omega * (omega.conj() @ u) / n  # enforce the traceless constraint
     bigu = unvec(u, n)
-    xs = []
-    as_ = []
     e0 = np.zeros(n, dtype=complex)
     e0[0] = 1.0
-    for k in range(n):
-        x = np.zeros((n, n), dtype=complex)
-        x[0, k] = 1.0
-        xs.append(x)
-        as_.append(np.outer(bigu[:, k], e0.conj()))
+    xs = np.zeros((n, n, n), dtype=complex)
+    xs[np.arange(n), 0, np.arange(n)] = 1.0
+    as_ = bigu.T[:, :, None] * e0.conj()
     return xs, as_
 
 
@@ -240,19 +258,23 @@ def block_positivity_witness(
 ):
     """Search for a constrained tuple violating block positivity.
 
-    Tries ``n_tuples`` random constrained tuples, then the deterministic
-    tuple derived from the projected-Choi defect direction.  Returns the
-    violating ``(xs, as_)`` or None if everything checks out positive.
-    """
-    from .sampling import random_constrained_tuple
+    Draws ``n_tuples`` random constrained tuples at once and decides them as
+    one stack, then tries the deterministic tuple derived from the
+    projected-Choi defect direction.  Returns the first violating
+    ``(xs, as_)`` in that order, as two lists, or None if everything checks
+    out positive.
 
-    rng = np.random.default_rng(seed)
+    :raises NotHermiticityPreserving: if L is not Hermiticity-preserving;
+        the tuple criterion cannot see an anti-Hermitian part such as i c id.
+    """
+    _require_hermiticity_preserving(mat, tol)
     n = dim_of(mat)
-    for _ in range(n_tuples):
-        xs, as_ = random_constrained_tuple(rng, n)
-        if not check_block_positivity(mat, xs, as_, tol):
-            return xs, as_
+    xs, as_ = random_constrained_tuples(np.random.default_rng(seed), n, n_tuples)
+    verdicts = _block_psd(mat, xs, as_, tol)
+    if not verdicts.all():
+        first = int(np.argmin(verdicts))
+        return list(xs[first]), list(as_[first])
     xs, as_ = _defect_tuple(mat)
-    if not check_block_positivity(mat, xs, as_, tol):
-        return xs, as_
+    if not _block_psd(mat, xs[None], as_[None], tol)[0]:
+        return list(xs), list(as_)
     return None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpsemi import ad_superop, identity_superop, vec
+from cpsemi.sampling import random_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -23,6 +24,17 @@ def superop_of(f, n):
 
 def transpose_superop(n):
     return superop_of(lambda x: x.T, n)
+
+
+def loop_constrained_tuple(rng, n, r=3):
+    """Reference draw of one constrained tuple, one operator at a time:
+    x_1, ..., x_r, a_1, ..., a_{r-1} as by ``random_matrix``, then
+    a_r = -x_r^{-1} sum_{k<r} x_k a_k."""
+    xs = [random_matrix(rng, n) for _ in range(r)]
+    as_ = [random_matrix(rng, n) for _ in range(r - 1)]
+    rest = sum((x @ a for x, a in zip(xs, as_)), np.zeros((n, n), dtype=complex))
+    as_.append(-np.linalg.solve(xs[-1], rest))
+    return xs, as_
 
 
 def dephasing_generator():

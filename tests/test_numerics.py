@@ -68,6 +68,44 @@ def test_spectrum_psd_and_kept():
     assert empty.psd() and empty.kept().size == 0 and empty.scale == 1.0
 
 
+def test_spectrum_of_a_stack_decides_each_matrix_like_the_single_call(rng):
+    tol = Tolerances(eig_cut=1e-6, psd_slack=1e-3)
+    a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    mats = np.concatenate([
+        a @ a.conj().swapaxes(-1, -2),                  # PSD
+        a[:2] + a[:2].conj().swapaxes(-1, -2),          # indefinite
+        np.diag([4.0, 1e-5, 1e-6, -1e-3])[None],        # at the slack
+        np.diag([1e-3, 1e-3, 0.0, -1e-4])[None],        # under the floor of 1
+        np.zeros((1, 4, 4)),                            # all zero
+        a[:1],                                          # not Hermitian
+    ])
+    for vectors in (True, False):
+        s = spectrum(mats, vectors=vectors)
+        assert s.w.shape == (12, 4) and s.scale.shape == (12,)
+        assert (s.u is None) == (not vectors)
+        verdicts = s.psd(tol)
+        kept = s.kept(tol)
+        assert verdicts.dtype == bool and verdicts.shape == (12,)
+        for i, m in enumerate(mats):
+            one = spectrum(m, vectors=vectors)
+            np.testing.assert_allclose(s.w[i], one.w, atol=1e-12)
+            assert s.scale[i] == pytest.approx(one.scale)
+            assert verdicts[i] == one.psd(tol)
+            np.testing.assert_array_equal(kept[i], one.kept(tol))
+    assert spectrum(np.zeros((1, 4, 4))).psd().tolist() == [True]
+    assert spectrum(np.zeros((3, 2, 2))).scale.tolist() == [1.0, 1.0, 1.0]
+    # empty stacks, and stacks of empty matrices
+    none = spectrum(np.zeros((0, 3, 3)), vectors=False)
+    assert none.w.shape == (0, 3) and none.psd().shape == (0,)
+    hollow = spectrum(np.zeros((2, 0, 0)))
+    assert hollow.psd().tolist() == [True, True] and hollow.scale.tolist() == [1.0, 1.0]
+    assert hollow.kept().shape == (2, 0)
+    # the Hermiticity check holds for every matrix of a stack
+    spectrum(mats[:-1], DEFAULT_TOL)
+    with pytest.raises(NotHermitian):
+        spectrum(mats, DEFAULT_TOL)
+
+
 def test_expm_matches_scipy(rng):
     # one Hermitian, one normal (unitary generator), one generic matrix
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -1,8 +1,10 @@
 import numpy as np
+from conftest import loop_constrained_tuple
 
 from cpsemi.sampling import (
     random_ccp_generator,
     random_constrained_tuple,
+    random_constrained_tuples,
     random_cp_map,
     random_hermitian,
     random_hp_map,
@@ -43,6 +45,24 @@ def test_random_constrained_tuple_satisfies_constraint(rng):
         xs, as_ = random_constrained_tuple(rng, n)
         total = sum(x @ a for x, a in zip(xs, as_))
         np.testing.assert_allclose(total, 0, atol=1e-12)
+
+
+def test_batched_draw_matches_repeated_single_draws():
+    # one call of count tuples consumes the stream like count reference
+    # draws and returns the same operators, bit for bit
+    for n in (2, 3, 4, 6):
+        for r in (1, 3):
+            xs, as_ = random_constrained_tuples(np.random.default_rng(n), n, 12, r)
+            assert xs.shape == as_.shape == (12, r, n, n)
+            rng = np.random.default_rng(n)
+            for i in range(12):
+                ref_xs, ref_as = loop_constrained_tuple(rng, n, r)
+                for got, ref in zip((*xs[i], *as_[i]), (*ref_xs, *ref_as)):
+                    assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+            # the single draw is the count-1 case of the same stream
+            one = random_constrained_tuple(np.random.default_rng(n), n, r)
+            for got, ref in zip((*one[0], *one[1]), (*xs[0], *as_[0])):
+                assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def test_sampling_is_reproducible():

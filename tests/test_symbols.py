@@ -1,21 +1,35 @@
 import numpy as np
 import pytest
-from conftest import SX, SZ, dephasing_generator, transpose_superop
+from conftest import (
+    SX,
+    SZ,
+    dephasing_generator,
+    loop_constrained_tuple,
+    transpose_superop,
+)
 
-from cpsemi.errors import ConstraintViolated
-from cpsemi.numerics import DEFAULT_TOL
+from cpsemi.errors import ConstraintViolated, DimensionMismatch, NotHermiticityPreserving
+from cpsemi.numerics import DEFAULT_TOL, spectrum
 from cpsemi.sampling import (
+    random_ccp_generator,
     random_constrained_tuple,
+    random_constrained_tuples,
     random_cp_map,
     random_hermitian,
+    random_hp_map,
     random_matrix,
 )
 from cpsemi.superop import (
     ad_superop,
+    apply_superop,
+    dim_of,
     identity_superop,
     kraus_to_superop,
+    unvec,
+    vec,
 )
 from cpsemi.symbols import (
+    _block_operators,
     _two_sided_fit,
     block_positivity_witness,
     ccp_defect,
@@ -23,9 +37,75 @@ from cpsemi.symbols import (
     is_conditionally_cp,
     recover_linear_form,
     symbol,
-    symbol_table,
     symbols_equal,
 )
+
+
+def _unit_images(mat):
+    """Tensor LE with LE[i, j] = L(E_ij) as an n x n block."""
+    n = dim_of(mat)
+    le = np.empty((n, n, n, n), dtype=complex)
+    m = np.asarray(mat, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            le[i, j] = unvec(m[:, j * n + i], n)
+    return le
+
+
+def symbol_table(mat):
+    """All symbol values on pairs of matrix units, the n^6 oracle:
+    ``T[i, j, k, l] = sigma_L(E_ij, E_kl)``, shape (n, n, n, n, n, n)."""
+    n = dim_of(mat)
+    le = _unit_images(mat)
+    lone = apply_superop(mat, np.eye(n))
+    eye = np.eye(n)
+    t1 = np.einsum("jk,ilab->ijklab", eye, le)
+    t2 = np.einsum("ai,kljb->ijklab", eye, le)
+    t3 = np.einsum("ijak,bl->ijklab", le, eye)
+    t4 = np.einsum("jk,ai,bl->ijklab", lone, eye, eye)
+    return t1 - t2 - t3 + t4
+
+
+def loop_block_operator(mat, xs, as_):
+    """Reference S = sum_{j,k} a_j* L(x_j* x_k) a_k, one pair at a time."""
+    n = dim_of(mat)
+    s = np.zeros((n, n), dtype=complex)
+    for xj, aj in zip(xs, as_):
+        for xk, ak in zip(xs, as_):
+            mid = apply_superop(mat, xj.conj().T @ xk)
+            s += aj.conj().T @ mid @ ak
+    return s
+
+
+def loop_defect_tuple(mat):
+    """Reference defect tuple, operator by operator: x_k = E_0k and
+    a_k = (column k of unvec(u)) e_0*, u the traceless defect direction."""
+    n = dim_of(mat)
+    _, u, _ = ccp_defect(mat)
+    omega = vec(np.eye(n))
+    bigu = unvec(u - omega * (omega.conj() @ u) / n, n)
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    xs, as_ = [], []
+    for k in range(n):
+        x = np.zeros((n, n), dtype=complex)
+        x[0, k] = 1.0
+        xs.append(x)
+        as_.append(np.outer(bigu[:, k], e0.conj()))
+    return xs, as_
+
+
+def loop_witness(mat, n_tuples, seed, tol=DEFAULT_TOL):
+    """Reference witness search: draw and decide one tuple at a time, stop
+    at the first violation, then try the defect tuple.  Returns the tuple
+    and whether it is the defect tuple, or None."""
+    rng = np.random.default_rng(seed)
+    n = dim_of(mat)
+    candidates = [loop_constrained_tuple(rng, n) for _ in range(n_tuples)]
+    for i, (xs, as_) in enumerate(candidates + [loop_defect_tuple(mat)]):
+        if not spectrum(loop_block_operator(mat, xs, as_), vectors=False).psd(tol):
+            return (xs, as_), i == n_tuples
+    return None
 
 
 def two_sided(a, b):
@@ -166,6 +246,90 @@ def test_witness_search_on_transpose():
 
 def test_witness_search_clears_ccp_generator():
     assert block_positivity_witness(dephasing_generator(), n_tuples=20, seed=1) is None
+
+
+def _frozen_maps():
+    """Seeded (map, seed) pairs at n in {2, 3, 4, 6}: CCP generators, generic
+    Hermiticity-preserving maps, and CCP generators pushed just outside the
+    cone, which only the defect tuple catches."""
+    rng = np.random.default_rng(20261018)
+    for n in (2, 3, 4, 6):
+        for i in range(3):
+            yield random_ccp_generator(rng, n), 100 + i
+            yield random_hp_map(rng, n), 200 + i
+            near = random_ccp_generator(rng, n, m=2) - 1e-4 * ad_superop(random_matrix(rng, n))
+            yield near, 300 + i
+
+
+def test_block_operators_match_the_pairwise_loop():
+    # every S of a stacked evaluation agrees with the one-pair-at-a-time
+    # reference to 1e-12 relative
+    for mat, seed in _frozen_maps():
+        n = dim_of(mat)
+        xs, as_ = random_constrained_tuples(np.random.default_rng(seed), n, 20)
+        stacked = _block_operators(mat, xs, as_, DEFAULT_TOL)
+        assert stacked.shape == (20, n, n)
+        for i in range(20):
+            ref = loop_block_operator(mat, xs[i], as_[i])
+            assert np.linalg.norm(stacked[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_witness_search_returns_the_reference_tuple_bitwise():
+    # the same first violating tuple in draw order, then the same defect
+    # tuple, as the one-tuple-at-a-time search; None exactly when it is None
+    kinds = set()
+    for mat, seed in _frozen_maps():
+        found = block_positivity_witness(mat, 50, seed=seed)
+        ref = loop_witness(mat, 50, seed)
+        assert (found is None) == (ref is None)
+        if found is None:
+            kinds.add("none")
+            continue
+        (ref_xs, ref_as), from_defect = ref
+        kinds.add("defect" if from_defect else "drawn")
+        assert len(found[0]) == len(ref_xs) and len(found[1]) == len(ref_as)
+        for got, want in zip((*found[0], *found[1]), (*ref_xs, *ref_as)):
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert kinds == {"none", "drawn", "defect"}
+
+
+def test_witness_search_rejects_maps_that_are_not_hermiticity_preserving():
+    # for L = i c id, S = i c |sum_k x_k a_k|^2 vanishes on every constrained
+    # tuple, so no tuple could witness that L is not CCP
+    ccp = random_ccp_generator(np.random.default_rng(0), 3, 2)
+    for mat in (1j * identity_superop(3), ccp + 0.3j * identity_superop(3)):
+        assert not is_conditionally_cp(mat)
+        with pytest.raises(NotHermiticityPreserving):
+            block_positivity_witness(mat, 50, seed=1)
+        xs, as_ = random_constrained_tuple(np.random.default_rng(1), 3)
+        with pytest.raises(NotHermiticityPreserving):
+            check_block_positivity(mat, xs, as_)
+    assert block_positivity_witness(ccp, 50, seed=1) is None
+
+
+def test_block_positivity_input_contract(rng):
+    mat = dephasing_generator()
+    xs, as_ = random_constrained_tuple(rng, 2)
+    with pytest.raises(ConstraintViolated):
+        check_block_positivity(mat, xs, as_[:2])
+    with pytest.raises(ConstraintViolated):
+        check_block_positivity(mat, [], [])
+    # wrong and ragged shapes are a dimension error, not a numpy one
+    with pytest.raises(DimensionMismatch):
+        check_block_positivity(mat, [np.eye(3)] * 3, [np.eye(3)] * 3)
+    with pytest.raises(DimensionMismatch):
+        check_block_positivity(mat, xs[:2] + [np.eye(3)], as_)
+    with pytest.raises(DimensionMismatch):
+        check_block_positivity(mat, xs, as_[:2] + [np.ones(2)])
+
+
+def test_constraint_violation_names_the_worst_tuple(rng):
+    xs, as_ = random_constrained_tuples(rng, 2, 4)
+    as_ = as_.copy()
+    as_[1, 0] += 1e-6
+    as_[2, 0] += 1e-3
+    with pytest.raises(ConstraintViolated, match=r"tuple 2 of 4"):
+        _block_operators(dephasing_generator(), xs, as_, DEFAULT_TOL)
 
 
 def test_symbol_norm_bound(rng):
