@@ -27,18 +27,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotCCP, NotHermitian, NotHermiticityPreserving
+from .errors import NotCCP, NotHermitian
 from .numerics import DEFAULT_TOL, Tolerances, expm_times, frob, lstsq, spectrum
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
     apply_superop,
     dim_of,
-    is_hermiticity_preserving,
     kraus_to_superop,
     superop_to_choi,
     vec,
 )
-from .symbols import _partial_traces, projected_choi
+from .symbols import _ccp_spectrum, _partial_traces
 
 __all__ = [
     "GklsForm",
@@ -116,11 +115,7 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
         beyond ``psd_slack`` (the witness eigenvector is attached).
     """
     n = dim_of(mat)
-    if not is_hermiticity_preserving(mat, tol):
-        raise NotHermiticityPreserving(
-            "generator does not preserve Hermiticity (Choi matrix not Hermitian)"
-        )
-    s = spectrum(projected_choi(mat))
+    s = _ccp_spectrum(mat, tol)
     if not s.psd(tol):
         low = float(s.w[-1])
         raise NotCCP(
@@ -293,16 +288,14 @@ def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     conditionally so.
     """
     kcand = np.asarray(kcand, dtype=complex)
-    n = d.n
     sol, res = lstsq(_scalar_design(d), vec(kcand))
     if res > tol.eig_cut * max(1.0, frob(kcand)):
         return None
-    if d.space.dim:
-        v = d.space.from_coords(sol[: d.space.dim])
-        vv = float(np.real(vec(v).conj() @ d.space.choi_pinv @ vec(v)))
-    else:
-        v = np.zeros((n, n), dtype=complex)
-        vv = 0.0
+    # The basis is orthonormal in the space's inner product, so <v, v> is
+    # the squared norm of v's coordinates.
+    coords = sol[: d.space.dim]
+    v = d.space.from_coords(coords)
+    vv = float(np.real(np.vdot(coords, coords)))
     c = complex(sol[-1])
     cp_drift = bool(2.0 * c.real >= vv - tol.psd_slack * max(1.0, vv))
     return KSplit(v=v, c=c, cp_drift=cp_drift)

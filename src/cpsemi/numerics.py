@@ -1,7 +1,7 @@
 """Shared numerical kernels: Hermitian spectra, matrix exponentials and
 least squares, with one consistent tolerance policy.
 
-Every PSD, rank, Kraus and pseudo-inverse decision is read off the
+Every PSD, rank, Kraus and metric-space decision is read off the
 eigenvalues of one Hermitian matrix, held in one :class:`Spectrum`, whose
 ``scale`` is max(1, largest |eigenvalue|): the anchor of the relative cuts
 (the floor of 1 keeps tiny matrices from facing vacuously strict checks).
@@ -36,7 +36,7 @@ class Tolerances:
     """Tolerance knobs used throughout the library.
 
     :param eig_cut: eigenvalues below this (relative) cut are treated as
-        zero when computing ranks, pseudo-inverses and Kraus bases.
+        zero when computing ranks, Kraus bases and metric operator spaces.
     :param psd_slack: how far below zero an eigenvalue may sit (relative to the
         matrix scale) while the matrix still counts as positive semidefinite.
     :param residual: relative residual allowed when deciding that two maps or
@@ -49,11 +49,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-# Internal tolerance used to classify a matrix as (skew-)Hermitian or normal
-# before choosing an exponentiation path.  Deliberately much tighter than any
-# user-facing tolerance.
-_CLASSIFY_TOL = 1e-12
 
 
 def frob(m: np.ndarray) -> float:
@@ -87,7 +82,7 @@ class Spectrum(NamedTuple):
 
     def kept(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Mask of the eigenvalues above the cut ``eig_cut * scale``; the rest
-        count as zero for ranks, Kraus bases and pseudo-inverses."""
+        count as zero for ranks, Kraus bases and metric operator spaces."""
         return self.w > tol.eig_cut * np.asarray(self.scale)[..., None]
 
 
@@ -124,22 +119,8 @@ def spectrum(
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential.
-
-    Hermitian input is exponentiated through its eigendecomposition, other
-    normal input through a complex Schur form; everything else falls back to
-    scaling-and-squaring.
-    """
-    m = np.asarray(m, dtype=complex)
-    scale = max(1.0, frob(m))
-    if frob(m - m.conj().T) <= _CLASSIFY_TOL * scale:
-        w, u = np.linalg.eigh(m)
-        return (u * np.exp(w)) @ u.conj().T
-    commutator = m @ m.conj().T - m.conj().T @ m
-    if frob(commutator) <= _CLASSIFY_TOL * scale * scale:
-        t, z = scipy.linalg.schur(m, output="complex")
-        return (z * np.exp(np.diag(t))) @ z.conj().T
-    return scipy.linalg.expm(m)
+    """Matrix exponential, by scaling and squaring."""
+    return scipy.linalg.expm(np.asarray(m, dtype=complex))
 
 
 def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:

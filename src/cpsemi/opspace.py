@@ -4,20 +4,19 @@ A CP map P(x) = sum_m v_m x v_m* determines a subspace E of M_n(C) spanned by
 its Kraus operators, together with an inner product under which any linearly
 independent Kraus family representing P is an orthonormal basis.  Concretely,
 for a in E the squared norm <a, a>_E is the least c >= 0 such that
-c*P - (x -> a x a*) is completely positive, and is computed here as
-vec(a)* J^+ vec(a) with J the Choi matrix of P and J^+ its pseudo-inverse.
+c*P - (x -> a x a*) is completely positive; it is read off the eigenpairs
+kept from the Choi matrix of P, without forming a pseudo-inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotCP, NotMember, NotPSD
+from .errors import DimensionMismatch, NotCP, NotMember, NotPSD
 from .numerics import DEFAULT_TOL, Spectrum, Tolerances, spectrum
 from .superop import choi_spectrum, kraus_from_spectrum, kraus_to_choi, superop_to_choi, vec
 
@@ -30,12 +29,12 @@ class MetricOperatorSpace:
 
     ``basis`` is an orthonormal basis in the space's own inner product (not,
     in general, in the Frobenius one).  ``u`` and ``w`` are the eigenvectors
-    (n^2 x dim) and eigenvalues kept from the Choi matrix of the associated CP
-    map sum_m v_m x v_m* over the basis.  ``choi`` is that Choi matrix,
-    ``choi_pinv`` its pseudo-inverse and ``range_proj`` the orthogonal
-    projection onto its range; each is built from ``u`` and ``w`` on first
-    use and then kept, because every membership and inner-product query uses
-    them.
+    (n^2 x dim) and eigenvalues kept from the Choi matrix J of the associated
+    CP map sum_m v_m x v_m* over the basis.  Every query projects vec(a) on
+    the kept eigenvectors once, c = u* vec(a): membership is read off the
+    remainder vec(a) - u c, and <a, b>_E = sum_k c_a,k conj(c_b,k) / w_k,
+    which equals vec(b)* J^+ vec(a) without forming the n^2 x n^2
+    pseudo-inverse J^+.
     """
 
     n: int
@@ -44,51 +43,69 @@ class MetricOperatorSpace:
     u: np.ndarray
     w: np.ndarray
 
-    @cached_property
-    def choi(self) -> np.ndarray:
-        return (self.u * self.w) @ self.u.conj().T
+    def _project(self, a: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+        """c = u* vec(a) if ``a`` is a member, else None.
 
-    @cached_property
-    def choi_pinv(self) -> np.ndarray:
-        return (self.u / self.w) @ self.u.conj().T
+        ``a`` counts as a member when the component of vec(a) orthogonal to
+        the kept eigenvectors, vec(a) - u c, has norm <= eig_cut * ||vec(a)||.
 
-    @cached_property
-    def range_proj(self) -> np.ndarray:
-        return self.u @ self.u.conj().T
+        :raises DimensionMismatch: if ``a`` is not n x n.
+        """
+        a = np.asarray(a, dtype=complex)
+        if a.shape != (self.n, self.n):
+            raise DimensionMismatch(
+                f"operator shape {a.shape} does not match algebra dimension {self.n}"
+            )
+        r = vec(a)
+        c = self.u.conj().T @ r
+        if np.linalg.norm(r - self.u @ c) > tol.eig_cut * np.linalg.norm(r):
+            return None
+        return c
+
+    def _member(self, a: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
+        c = self._project(a, tol)
+        if c is None:
+            raise NotMember(f"{what} is not in the metric operator space")
+        return c
 
     def membership(self, a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float | None:
         """Squared norm <a, a>_E if ``a`` lies in the space, else None.
 
-        ``a`` counts as a member when the component of vec(a) orthogonal to
-        the range of the Choi matrix has norm <= eig_cut * ||vec(a)||.
+        :raises DimensionMismatch: if ``a`` is not n x n.
         """
-        r = vec(a)
-        rn = float(np.linalg.norm(r))
-        if rn == 0.0:
-            return 0.0
-        defect = float(np.linalg.norm(r - self.range_proj @ r))
-        if defect > tol.eig_cut * rn:
-            return None
-        value = float(np.real(r.conj() @ self.choi_pinv @ r))
-        return max(value, 0.0)
+        c = self._project(a, tol)
+        return None if c is None else float(np.sum(np.abs(c) ** 2 / self.w))
 
     def inner(self, a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> complex:
         """Inner product <a, b>_E, linear in ``a`` and conjugate-linear in ``b``.
 
         :raises NotMember: if either operand is not in the space.
         """
-        if self.membership(a, tol) is None:
-            raise NotMember("first operand is not in the metric operator space")
-        if self.membership(b, tol) is None:
-            raise NotMember("second operand is not in the metric operator space")
-        return complex(vec(b).conj() @ self.choi_pinv @ vec(a))
+        ca = self._member(a, tol, "first operand")
+        cb = self._member(b, tol, "second operand")
+        return complex(np.vdot(cb, ca / self.w))
 
     def coords(self, a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-        """Coordinates of a member with respect to the stored basis."""
-        return np.array([self.inner(a, v, tol) for v in self.basis], dtype=complex)
+        """Coordinates <a, b_j>_E of a member over the stored basis b_j.
+
+        With B the matrix of columns vec(b_j) they are (u* B)* (c / w), taken
+        here as B* (u (c / w)).
+
+        :raises NotMember: if ``a`` is not in the space.
+        """
+        c = self._member(a, tol, "operand")
+        vecs = np.array([vec(v) for v in self.basis]).reshape(self.dim, self.n * self.n)
+        return vecs.conj() @ (self.u @ (c / self.w))
 
     def from_coords(self, coords: Sequence[complex]) -> np.ndarray:
-        """Linear combination of the stored basis with the given coordinates."""
+        """Linear combination of the stored basis with the given coordinates.
+
+        :raises DimensionMismatch: unless there is one coordinate per basis
+            element.
+        """
+        coords = np.asarray(coords, dtype=complex)
+        if coords.shape != (self.dim,):
+            raise DimensionMismatch(f"need {self.dim} coordinates, got shape {coords.shape}")
         out = np.zeros((self.n, self.n), dtype=complex)
         for c, v in zip(coords, self.basis):
             out = out + complex(c) * v
@@ -101,11 +118,10 @@ class MetricOperatorSpace:
         the weight of the identity direction, so that the CP maps satisfy
         P_E = P_E0 + c * id.  If 1 is not a member, returns ``(self, 0.0)``.
         """
-        one = np.eye(self.n, dtype=complex)
-        m = self.membership(one, tol)
-        if m is None or self.dim == 0:
+        try:
+            gamma = self.coords(np.eye(self.n, dtype=complex), tol)
+        except NotMember:
             return self, 0.0
-        gamma = self.coords(one, tol)
         nrm = float(np.linalg.norm(gamma))
         c = 1.0 / (nrm * nrm)
         if self.dim == 1:
@@ -127,12 +143,11 @@ def space_from_spectrum(
 ) -> MetricOperatorSpace:
     """Metric operator space of the CP map whose Choi matrix has spectrum ``s``.
 
-    The eigenpairs above the cut give everything at once: the dimension, the
-    Choi matrix restricted to them, its pseudo-inverse and its range
-    projection (the last three built when first queried).  The basis
-    defaults to the Kraus operators read off the same eigenpairs
-    (:func:`kraus_from_spectrum`); a caller that already holds an independent
-    Kraus family of the map passes it as ``basis``.
+    The eigenpairs above the cut give everything at once: the dimension and
+    every membership and inner-product query.  The basis defaults to the
+    Kraus operators read off the same eigenpairs (:func:`kraus_from_spectrum`);
+    a caller that already holds an independent Kraus family of the map passes
+    it as ``basis``.
     """
     keep = s.kept(tol)
     u, w = s.u[:, keep], s.w[keep]

@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, LogBranch, NotCP, NotMember, NotPSD, Owne
 from .generator import GklsForm, rank
 from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, spectrum
 from .opspace import MetricOperatorSpace, space_from_cp_map
-from .superop import ad_superop, choi_spectrum, superop_to_choi, vec
+from .superop import ad_superop, choi_spectrum, superop_to_choi
 
 __all__ = [
     "evolve",
@@ -222,7 +222,7 @@ def covariance_estimate(
         raise NotMember("first unit operator is not in the step space")
     if step_space.membership(t2, tol) is None:
         raise NotMember("second unit operator is not in the step space")
-    z = complex(vec(t2).conj() @ step_space.choi_pinv @ vec(t1))
+    z = step_space.inner(t1, t2, tol)
     if abs(z) < _BRANCH_MODULUS:
         raise LogBranch("inner product vanished; logarithm undefined")
     if np.pi - abs(np.angle(z)) < _BRANCH_ANGLE:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstraintViolated, DimensionMismatch, NotHermiticityPreserving
-from .numerics import DEFAULT_TOL, Tolerances, frob, spectrum
+from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, spectrum
 from .sampling import random_constrained_tuples
 from .superop import (
     apply_superop,
@@ -35,7 +35,6 @@ __all__ = [
     "symbols_equal",
     "recover_linear_form",
     "projected_choi",
-    "ccp_defect",
     "is_conditionally_cp",
     "check_block_positivity",
     "block_positivity_witness",
@@ -126,11 +125,18 @@ def projected_choi(mat: np.ndarray) -> np.ndarray:
     return (jp + jp.conj().T) / 2.0
 
 
-def ccp_defect(mat: np.ndarray):
-    """Smallest eigenvalue of the projected Choi matrix along with a matching
-    eigenvector and the comparison scale max(1, largest |eigenvalue|)."""
-    s = spectrum(projected_choi(mat))
-    return float(s.w[-1]), s.u[:, -1].copy(), s.scale
+def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """Spectrum of the projected Choi matrix of a Hermiticity-preserving map,
+    the one CCP decision: the map is CCP iff the spectrum is PSD within
+    ``psd_slack``, and otherwise its last eigenvector is the defect direction.
+
+    :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
+    """
+    if not is_hermiticity_preserving(mat, tol):
+        raise NotHermiticityPreserving(
+            "generator does not preserve Hermiticity (Choi matrix not Hermitian)"
+        )
+    return spectrum(projected_choi(mat))
 
 
 def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -138,9 +144,10 @@ def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     the map is Hermiticity-preserving and its projected Choi matrix is PSD
     within ``psd_slack``.  This is the test :func:`~cpsemi.generator.decompose`
     applies before it raises NotCCP."""
-    if not is_hermiticity_preserving(mat, tol):
+    try:
+        return _ccp_spectrum(mat, tol).psd(tol)
+    except NotHermiticityPreserving:
         return False
-    return spectrum(projected_choi(mat)).psd(tol)
 
 
 def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> None:
@@ -228,7 +235,7 @@ def check_block_positivity(
     return bool(_block_psd(mat, stack[0], stack[1], tol)[0])
 
 
-def _defect_tuple(mat: np.ndarray):
+def _defect_tuple(mat: np.ndarray, tol: Tolerances):
     """Constrained tuple built from the projected-Choi defect direction, as
     two arrays of shape (n, n, n).
 
@@ -238,7 +245,7 @@ def _defect_tuple(mat: np.ndarray):
     (e_0, ..., e_0) equals u* J u.
     """
     n = dim_of(mat)
-    _, u, _ = ccp_defect(mat)
+    u = _ccp_spectrum(mat, tol).u[:, -1]
     omega = vec(np.eye(n))
     u = u - omega * (omega.conj() @ u) / n  # enforce the traceless constraint
     bigu = unvec(u, n)
@@ -274,7 +281,7 @@ def block_positivity_witness(
     if not verdicts.all():
         first = int(np.argmin(verdicts))
         return list(xs[first]), list(as_[first])
-    xs, as_ = _defect_tuple(mat)
+    xs, as_ = _defect_tuple(mat, tol)
     if not _block_psd(mat, xs[None], as_[None], tol)[0]:
         return list(xs), list(as_)
     return None

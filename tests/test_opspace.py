@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from conftest import SX, SZ
 
-from cpsemi.errors import NotCP, NotMember
+from cpsemi.errors import DimensionMismatch, NotCP, NotMember
 from cpsemi.opspace import space_from_cp_map, space_from_kraus
 from cpsemi.superop import (
     ad_superop,
     identity_superop,
     kraus_to_superop,
     superop_to_choi,
+    vec,
 )
-from cpsemi.sampling import random_cp_map
+from cpsemi.sampling import random_cp_map, random_matrix
 
 
 def dephasing_cp_map():
@@ -148,7 +149,7 @@ def test_split_identity_on_dephasing():
     assert e0.membership(np.eye(2)) is None
     # reconstruction: choi(P_E) = choi(P_E0) + c * choi(identity)
     want = superop_to_choi(kraus_to_superop(e0.basis) + c * identity_superop(2))
-    np.testing.assert_allclose(e.choi, want, atol=1e-10)
+    np.testing.assert_allclose(superop_to_choi(dephasing_cp_map()), want, atol=1e-10)
 
 
 def test_split_identity_without_identity_member():
@@ -192,29 +193,71 @@ def test_space_from_cp_map_dim_matches_basis(rng):
                 assert e.membership(v) == pytest.approx(1.0)
 
 
-def test_space_builds_its_products_on_first_query(rng):
-    mat = random_cp_map(rng, 3, m=4)
-    space = space_from_cp_map(mat)
-    assert not {"choi", "choi_pinv", "range_proj"} & space.__dict__.keys()
-    u, w = space.u, space.w
-    assert u.shape == (9, space.dim) == (9, w.size)
-    # the expressions the space used to build eagerly, bit for bit
-    want = {
-        "choi": (u * w) @ u.conj().T,
-        "choi_pinv": (u / w) @ u.conj().T,
-        "range_proj": u @ u.conj().T,
-    }
-    for name, ref in want.items():
-        got = getattr(space, name)
-        assert got.tobytes() == ref.tobytes()
-        assert getattr(space, name) is got  # built once
-    np.testing.assert_allclose(space.choi, superop_to_choi(mat), atol=1e-12)
+def _reference_spaces(rng):
+    """Spaces of random CP maps at several sizes and ranks, one of them
+    presented by an explicit Kraus family."""
+    for n in (2, 3, 4):
+        for m in (1, 2, n + 1, n * n):
+            yield space_from_cp_map(random_cp_map(rng, n, m=m))
+    yield space_from_kraus([random_matrix(rng, 3) for _ in range(4)])
 
 
-def test_empty_space_products_are_zero():
+def _random_member(rng, e):
+    return e.from_coords(rng.normal(size=e.dim) + 1j * rng.normal(size=e.dim))
+
+
+def test_queries_match_the_dense_reference(rng):
+    # The dense n^2 x n^2 formulas: <a, b>_E = vec(b)* (U W^-1 U*) vec(a),
+    # and a is a member iff ||(1 - U U*) vec(a)|| <= eig_cut ||vec(a)||.
+    cut = 1e-9
+    for e in _reference_spaces(rng):
+        u, w = e.u, e.w
+        pinv = (u / w) @ u.conj().T
+        comp = np.eye(e.n * e.n) - u @ u.conj().T
+        members = [_random_member(rng, e) for _ in range(3)]
+        for a in members:
+            ra = vec(a)
+            assert np.linalg.norm(comp @ ra) <= cut * np.linalg.norm(ra)
+            norm2 = float(np.real(ra.conj() @ pinv @ ra))
+            assert e.membership(a) == pytest.approx(norm2, rel=1e-10)
+            for b in members:
+                want = vec(b).conj() @ pinv @ ra
+                scale = np.sqrt(norm2 * e.membership(b))
+                assert abs(e.inner(a, b) - want) <= 1e-10 * scale
+            want = np.array([vec(v).conj() @ pinv @ ra for v in e.basis])
+            got = e.coords(a)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        other = random_matrix(rng, e.n)
+        ro = vec(other)
+        member = np.linalg.norm(comp @ ro) <= cut * np.linalg.norm(ro)
+        assert (e.membership(other) is not None) == member
+        assert member == (e.dim == e.n * e.n)
+
+
+def test_empty_space_has_only_zero():
     empty, _ = space_from_cp_map(identity_superop(2)).split_identity()
     assert empty.dim == 0 and empty.u.shape == (4, 0)
-    for name in ("choi", "choi_pinv", "range_proj"):
-        assert np.array_equal(getattr(empty, name), np.zeros((4, 4)))
     assert empty.membership(np.zeros((2, 2))) == 0.0
     assert empty.membership(SX) is None
+    assert empty.coords(np.zeros((2, 2))).shape == (0,)
+    with pytest.raises(NotMember):
+        empty.coords(SX)
+
+
+def test_queries_reject_operators_of_the_wrong_shape():
+    e = space_from_cp_map(dephasing_cp_map())
+    for bad in (np.ones((4, 1)), np.ones((1, 4)), np.ones(4), np.eye(3)):
+        with pytest.raises(DimensionMismatch):
+            e.membership(bad)
+        with pytest.raises(DimensionMismatch):
+            e.inner(np.eye(2), bad)
+        with pytest.raises(DimensionMismatch):
+            e.coords(bad)
+
+
+def test_from_coords_needs_one_coordinate_per_basis_element():
+    e = space_from_cp_map(dephasing_cp_map())
+    assert e.dim == 2
+    for bad in ([1, 1, 100], [1], [[1, 1]]):
+        with pytest.raises(DimensionMismatch):
+            e.from_coords(bad)

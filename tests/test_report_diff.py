@@ -1,0 +1,47 @@
+"""tools/report_diff.py: the report comparison between two source trees."""
+
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "report_diff.py")
+
+_spec = importlib.util.spec_from_file_location("report_diff", TOOL)
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+
+def test_largest_difference_finds_the_place():
+    old = {"a": [1.0, 2.0], "b": {"c": 3, "d": True}}
+    new = {"a": [1.0, 2.5], "b": {"c": 3.25, "d": True}}
+    assert report_diff.largest_difference(old, new) == (0.5, ".a[1]")
+    assert report_diff.largest_difference(old, old) == (0.0, "")
+
+
+def test_largest_difference_is_infinite_where_structure_differs():
+    assert report_diff.largest_difference([1, 2], [1, 2, 3]) == (math.inf, ".")
+    assert report_diff.largest_difference({"a": 1}, {"b": 1})[0] == math.inf
+    assert report_diff.largest_difference({"a": True}, {"a": False}) == (math.inf, ".a")
+    assert report_diff.largest_difference({"a": "x"}, {"a": 1.0})[0] == math.inf
+
+
+def test_describe_reports_exit_codes_and_outputs():
+    same = [0, '{"x": 1.0}', ""]
+    assert report_diff.describe("op", same, list(same)) is None
+    line = report_diff.describe("op", same, [0, '{"x": 1.5}', ""])
+    assert line == "op: exit 0 -> 0, max |diff| 5.000e-01 at .x"
+    line = report_diff.describe("op", same, [3, "not json", "boom"])
+    assert line == "op: exit 0 -> 3, stderr differs, stdout differs (not JSON)"
+
+
+def test_a_tree_against_itself_differs_nowhere():
+    proc = subprocess.run(
+        [sys.executable, TOOL, ROOT, ROOT, "--workload", "crosscheck", "--seed", "3",
+         "--selfcheck"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().endswith("0 of 9 operations differ")

@@ -30,9 +30,9 @@ from cpsemi.superop import (
 )
 from cpsemi.symbols import (
     _block_operators,
+    _ccp_spectrum,
     _two_sided_fit,
     block_positivity_witness,
-    ccp_defect,
     check_block_positivity,
     is_conditionally_cp,
     recover_linear_form,
@@ -81,7 +81,7 @@ def loop_defect_tuple(mat):
     """Reference defect tuple, operator by operator: x_k = E_0k and
     a_k = (column k of unvec(u)) e_0*, u the traceless defect direction."""
     n = dim_of(mat)
-    _, u, _ = ccp_defect(mat)
+    u = _ccp_spectrum(mat).u[:, -1]
     omega = vec(np.eye(n))
     bigu = unvec(u - omega * (omega.conj() @ u) / n, n)
     e0 = np.zeros(n, dtype=complex)
@@ -209,11 +209,10 @@ def test_conditionally_cp_verdicts(rng):
 
 
 def test_projected_choi_defect_goldens():
-    low, witness, _ = ccp_defect(transpose_superop(2))
-    assert low == pytest.approx(-1.0)
-    assert witness.shape == (4,)
-    low2, _, _ = ccp_defect(-ad_superop(SZ))
-    assert low2 == pytest.approx(-2.0)
+    s = _ccp_spectrum(transpose_superop(2))
+    assert s.w[-1] == pytest.approx(-1.0)
+    assert s.u[:, -1].shape == (4,)
+    assert _ccp_spectrum(-ad_superop(SZ)).w[-1] == pytest.approx(-2.0)
 
 
 def test_block_positivity_on_cp_map(rng):
