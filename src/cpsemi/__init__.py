@@ -61,7 +61,6 @@ from .superop import (
     is_unital,
     kraus_to_choi,
     kraus_to_superop,
-    left_right_superop,
     superop_to_choi,
     unvec,
     vec,

@@ -63,6 +63,7 @@ from . import (
     verify_units,
 )
 from .generator import GklsForm, gkls_superop, is_unital_generator
+from .numerics import anchor, frob, within
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
 
@@ -417,7 +418,7 @@ def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict
         # max w + n |lam|^2 (the basis is traceless), and the cut scales with
         # the largest.  Shrink a shift that could lift the cut above min w,
         # keeping half the room as a margin.
-        room = d.space.w.min() / tol.eig_cut - max(1.0, d.space.w.max())
+        room = d.space.w.min() / tol.eig_cut - anchor(d.space.w.max())
         lam = lam * min(1.0, math.sqrt(room / (2 * d.n * np.vdot(lam, lam).real)))
         shifted = gauge_shift(d, lam)
         sym_ok = symbols_equal(
@@ -434,7 +435,7 @@ def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict
         d2 = GklsForm(n=d.n, space=space_from_kraus(shifted_ops, tol), k=k2, residual=0.0)
         same = same_generator(d, d2, tol)
         gauge = extract_gauge(d, d2, tol)
-        gauge_ok = gauge.residual <= 1e-8 * max(1.0, float(np.linalg.norm(d.k)))
+        gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
     else:
         sym_ok = True
         same = True

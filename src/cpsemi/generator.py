@@ -28,7 +28,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotCCP, NotHermitian
-from .numerics import DEFAULT_TOL, Tolerances, expm_times, frob, lstsq, spectrum
+from .numerics import (
+    DEFAULT_TOL, Tolerances, anchor, expm_times, frob, is_hermitian, lstsq, spectrum, within
+)
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
     apply_superop,
@@ -62,7 +64,7 @@ class GklsForm:
     """Canonical form of a generator: metric operator space plus drift.
 
     ``residual`` is the relative reconstruction error
-    ||rebuild - L|| / max(1, ||L||) observed at decomposition time.
+    ||rebuild - L|| / anchor(||L||) observed at decomposition time.
     """
 
     n: int
@@ -130,7 +132,7 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
         cp_part = np.zeros((n * n, n * n), dtype=complex)
     k = _solve_drift(np.asarray(mat, dtype=complex) - cp_part, n)
     rebuilt = gkls_superop(k, cp_part)
-    residual = frob(rebuilt - mat) / max(1.0, frob(np.asarray(mat)))
+    residual = frob(rebuilt - mat) / anchor(frob(np.asarray(mat)))
     return GklsForm(n=n, space=space, k=k, residual=residual)
 
 
@@ -151,14 +153,11 @@ def is_unital_generator(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff L(1) = 0 within ``residual``, relative to ||L||: the
     semigroup exp(tL) is then unital.
 
-    The bound has no absolute floor, so the verdict is the same for L and sL
-    at every s > 0.  The zero map is unital.
+    The bound has no floor, so the verdict is the same for L and sL at every
+    s > 0, and the zero map is unital.
     """
-    scale = frob(mat)
-    if scale == 0.0:
-        return True
     lone = apply_superop(mat, np.eye(dim_of(mat)))
-    return bool(frob(lone) <= tol.residual * scale)
+    return within(frob(lone), tol.residual, frob(mat), floor=0.0)
 
 
 def gauge_shift(d: GklsForm, lam: Sequence[complex], c: complex = 0.0) -> np.ndarray:
@@ -188,8 +187,7 @@ def same_generator(d1: GklsForm, d2: GklsForm, tol: Tolerances = DEFAULT_TOL) ->
         return False
     m1 = rebuild(d1)
     m2 = rebuild(d2)
-    scale = max(1.0, frob(m1), frob(m2))
-    return frob(m1 - m2) <= tol.residual * scale
+    return within(frob(m1 - m2), tol.residual, frob(m1), frob(m2))
 
 
 def _scalar_design(d: GklsForm) -> np.ndarray:
@@ -224,7 +222,7 @@ def extract_gauge(
 
     Each basis element u_i of d1's space is expanded over d2's basis plus
     the identity, all in one least-squares solve, and must leave a residual
-    of at most ``eig_cut * max(1, ||u_i||)``; the identity components define
+    within ``eig_cut`` of ||u_i||; the identity components define
     a linear functional that is represented by ``v2`` in d2's inner product.
     """
     if d1.n != d2.n or d1.space.dim != d2.space.dim:
@@ -233,7 +231,7 @@ def extract_gauge(
     dim = d1.space.dim
     rhs = _scalar_design(d1)[:, :dim]  # the columns vec(u_i), one solve for all
     sol, res = lstsq(_scalar_design(d2), rhs)
-    if np.any(res > tol.eig_cut * np.maximum(1.0, np.linalg.norm(rhs, axis=0))):
+    if not np.all(within(res, tol.eig_cut, np.linalg.norm(rhs, axis=0))):
         raise ValueError("spaces do not agree modulo scalars")
     theta = sol[:dim]
     f = sol[dim]
@@ -289,7 +287,7 @@ def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """
     kcand = np.asarray(kcand, dtype=complex)
     sol, res = lstsq(_scalar_design(d), vec(kcand))
-    if res > tol.eig_cut * max(1.0, frob(kcand)):
+    if not within(res, tol.eig_cut, frob(kcand)):
         return None
     # The basis is orthonormal in the space's inner product, so <v, v> is
     # the squared norm of v's coordinates.
@@ -297,7 +295,7 @@ def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     v = d.space.from_coords(coords)
     vv = float(np.real(np.vdot(coords, coords)))
     c = complex(sol[-1])
-    cp_drift = bool(2.0 * c.real >= vv - tol.psd_slack * max(1.0, vv))
+    cp_drift = within(vv - 2.0 * c.real, tol.psd_slack, vv)
     return KSplit(v=v, c=c, cp_drift=cp_drift)
 
 
@@ -311,7 +309,7 @@ def hamiltonian_lindblad(
     (Heisenberg picture: L(1) = 0.)
     """
     h = np.asarray(h, dtype=complex)
-    if frob(h - h.conj().T) > tol.residual * max(1.0, frob(h)):
+    if not is_hermitian(h, tol):
         raise NotHermitian("hamiltonian part must be Hermitian")
     n = h.shape[0]
     ops = [np.asarray(v, dtype=complex) for v in ops]

@@ -1,16 +1,20 @@
 """Shared numerical kernels: Hermitian spectra, matrix exponentials and
-least squares, with one consistent tolerance policy.
+least squares, with one tolerance rule.
 
-Every PSD, rank, Kraus and metric-space decision is read off the
-eigenvalues of one Hermitian matrix, held in one :class:`Spectrum`, whose
-``scale`` is max(1, largest |eigenvalue|): the anchor of the relative cuts
-(the floor of 1 keeps tiny matrices from facing vacuously strict checks).
-A stack of matrices, shape (..., k, k), is decomposed in one call under the
-same rule: one scale and one verdict per matrix.
+Every tolerance decision is :func:`within`: value <= rel * anchor(norms),
+with ``rel`` a :class:`Tolerances` field and anchor(norms) = max(1, norms...)
+over the norms of what the value was computed from.  The floor of 1 keeps
+tiny inputs from facing vacuously strict checks; membership in a metric
+operator space and the unitality of a generator pass ``floor=0``.  Every
+PSD, rank, Kraus and metric-space decision is read off the eigenvalues of
+one Hermitian matrix, held in one :class:`Spectrum` whose ``scale`` is the
+anchor of its largest |eigenvalue|; a stack of matrices, shape (..., k, k),
+gets one scale and one verdict per matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -23,6 +27,9 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "frob",
+    "anchor",
+    "within",
+    "is_hermitian",
     "Spectrum",
     "spectrum",
     "expm",
@@ -56,12 +63,33 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def anchor(*norms, floor: float = 1.0):
+    """The scale a relative bound is taken against: max(floor, norms...),
+    elementwise when a norm is an array, else a scalar."""
+    for norm in norms:
+        if isinstance(norm, np.ndarray):
+            return functools.reduce(np.maximum, norms, floor)
+    return max((floor, *norms))
+
+
+def within(value, rel: float, *norms, floor: float = 1.0):
+    """The tolerance rule ``value <= rel * anchor(*norms, floor=floor)``: a
+    Python bool for scalars, an elementwise boolean array for arrays."""
+    ok = value <= rel * anchor(*norms, floor=floor)
+    return ok if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def is_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff ``||m - m*|| <= residual * max(1, ||m||)`` (Frobenius norms)."""
+    return within(frob(m - m.conj().T), tol.residual, frob(m))
+
+
 class Spectrum(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     ``w`` holds the eigenvalues in descending order, ``u`` the matching
     orthonormal eigenvector columns (None when only eigenvalues were asked
-    for), and ``scale = max(1, largest |eigenvalue|)`` anchors every relative
+    for), and ``scale = anchor(largest |eigenvalue|)`` anchors every relative
     comparison made on them.  For a stack of shape (..., k, k) the fields
     keep the leading axes: ``w`` is (..., k), ``u`` is (..., k, k) and
     ``scale`` is an array of shape (...), one anchor per matrix.
@@ -74,16 +102,14 @@ class Spectrum(NamedTuple):
     def psd(self, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
         """True iff no eigenvalue sits below ``-psd_slack * scale``; for a
         stack, a boolean array with one verdict per matrix."""
-        if self.w.shape[-1] == 0:
-            verdict = np.ones(self.w.shape[:-1], dtype=bool)
-        else:
-            verdict = self.w[..., -1] >= -tol.psd_slack * self.scale
-        return bool(verdict) if self.w.ndim == 1 else verdict
+        low = self.w[..., -1] if self.w.shape[-1] else np.zeros(self.w.shape[:-1])
+        return within(-low, tol.psd_slack, self.scale)
 
     def kept(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Mask of the eigenvalues above the cut ``eig_cut * scale``; the rest
         count as zero for ranks, Kraus bases and metric operator spaces."""
-        return self.w > tol.eig_cut * np.asarray(self.scale)[..., None]
+        scale = self.scale if self.w.ndim == 1 else self.scale[..., None]
+        return ~within(self.w, tol.eig_cut, scale)
 
 
 def spectrum(
@@ -92,17 +118,16 @@ def spectrum(
     """Spectrum of the Hermitian part (m + m*) / 2 of a square matrix, or of
     each matrix of a stack of shape (..., k, k).
 
-    :param tol: when given, ``m`` itself must be Hermitian:
-        ``||m - m*|| <= residual * max(1, ||m||)`` (Frobenius norms), for
-        every matrix of a stack.
+    :param tol: when given, ``m`` itself must be Hermitian
+        (:func:`is_hermitian`), every matrix of a stack.
     :param vectors: also compute the eigenvectors.
     :raises NotHermitian: if ``tol`` is given and the Hermiticity check fails.
     """
     m = np.asarray(m, dtype=complex)
     if tol is not None:
         for one in m.reshape((-1,) + m.shape[-2:]):
-            defect = frob(one - one.conj().T)
-            if not defect <= tol.residual * max(1.0, frob(one)):
+            if not is_hermitian(one, tol):
+                defect = frob(one - one.conj().T)
                 raise NotHermitian(f"matrix is not Hermitian: ||m - m*|| = {defect:.3e}")
     h = (m + m.conj().swapaxes(-1, -2)) / 2.0
     if vectors:
@@ -111,11 +136,7 @@ def spectrum(
     else:
         w, u = np.linalg.eigvalsh(h), None
     w = w[..., ::-1].copy()
-    if w.shape[-1] == 0:
-        scale = np.ones(w.shape[:-1])
-    else:
-        scale = np.maximum(1.0, np.maximum(w[..., 0], -w[..., -1]))
-    return Spectrum(w, u, float(scale) if m.ndim == 2 else scale)
+    return Spectrum(w, u, anchor(np.abs(w).max(axis=-1, initial=0.0)))
 
 
 def expm(m: np.ndarray) -> np.ndarray:

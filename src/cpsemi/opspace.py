@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotCP, NotMember, NotPSD
-from .numerics import DEFAULT_TOL, Spectrum, Tolerances, spectrum
+from .numerics import DEFAULT_TOL, Spectrum, Tolerances, spectrum, within
 from .superop import choi_spectrum, kraus_from_spectrum, kraus_to_choi, superop_to_choi, vec
 
 __all__ = ["MetricOperatorSpace", "space_from_spectrum", "space_from_cp_map", "space_from_kraus"]
@@ -47,7 +47,8 @@ class MetricOperatorSpace:
         """c = u* vec(a) if ``a`` is a member, else None.
 
         ``a`` counts as a member when the component of vec(a) orthogonal to
-        the kept eigenvectors, vec(a) - u c, has norm <= eig_cut * ||vec(a)||.
+        the kept eigenvectors, vec(a) - u c, has norm <= eig_cut * ||vec(a)||,
+        with no floor: the verdict does not change when ``a`` is scaled.
 
         :raises DimensionMismatch: if ``a`` is not n x n.
         """
@@ -58,7 +59,7 @@ class MetricOperatorSpace:
             )
         r = vec(a)
         c = self.u.conj().T @ r
-        if np.linalg.norm(r - self.u @ c) > tol.eig_cut * np.linalg.norm(r):
+        if not within(np.linalg.norm(r - self.u @ c), tol.eig_cut, np.linalg.norm(r), floor=0.0):
             return None
         return c
 

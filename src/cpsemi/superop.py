@@ -25,14 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPSD
-from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, spectrum
+from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, is_hermitian, spectrum, within
 
 __all__ = [
     "vec",
     "unvec",
     "dim_of",
     "identity_superop",
-    "left_right_superop",
     "ad_superop",
     "apply_superop",
     "kraus_to_superop",
@@ -78,13 +77,6 @@ def dim_of(mat: np.ndarray) -> int:
 
 def identity_superop(n: int) -> np.ndarray:
     return np.eye(n * n, dtype=complex)
-
-
-def left_right_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of the two-sided multiplication x -> a @ x @ b."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return np.kron(b.T, a)
 
 
 def ad_superop(v: np.ndarray) -> np.ndarray:
@@ -134,15 +126,7 @@ def kraus_to_superop(ops: Sequence[np.ndarray]) -> np.ndarray:
 
 def kraus_to_choi(ops: Sequence[np.ndarray]) -> np.ndarray:
     """Choi matrix of x -> sum_m v_m @ x @ v_m*, i.e. sum_m vec(v_m) vec(v_m)*."""
-    ops = [np.asarray(v, dtype=complex) for v in ops]
-    if not ops:
-        raise DimensionMismatch("need at least one Kraus operator")
-    n = ops[0].shape[0]
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for v in ops:
-        w = vec(v)
-        out += np.outer(w, w.conj())
-    return out
+    return superop_to_choi(kraus_to_superop(ops))
 
 
 def _reshuffle(m: np.ndarray) -> np.ndarray:
@@ -222,8 +206,7 @@ def choi_to_kraus(
 def is_hermiticity_preserving(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the map sends Hermitian matrices to Hermitian matrices,
     tested as Hermiticity of the Choi matrix."""
-    j = superop_to_choi(mat)
-    return frob(j - j.conj().T) <= tol.residual * max(1.0, frob(j))
+    return is_hermitian(superop_to_choi(mat), tol)
 
 
 def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -235,7 +218,7 @@ def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bo
 
 
 def is_unital(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the map fixes the identity: P(1) = 1 within ``residual``."""
+    """True iff P(1) = 1 within ``residual``; kept as API to check that exp(tL) is unital."""
     n = dim_of(mat)
     p1 = apply_superop(mat, np.eye(n))
-    return frob(p1 - np.eye(n)) <= tol.residual * max(1.0, frob(p1))
+    return within(frob(p1 - np.eye(n)), tol.residual, frob(p1))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstraintViolated, DimensionMismatch, NotHermiticityPreserving
-from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, spectrum
+from .numerics import DEFAULT_TOL, Spectrum, Tolerances, anchor, frob, spectrum, within
 from .sampling import random_constrained_tuples
 from .superop import (
     apply_superop,
@@ -91,25 +91,26 @@ def symbols_equal(
 
     The symbol is linear in L and vanishes exactly on the two-sided maps
     x -> a x + x b, so the symbols agree iff L1 - L2 is two-sided: the
-    residual of its two-sided fit is at most ``residual`` times
-    max(1, ||mat1||, ||mat2||).  The tests hold this verdict against the n^6
-    symbol values on pairs of matrix units.
+    residual of its two-sided fit is within ``residual`` of ||mat1|| and
+    ||mat2||.  The tests hold this verdict against the n^6 symbol values on
+    pairs of matrix units.
     """
     m1 = np.asarray(mat1, dtype=complex)
     m2 = np.asarray(mat2, dtype=complex)
     _, _, err = _two_sided_fit(m1 - m2)
-    return err <= tol.residual * max(1.0, frob(m1), frob(m2))
+    return within(err, tol.residual, frob(m1), frob(m2))
 
 
 def recover_linear_form(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """If L(x) = a x + x b for some a, b, recover such a pair; else None.
 
-    The pair is only determined up to (a + z*1, b - z*1); the gauge is fixed
-    by the minimum-norm least-squares solution of :func:`_two_sided_fit`,
-    which returns b = a* whenever L is Hermiticity-preserving.
+    Kept as API (unused here) for the paper's two-sided lemma.  The pair is
+    only determined up to (a + z*1, b - z*1); the gauge is fixed by the
+    minimum-norm least-squares solution of :func:`_two_sided_fit`, which
+    returns b = a* whenever L is Hermiticity-preserving.
     """
     a, b, err = _two_sided_fit(mat)
-    if err > tol.residual * max(1.0, frob(np.asarray(mat))):
+    if not within(err, tol.residual, frob(np.asarray(mat))):
         return None
     return a, b
 
@@ -125,6 +126,14 @@ def projected_choi(mat: np.ndarray) -> np.ndarray:
     return (jp + jp.conj().T) / 2.0
 
 
+def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> None:
+    """The one Hermiticity-preservation guard of the CCP routes."""
+    if not is_hermiticity_preserving(mat, tol):
+        raise NotHermiticityPreserving(
+            "generator does not preserve Hermiticity (Choi matrix not Hermitian)"
+        )
+
+
 def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Spectrum of the projected Choi matrix of a Hermiticity-preserving map,
     the one CCP decision: the map is CCP iff the spectrum is PSD within
@@ -132,10 +141,7 @@ def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     """
-    if not is_hermiticity_preserving(mat, tol):
-        raise NotHermiticityPreserving(
-            "generator does not preserve Hermiticity (Choi matrix not Hermitian)"
-        )
+    _require_hermiticity_preserving(mat, tol)
     return spectrum(projected_choi(mat))
 
 
@@ -150,16 +156,6 @@ def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
         return False
 
 
-def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> None:
-    """The tuple criterion characterises CCP only for Hermiticity-preserving
-    maps: for L = i c id, S = i c |sum_k x_k a_k|^2 = 0 on every constrained
-    tuple, although L is not CCP."""
-    if not is_hermiticity_preserving(mat, tol):
-        raise NotHermiticityPreserving(
-            "block positivity decides CCP only for Hermiticity-preserving maps"
-        )
-
-
 def _block_operators(
     mat: np.ndarray, xs: np.ndarray, as_: np.ndarray, tol: Tolerances
 ) -> np.ndarray:
@@ -171,16 +167,16 @@ def _block_operators(
     A = [a_1; ...; a_r] and the block matrix M of the images L(x_j* x_k).
 
     :raises ConstraintViolated: if a tuple has sum_k x_k a_k != 0, beyond
-        ``residual`` times max(1, sum_k ||x_k|| ||a_k||); the message names
-        the worst one.
+        ``residual`` relative to sum_k ||x_k|| ||a_k||; the message names the
+        worst one.
     """
     count, r, n, _ = xs.shape
     mat = np.asarray(mat, dtype=complex)
     total = np.linalg.norm(np.matmul(xs, as_).sum(axis=1), axis=(-2, -1))
     sizes = np.linalg.norm(xs, axis=(-2, -1)) * np.linalg.norm(as_, axis=(-2, -1))
-    bound = np.maximum(1.0, sizes.sum(axis=1))
-    if np.any(total > tol.residual * bound):
-        worst = int(np.argmax(total / bound))
+    scale = anchor(sizes.sum(axis=1))
+    if not np.all(within(total, tol.residual, scale)):
+        worst = int(np.argmax(total / scale))
         raise ConstraintViolated(
             f"sum_k x_k a_k has norm {total[worst]:.3e}, expected 0"
             + (f" (tuple {worst} of {count})" if count > 1 else "")
@@ -235,7 +231,7 @@ def check_block_positivity(
     return bool(_block_psd(mat, stack[0], stack[1], tol)[0])
 
 
-def _defect_tuple(mat: np.ndarray, tol: Tolerances):
+def _defect_tuple(mat: np.ndarray):
     """Constrained tuple built from the projected-Choi defect direction, as
     two arrays of shape (n, n, n).
 
@@ -245,7 +241,7 @@ def _defect_tuple(mat: np.ndarray, tol: Tolerances):
     (e_0, ..., e_0) equals u* J u.
     """
     n = dim_of(mat)
-    u = _ccp_spectrum(mat, tol).u[:, -1]
+    u = spectrum(projected_choi(mat)).u[:, -1]
     omega = vec(np.eye(n))
     u = u - omega * (omega.conj() @ u) / n  # enforce the traceless constraint
     bigu = unvec(u, n)
@@ -281,7 +277,7 @@ def block_positivity_witness(
     if not verdicts.all():
         first = int(np.argmin(verdicts))
         return list(xs[first]), list(as_[first])
-    xs, as_ = _defect_tuple(mat, tol)
+    xs, as_ = _defect_tuple(mat)
     if not _block_psd(mat, xs[None], as_[None], tol)[0]:
         return list(xs), list(as_)
     return None

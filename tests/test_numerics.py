@@ -11,16 +11,52 @@ from cpsemi.sampling import random_ccp_generator
 from cpsemi.numerics import (
     DEFAULT_TOL,
     Tolerances,
+    anchor,
     expm,
     expm_times,
     frob,
     lstsq,
     spectrum,
+    within,
 )
 
 
 def test_tolerances_defaults():
     assert DEFAULT_TOL == Tolerances(eig_cut=1e-9, psd_slack=1e-9, residual=1e-10)
+
+
+def test_within_boundary_is_inclusive():
+    # value = bound passes and the next float above it fails
+    for rel, norms in ((1e-10, (3.7,)), (1e-9, (0.25,)), (1e-9, (2.0, 5.5)), (0.5, ())):
+        bound = rel * anchor(*norms)
+        assert within(bound, rel, *norms)
+        assert not within(np.nextafter(bound, np.inf), rel, *norms)
+
+
+def test_anchor_floors_at_one_unless_told():
+    assert anchor(0.25) == 1.0 and anchor(3.0, 7.0) == 7.0 and anchor() == 1.0
+    assert anchor(0.25, floor=0.0) == 0.25
+    # floor 0: zero against a zero norm passes, anything above it fails
+    assert within(0.0, 1e-10, 0.0, floor=0.0)
+    assert not within(5e-324, 1e-10, 0.0, floor=0.0)
+    assert within(1e-12, 1e-10, 0.0)
+
+
+def test_within_decides_arrays_elementwise():
+    values = np.array([1e-10, 2e-10, 3e-10, 0.0])
+    norms = np.array([0.5, 1.0, 2.0, 0.0])
+    np.testing.assert_array_equal(anchor(norms), [1.0, 1.0, 2.0, 1.0])
+    np.testing.assert_array_equal(within(values, 1e-10, norms), [True, False, False, True])
+    np.testing.assert_array_equal(
+        within(values, 1e-10, norms, floor=0.0), [False, False, False, True]
+    )
+
+
+def test_within_on_scalars_returns_a_python_bool():
+    for value, norm in ((1.0, 2.0), (np.float64(3.0), np.float64(1.0)), (0.0, 0)):
+        out = within(value, 1.0, norm)
+        assert type(out) is bool
+    assert isinstance(anchor(np.float64(2.0)), float)
 
 
 def test_norms_match_numpy(rng):
@@ -214,3 +250,20 @@ def test_eigendecompositions_only_in_numerics():
         assert "svd" not in text, path.name
         if path.name != "numerics.py":
             assert not re.search(r"\b(eigh|eigvalsh|matrix_rank)\b", text), path.name
+
+
+def test_threshold_rule_only_in_numerics():
+    # every tolerance decision goes through numerics.within: no other module
+    # writes the floor of 1 or multiplies a Tolerances field into a bound,
+    # except the NotPSD message of choi_spectrum, which prints the slack
+    allowed = {"superop.py": "{tol.psd_slack * s.scale:.3e}"}
+    sources = sorted(Path(numerics.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        if path.name == "numerics.py":
+            continue
+        text = path.read_text()
+        if path.name in allowed:
+            assert allowed[path.name] in text, path.name
+            text = text.replace(allowed[path.name], "")
+        assert not re.search(r"max\(1\.0|maximum\(1\.0|\btol\.\w+\s*\*", text), path.name

@@ -38,10 +38,12 @@ def test_describe_reports_exit_codes_and_outputs():
 
 
 def test_a_tree_against_itself_differs_nowhere():
-    proc = subprocess.run(
-        [sys.executable, TOOL, ROOT, ROOT, "--workload", "crosscheck", "--seed", "3",
-         "--selfcheck"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip().endswith("0 of 9 operations differ")
+    # every workload, so that the CLI dump path of analyze and verify runs too
+    for workload, count in (("analyze", 16), ("verify", 10), ("crosscheck", 9)):
+        proc = subprocess.run(
+            [sys.executable, TOOL, ROOT, ROOT, "--workload", workload, "--seed", "3",
+             "--selfcheck"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip().endswith(f"0 of {count} operations differ"), workload

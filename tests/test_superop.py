@@ -14,7 +14,6 @@ from cpsemi.superop import (
     is_unital,
     kraus_to_choi,
     kraus_to_superop,
-    left_right_superop,
     superop_to_choi,
     unvec,
     vec,
@@ -31,9 +30,8 @@ def test_vec_intertwines_left_right_multiplication(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(
-        unvec(left_right_superop(a, b) @ vec(x)), a @ x @ b, atol=1e-12
-    )
+    # the convention of the module docstring: vec(a x b) = kron(b.T, a) vec(x)
+    np.testing.assert_allclose(unvec(np.kron(b.T, a) @ vec(x)), a @ x @ b, atol=1e-12)
 
 
 def test_apply_superop_and_ad(rng):

@@ -306,6 +306,24 @@ def test_witness_search_rejects_maps_that_are_not_hermiticity_preserving():
     assert block_positivity_witness(ccp, 50, seed=1) is None
 
 
+def test_witness_search_checks_hermiticity_preservation_once(monkeypatch):
+    # a CCP map has no random witness, so the search also builds the defect
+    # tuple; that step reads the projected Choi spectrum without a second guard
+    import cpsemi.symbols as symbols
+
+    calls = []
+    real = symbols.is_hermiticity_preserving
+
+    def counting(mat, tol=DEFAULT_TOL):
+        calls.append(1)
+        return real(mat, tol)
+
+    monkeypatch.setattr(symbols, "is_hermiticity_preserving", counting)
+    ccp = random_ccp_generator(np.random.default_rng(0), 3, 2)
+    assert block_positivity_witness(ccp, 50, seed=1) is None
+    assert len(calls) == 1
+
+
 def test_block_positivity_input_contract(rng):
     mat = dephasing_generator()
     xs, as_ = random_constrained_tuple(rng, 2)
