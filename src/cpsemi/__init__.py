@@ -24,6 +24,7 @@ from .generator import (
     decompose,
     dominates,
     extract_gauge,
+    gauge_check,
     gauge_shift,
     hamiltonian_lindblad,
     rank,
@@ -34,7 +35,6 @@ from .generator import (
 from .numerics import DEFAULT_TOL, Tolerances
 from .opspace import MetricOperatorSpace, space_from_cp_map, space_from_kraus
 from .semigroup import (
-    CovarianceKernel,
     Unit,
     covariance,
     covariance_estimate,
@@ -47,18 +47,18 @@ from .semigroup import (
     sample_units,
     space_at,
     unit_matrix,
-    verify_unit,
     verify_units,
 )
 from .superop import (
     ad_superop,
     apply_superop,
-    choi_to_kraus,
+    choi_spectrum,
     choi_to_superop,
     identity_superop,
     is_completely_positive,
     is_hermiticity_preserving,
     is_unital,
+    kraus_from_spectrum,
     kraus_to_choi,
     kraus_to_superop,
     superop_to_choi,

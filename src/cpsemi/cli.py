@@ -50,20 +50,15 @@ from . import (
     covariance_estimate,
     decompose,
     dominates,
-    extract_gauge,
-    gauge_shift,
     hamiltonian_lindblad,
     kraus_to_superop,
     make_unit,
     product_system_check,
-    same_generator,
     sample_units,
-    space_from_kraus,
-    symbols_equal,
     verify_units,
 )
-from .generator import GklsForm, gkls_superop, is_unital_generator
-from .numerics import anchor, frob, within
+from .generator import GklsForm, gauge_check, gkls_superop, is_unital_generator
+from .numerics import is_hermitian
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
 
@@ -387,16 +382,14 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
         bigger = mat + random_cp_map(rng, d.n, m=1)
         checks["domination"] = {"pass": bool(dominates(mat, bigger, tol=tol))}
     if "gauge" in args.checks:
-        checks["gauge"] = _gauge_check(d, rng, tol)
+        checks["gauge"] = gauge_check(d, rng, tol)
     if "units" in args.checks:
         units = sample_units(d, 2, seed=args.seed)
         checks["units"] = {"pass": verify_units(mat, units, (0.1, 0.5, 1.0), tol)}
     if "covariance" in args.checks:
         units = sample_units(d, d.space.dim + 3, seed=args.seed)
         kern = covariance_kernel(d, units)
-        herm = bool(
-            np.allclose(kern.matrix, kern.matrix.conj().T, atol=1e-12)
-        )
+        herm = is_hermitian(kern, tol)
         dim_ok = gram_dimension(kern, tol) == d.space.dim
         checks["covariance"] = {"pass": bool(herm and dim_ok)}
     all_pass = all(entry["pass"] for entry in checks.values())
@@ -408,48 +401,6 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
         "seed": args.seed,
     }
     return report, EXIT_OK if all_pass else EXIT_NUMERICAL
-
-
-def _gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances) -> dict:
-    dim = d.space.dim
-    lam = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if dim:
-        # The shifted family's nonzero Choi eigenvalues lie between min w and
-        # max w + n |lam|^2 (the basis is traceless), and the cut scales with
-        # the largest.  Shrink a shift that could lift the cut above min w,
-        # keeping half the room as a margin.
-        room = d.space.w.min() / tol.eig_cut - anchor(d.space.w.max())
-        lam = lam * min(1.0, math.sqrt(room / (2 * d.n * np.vdot(lam, lam).real)))
-        shifted = gauge_shift(d, lam)
-        sym_ok = symbols_equal(
-            shifted, gauge_shift(d, np.zeros(dim)), tol
-        )
-        u = sum(
-            np.conj(l) * v for l, v in zip(lam, d.space.basis)
-        )
-        eye = np.eye(d.n)
-        k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * eye
-        # The shifted presentation itself, not its canonical form, so that
-        # extract_gauge has a nonzero v2 to recover.
-        shifted_ops = [v + l * eye for l, v in zip(lam, d.space.basis)]
-        d2 = GklsForm(n=d.n, space=space_from_kraus(shifted_ops, tol), k=k2, residual=0.0)
-        same = same_generator(d, d2, tol)
-        gauge = extract_gauge(d, d2, tol)
-        gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
-    else:
-        sym_ok = True
-        same = True
-        gauge_ok = True
-    perturbed = GklsForm(
-        n=d.n, space=d.space, k=d.k + 0.1 * np.eye(d.n), residual=d.residual
-    )
-    different = not same_generator(d, perturbed, tol)
-    return {
-        "pass": bool(sym_ok and same and gauge_ok and different),
-        "perturbation_detected": bool(different),
-        "shift_same_generator": bool(same),
-        "symbols_equal": bool(sym_ok),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,7 +32,7 @@ from .errors import NotCCP, NotHermitian
 from .numerics import (
     DEFAULT_TOL, Tolerances, anchor, expm_times, frob, is_hermitian, lstsq, spectrum, within
 )
-from .opspace import MetricOperatorSpace, space_from_spectrum
+from .opspace import MetricOperatorSpace, space_from_kraus, space_from_spectrum
 from .superop import (
     apply_superop,
     dim_of,
@@ -39,7 +40,7 @@ from .superop import (
     superop_to_choi,
     vec,
 )
-from .symbols import _ccp_spectrum, _partial_traces
+from .symbols import _ccp_spectrum, _partial_traces, symbols_equal
 
 __all__ = [
     "GklsForm",
@@ -52,6 +53,7 @@ __all__ = [
     "same_generator",
     "GaugeRelation",
     "extract_gauge",
+    "gauge_check",
     "dominates",
     "KSplit",
     "split_k",
@@ -172,12 +174,17 @@ def gauge_shift(d: GklsForm, lam: Sequence[complex], c: complex = 0.0) -> np.nda
         raise ValueError(
             f"need {d.space.dim} scalars, got {lam.size}"
         )
-    eye = np.eye(d.n, dtype=complex)
-    ops = [v + l * eye for v, l in zip(d.space.basis, lam)]
+    ops = _shifted_kraus(d, lam)
     out = complex(c).real * np.eye(d.n * d.n, dtype=complex)
     if ops:
         out = out + kraus_to_superop(ops)
     return out
+
+
+def _shifted_kraus(d: GklsForm, lam: np.ndarray) -> list[np.ndarray]:
+    """The Kraus family v_m + lam_m 1 of d's basis shifted by scalars."""
+    eye = np.eye(d.n, dtype=complex)
+    return [v + l * eye for v, l in zip(d.space.basis, lam)]
 
 
 def same_generator(d1: GklsForm, d2: GklsForm, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -247,6 +254,59 @@ def extract_gauge(
     c = float(np.trace(resid_mat).imag / n)
     leftover = frob(resid_mat - 1j * c * np.eye(n))
     return GaugeRelation(theta=theta, v2=v2, c=c, residual=leftover)
+
+
+def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Check the gauge relation on a random shift of d's Kraus family.
+
+    With scalars lam drawn from ``rng`` (complex standard normal), the family
+    v_m + lam_m 1 and the drift k2 = k - u - (1/2)|lam|^2 1, u = sum_m
+    conj(lam_m) v_m, present the same generator as ``d``.  The verdicts:
+    ``symbols_equal``, the shifted CP part has the symbol of the unshifted
+    one; ``shift_same_generator``, the shifted presentation rebuilds to the
+    generator of ``d``; ``perturbation_detected``, adding 0.1 to the drift
+    changes the generator.  ``pass`` also needs :func:`extract_gauge` to
+    relate ``d`` to the shifted presentation with a residual within
+    ``eig_cut`` of ||k||.  Rank 0 has no family to shift, and only the
+    perturbation is tested.
+    """
+    dim = d.space.dim
+    lam = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if dim:
+        # The shifted family's nonzero Choi eigenvalues lie between min w and
+        # max w + n |lam|^2 (the basis is traceless), and the cut scales with
+        # the largest.  Shrink a shift that could lift the cut above min w,
+        # keeping half the room as a margin.
+        room = d.space.w.min() / tol.eig_cut - anchor(d.space.w.max())
+        lam = lam * min(1.0, math.sqrt(room / (2 * d.n * np.vdot(lam, lam).real)))
+        shifted = gauge_shift(d, lam)
+        sym_ok = symbols_equal(
+            shifted, gauge_shift(d, np.zeros(dim)), tol
+        )
+        u = d.space.from_coords(lam.conj())
+        eye = np.eye(d.n)
+        k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * eye
+        # The shifted presentation itself, not its canonical form, so that
+        # extract_gauge has a nonzero v2 to recover.
+        shifted_ops = _shifted_kraus(d, lam)
+        d2 = GklsForm(n=d.n, space=space_from_kraus(shifted_ops, tol), k=k2, residual=0.0)
+        same = same_generator(d, d2, tol)
+        gauge = extract_gauge(d, d2, tol)
+        gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
+    else:
+        sym_ok = True
+        same = True
+        gauge_ok = True
+    perturbed = GklsForm(
+        n=d.n, space=d.space, k=d.k + 0.1 * np.eye(d.n), residual=d.residual
+    )
+    different = not same_generator(d, perturbed, tol)
+    return {
+        "pass": bool(sym_ok and same and gauge_ok and different),
+        "perturbation_detected": bool(different),
+        "shift_same_generator": bool(same),
+        "symbols_equal": bool(sym_ok),
+    }
 
 
 def dominates(

@@ -1,18 +1,15 @@
-"""Seeded random instances used by the verification commands and the tests."""
+"""Seeded random instances used by the verification commands, the
+block-positivity witness search and the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .superop import choi_to_superop, kraus_to_superop
+from .superop import kraus_to_superop
 
 __all__ = [
     "random_matrix",
-    "random_hermitian",
-    "random_hp_map",
     "random_cp_map",
-    "random_ccp_generator",
-    "random_constrained_tuple",
     "random_constrained_tuples",
 ]
 
@@ -20,17 +17,6 @@ __all__ = [
 def random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Complex matrix with i.i.d. standard complex normal entries."""
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = random_matrix(rng, n)
-    return (m + m.conj().T) / 2.0
-
-
-def random_hp_map(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Hermiticity-preserving map: superoperator with a random Hermitian
-    Choi matrix (almost surely not conditionally CP)."""
-    return choi_to_superop(random_hermitian(rng, n * n))
 
 
 def random_cp_map(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
@@ -41,29 +27,6 @@ def random_cp_map(rng: np.random.Generator, n: int, m: int | None = None) -> np.
     return kraus_to_superop(ops)
 
 
-def random_ccp_generator(
-    rng: np.random.Generator,
-    n: int,
-    m: int | None = None,
-    unital: bool = False,
-) -> np.ndarray:
-    """Conditionally completely positive generator L(x) = sum v x v* + k x + x k*.
-
-    With ``unital=True`` the drift is k = i h - (1/2) sum v v* for a random
-    Hermitian h, which makes L(1) = 0; otherwise k is a free random matrix.
-    """
-    if m is None:
-        m = int(rng.integers(1, n * n))
-    ops = [random_matrix(rng, n) / np.sqrt(n) for _ in range(m)]
-    if unital:
-        h = random_hermitian(rng, n)
-        k = 1j * h - 0.5 * sum(v @ v.conj().T for v in ops)
-    else:
-        k = random_matrix(rng, n)
-    eye = np.eye(n)
-    return kraus_to_superop(ops) + np.kron(eye, k) + np.kron(k.conj(), eye)
-
-
 def random_constrained_tuples(
     rng: np.random.Generator, n: int, count: int, r: int = 3
 ):
@@ -72,9 +35,9 @@ def random_constrained_tuples(
 
     All x's and a_1, ..., a_{r-1} are random, drawn as by :func:`random_matrix`
     in the order x_1, ..., x_r, a_1, ..., a_{r-1}, tuple after tuple, so one
-    call consumes the stream exactly as ``count`` calls of
-    :func:`random_constrained_tuple` do.  The last a solves the constraint,
-    a_r = -x_r^{-1} sum_{k<r} x_k a_k (x_r is almost surely invertible).
+    call consumes the stream exactly as ``count`` calls with ``count=1`` do.
+    The last a solves the constraint, a_r = -x_r^{-1} sum_{k<r} x_k a_k
+    (x_r is almost surely invertible).
     """
     normal = rng.standard_normal((count, 2 * r - 1, 2, n, n))
     ops = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
@@ -83,9 +46,3 @@ def random_constrained_tuples(
     last = -np.linalg.solve(xs[:, -1], rest)
     return xs, np.concatenate([free, last[:, None]], axis=1)
 
-
-def random_constrained_tuple(rng: np.random.Generator, n: int, r: int = 3):
-    """One random tuple (xs, as) of length ``r`` with sum_k x_k a_k = 0, as
-    two lists: the count-1 case of :func:`random_constrained_tuples`."""
-    xs, as_ = random_constrained_tuples(rng, n, 1, r)
-    return list(xs[0]), list(as_[0])

@@ -39,12 +39,10 @@ __all__ = [
     "Unit",
     "make_unit",
     "unit_matrix",
-    "verify_unit",
     "verify_units",
     "covariance",
     "covariance_estimate",
     "index",
-    "CovarianceKernel",
     "covariance_kernel",
     "gram_dimension",
     "sample_units",
@@ -144,7 +142,12 @@ def verify_units(
     alpha: float | None = None,
 ) -> bool:
     """Verify the defining property of every unit against the semigroup of
-    ``mat``; True iff :func:`verify_unit` holds for each of them.
+    ``mat``.
+
+    For each sampled t and each unit, checks that T(t) is a member of the
+    space of exp(tL) and that the Choi matrix of
+    e^{alpha t} exp(tL) - (x -> T x T*) is PSD within ``psd_slack``, with
+    alpha = <v, v> + 2 Re c by default.  A single unit is ``[u]``.
 
     exp(tL) and its space are computed once per sampled t and shared by all
     units, and exp(tL) reuses the exponentials of earlier times
@@ -167,22 +170,6 @@ def verify_units(
             if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
                 return False
     return True
-
-
-def verify_unit(
-    mat: np.ndarray,
-    u: Unit,
-    t_samples: Sequence[float] = (0.1, 0.5, 1.0),
-    tol: Tolerances = DEFAULT_TOL,
-    alpha: float | None = None,
-) -> bool:
-    """Verify the defining property of a unit against the semigroup of ``mat``.
-
-    For each sampled t, checks that T(t) is a member of the space of exp(tL)
-    and that the Choi matrix of e^{alpha t} exp(tL) - (x -> T x T*) is PSD
-    within ``psd_slack``, with alpha = <v, v> + 2 Re c by default.
-    """
-    return verify_units(mat, [u], t_samples, tol, alpha)
 
 
 def covariance(d: GklsForm, u1: Unit, u2: Unit) -> complex:
@@ -235,26 +222,20 @@ def covariance_estimate(
 index = rank
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceKernel:
-    """Covariance values of a finite sample of units."""
-
-    units: tuple[Unit, ...]
-    matrix: np.ndarray
-
-
-def covariance_kernel(d: GklsForm, units: Sequence[Unit]) -> CovarianceKernel:
-    units = tuple(units)
-    size = len(units)
-    out = np.empty((size, size), dtype=complex)
-    for i, ui in enumerate(units):
-        for j, uj in enumerate(units):
-            out[i, j] = covariance(d, ui, uj)
-    return CovarianceKernel(units=units, matrix=out)
+def covariance_kernel(d: GklsForm, units: Sequence[Unit]) -> np.ndarray:
+    """Matrix of the closed-form covariances :func:`covariance` of every
+    pair of units over ``d``, as one product: with c the scalar parts and V
+    the rows of vector coordinates, K = c 1^T + 1 c^* + V V^*, so
+    K[i, j] = c_i + conj(c_j) + <v_i, v_j>."""
+    if any(u.owner is not d for u in units):
+        raise OwnerMismatch("all units must be built over the given form")
+    c = np.array([u.c for u in units], dtype=complex)
+    v = np.array([u.v_coords for u in units], dtype=complex).reshape(c.size, d.space.dim)
+    return c[:, None] + c.conj()[None, :] + v @ v.conj().T
 
 
-def gram_dimension(kernel: CovarianceKernel, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of the centered Gram matrix of a covariance kernel.
+def gram_dimension(kernel: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Rank of the centered Gram matrix of a covariance kernel matrix.
 
     With base point x0 (the first sample) the centered matrix is
     G[m, m'] = c(x_m, x_m') - c(x_m, x0) - c(x0, x_m') + c(x0, x0), the
@@ -262,10 +243,9 @@ def gram_dimension(kernel: CovarianceKernel, tol: Tolerances = DEFAULT_TOL) -> i
     Hermitian PSD, so its rank is read off its eigenvalues; it recovers the
     dimension of the space spanned by the vector parts, i.e. the index.
     """
-    size = len(kernel.units)
-    if size < 2:
+    c = np.asarray(kernel, dtype=complex)
+    if c.shape[0] < 2:
         raise ValueError("need at least two sampled units")
-    c = kernel.matrix
     g = c[1:, 1:] - c[1:, :1] - c[:1, 1:] + c[0, 0]
     return int(spectrum(g, vectors=False).kept(tol).sum())
 

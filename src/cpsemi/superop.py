@@ -40,7 +40,6 @@ __all__ = [
     "choi_to_superop",
     "choi_spectrum",
     "kraus_from_spectrum",
-    "choi_to_kraus",
     "is_hermiticity_preserving",
     "is_completely_positive",
     "is_unital",
@@ -184,23 +183,6 @@ def kraus_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> list[np.n
             v = v * (entry.conjugate() / abs(entry))
         ops.append(v)
     return ops
-
-
-def choi_to_kraus(
-    choi: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Kraus operators of a completely positive map from its Choi matrix.
-
-    Eigenvalues of the Choi matrix in ``[-psd_slack, eig_cut]`` (relative to
-    its scale) are clamped to zero; anything more negative raises
-    :class:`NotPSD`.
-
-    :return: list of n x n operators ``v_m`` with
-        ``sum_m vec(v_m) vec(v_m)* = choi`` up to the clamped part, ordered by
-        descending Choi eigenvalue, phases as in :func:`kraus_from_spectrum`.
-    """
-    dim_of(choi)
-    return kraus_from_spectrum(choi_spectrum(choi, tol), tol)
 
 
 def is_hermiticity_preserving(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

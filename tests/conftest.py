@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpsemi import ad_superop, identity_superop, vec
+from cpsemi import ad_superop, choi_to_superop, identity_superop, kraus_to_superop, vec
 from cpsemi.sampling import random_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -24,6 +24,35 @@ def superop_of(f, n):
 
 def transpose_superop(n):
     return superop_of(lambda x: x.T, n)
+
+
+def random_hermitian(rng, n):
+    m = random_matrix(rng, n)
+    return (m + m.conj().T) / 2.0
+
+
+def random_hp_map(rng, n):
+    """Hermiticity-preserving map: superoperator with a random Hermitian
+    Choi matrix (almost surely not conditionally CP)."""
+    return choi_to_superop(random_hermitian(rng, n * n))
+
+
+def random_ccp_generator(rng, n, m=None, unital=False):
+    """Conditionally completely positive generator L(x) = sum v x v* + k x + x k*.
+
+    With ``unital=True`` the drift is k = i h - (1/2) sum v v* for a random
+    Hermitian h, which makes L(1) = 0; otherwise k is a free random matrix.
+    """
+    if m is None:
+        m = int(rng.integers(1, n * n))
+    ops = [random_matrix(rng, n) / np.sqrt(n) for _ in range(m)]
+    if unital:
+        h = random_hermitian(rng, n)
+        k = 1j * h - 0.5 * sum(v @ v.conj().T for v in ops)
+    else:
+        k = random_matrix(rng, n)
+    eye = np.eye(n)
+    return kraus_to_superop(ops) + np.kron(eye, k) + np.kron(k.conj(), eye)
 
 
 def loop_constrained_tuple(rng, n, r=3):

@@ -20,11 +20,11 @@ import time
 
 import numpy as np
 import pytest
-from conftest import SX, SY, SZ, dephasing_generator
+from conftest import SX, SY, SZ, dephasing_generator, random_ccp_generator, random_hp_map
 
 from cpsemi.generator import decompose, gauge_shift, rebuild, same_generator
 from cpsemi.numerics import Tolerances, expm
-from cpsemi.sampling import random_ccp_generator, random_cp_map, random_hp_map
+from cpsemi.sampling import random_cp_map
 from cpsemi.semigroup import (
     covariance_estimate,
     covariance_kernel,
@@ -34,7 +34,7 @@ from cpsemi.semigroup import (
     make_unit,
     product_system_check,
     sample_units,
-    verify_unit,
+    verify_units,
 )
 from cpsemi.superop import (
     ad_superop,
@@ -122,7 +122,7 @@ def test_criterion_4_sampled_units_verify():
         mat = random_ccp_generator(rng, n, unital=True)
         d = decompose(mat)
         for u in sample_units(d, 3, seed=40 + i)[1:]:
-            assert verify_unit(mat, u, t_samples=T_GRID)
+            assert verify_units(mat, [u], t_samples=T_GRID)
             checked += 1
     assert checked == 20
 

@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from conftest import SZ, dephasing_generator, transpose_superop
+from conftest import SZ, dephasing_generator, random_ccp_generator, transpose_superop
 
 import cpsemi.cli as cli
+import cpsemi.generator as generator
 from cpsemi import DEFAULT_TOL, ParseError
 from cpsemi.cli import _write, cmd_analyze, decode, encode, main
 from cpsemi.generator import decompose, same_generator
-from cpsemi.sampling import random_ccp_generator
 from cpsemi.superop import ad_superop, identity_superop
 
 
@@ -207,13 +207,13 @@ def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
     mat = random_ccp_generator(np.random.default_rng(3), 3, m=2)
     path = write(tmp_path, "gen.json", superop_doc(mat, 3))
     relations = []
-    real = cli.extract_gauge
+    real = generator.extract_gauge
 
     def spy(d1, d2, tol):
         relations.append(real(d1, d2, tol))
         return relations[-1]
 
-    monkeypatch.setattr(cli, "extract_gauge", spy)
+    monkeypatch.setattr(generator, "extract_gauge", spy)
     rc, out = run(capsys, ["verify", "--input", path, "--checks", "gauge", "--seed", "5"])
     assert rc == 0
     assert json.loads(out)["checks"]["gauge"] == {

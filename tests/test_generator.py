@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import SX, SY, SZ, dephasing_generator, transpose_superop
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    dephasing_generator,
+    random_ccp_generator,
+    transpose_superop,
+)
 
 from cpsemi.errors import NotCCP, NotHermitian, NotHermiticityPreserving
 from cpsemi.generator import (
@@ -8,6 +15,7 @@ from cpsemi.generator import (
     decompose,
     dominates,
     extract_gauge,
+    gauge_check,
     gauge_shift,
     gkls_superop,
     hamiltonian_lindblad,
@@ -17,9 +25,9 @@ from cpsemi.generator import (
     same_generator,
     split_k,
 )
-from cpsemi.numerics import expm, spectrum
+from cpsemi.numerics import DEFAULT_TOL, expm, spectrum
 from cpsemi.opspace import space_from_cp_map, space_from_kraus
-from cpsemi.sampling import random_ccp_generator, random_cp_map, random_matrix
+from cpsemi.sampling import random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, index
 from cpsemi.superop import (
     ad_superop,
@@ -313,6 +321,21 @@ def test_extract_gauge_rejects_one_column_outside_span():
     keep = GklsForm(n=3, space=space_from_kraus(d1.space.basis[:-1]), k=d1.k, residual=0.0)
     short = GklsForm(n=3, space=space_from_kraus(ops[:-1]), k=d1.k, residual=0.0)
     assert extract_gauge(keep, short).residual <= 1e-12
+
+
+@pytest.mark.parametrize("rank_", [1, 0])
+def test_gauge_check_passes_on_dephasing_and_hamiltonian_only_forms(rank_):
+    # rank 1: dephasing; rank 0: a Hamiltonian-only form, with no family to
+    # shift, where only the perturbation is tested
+    mat = dephasing_generator() if rank_ else hamiltonian_lindblad(SX + 0.5 * SZ, [])
+    d = decompose(mat)
+    assert d.space.dim == rank_
+    assert gauge_check(d, np.random.default_rng(2), DEFAULT_TOL) == {
+        "pass": True,
+        "perturbation_detected": True,
+        "shift_same_generator": True,
+        "symbols_equal": True,
+    }
 
 
 def test_split_k_scalar(dephasing):

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import random_ccp_generator
 
 from cpsemi import numerics
 from cpsemi.errors import NotHermitian
-from cpsemi.sampling import random_ccp_generator
 from cpsemi.numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -253,16 +253,18 @@ def test_eigendecompositions_only_in_numerics():
 
 
 def test_threshold_rule_only_in_numerics():
-    # every tolerance decision goes through numerics.within: no other module
+    # every tolerance decision goes through numerics.within: no module
+    # decides closeness with numpy's allclose or isclose, and no other module
     # writes the floor of 1 or multiplies a Tolerances field into a bound,
     # except the NotPSD message of choi_spectrum, which prints the slack
     allowed = {"superop.py": "{tol.psd_slack * s.scale:.3e}"}
     sources = sorted(Path(numerics.__file__).parent.glob("*.py"))
     assert len(sources) > 1
     for path in sources:
+        text = path.read_text()
+        assert not re.search(r"\b(allclose|isclose)\b", text), path.name
         if path.name == "numerics.py":
             continue
-        text = path.read_text()
         if path.name in allowed:
             assert allowed[path.name] in text, path.name
             text = text.replace(allowed[path.name], "")

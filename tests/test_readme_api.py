@@ -1,0 +1,36 @@
+"""README's public-API list names exactly what the package exports."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _exported() -> set[str]:
+    tree = ast.parse((ROOT / "src" / "cpsemi" / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def _readme_api() -> set[str]:
+    """The backquoted names of the bullet list under "### Public API"."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("### Public API")
+    body = lines[start + 1:]
+    first = next(i for i, line in enumerate(body) if line.startswith("- "))
+    end = next((i for i, line in enumerate(body[first:], first) if not line.strip()), len(body))
+    return set(re.findall(r"`([A-Za-z_]\w*)`", "\n".join(body[first:end])))
+
+
+def test_readme_api_list_is_the_exports():
+    exported, listed = _exported(), _readme_api()
+    assert len(exported) > 50
+    assert listed == exported, (
+        f"exported, not in README: {sorted(exported - listed)}; "
+        f"in README, not exported: {sorted(listed - exported)}"
+    )

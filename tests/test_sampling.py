@@ -1,14 +1,12 @@
 import numpy as np
-from conftest import loop_constrained_tuple
-
-from cpsemi.sampling import (
+from conftest import (
+    loop_constrained_tuple,
     random_ccp_generator,
-    random_constrained_tuple,
-    random_constrained_tuples,
-    random_cp_map,
     random_hermitian,
     random_hp_map,
 )
+
+from cpsemi.sampling import random_constrained_tuples, random_cp_map
 from cpsemi.superop import apply_superop, is_completely_positive, is_hermiticity_preserving
 from cpsemi.symbols import is_conditionally_cp
 
@@ -42,7 +40,7 @@ def test_random_ccp_generator_unital_flag(rng):
 
 def test_random_constrained_tuple_satisfies_constraint(rng):
     for n in (2, 3):
-        xs, as_ = random_constrained_tuple(rng, n)
+        (xs,), (as_,) = random_constrained_tuples(rng, n, 1)
         total = sum(x @ a for x, a in zip(xs, as_))
         np.testing.assert_allclose(total, 0, atol=1e-12)
 
@@ -59,10 +57,10 @@ def test_batched_draw_matches_repeated_single_draws():
                 ref_xs, ref_as = loop_constrained_tuple(rng, n, r)
                 for got, ref in zip((*xs[i], *as_[i]), (*ref_xs, *ref_as)):
                     assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
-            # the single draw is the count-1 case of the same stream
-            one = random_constrained_tuple(np.random.default_rng(n), n, r)
-            for got, ref in zip((*one[0], *one[1]), (*xs[0], *as_[0])):
-                assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+            # a count-1 draw is the first tuple of the same stream
+            (one_xs,), (one_as,) = random_constrained_tuples(np.random.default_rng(n), n, 1, r)
+            for got, ref in zip((*one_xs, *one_as), (*xs[0], *as_[0])):
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def test_sampling_is_reproducible():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from conftest import SX, SY, SZ, dephasing_generator
+from conftest import SX, SY, SZ, dephasing_generator, random_ccp_generator
 
 from cpsemi.errors import LogBranch, NotCP, NotMember, OwnerMismatch
 from cpsemi.generator import decompose, hamiltonian_lindblad, rebuild
-from cpsemi.sampling import random_ccp_generator
+from cpsemi.numerics import DEFAULT_TOL, is_hermitian
 from cpsemi.semigroup import (
     covariance,
     covariance_estimate,
@@ -17,7 +17,6 @@ from cpsemi.semigroup import (
     sample_units,
     space_at,
     unit_matrix,
-    verify_unit,
     verify_units,
 )
 from cpsemi.superop import ad_superop, apply_superop, identity_superop, vec
@@ -152,7 +151,7 @@ def test_verify_units_shares_each_time_between_units(monkeypatch):
     assert np.array_equal(calls[0], 0.1 * mat) and np.array_equal(calls[1], 0.5 * mat)
     calls.clear()
     spaces.clear()
-    assert all(verify_unit(mat, u) for u in units)
+    assert all(verify_units(mat, [u]) for u in units)
     assert len(calls) == 6 and len(spaces) == 9
     # alpha below the default breaks positivity; the first failure stops it
     calls.clear()
@@ -160,7 +159,7 @@ def test_verify_units_shares_each_time_between_units(monkeypatch):
     assert not verify_units(mat, units, alpha=-1.0)
     assert len(calls) == 1 and np.array_equal(calls[0], 0.1 * mat)
     assert len(spaces) == 1
-    assert not verify_unit(mat, units[0], alpha=-1.0)
+    assert not verify_units(mat, [units[0]], alpha=-1.0)
 
 
 def test_verify_units_rejects_negative_time(dephasing):
@@ -171,11 +170,11 @@ def test_verify_units_rejects_negative_time(dephasing):
 
 def test_verify_unit(dephasing):
     d = decompose(dephasing)
-    assert verify_unit(dephasing, make_unit(d, 0.0, [0.0]))
+    assert verify_units(dephasing, [make_unit(d, 0.0, [0.0])])
     u = make_unit(d, 0.0, [1.0])
-    assert verify_unit(dephasing, u, t_samples=tuple(np.linspace(0.1, 1.0, 10)))
+    assert verify_units(dephasing, [u], t_samples=tuple(np.linspace(0.1, 1.0, 10)))
     # alpha = <v,v> + 2 Re c = 1 is minimal: shaving it off breaks positivity
-    assert not verify_unit(dephasing, u, alpha=0.5)
+    assert not verify_units(dephasing, [u], alpha=0.5)
 
 
 def test_covariance_goldens(dephasing):
@@ -204,6 +203,18 @@ def test_covariance_owner_mismatch(dephasing):
     d2 = decompose(dephasing)
     with pytest.raises(OwnerMismatch):
         covariance(d1, make_unit(d1, 0.0, [1.0]), make_unit(d2, 0.0, [1.0]))
+    with pytest.raises(OwnerMismatch):
+        covariance_kernel(d1, [make_unit(d1, 0.0, [1.0]), make_unit(d2, 0.0, [1.0])])
+
+
+def test_covariance_kernel_is_the_pairwise_closed_form(rng):
+    d = decompose(random_ccp_generator(rng, 3))
+    units = sample_units(d, d.space.dim + 3, seed=5)
+    kern = covariance_kernel(d, units)
+    pairwise = np.array([[covariance(d, u, w) for w in units] for u in units])
+    assert kern.shape == pairwise.shape == (len(units), len(units))
+    assert np.abs(kern - pairwise).max() <= 1e-13 * np.abs(pairwise).max()
+    assert is_hermitian(kern, DEFAULT_TOL)
 
 
 def test_covariance_estimate_matches_closed_form(dephasing):
@@ -274,8 +285,7 @@ def test_gram_dimension_needs_two_units(dephasing):
 
 def test_kernel_is_conditionally_positive_definite(rng):
     d = decompose(random_ccp_generator(rng, 3))
-    kern = covariance_kernel(d, sample_units(d, d.space.dim + 3, seed=5))
-    c = kern.matrix
+    c = covariance_kernel(d, sample_units(d, d.space.dim + 3, seed=5))
     g = c[1:, 1:] - c[1:, :1] - c[:1, 1:] + c[0, 0]
     assert np.linalg.eigvalsh((g + g.conj().T) / 2).min() >= -1e-9
 

@@ -5,20 +5,14 @@ from conftest import (
     SZ,
     dephasing_generator,
     loop_constrained_tuple,
+    random_ccp_generator,
+    random_hp_map,
     transpose_superop,
 )
 
 from cpsemi.errors import ConstraintViolated, DimensionMismatch, NotHermiticityPreserving
 from cpsemi.numerics import DEFAULT_TOL, spectrum
-from cpsemi.sampling import (
-    random_ccp_generator,
-    random_constrained_tuple,
-    random_constrained_tuples,
-    random_cp_map,
-    random_hermitian,
-    random_hp_map,
-    random_matrix,
-)
+from cpsemi.sampling import random_constrained_tuples, random_cp_map, random_matrix
 from cpsemi.superop import (
     ad_superop,
     apply_superop,
@@ -218,14 +212,14 @@ def test_projected_choi_defect_goldens():
 def test_block_positivity_on_cp_map(rng):
     mat = random_cp_map(rng, 2)
     for _ in range(20):
-        xs, as_ = random_constrained_tuple(rng, 2)
+        (xs,), (as_,) = random_constrained_tuples(rng, 2, 1)
         assert check_block_positivity(mat, xs, as_)
 
 
 def test_block_positivity_on_dephasing(rng):
     mat = dephasing_generator()
     for _ in range(200):
-        xs, as_ = random_constrained_tuple(rng, 2)
+        (xs,), (as_,) = random_constrained_tuples(rng, 2, 1)
         assert check_block_positivity(mat, xs, as_)
 
 
@@ -300,7 +294,7 @@ def test_witness_search_rejects_maps_that_are_not_hermiticity_preserving():
         assert not is_conditionally_cp(mat)
         with pytest.raises(NotHermiticityPreserving):
             block_positivity_witness(mat, 50, seed=1)
-        xs, as_ = random_constrained_tuple(np.random.default_rng(1), 3)
+        (xs,), (as_,) = random_constrained_tuples(np.random.default_rng(1), 3, 1)
         with pytest.raises(NotHermiticityPreserving):
             check_block_positivity(mat, xs, as_)
     assert block_positivity_witness(ccp, 50, seed=1) is None
@@ -326,7 +320,7 @@ def test_witness_search_checks_hermiticity_preservation_once(monkeypatch):
 
 def test_block_positivity_input_contract(rng):
     mat = dephasing_generator()
-    xs, as_ = random_constrained_tuple(rng, 2)
+    xs, as_ = (list(ops[0]) for ops in random_constrained_tuples(rng, 2, 1))
     with pytest.raises(ConstraintViolated):
         check_block_positivity(mat, xs, as_[:2])
     with pytest.raises(ConstraintViolated):
