@@ -53,7 +53,6 @@ from .superop import (
     ad_superop,
     apply_superop,
     choi_spectrum,
-    choi_to_superop,
     identity_superop,
     is_completely_positive,
     is_hermiticity_preserving,

@@ -204,10 +204,10 @@ def load_generator(path: str, tol: Tolerances) -> tuple[np.ndarray, int]:
 
 def load_units(path: str, d: GklsForm):
     entries = _read_json(path).get("units")
-    if not isinstance(entries, list) or len(entries) < 2:
+    if not isinstance(entries, list) or len(entries) != 2:
         raise ParseError("units file must contain a 'units' list with two entries")
     units = []
-    for i, entry in enumerate(entries[:2]):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"units[{i}] must be an object")
         c = decode(entry.get("c"), (), f"units[{i}].c")

@@ -37,7 +37,6 @@ __all__ = [
     "kraus_to_superop",
     "kraus_to_choi",
     "superop_to_choi",
-    "choi_to_superop",
     "choi_spectrum",
     "kraus_from_spectrum",
     "is_hermiticity_preserving",
@@ -128,25 +127,19 @@ def kraus_to_choi(ops: Sequence[np.ndarray]) -> np.ndarray:
     return superop_to_choi(kraus_to_superop(ops))
 
 
-def _reshuffle(m: np.ndarray) -> np.ndarray:
-    """The involutive index shuffle exchanging superoperator and Choi forms."""
-    n = dim_of(m)
+def superop_to_choi(mat: np.ndarray) -> np.ndarray:
+    """Choi matrix of the map with superoperator matrix ``mat``.
+
+    The index shuffle is an involution, so applied to a Choi matrix it gives
+    back the superoperator matrix.
+    """
+    n = dim_of(mat)
     return (
-        np.asarray(m, dtype=complex)
+        np.asarray(mat, dtype=complex)
         .reshape(n, n, n, n)
         .transpose(3, 1, 2, 0)
         .reshape(n * n, n * n)
     )
-
-
-def superop_to_choi(mat: np.ndarray) -> np.ndarray:
-    """Choi matrix of the map with superoperator matrix ``mat``."""
-    return _reshuffle(mat)
-
-
-def choi_to_superop(choi: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of the map with Choi matrix ``choi``."""
-    return _reshuffle(choi)
 
 
 def choi_spectrum(choi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpsemi import ad_superop, choi_to_superop, identity_superop, kraus_to_superop, vec
+from cpsemi import ad_superop, identity_superop, kraus_to_superop, superop_to_choi, vec
 from cpsemi.sampling import random_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -34,7 +34,7 @@ def random_hermitian(rng, n):
 def random_hp_map(rng, n):
     """Hermiticity-preserving map: superoperator with a random Hermitian
     Choi matrix (almost surely not conditionally CP)."""
-    return choi_to_superop(random_hermitian(rng, n * n))
+    return superop_to_choi(random_hermitian(rng, n * n))
 
 
 def random_ccp_generator(rng, n, m=None, unital=False):

@@ -185,6 +185,13 @@ def test_covariance_rejects_wrong_coordinate_count(dephasing_file, tmp_path, cap
     assert main(["covariance", "--input", dephasing_file, "--units", upath]) == 1
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_covariance_needs_exactly_two_units(dephasing_file, tmp_path, count):
+    unit = {"c": [0.0, 0.0], "v": [[1.0, 0.0]]}
+    upath = write(tmp_path, "units.json", {"units": [unit] * count})
+    assert main(["covariance", "--input", dephasing_file, "--units", upath]) == 1
+
+
 def test_verify_all_checks(dephasing_file, capsys):
     rc, out = run(capsys, ["verify", "--input", dephasing_file])
     assert rc == 0
@@ -209,8 +216,8 @@ def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
     relations = []
     real = generator.extract_gauge
 
-    def spy(d1, d2, tol):
-        relations.append(real(d1, d2, tol))
+    def spy(d, ops, k2, tol):
+        relations.append(real(d, ops, k2, tol))
         return relations[-1]
 
     monkeypatch.setattr(generator, "extract_gauge", spy)
@@ -225,19 +232,55 @@ def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
     assert rel.residual <= 1e-10
 
 
-def test_verify_gauge_passes_with_two_weak_jump_operators(tmp_path, capsys):
-    """Two Choi eigenvalues about 1e-8 of the largest, 20 times the cut: a
-    shift of unit size would lift the shifted family's cut above both, and
-    the family would read as linearly dependent."""
+def _weak_jump_doc():
+    """Two Choi eigenvalues about 1e-8 of the largest, 20 times the cut."""
     rng = np.random.default_rng(0)
     n, m = 6, 20
     ops = (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))) / np.sqrt(m * n)
     ops[:2] *= 3e-4
     k = -0.5 * sum(v @ v.conj().T for v in ops)
-    doc = {"type": "gkls", "n": n, "kraus": [m2j(v) for v in ops], "k": m2j(k)}
-    path = write(tmp_path, "weak.json", doc)
+    return {"type": "gkls", "n": n, "kraus": [m2j(v) for v in ops], "k": m2j(k)}
+
+
+def test_verify_gauge_passes_with_two_weak_jump_operators(tmp_path, capsys):
+    """A shift of unit size lifts the shifted family's Choi scale far above
+    the two weak directions; the check must still relate the families."""
+    path = write(tmp_path, "weak.json", _weak_jump_doc())
     rc, out = run(capsys, ["verify", "--input", path, "--checks", "gauge", "--seed", "1"])
     assert rc == 0
+
+
+def test_verify_gauge_shifts_by_the_raw_draw(tmp_path, monkeypatch, capsys):
+    """The family handed to extract_gauge is the basis shifted by the seed's
+    complex standard normal draw itself, not by a shrunken copy of it."""
+    path = write(tmp_path, "weak.json", _weak_jump_doc())
+    calls = []
+    real = generator.extract_gauge
+
+    def spy(d, ops, k2, tol):
+        calls.append((d, ops))
+        return real(d, ops, k2, tol)
+
+    monkeypatch.setattr(generator, "extract_gauge", spy)
+    rc, _ = run(capsys, ["verify", "--input", path, "--checks", "gauge", "--seed", "1"])
+    assert rc == 0
+    ((d, ops),) = calls
+    rng = np.random.default_rng(1)
+    lam = rng.standard_normal(d.space.dim) + 1j * rng.standard_normal(d.space.dim)
+    assert d.space.dim == 20
+    for v, w, l in zip(d.space.basis, ops, lam):
+        np.testing.assert_array_equal(w, v + l * np.eye(d.n))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8, 1e9, 1e10, 1e12])
+def test_verify_gauge_passes_at_every_scale(tmp_path, capsys, scale):
+    """The drift perturbation is relative to ||L||, so a large generator
+    still sees it: a fixed 0.1 went undetected from about 1e9."""
+    mat = scale * random_ccp_generator(np.random.default_rng(1), 3, m=2)
+    path = write(tmp_path, "gen.json", superop_doc(mat, 3))
+    rc, out = run(capsys, ["verify", "--input", path, "--checks", "gauge"])
+    assert rc == 0
+    assert json.loads(out)["checks"]["gauge"]["perturbation_detected"] is True
     assert json.loads(out)["checks"]["gauge"]["pass"] is True
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from conftest import (
@@ -9,7 +11,9 @@ from conftest import (
     transpose_superop,
 )
 
-from cpsemi.errors import NotCCP, NotHermitian, NotHermiticityPreserving
+import cpsemi.generator as generator
+import cpsemi.numerics as numerics
+from cpsemi.errors import DimensionMismatch, NotCCP, NotHermitian, NotHermiticityPreserving
 from cpsemi.generator import (
     GklsForm,
     decompose,
@@ -201,7 +205,7 @@ def test_same_generator_detects_drift_perturbation(rng):
 
 def test_extract_gauge_trivial(dephasing):
     d = decompose(dephasing)
-    rel = extract_gauge(d, d)
+    rel = extract_gauge(d, d.space.basis, d.k)
     np.testing.assert_allclose(rel.theta, np.eye(1), atol=1e-12)
     np.testing.assert_allclose(rel.v2, 0, atol=1e-12)
     assert rel.c == pytest.approx(0.0, abs=1e-12)
@@ -219,7 +223,7 @@ def test_extract_gauge_recovers_shift(rng):
     k2 = d1.k - u - 0.5 * float(np.vdot(lam, lam).real) * eye
     d2 = GklsForm(n=2, space=space_from_kraus(shifted_ops), k=k2, residual=0.0)
     assert same_generator(d1, d2)
-    rel = extract_gauge(d1, d2)
+    rel = extract_gauge(d1, shifted_ops, k2)
     # theta carries coordinates isometrically between the two presentations
     np.testing.assert_allclose(rel.theta @ rel.theta.conj().T, np.eye(dim), atol=1e-9)
     assert rel.c == pytest.approx(0.0, abs=1e-8)
@@ -300,7 +304,7 @@ def test_extract_gauge_matches_per_column_solves(n, which):
     d1 = decompose(random_ccp_generator(rng, n, m=m, unital=bool(m % 2)))
     assert d1.space.dim == m
     d2 = _regauged(d1, rng)
-    rel = extract_gauge(d1, d2)
+    rel = extract_gauge(d1, d2.space.basis, d2.k)
     theta, v2, c, residual = _extract_gauge_oracle(d1, d2)
     np.testing.assert_allclose(rel.theta, theta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(rel.v2, v2, rtol=0, atol=1e-12)
@@ -314,13 +318,29 @@ def test_extract_gauge_rejects_one_column_outside_span():
     d1 = decompose(random_ccp_generator(rng, 3, m=4))
     # d2's space keeps all of d1's basis but the last element
     ops = list(d1.space.basis[:-1]) + [random_matrix(rng, 3)]
-    d2 = GklsForm(n=3, space=space_from_kraus(ops), k=d1.k, residual=0.0)
     with pytest.raises(ValueError, match="modulo scalars"):
-        extract_gauge(d1, d2)
-    # every other column is in the span, so the same forms pass without it
+        extract_gauge(d1, ops, d1.k)
+    # every other column is in the span, so the same families pass without it
     keep = GklsForm(n=3, space=space_from_kraus(d1.space.basis[:-1]), k=d1.k, residual=0.0)
-    short = GklsForm(n=3, space=space_from_kraus(ops[:-1]), k=d1.k, residual=0.0)
-    assert extract_gauge(keep, short).residual <= 1e-12
+    assert extract_gauge(keep, ops[:-1], d1.k).residual <= 1e-12
+
+
+def test_extract_gauge_rejects_a_dependent_family():
+    # one operator a scalar shift of another: dependent modulo scalars, so
+    # the residual test rejects it with no separate independence test
+    rng = np.random.default_rng(5)
+    d1 = decompose(random_ccp_generator(rng, 3, m=2))
+    v = d1.space.basis[0]
+    with pytest.raises(ValueError, match="modulo scalars"):
+        extract_gauge(d1, [v, v + 2.0 * np.eye(3)], d1.k)
+
+
+def test_extract_gauge_checks_the_family_shape(dephasing):
+    d = decompose(dephasing)
+    with pytest.raises(ValueError, match="need 1 Kraus operators"):
+        extract_gauge(d, [SZ, SX], d.k)
+    with pytest.raises(DimensionMismatch):
+        extract_gauge(d, [np.eye(3)], d.k)
 
 
 @pytest.mark.parametrize("rank_", [1, 0])
@@ -420,3 +440,33 @@ def test_decompose_uses_one_eigendecomposition(rng, monkeypatch):
 
 def test_index_is_rank():
     assert index is rank
+
+
+@pytest.mark.parametrize("rank_", [2, 0])
+def test_gauge_check_builds_each_cp_superoperator_once(monkeypatch, rank_):
+    """One CP superoperator per Kraus family (none at rank 0), and no
+    eigendecomposition: the shifted family is never made a space."""
+    mat = (
+        random_ccp_generator(np.random.default_rng(3), 3, m=2)
+        if rank_ else hamiltonian_lindblad(SX + 0.5 * SZ, [])
+    )
+    d = decompose(mat)
+    assert d.space.dim == rank_
+    counts = {"kraus_to_superop": 0, "spectrum": 0}
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(
+        generator, "kraus_to_superop", counting("kraus_to_superop", generator.kraus_to_superop)
+    )
+    real_spectrum = numerics.spectrum
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cpsemi") and getattr(module, "spectrum", None) is real_spectrum:
+            monkeypatch.setattr(module, "spectrum", counting("spectrum", real_spectrum))
+    verdicts = gauge_check(d, np.random.default_rng(4), DEFAULT_TOL)
+    assert verdicts["pass"] is True
+    assert counts == {"kraus_to_superop": 2 if rank_ else 0, "spectrum": 0}

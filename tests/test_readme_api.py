@@ -1,6 +1,7 @@
 """README's public-API list names exactly what the package exports."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -34,3 +35,28 @@ def test_readme_api_list_is_the_exports():
         f"exported, not in README: {sorted(exported - listed)}; "
         f"in README, not exported: {sorted(listed - exported)}"
     )
+
+
+def _readme_removed() -> list[str]:
+    """The dotted names each bullet under "Removed names and their
+    replacements:" removes: the backquoted names before the colon that
+    ends its first clause."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("Removed names and their replacements:")
+    text = "\n".join(lines[start + 1:]).strip().split("\n\n")[0]
+    return [
+        name
+        for bullet in text.split("\n- ")
+        for name in re.findall(r"`([A-Za-z_][\w.]*)", re.split(r"`:\s", bullet, maxsplit=1)[0])
+    ]
+
+
+def test_removed_names_are_not_exported():
+    removed = _readme_removed()
+    assert {"choi_to_superop", "verify_unit", "CovarianceKernel"} <= set(removed)
+    exported = _exported()
+    for name in removed:
+        module, _, attr = name.rpartition(".")
+        assert attr not in exported, f"{attr} is listed as removed but still exported"
+        if module:
+            assert not hasattr(importlib.import_module(module), attr), name
