@@ -16,8 +16,9 @@ nested lists of such pairs::
     {"type": "gkls", "n": 2, "kraus": [[[..]..]..], "k": [[..]..]}
     {"type": "hamiltonian_lindblad", "n": 2, "h": [[..]..], "lindblad": [..]}
 
-Output (stdout or --output) is the text of json.dumps(report,
-sort_keys=True, indent=2) plus a newline, written in pieces (see
+A report's numeric data are float arrays from :func:`encode`.  Output
+(stdout or --output) is the text of json.dumps(report, sort_keys=True,
+indent=2, default=np.ndarray.tolist) plus a newline, written in pieces (see
 :func:`_write`); it is byte-identical for identical (input, flags, seed).
 Exit codes: 0 ok, 1 parse error (including a bad flag value and a usage
 error), 2 input is not a generator (one report for every
@@ -58,7 +59,7 @@ from . import (
     verify_units,
 )
 from .generator import GklsForm, gauge_check, gkls_superop, is_unital_generator
-from .numerics import is_hermitian
+from .numerics import frob, is_hermitian, within
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
 
@@ -77,11 +78,11 @@ _INDEX_NOTE = (
 # JSON (de)serialization
 
 
-def encode(a) -> list:
-    """JSON form of a complex scalar or array: the same nesting, with every
-    entry an [re, im] pair of floats."""
+def encode(a) -> np.ndarray:
+    """Report form of a complex scalar or array: a float array of shape
+    ``a.shape + (2,)``, every entry an [re, im] pair."""
     a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    return np.stack([a.real, a.imag], -1)
 
 
 def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -217,24 +218,12 @@ def load_units(path: str, d: GklsForm):
 
 
 # ---------------------------------------------------------------------------
-# Report writer: the bytes of json.dumps(obj, sort_keys=True, indent=2),
-# written in pieces.  The standard encoder falls back to pure Python once
-# ``indent`` is set; arrays of floats are the bulk of a report, and are
-# formatted here a leading-axis slice at a time.
+# Report writer: the bytes of json.dumps(report, sort_keys=True, indent=2,
+# default=np.ndarray.tolist), written in pieces.  The standard encoder falls
+# back to pure Python once ``indent`` is set; the float arrays of encode are
+# the bulk of a report, and are formatted here a leading-axis slice at a time.
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_array(obj) -> np.ndarray | None:
-    """``obj`` as a float array if it is a non-empty regular nesting of lists
-    whose leaves are all exactly ``float``, else None."""
-    try:
-        a = np.array(obj, dtype=object)
-    except ValueError:  # ragged below the first level
-        return None
-    if a.size == 0 or set(map(type, a.flat)) != {float}:
-        return None
-    return a.astype(float)
 
 
 def _write_floats(a: np.ndarray, write, pad: str) -> None:
@@ -271,27 +260,26 @@ def _write_floats(a: np.ndarray, write, pad: str) -> None:
 
 
 def _write(obj, write, pad: str = "") -> None:
-    """Write ``obj`` through ``write`` as the text of
-    ``json.dumps(obj, sort_keys=True, indent=2)``, without building it whole.
-    Dict keys are strings, as in every report."""
+    """Write ``obj`` through ``write`` as the text of ``json.dumps(obj,
+    sort_keys=True, indent=2, default=np.ndarray.tolist)``, without building
+    it whole.  Dict keys are strings and arrays are float arrays of at least
+    one dimension, as in every report."""
     if isinstance(obj, dict) and obj:
         inner = pad + "  "
         for i, key in enumerate(sorted(obj)):
             write(("{" if i == 0 else ",") + f"\n{inner}{json.dumps(str(key))}: ")
             _write(obj[key], write, inner)
         write(f"\n{pad}}}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        a = _float_array(obj)
-        if a is not None:
-            _write_floats(a, write, pad)
-            return
+    elif isinstance(obj, np.ndarray) and obj.size:
+        _write_floats(obj, write, pad)
+    elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):  # an array of shape (2, 0) too
         inner = pad + "  "
         for i, item in enumerate(obj):
             write(("[" if i == 0 else ",") + f"\n{inner}")
             _write(item, write, inner)
         write(f"\n{pad}]")
     else:
-        write(json.dumps(obj))
+        write("[]" if isinstance(obj, np.ndarray) else json.dumps(obj))
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -390,8 +378,11 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
         units = sample_units(d, d.space.dim + 3, seed=args.seed)
         kern = covariance_kernel(d, units)
         herm = is_hermitian(kern, tol)
+        # gram_dimension cancels the scalar parts; the trivial unit's column pins them.
+        first = np.array([covariance(d, u, units[0]) for u in units])
+        first_ok = within(frob(kern[:, 0] - first), tol.residual, frob(first))
         dim_ok = gram_dimension(kern, tol) == d.space.dim
-        checks["covariance"] = {"pass": bool(herm and dim_ok)}
+        checks["covariance"] = {"pass": bool(herm and first_ok and dim_ok)}
     all_pass = all(entry["pass"] for entry in checks.values())
     report = {
         "checks": checks,
@@ -470,8 +461,15 @@ def _check_flags(args) -> Tolerances:
         value = getattr(args, flag, 1.0)
         if not (math.isfinite(value) and value > 0):
             raise ParseError(f"--{flag} must be a finite number > 0, got {value}")
-    if getattr(args, "m", 1) < 1:
-        raise ParseError(f"--m must be at least 1, got {args.m}")
+    t, m = getattr(args, "t", 1.0), getattr(args, "m", 1)
+    if m < 1:
+        raise ParseError(f"--m must be at least 1, got {m}")
+    try:
+        step = t / m  # the step of the covariance estimator
+    except OverflowError:  # an int --m beyond the float range
+        step = 0.0
+    if not step > 0:
+        raise ParseError(f"--t / --m must be a float > 0, got {t} / {m}")
     if args.seed < 0:
         raise ParseError(f"--seed must be at least 0, got {args.seed}")
     if args.command == "verify":

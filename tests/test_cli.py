@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -6,8 +7,8 @@ from conftest import SZ, dephasing_generator, random_ccp_generator, transpose_su
 
 import cpsemi.cli as cli
 import cpsemi.generator as generator
-from cpsemi import DEFAULT_TOL, ParseError
-from cpsemi.cli import _write, cmd_analyze, decode, encode, main
+from cpsemi import DEFAULT_TOL, NotCCP, ParseError
+from cpsemi.cli import _rejection, _write, cmd_analyze, cmd_covariance, decode, encode, main
 from cpsemi.generator import decompose, same_generator
 from cpsemi.superop import ad_superop, identity_superop
 
@@ -284,6 +285,21 @@ def test_verify_gauge_passes_at_every_scale(tmp_path, capsys, scale):
     assert json.loads(out)["checks"]["gauge"]["pass"] is True
 
 
+def test_verify_covariance_sees_an_offset_kernel(tmp_path, monkeypatch, capsys):
+    """A kernel off by one real constant is Hermitian and has the same
+    centred Gram matrix; its first column differs from the closed form."""
+    mat = random_ccp_generator(np.random.default_rng(3), 3, m=8)
+    argv = ["verify", "--input", write(tmp_path, "gen.json", superop_doc(mat, 3)),
+            "--checks", "covariance"]
+    assert main(argv) == 0
+    real = cli.covariance_kernel
+    monkeypatch.setattr(cli, "covariance_kernel", lambda d, units: 1.0 + real(d, units))
+    capsys.readouterr()
+    rc, out = run(capsys, argv)
+    assert rc == 3
+    assert json.loads(out)["checks"]["covariance"] == {"pass": False}
+
+
 def test_verify_subset_of_checks(dephasing_file, capsys):
     rc, out = run(
         capsys,
@@ -321,12 +337,12 @@ def test_encode_matches_reference_and_decode_inverts(rng):
         (np.zeros((0, 2, 2), dtype=complex), []),
     ]
     for x, ref in cases:
-        text = json.dumps(encode(x), sort_keys=True, indent=2)
+        text = json.dumps(encode(x), sort_keys=True, indent=2, default=np.ndarray.tolist)
         assert text == json.dumps(ref, sort_keys=True, indent=2)
         back = decode(json.loads(text), np.shape(x), "x")
         assert back.shape == np.shape(x)
         assert back.tobytes() == np.asarray(x, dtype=complex).tobytes()
-    assert encode(()) == []
+    assert json.dumps(encode(()), default=np.ndarray.tolist) == "[]"
 
 
 def _first_number(obj):
@@ -363,6 +379,23 @@ _BAD_FLAGS = [
     ["--tol", "-1"], ["--tol", "nan"], ["--tol", "0"], ["--t", "nan"],
     ["--t", "-1"], ["--m", "0"], ["--seed", "-1"],
 ]
+
+
+@pytest.mark.parametrize(
+    "t, m", [("1", "1" + "0" * 400), ("1e-320", "1000000")], ids=["m-overflows", "step-underflows"]
+)
+def test_covariance_step_must_be_a_positive_float(t, m, tmp_path, capsys):
+    docs = _specs()
+    argv = [
+        "covariance",
+        "--input", write(tmp_path, "gen.json", docs["superop"]),
+        "--units", write(tmp_path, "units.json", docs["units"]),
+        "--t", t, "--m", m,
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t / --m must be a float > 0")
 
 
 def _malformed_cases():
@@ -476,15 +509,59 @@ def test_writer_matches_json_dumps_on_random_arrays():
         x[rng.random(shape) < 0.1] = -0.0
         x[rng.random(shape) < 0.05] = np.nan
         x[rng.random(shape) < 0.05] = -np.inf
-        obj = {"x": x.tolist(), "y": [x.tolist(), 1], "z": [[x.tolist()]]}
-        assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        obj = {"x": x, "y": [x, 1], "z": [[x]]}
+        ref = {"x": x.tolist(), "y": [x.tolist(), 1], "z": [[x.tolist()]]}
+        assert _written(obj) == json.dumps(ref, sort_keys=True, indent=2)
+
+
+_ARRAY_CASES = {
+    "empty-pairs": np.zeros((0, 2)),
+    "empty-rows": np.zeros((2, 0)),
+    "empty-deep": np.zeros((0, 3, 3, 2)),
+    "pair": np.array([1.5, -0.0]),
+    "depth-1": np.array([-0.0, 5e-324, 1e300, -1e-300]),
+    "depth-2": np.array([[1.0], [2.0]]),
+    "depth-3": np.arange(12.0).reshape(2, 3, 2),
+    "depth-4": np.arange(-8.0, 8.0).reshape(2, 2, 2, 2) / 3.0,
+    "nonfinite": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
+    "subnormal": np.array([[5e-324, -5e-324]]),
+}
+
+
+@pytest.mark.parametrize("x", _ARRAY_CASES.values(), ids=_ARRAY_CASES.keys())
+def test_writer_matches_json_dumps_on_arrays(x):
+    for obj in (x, [x], {"a": [1, x], "b": x}):
+        assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist)
+    assert _written([x]) == json.dumps([x.tolist()], sort_keys=True, indent=2)
+
+
+def _float_arrays(report, keys):
+    for key in keys:
+        value = report[key]
+        assert isinstance(value, np.ndarray) and value.dtype == float, key
+
+
+def test_reports_carry_float_arrays(tmp_path):
+    mat = random_ccp_generator(np.random.default_rng(5), 3, m=4)
+    d = decompose(mat)
+    report, _ = cmd_analyze(None, mat, d, DEFAULT_TOL)
+    _float_arrays(report, ("k", "kraus"))
+    with pytest.raises(NotCCP) as info:
+        decompose(transpose_superop(2))
+    _float_arrays(_rejection("analyze", 2, info.value), ("witness",))
+    units = {"units": [{"c": [0.0, 0.0], "v": [[1.0, 0.0]] * 4},
+                       {"c": [0.0, 1.0], "v": [[0.0, 0.0]] * 4}]}
+    args = argparse.Namespace(units=write(tmp_path, "units.json", units), t=1.0, m=512)
+    report, code = cmd_covariance(args, mat, d, DEFAULT_TOL)
+    assert code == 0
+    _float_arrays(report, ("closed", "estimate"))
 
 
 def test_writer_matches_json_dumps_on_analyze_report(tmp_path, capsys):
     mat = random_ccp_generator(np.random.default_rng(5), 4, m=15)
     report, code = cmd_analyze(None, mat, decompose(mat), DEFAULT_TOL)
     assert code == 0 and report["rank"] == 15
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist)
     assert _written(report) == text
     path = write(tmp_path, "r15.json", superop_doc(mat, 4))
     out_path = tmp_path / "report.json"
