@@ -14,8 +14,8 @@ from .errors import (
     NotHermitian,
     NotHermiticityPreserving,
     NotMember,
-    NotPSD,
     OwnerMismatch,
+    Overflow,
     ParseError,
 )
 from .generator import (
@@ -33,7 +33,7 @@ from .generator import (
     split_k,
 )
 from .numerics import DEFAULT_TOL, Tolerances
-from .opspace import MetricOperatorSpace, space_from_cp_map, space_from_kraus
+from .opspace import MetricOperatorSpace, space_from_cp_map
 from .semigroup import (
     Unit,
     covariance,
@@ -58,7 +58,6 @@ from .superop import (
     is_hermiticity_preserving,
     is_unital,
     kraus_from_spectrum,
-    kraus_to_choi,
     kraus_to_superop,
     superop_to_choi,
     unvec,

@@ -44,7 +44,7 @@ from . import (
     NotHermitian,
     NotHermiticityPreserving,
     NotMember,
-    NotPSD,
+    Overflow,
     ParseError,
     Tolerances,
     covariance,
@@ -350,7 +350,7 @@ def cmd_covariance(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
     report = {"command": "covariance", "closed": encode(closed), "m": args.m, "t": args.t}
     try:
         est = covariance_estimate(mat, u1, u2, t=args.t, m=args.m, tol=tol)
-    except (LogBranch, NotMember) as exc:
+    except (LogBranch, NotMember, Overflow) as exc:
         return {**report, "error": str(exc)}, EXIT_NUMERICAL
     report.update(estimate=encode(est), abs_error=abs(est - closed), n=d.n)
     return report, EXIT_OK
@@ -455,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> Tolerances:
-    """Reject bad flag values as parse errors; return the tolerances of
-    ``--tol``.  Normalises ``--checks`` to a list of check names."""
+    """Reject bad flag values as parse errors; return ``Tolerances(--tol)``.
+    Normalises ``--checks`` to a list of check names."""
     for flag in ("tol", "t"):
         value = getattr(args, flag, 1.0)
         if not (math.isfinite(value) and value > 0):
@@ -477,7 +477,7 @@ def _check_flags(args) -> Tolerances:
         for name in args.checks:
             if name not in _ALL_CHECKS:
                 raise ParseError(f"unknown check {name!r}")
-    return Tolerances(eig_cut=args.tol, psd_slack=args.tol, residual=args.tol / 10.0)
+    return Tolerances(args.tol)
 
 
 def main(argv=None) -> int:
@@ -494,10 +494,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotCCP, NotCP, NotHermiticityPreserving, NotPSD) as exc:
+    except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_GENERATOR
-    except (LogBranch, NotMember) as exc:
+    except (LogBranch, NotMember, Overflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _emit(report, args.output)

@@ -13,11 +13,6 @@ class NotHermitian(CpsemiError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class NotPSD(CpsemiError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue
-    beyond tolerance."""
-
-
 class NotCP(CpsemiError):
     """A map required to be completely positive is not."""
 
@@ -53,6 +48,10 @@ class ConstraintViolated(CpsemiError):
 
 class LogBranch(CpsemiError):
     """A principal logarithm was requested too close to the branch cut."""
+
+
+class Overflow(CpsemiError):
+    """A matrix exponential overflowed: its norm is not finite."""
 
 
 class ParseError(CpsemiError):

@@ -2,14 +2,16 @@
 least squares, with one tolerance rule.
 
 Every tolerance decision is :func:`within`: value <= rel * anchor(norms),
-with ``rel`` a :class:`Tolerances` field and anchor(norms) = max(1, norms...)
+with ``rel`` one of the three bounds a :class:`Tolerances` derives from its
+one relative tolerance, and anchor(norms) = max(1, norms...)
 over the norms of what the value was computed from.  The floor of 1 keeps
 tiny inputs from facing vacuously strict checks; membership in a metric
 operator space and the unitality of a generator pass ``floor=0``.  Every
 PSD, rank, Kraus and metric-space decision is read off the eigenvalues of
 one Hermitian matrix, held in one :class:`Spectrum` whose ``scale`` is the
 anchor of its largest |eigenvalue|; a stack of matrices, shape (..., k, k),
-gets one scale and one verdict per matrix.
+gets one scale and one verdict per matrix.  Every matrix exponential is
+made here, and one whose norm overflows raises :class:`~cpsemi.errors.Overflow`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import NotHermitian
+from .errors import NotHermitian, Overflow
 
 __all__ = [
     "Tolerances",
@@ -40,19 +42,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance knobs used throughout the library.
+    """One relative tolerance ``rel`` and the three bounds derived from it.
 
-    :param eig_cut: eigenvalues below this (relative) cut are treated as
-        zero when computing ranks, Kraus bases and metric operator spaces.
-    :param psd_slack: how far below zero an eigenvalue may sit (relative to the
-        matrix scale) while the matrix still counts as positive semidefinite.
-    :param residual: relative residual allowed when deciding that two maps or
-        matrices are equal, or that a linear system was solved exactly.
+    ``eig_cut = rel``: eigenvalues below this relative cut count as zero for
+    ranks, Kraus bases and metric operator spaces.  ``psd_slack = rel``: how
+    far below zero an eigenvalue may sit, relative to the matrix scale, while
+    the matrix still counts as positive semidefinite.  ``residual = rel / 10``:
+    the relative residual allowed when deciding that two maps or matrices are
+    equal, or that a linear system was solved exactly.
     """
 
-    eig_cut: float = 1e-9
-    psd_slack: float = 1e-9
-    residual: float = 1e-10
+    rel: float = 1e-9
+
+    eig_cut = property(lambda self: self.rel)
+    psd_slack = property(lambda self: self.rel)
+    residual = property(lambda self: self.rel / 10.0)
 
 
 DEFAULT_TOL = Tolerances()
@@ -139,9 +143,26 @@ def spectrum(
     return Spectrum(w, u, anchor(np.abs(w).max(axis=-1, initial=0.0)))
 
 
+def _finite(f, *args) -> np.ndarray:
+    """f(*args), computed without floating-point warnings.
+
+    :raises Overflow: if the Frobenius norm of the result is not finite: an
+        entry is not, or the norm that every tolerance is anchored at
+        overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = f(*args)
+        if not np.isfinite(frob(e)):
+            raise Overflow("matrix exponential overflows: its norm is not finite")
+    return e
+
+
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential, by scaling and squaring."""
-    return scipy.linalg.expm(np.asarray(m, dtype=complex))
+    """Matrix exponential, by scaling and squaring.
+
+    :raises Overflow: if its norm is not finite.
+    """
+    return _finite(scipy.linalg.expm, np.asarray(m, dtype=complex))
 
 
 def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
@@ -153,6 +174,8 @@ def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
     exponential of that time; every other time gets its own :func:`expm`.
     Only the exponentials that a later step reuses are kept.  For the times
     (0.1, 0.25, 0.5, 0.75, 1.0) that is 2 exponentials and 3 products.
+
+    :raises Overflow: at the first result whose norm is not finite.
     """
     m = np.asarray(m, dtype=complex)
     times = [float(t) for t in times]
@@ -161,7 +184,7 @@ def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
     kept: dict[float, np.ndarray] = {}
     last = None
     for t, step in zip(times, steps):
-        last = last @ kept[step] if step in kept else expm(t * m)
+        last = _finite(np.matmul, last, kept[step]) if step in kept else expm(t * m)
         if t in reused:
             kept[t] = last
         yield last

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, NotCP, NotMember, NotPSD
-from .numerics import DEFAULT_TOL, Spectrum, Tolerances, spectrum, within
-from .superop import choi_spectrum, kraus_from_spectrum, kraus_to_choi, superop_to_choi, vec
+from .errors import DimensionMismatch, NotMember
+from .numerics import DEFAULT_TOL, Spectrum, Tolerances, within
+from .superop import choi_spectrum, kraus_from_spectrum, superop_to_choi, vec
 
-__all__ = ["MetricOperatorSpace", "space_from_spectrum", "space_from_cp_map", "space_from_kraus"]
+__all__ = ["MetricOperatorSpace", "space_from_spectrum", "space_from_cp_map"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,52 +111,20 @@ class MetricOperatorSpace:
             out = out + complex(c) * v
         return out
 
-    def split_identity(self, tol: Tolerances = DEFAULT_TOL):
-        """Split off the identity direction when 1 is a member.
 
-        Returns ``(E0, c)`` where E0 = {v in E : <v, 1>_E = 0} and c > 0 is
-        the weight of the identity direction, so that the CP maps satisfy
-        P_E = P_E0 + c * id.  If 1 is not a member, returns ``(self, 0.0)``.
-        """
-        try:
-            gamma = self.coords(np.eye(self.n, dtype=complex), tol)
-        except NotMember:
-            return self, 0.0
-        nrm = float(np.linalg.norm(gamma))
-        c = 1.0 / (nrm * nrm)
-        if self.dim == 1:
-            return _empty_space(self.n), c
-        # Orthonormal coordinate vectors orthogonal to the identity direction.
-        comp = scipy.linalg.null_space(gamma.conj().reshape(1, -1))
-        ops = [self.from_coords(comp[:, j]) for j in range(comp.shape[1])]
-        return space_from_kraus(ops, tol), c
-
-
-def _empty_space(n: int) -> MetricOperatorSpace:
-    return MetricOperatorSpace(
-        n=n, dim=0, basis=(), u=np.zeros((n * n, 0), dtype=complex), w=np.zeros(0)
-    )
-
-
-def space_from_spectrum(
-    s: Spectrum, tol: Tolerances = DEFAULT_TOL, basis: Sequence[np.ndarray] | None = None
-) -> MetricOperatorSpace:
+def space_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> MetricOperatorSpace:
     """Metric operator space of the CP map whose Choi matrix has spectrum ``s``.
 
-    The eigenpairs above the cut give everything at once: the dimension and
-    every membership and inner-product query.  The basis defaults to the
-    Kraus operators read off the same eigenpairs (:func:`kraus_from_spectrum`);
-    a caller that already holds an independent Kraus family of the map passes
-    it as ``basis``.
+    The eigenpairs above the cut give everything at once: the dimension,
+    the basis (the Kraus operators :func:`kraus_from_spectrum` reads off
+    them) and every membership and inner-product query.
     """
     keep = s.kept(tol)
     u, w = s.u[:, keep], s.w[keep]
-    if basis is None:
-        basis = kraus_from_spectrum(s, tol)
     return MetricOperatorSpace(
         n=int(round(np.sqrt(s.w.size))),
         dim=int(w.size),
-        basis=tuple(np.asarray(v, dtype=complex).copy() for v in basis),
+        basis=tuple(kraus_from_spectrum(s, tol)),
         u=u,
         w=w,
     )
@@ -172,28 +139,4 @@ def space_from_cp_map(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MetricO
 
     :raises NotCP: if the map is not completely positive within tolerance.
     """
-    try:
-        s = choi_spectrum(superop_to_choi(mat), tol)
-    except NotPSD as exc:
-        raise NotCP(f"map is not completely positive: {exc}") from exc
-    return space_from_spectrum(s, tol)
-
-
-def space_from_kraus(
-    ops: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL
-) -> MetricOperatorSpace:
-    """Metric operator space presented by an explicit Kraus family.
-
-    The operators must be linearly independent, which is tested on the
-    spectrum of their Choi matrix: it must keep one eigenvalue per operator.
-    They then form an orthonormal basis of the space in its own inner product
-    and are stored as given.
-    """
-    ops = [np.asarray(v, dtype=complex) for v in ops]
-    if not ops:
-        raise ValueError("need at least one Kraus operator (or use an empty space)")
-    s = spectrum(kraus_to_choi(ops))
-    kept = int(np.sum(s.kept(tol)))
-    if kept != len(ops):
-        raise ValueError(f"Kraus family is linearly dependent: the cut keeps {kept} of {len(ops)}")
-    return space_from_spectrum(s, tol, basis=ops)
+    return space_from_spectrum(choi_spectrum(superop_to_choi(mat), tol), tol)

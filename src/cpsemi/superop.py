@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NotCP, NotHermitian
 from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, is_hermitian, spectrum, within
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ad_superop",
     "apply_superop",
     "kraus_to_superop",
-    "kraus_to_choi",
     "superop_to_choi",
     "choi_spectrum",
     "kraus_from_spectrum",
@@ -122,11 +121,6 @@ def kraus_to_superop(ops: Sequence[np.ndarray]) -> np.ndarray:
     return blocks.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def kraus_to_choi(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix of x -> sum_m v_m @ x @ v_m*, i.e. sum_m vec(v_m) vec(v_m)*."""
-    return superop_to_choi(kraus_to_superop(ops))
-
-
 def superop_to_choi(mat: np.ndarray) -> np.ndarray:
     """Choi matrix of the map with superoperator matrix ``mat``.
 
@@ -143,17 +137,20 @@ def superop_to_choi(mat: np.ndarray) -> np.ndarray:
 
 
 def choi_spectrum(choi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Spectrum of a Choi matrix that must be positive semidefinite.
+    """Spectrum of the Choi matrix of a map that must be completely positive.
 
-    :raises NotPSD: if the matrix is not Hermitian, or has an eigenvalue
+    :raises NotCP: if the matrix is not Hermitian, or has an eigenvalue
         below ``-psd_slack`` (relative to its scale).
     """
     try:
         s = spectrum(choi, tol)
     except NotHermitian as exc:
-        raise NotPSD(f"Choi matrix is not Hermitian: {exc}") from exc
+        raise NotCP(
+            f"map is not completely positive: Choi matrix is not Hermitian: {exc}"
+        ) from exc
     if not s.psd(tol):
-        raise NotPSD(
+        raise NotCP(
+            "map is not completely positive: "
             f"Choi matrix has negative eigenvalue {s.w[-1]:.3e} "
             f"(slack {tol.psd_slack * s.scale:.3e})"
         )

@@ -58,7 +58,7 @@ def test_criterion_1_ccp_verdicts_agree_across_routes():
     # 200 seeded Hermiticity-preserving maps (half generic, half built as
     # generators), n in {2, 3}; three independent verdicts, zero
     # disagreements at tolerance 1e-8, under 60 seconds.
-    tol = Tolerances(eig_cut=1e-8, psd_slack=1e-8, residual=1e-8)
+    tol = Tolerances(1e-8)
     rng = np.random.default_rng(101)
     start = time.monotonic()
     disagreements = 0

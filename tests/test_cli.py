@@ -764,3 +764,47 @@ def test_deep_or_escaped_text_never_reaches_orjson(raw, tmp_path, monkeypatch, c
     assert err.startswith("error: ") and err.count("\n") == 1
     if raw.startswith(b"[["):
         assert err.startswith(f"error: {path} is not valid JSON: maximum recursion depth")
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "3e-7", "0.01"])
+def test_tol_flag_reaches_the_library_as_one_tolerance(tol, dephasing_file, monkeypatch, capsys):
+    seen = []
+
+    def spy(mat, t):
+        seen.append(t)
+        return decompose(mat, t)
+
+    monkeypatch.setattr(cli, "decompose", spy)
+    assert main(["analyze", "--input", dephasing_file, "--tol", tol]) == 0
+    assert seen == [cli.Tolerances(float(tol))]
+
+
+# exp(tL) overflows: L has an eigenvalue of real part 1.33, so exp(1e3 L) is
+# not finite in double precision, while L itself is a valid generator.
+_OVERFLOW_ARGV = {
+    "covariance": ["covariance", "--units", "{units}", "--t", "1e3", "--m", "1"],
+    "product_system": ["verify", "--checks", "product_system"],
+    "units": ["verify", "--checks", "units"],
+    "domination": ["verify", "--checks", "domination"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOW_ARGV))
+def test_exponential_overflow_is_a_numerical_limit(case, tmp_path, capsys, recwarn):
+    mat = random_ccp_generator(np.random.default_rng(1), 3, m=1)
+    if case != "covariance":
+        mat = 1e3 * mat
+    path = write(tmp_path, "gen.json", superop_doc(mat, 3))
+    assert main(["analyze", "--input", path]) == 0
+    capsys.readouterr()
+    unit = {"c": [0.0, 0.0], "v": [[1.0, 0.0]]}
+    upath = write(tmp_path, "units.json", {"units": [unit, unit]})
+    argv = [a.format(units=upath) for a in _OVERFLOW_ARGV[case]] + ["--input", path]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    message = "matrix exponential overflows: its norm is not finite"
+    if case == "covariance":
+        assert json.loads(out)["error"] == message and err == ""
+    else:
+        assert out == "" and err == f"error: {message}\n"
+    assert not recwarn.list  # nothing is printed before the error

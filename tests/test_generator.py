@@ -30,7 +30,7 @@ from cpsemi.generator import (
     split_k,
 )
 from cpsemi.numerics import DEFAULT_TOL, expm, spectrum
-from cpsemi.opspace import space_from_cp_map, space_from_kraus
+from cpsemi.opspace import space_from_cp_map
 from cpsemi.sampling import random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, index
 from cpsemi.superop import (
@@ -221,7 +221,7 @@ def test_extract_gauge_recovers_shift(rng):
     shifted_ops = [v + l * eye for v, l in zip(d1.space.basis, lam)]
     u = sum(l.conjugate() * v for l, v in zip(lam, d1.space.basis))
     k2 = d1.k - u - 0.5 * float(np.vdot(lam, lam).real) * eye
-    d2 = GklsForm(n=2, space=space_from_kraus(shifted_ops), k=k2, residual=0.0)
+    d2 = GklsForm(n=2, space=space_from_cp_map(kraus_to_superop(shifted_ops)), k=k2, residual=0.0)
     assert same_generator(d1, d2)
     rel = extract_gauge(d1, shifted_ops, k2)
     # theta carries coordinates isometrically between the two presentations
@@ -321,7 +321,8 @@ def test_extract_gauge_rejects_one_column_outside_span():
     with pytest.raises(ValueError, match="modulo scalars"):
         extract_gauge(d1, ops, d1.k)
     # every other column is in the span, so the same families pass without it
-    keep = GklsForm(n=3, space=space_from_kraus(d1.space.basis[:-1]), k=d1.k, residual=0.0)
+    keep_space = space_from_cp_map(kraus_to_superop(d1.space.basis[:-1]))
+    keep = GklsForm(n=3, space=keep_space, k=d1.k, residual=0.0)
     assert extract_gauge(keep, ops[:-1], d1.k).residual <= 1e-12
 
 

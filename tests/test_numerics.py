@@ -22,7 +22,16 @@ from cpsemi.numerics import (
 
 
 def test_tolerances_defaults():
-    assert DEFAULT_TOL == Tolerances(eig_cut=1e-9, psd_slack=1e-9, residual=1e-10)
+    assert DEFAULT_TOL == Tolerances(1e-9)
+    tol = DEFAULT_TOL
+    assert (tol.eig_cut, tol.psd_slack, tol.residual) == (1e-9, 1e-9, 1e-10)
+
+
+@pytest.mark.parametrize("x", [1e-3, 1e-9, 2.5e-7, 0.3])
+def test_tolerances_derive_three_bounds_from_one_number(x):
+    tol = Tolerances(x)
+    assert tol.eig_cut == tol.psd_slack == x
+    assert tol.residual == x / 10
 
 
 def test_within_boundary_is_inclusive():
@@ -89,8 +98,8 @@ def test_spectrum_rejects_non_hermitian(rng):
 
 
 def test_spectrum_psd_and_kept():
-    tol = Tolerances(eig_cut=1e-6, psd_slack=1e-3)
-    s = spectrum(np.diag([4.0, 1e-5, 1e-6, -1e-3]))
+    tol = Tolerances(1e-3)
+    s = spectrum(np.diag([4.0, 1e-2, 1e-3, -1e-3]))
     assert s.scale == 4.0
     assert s.psd(tol)  # -1e-3 >= -1e-3 * 4
     assert not spectrum(np.diag([4.0, -1e-2])).psd(tol)
@@ -98,19 +107,19 @@ def test_spectrum_psd_and_kept():
     # the scale has a floor of 1
     small = spectrum(np.diag([1e-3, -1e-4]))
     assert small.scale == 1.0
-    assert small.psd(Tolerances(psd_slack=1e-4)) and not small.psd(Tolerances(psd_slack=1e-5))
+    assert small.psd(Tolerances(1e-4)) and not small.psd(Tolerances(1e-5))
     # the empty matrix is PSD with nothing kept
     empty = spectrum(np.zeros((0, 0)))
     assert empty.psd() and empty.kept().size == 0 and empty.scale == 1.0
 
 
 def test_spectrum_of_a_stack_decides_each_matrix_like_the_single_call(rng):
-    tol = Tolerances(eig_cut=1e-6, psd_slack=1e-3)
+    tol = Tolerances(1e-3)
     a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
     mats = np.concatenate([
         a @ a.conj().swapaxes(-1, -2),                  # PSD
         a[:2] + a[:2].conj().swapaxes(-1, -2),          # indefinite
-        np.diag([4.0, 1e-5, 1e-6, -1e-3])[None],        # at the slack
+        np.diag([4.0, 1e-2, 1e-3, -1e-3])[None],        # within the slack
         np.diag([1e-3, 1e-3, 0.0, -1e-4])[None],        # under the floor of 1
         np.zeros((1, 4, 4)),                            # all zero
         a[:1],                                          # not Hermitian
@@ -255,8 +264,8 @@ def test_eigendecompositions_only_in_numerics():
 def test_threshold_rule_only_in_numerics():
     # every tolerance decision goes through numerics.within: no module
     # decides closeness with numpy's allclose or isclose, and no other module
-    # writes the floor of 1 or multiplies a Tolerances field into a bound,
-    # except the NotPSD message of choi_spectrum, which prints the slack
+    # writes the floor of 1 or multiplies a tolerance into a bound,
+    # except the NotCP message of choi_spectrum, which prints the slack
     allowed = {"superop.py": "{tol.psd_slack * s.scale:.3e}"}
     sources = sorted(Path(numerics.__file__).parent.glob("*.py"))
     assert len(sources) > 1

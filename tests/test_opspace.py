@@ -3,7 +3,7 @@ import pytest
 from conftest import SX, SZ
 
 from cpsemi.errors import DimensionMismatch, NotCP, NotMember
-from cpsemi.opspace import space_from_cp_map, space_from_kraus
+from cpsemi.opspace import space_from_cp_map
 from cpsemi.superop import (
     ad_superop,
     identity_superop,
@@ -126,62 +126,38 @@ def test_basis_independence(rng):
     ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     mixed = [u[0, 0] * ops[0] + u[0, 1] * ops[1], u[1, 0] * ops[0] + u[1, 1] * ops[1]]
-    e1 = space_from_kraus(ops)
-    e2 = space_from_kraus(mixed)
+    e1 = space_from_cp_map(kraus_to_superop(ops))
+    e2 = space_from_cp_map(kraus_to_superop(mixed))
     a = 0.7 * ops[0] - 1.2j * ops[1]
     b = ops[1]
     assert e1.membership(a) == pytest.approx(e2.membership(a), abs=1e-10)
     assert e1.inner(a, b) == pytest.approx(e2.inner(a, b), abs=1e-10)
 
 
-def test_split_identity_on_identity_map():
-    e0, c = space_from_cp_map(identity_superop(2)).split_identity()
-    assert e0.dim == 0
-    assert c == pytest.approx(1.0)
-
-
-def test_split_identity_on_dephasing():
-    e = space_from_cp_map(dephasing_cp_map())
-    e0, c = e.split_identity()
-    assert c == pytest.approx(0.5)
-    assert e0.dim == 1
-    assert e0.membership(SZ) is not None
-    assert e0.membership(np.eye(2)) is None
-    # reconstruction: choi(P_E) = choi(P_E0) + c * choi(identity)
-    want = superop_to_choi(kraus_to_superop(e0.basis) + c * identity_superop(2))
-    np.testing.assert_allclose(superop_to_choi(dephasing_cp_map()), want, atol=1e-10)
-
-
-def test_split_identity_without_identity_member():
-    e = space_from_cp_map(ad_superop(SZ))
-    e0, c = e.split_identity()
-    assert c == 0.0
-    assert e0 is e
-
-
-def test_space_from_kraus_rejects_dependent_family():
-    with pytest.raises(ValueError):
-        space_from_kraus([SZ, 2 * SZ])
+def test_any_independent_kraus_family_is_an_orthonormal_basis(rng):
+    # The paper's property of E(P): every linearly independent Kraus family
+    # of P is orthonormal in the inner product of its space, whichever
+    # family the space itself stores.
+    for n, m in ((2, 2), (3, 4)):
+        ops = [random_matrix(rng, n) for _ in range(m)]
+        u = np.linalg.qr(random_matrix(rng, m))[0]
+        mixed = list(np.tensordot(u, ops, axes=1))
+        for family in (ops, mixed):
+            e = space_from_cp_map(kraus_to_superop(family))
+            assert e.dim == m
+            for v in family:
+                assert e.membership(v) == pytest.approx(1.0)
+            gram = [[e.inner(vi, vj) for vj in family] for vi in family]
+            np.testing.assert_allclose(gram, np.eye(m), atol=1e-9)
 
 
 def test_space_from_cp_map_rejects_non_cp():
     from conftest import transpose_superop
 
-    with pytest.raises(NotCP):
+    with pytest.raises(
+        NotCP, match="map is not completely positive: Choi matrix has negative eigenvalue"
+    ):
         space_from_cp_map(transpose_superop(2))
-
-
-def test_space_from_kraus_tests_independence_on_the_choi_spectrum():
-    # The Choi eigenvalue of eps * sigma_plus is eps^2: above the cut at
-    # eps = 1e-3, below it at eps = 1e-5, where the family is dependent
-    # within tolerance and must not yield a space with dim != len(basis).
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    e = space_from_kraus([SZ, 1e-3 * sp])
-    assert e.dim == len(e.basis) == 2
-    for v in e.basis:
-        assert e.membership(v) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        space_from_kraus([SZ, 1e-5 * sp])
 
 
 def test_space_from_cp_map_dim_matches_basis(rng):
@@ -194,12 +170,12 @@ def test_space_from_cp_map_dim_matches_basis(rng):
 
 
 def _reference_spaces(rng):
-    """Spaces of random CP maps at several sizes and ranks, one of them
-    presented by an explicit Kraus family."""
+    """Spaces of random CP maps at several sizes and ranks, the last one
+    built from an explicit Kraus family."""
     for n in (2, 3, 4):
         for m in (1, 2, n + 1, n * n):
             yield space_from_cp_map(random_cp_map(rng, n, m=m))
-    yield space_from_kraus([random_matrix(rng, 3) for _ in range(4)])
+    yield space_from_cp_map(kraus_to_superop([random_matrix(rng, 3) for _ in range(4)]))
 
 
 def _random_member(rng, e):
@@ -235,7 +211,7 @@ def test_queries_match_the_dense_reference(rng):
 
 
 def test_empty_space_has_only_zero():
-    empty, _ = space_from_cp_map(identity_superop(2)).split_identity()
+    empty = space_from_cp_map(np.zeros((4, 4)))
     assert empty.dim == 0 and empty.u.shape == (4, 0)
     assert empty.membership(np.zeros((2, 2))) == 0.0
     assert empty.membership(SX) is None

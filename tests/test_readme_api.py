@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import cpsemi
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,12 +54,40 @@ def _readme_removed() -> list[str]:
     ]
 
 
+def _owner(path: list[str]):
+    """The object a dotted path names: its longest importable module prefix,
+    then attributes along the rest, as in ``cpsemi.opspace`` then
+    ``MetricOperatorSpace``."""
+    for i in range(len(path), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(path[:i]))
+        except ImportError:
+            continue
+        for attr in path[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(f"no module prefix of {'.'.join(path)} imports")
+
+
 def test_removed_names_are_not_exported():
     removed = _readme_removed()
-    assert {"choi_to_superop", "verify_unit", "CovarianceKernel"} <= set(removed)
+    assert {
+        "choi_to_superop", "verify_unit", "CovarianceKernel", "space_from_kraus",
+        "kraus_to_choi", "NotPSD", "cpsemi.opspace.MetricOperatorSpace.split_identity",
+    } <= set(removed)
     exported = _exported()
     for name in removed:
-        module, _, attr = name.rpartition(".")
+        *path, attr = name.split(".")
         assert attr not in exported, f"{attr} is listed as removed but still exported"
-        if module:
-            assert not hasattr(importlib.import_module(module), attr), name
+        if path:
+            assert not hasattr(_owner(path), attr), name
+
+
+def test_every_module_all_entry_exists():
+    # a stale entry breaks "from cpsemi.<module> import *"
+    modules = [info.name for info in pkgutil.iter_modules(cpsemi.__path__)]
+    assert len(modules) > 5
+    for name in modules:
+        module = importlib.import_module(f"cpsemi.{name}")
+        for entry in getattr(module, "__all__", ()):
+            assert hasattr(module, entry), f"cpsemi.{name}.__all__ lists missing {entry}"
