@@ -192,7 +192,7 @@ def load_generator(path: str, tol: Tolerances) -> tuple[np.ndarray, int]:
     if kind == "gkls":
         ops = _decode_stack(doc, "kraus", n)
         k = decode(doc.get("k"), (n, n), "k")
-        return gkls_superop(k, kraus_to_superop(ops) if len(ops) else None), n
+        return gkls_superop(k, kraus_to_superop(ops)), n
     if kind == "hamiltonian_lindblad":
         h = decode(doc.get("h"), (n, n), "h")
         ops = _decode_stack(doc, "lindblad", n)

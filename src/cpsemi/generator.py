@@ -15,9 +15,8 @@ semigroup it generates.
 Construction: the basis is extracted from the eigendecomposition of the
 projected Choi matrix of L (compression to the orthogonal complement of
 vec(1)), whose eigenvectors are automatically orthogonal to vec(1), hence
-traceless as operators; k then solves the least-squares problem
-mat(L) - mat(P) = kron(1, k) + kron(conj(k), 1), in closed form via partial
-traces.
+traceless as operators; k is the two-sided least-squares fit of
+mat(L) - mat(P), x -> a x + x b, as k = (a + b*) / 2.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .superop import (
     superop_to_choi,
     vec,
 )
-from .symbols import _ccp_spectrum, _partial_traces, symbols_equal
+from .symbols import _ccp_spectrum, _two_sided_fit, symbols_equal
 
 __all__ = [
     "GklsForm",
@@ -74,35 +73,15 @@ class GklsForm:
     residual: float
 
 
-def gkls_superop(k: np.ndarray, cp: np.ndarray | None = None) -> np.ndarray:
+def gkls_superop(k: np.ndarray, cp: np.ndarray = 0.0) -> np.ndarray:
     """Superoperator matrix of x -> P(x) + k x + x k*.
 
     :param cp: superoperator matrix of the completely positive part P, for
-        example ``kraus_to_superop(ops)``; None for P = 0.
+        example ``kraus_to_superop(ops)``; 0 for P = 0.
     """
     k = np.asarray(k, dtype=complex)
     eye = np.eye(k.shape[0])
-    out = np.kron(eye, k) + np.kron(k.conj(), eye)
-    if cp is not None:
-        out = out + cp
-    return out
-
-
-def _solve_drift(d: np.ndarray, n: int) -> np.ndarray:
-    """Least-squares solution k of d = kron(1, k) + kron(conj(k), 1),
-    gauge-fixed by Im(tr k) = 0.
-
-    Closed form from the normal equations: with S1/S2 the partial traces of
-    d over the first/second tensor factor and tau = Re(tr d) / (2n),
-
-        k = (S1 + conj(S2) - 2 tau 1) / (2n).
-    """
-    s1, s2 = _partial_traces(d)
-    tau = float(np.real(np.trace(np.asarray(d, dtype=complex))) / (2.0 * n))
-    k = (s1 + s2.conj() - 2.0 * tau * np.eye(n)) / (2.0 * n)
-    # The formula already leaves tr k real; clean up the last float dust.
-    k = k - 1j * (np.trace(k).imag / n) * np.eye(n)
-    return k
+    return np.kron(eye, k) + np.kron(k.conj(), eye) + cp
 
 
 def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
@@ -127,11 +106,10 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
             eigenvalue=low,
         )
     space = space_from_spectrum(s, tol)
-    if space.dim:
-        cp_part = kraus_to_superop(space.basis)
-    else:
-        cp_part = np.zeros((n * n, n * n), dtype=complex)
-    k = _solve_drift(np.asarray(mat, dtype=complex) - cp_part, n)
+    cp_part = kraus_to_superop(space.basis)
+    a, b, _ = _two_sided_fit(mat - cp_part)
+    k = (a + b.conj().T) / 2.0
+    k = k - 1j * (np.trace(k).imag / n) * np.eye(n)  # Im tr k = 0
     rebuilt = gkls_superop(k, cp_part)
     residual = frob(rebuilt - mat) / anchor(frob(np.asarray(mat)))
     return GklsForm(n=n, space=space, k=k, residual=residual)
@@ -139,7 +117,7 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
 
 def rebuild(d: GklsForm) -> np.ndarray:
     """Superoperator matrix of the generator described by a canonical form."""
-    return gkls_superop(d.k, kraus_to_superop(d.space.basis) if d.space.dim else None)
+    return gkls_superop(d.k, kraus_to_superop(d.space.basis))
 
 
 def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -175,17 +153,12 @@ def gauge_shift(d: GklsForm, lam: Sequence[complex], c: complex = 0.0) -> np.nda
         raise ValueError(
             f"need {d.space.dim} scalars, got {lam.size}"
         )
-    ops = _shifted_kraus(d, lam)
-    out = complex(c).real * np.eye(d.n * d.n, dtype=complex)
-    if ops:
-        out = out + kraus_to_superop(ops)
-    return out
+    return complex(c).real * np.eye(d.n * d.n) + kraus_to_superop(_shifted_kraus(d, lam))
 
 
-def _shifted_kraus(d: GklsForm, lam: np.ndarray) -> list[np.ndarray]:
+def _shifted_kraus(d: GklsForm, lam: np.ndarray) -> np.ndarray:
     """The Kraus family v_m + lam_m 1 of d's basis shifted by scalars."""
-    eye = np.eye(d.n, dtype=complex)
-    return [v + l * eye for v, l in zip(d.space.basis, lam)]
+    return d.space.basis + lam[:, None, None] * np.eye(d.n)
 
 
 def _same_superop(m1: np.ndarray, m2: np.ndarray, tol: Tolerances) -> bool:
@@ -200,10 +173,10 @@ def same_generator(d1: GklsForm, d2: GklsForm, tol: Tolerances = DEFAULT_TOL) ->
     return d1.n == d2.n and _same_superop(rebuild(d1), rebuild(d2), tol)
 
 
-def _scalar_design(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
+def _scalar_design(ops: np.ndarray, n: int) -> np.ndarray:
     """Columns vec(b_1), ..., vec(b_m), vec(1): the operators, then the
     identity, as the design of a least-squares fit over span(ops) + C1."""
-    return np.column_stack([vec(v) for v in ops] + [vec(np.eye(n))])
+    return np.column_stack([vec(ops).T, vec(np.eye(n))])
 
 
 class GaugeRelation(NamedTuple):
@@ -253,20 +226,16 @@ def extract_gauge(
         raise ValueError(f"need {dim} Kraus operators, got {len(ops)}")
     if any(v.shape != (n, n) for v in ops):
         raise DimensionMismatch(f"Kraus operators must be {n}x{n}")
-    rhs = _scalar_design(d.space.basis, n)[:, :dim]  # the columns vec(u_i), one solve for all
+    ops = np.reshape(ops, (dim, n, n))
+    rhs = vec(d.space.basis).T  # the columns vec(u_i), one solve for all
     sol, res = lstsq(_scalar_design(ops, n), rhs)
     if not np.all(within(res, tol.eig_cut, np.linalg.norm(rhs, axis=0))):
         raise ValueError("spaces do not agree modulo scalars")
     theta = sol[:dim]
     f = sol[dim]
-    if dim:
-        gamma_conj, _ = lstsq(theta.T, f)
-        gamma = gamma_conj.conj()
-        v2 = np.tensordot(gamma, ops, axes=1)
-        vv = float(np.real(np.vdot(gamma, gamma)))
-    else:
-        v2 = np.zeros((n, n), dtype=complex)
-        vv = 0.0
+    gamma = lstsq(theta.T, f)[0].conj()
+    v2 = np.tensordot(gamma, ops, axes=1)
+    vv = float(np.real(np.vdot(gamma, gamma)))
     resid_mat = np.asarray(k2, dtype=complex) - d.k - v2 - 0.5 * vv * np.eye(n)
     c = float(np.trace(resid_mat).imag / n)
     leftover = frob(resid_mat - 1j * c * np.eye(n))
@@ -290,7 +259,7 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
     dim = d.space.dim
     lam = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     eye = np.eye(d.n)
-    cp = kraus_to_superop(d.space.basis) if dim else None
+    cp = kraus_to_superop(d.space.basis)
     mat = gkls_superop(d.k, cp)
     if dim:
         cp2 = gauge_shift(d, lam)
@@ -365,20 +334,28 @@ def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
 
 def hamiltonian_lindblad(
-    h: np.ndarray, ops: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL
+    h: np.ndarray, ops: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
     """Unital generator from a Hamiltonian and a family of jump operators:
 
         L(x) = sum_m v_m x v_m* + k x + x k*,  k = i h - (1/2) sum_m v_m v_m*.
 
-    (Heisenberg picture: L(1) = 0.)
+    (Heisenberg picture: L(1) = 0.)  With W = [v_1 ... v_m], the n x mn row
+    of the operators, sum_m v_m v_m* = W W*.
+
+    :param ops: the jump operators, shape (m, n, n); ``[]`` is the empty family.
+    :raises DimensionMismatch: if ``ops`` is not of shape (m, n, n).
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, tol):
         raise NotHermitian("hamiltonian part must be Hermitian")
     n = h.shape[0]
-    ops = [np.asarray(v, dtype=complex) for v in ops]
-    k = 1j * h - 0.5 * sum(
-        (v @ v.conj().T for v in ops), start=np.zeros((n, n), dtype=complex)
-    )
-    return gkls_superop(k, kraus_to_superop(ops) if ops else None)
+    try:
+        v = np.asarray(ops, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch(f"jump operators must be {n}x{n}") from exc
+    if v.shape[1:] != (n, n) and v.shape != (0,):
+        raise DimensionMismatch(f"jump operators must be {n}x{n}, got shape {v.shape}")
+    v = v.reshape(-1, n, n)
+    w = v.swapaxes(0, 1).reshape(n, -1)
+    return gkls_superop(1j * h - 0.5 * (w @ w.conj().T), kraus_to_superop(v))

@@ -27,7 +27,8 @@ class MetricOperatorSpace:
     """A subspace of M_n(C) with the inner product induced by a CP map.
 
     ``basis`` is an orthonormal basis in the space's own inner product (not,
-    in general, in the Frobenius one).  ``u`` and ``w`` are the eigenvectors
+    in general, in the Frobenius one), a Kraus family of shape (dim, n, n):
+    (0, n, n) for the zero space.  ``u`` and ``w`` are the eigenvectors
     (n^2 x dim) and eigenvalues kept from the Choi matrix J of the associated
     CP map sum_m v_m x v_m* over the basis.  Every query projects vec(a) on
     the kept eigenvectors once, c = u* vec(a): membership is read off the
@@ -38,7 +39,7 @@ class MetricOperatorSpace:
 
     n: int
     dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     u: np.ndarray
     w: np.ndarray
 
@@ -94,8 +95,7 @@ class MetricOperatorSpace:
         :raises NotMember: if ``a`` is not in the space.
         """
         c = self._member(a, tol, "operand")
-        vecs = np.array([vec(v) for v in self.basis]).reshape(self.dim, self.n * self.n)
-        return vecs.conj() @ (self.u @ (c / self.w))
+        return vec(self.basis).conj() @ (self.u @ (c / self.w))
 
     def from_coords(self, coords: Sequence[complex]) -> np.ndarray:
         """Linear combination of the stored basis with the given coordinates.
@@ -106,10 +106,7 @@ class MetricOperatorSpace:
         coords = np.asarray(coords, dtype=complex)
         if coords.shape != (self.dim,):
             raise DimensionMismatch(f"need {self.dim} coordinates, got shape {coords.shape}")
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for c, v in zip(coords, self.basis):
-            out = out + complex(c) * v
-        return out
+        return np.tensordot(coords, self.basis, 1)
 
 
 def space_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> MetricOperatorSpace:
@@ -124,7 +121,7 @@ def space_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> MetricOpe
     return MetricOperatorSpace(
         n=int(round(np.sqrt(s.w.size))),
         dim=int(w.size),
-        basis=tuple(kraus_from_spectrum(s, tol)),
+        basis=kraus_from_spectrum(s, tol),
         u=u,
         w=w,
     )

@@ -125,10 +125,14 @@ def make_unit(d: GklsForm, c: complex, v_coords: Sequence[complex]) -> Unit:
 
 
 def unit_matrix(u: Unit, t: float) -> np.ndarray:
-    """The operator T(t) = exp(c t) exp(t (v + k)) of a unit."""
+    """The operator T(t) = exp(c t) exp(t (v + k)) of a unit, computed as
+    the one exponential exp(t (v + k + c 1)), since c 1 commutes.
+
+    :raises Overflow: if its norm is not finite.
+    """
     d = u.owner
     v = d.space.from_coords(u.v_coords)
-    return np.exp(u.c * t) * expm(t * (v + d.k))
+    return expm(t * (v + d.k + u.c * np.eye(d.n)))
 
 
 def verify_units(

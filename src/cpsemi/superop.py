@@ -15,12 +15,14 @@ the n^2 x n^2 block matrix whose (i, j) block of size n x n is P(E_ij).
 With this pair of conventions the Choi matrix of x -> v x v* equals
 vec(v) vec(v)*, so Kraus extraction is a plain eigendecomposition of J.
 
+A Kraus family is one complex array of shape (m, n, n), and the empty
+family (m = 0) is the zero map.  The Choi matrix of x -> sum_m v_m x v_m*
+is V V*, with V the n^2 x m matrix of columns vec(v_m).
+
 All maps here act in the Heisenberg picture: "unital" means P(1) = 1.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +47,10 @@ __all__ = [
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a 1-d vector."""
-    return np.asarray(x, dtype=complex).T.reshape(-1)
+    """Column-stack a matrix into a 1-d vector, or each matrix of a stack of
+    shape (..., n, n) into a row of shape (..., n^2)."""
+    x = np.asarray(x, dtype=complex)
+    return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -93,32 +97,21 @@ def apply_superop(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return unvec(np.asarray(mat, dtype=complex) @ vec(x), n)
 
 
-def kraus_to_superop(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Superoperator matrix of x -> sum_m v_m @ x @ v_m*.
+def kraus_to_superop(ops: np.ndarray) -> np.ndarray:
+    """Superoperator matrix of x -> sum_m v_m @ x @ v_m*, from the Choi
+    matrix V V* of the Kraus family ``ops``, shape (m, n, n).
 
-    Its (i, j) block of size n x n is sum_m conj(v_m[i, j]) v_m, the (i, j)
-    block of sum_m kron(v_m.conj(), v_m).  Each block is summed over m in
-    order, starting from +0.0, so the result is bit-identical to adding the
-    Kronecker products one operator at a time; a matrix product would round
-    differently.
+    :raises DimensionMismatch: unless the operators share a square shape
+        (an untyped empty list has none).
     """
-    if not len(ops):
-        raise DimensionMismatch("need at least one Kraus operator")
     try:
         v = np.asarray(ops, dtype=complex)
     except ValueError as exc:
         raise DimensionMismatch("Kraus operators must share a square shape") from exc
     if v.ndim != 3 or v.shape[1] != v.shape[2]:
         raise DimensionMismatch("Kraus operators must share a square shape")
-    r, n, _ = v.shape
-    flat = v.reshape(r, n * n)
-    conj = flat.conj()
-    blocks = np.empty((n * n, n * n), dtype=complex)  # row i*n + j holds block (i, j)
-    prod = np.empty_like(flat)
-    for p in range(n * n):
-        np.multiply(conj[:, p, None], flat, out=prod)
-        np.add.reduce(prod, axis=0, initial=0.0, out=blocks[p])
-    return blocks.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    big_v = vec(v).T
+    return superop_to_choi(big_v @ big_v.conj().T)
 
 
 def superop_to_choi(mat: np.ndarray) -> np.ndarray:
@@ -157,22 +150,20 @@ def choi_spectrum(choi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return s
 
 
-def kraus_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """Kraus operators sqrt(w_m) unvec(u_m) of the eigenpairs above the cut.
+def kraus_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Kraus family sqrt(w_m) unvec(u_m) of the eigenpairs above the cut, an
+    array of shape (m, n, n), with m = 0 when no eigenvalue is kept.
 
-    Each operator's phase is fixed by making its largest-magnitude entry real
-    and positive, so the output is deterministic.
+    Each operator's phase is fixed by making its largest-magnitude entry
+    real and positive, the first such entry in row-major order, so the
+    output is deterministic.
     """
     keep = s.kept(tol)
-    ops = []
-    for lam, col in zip(s.w[keep], s.u[:, keep].T):
-        v = np.sqrt(lam) * unvec(col)
-        idx = int(np.argmax(np.abs(v)))
-        entry = v.reshape(-1)[idx]
-        if abs(entry) > 0:
-            v = v * (entry.conjugate() / abs(entry))
-        ops.append(v)
-    return ops
+    m, n = int(keep.sum()), int(round(np.sqrt(s.w.size)))
+    ops = (s.u[:, keep] * np.sqrt(s.w[keep])).T.reshape(m, n, n).swapaxes(1, 2)
+    flat = ops.reshape(m, n * n)  # each operator's entries in row-major order
+    top = flat[np.arange(m), np.argmax(np.abs(flat), axis=1)]
+    return ops * (top.conj() / np.abs(top))[:, None, None]
 
 
 def is_hermiticity_preserving(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

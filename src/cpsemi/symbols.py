@@ -55,16 +55,6 @@ def symbol(mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def _partial_traces(mat: np.ndarray):
-    """Partial traces (S1, S2) of a superoperator matrix over its first and
-    second tensor factor, the data of every two-sided least-squares fit."""
-    n = dim_of(mat)
-    m4 = np.asarray(mat, dtype=complex).reshape(n, n, n, n)
-    s1 = np.einsum("iaib->ab", m4)
-    s2 = np.einsum("iaja->ij", m4)
-    return s1, s2
-
-
 def _two_sided_fit(mat: np.ndarray):
     """Least-squares fit L(x) ~ a x + x b: ``(a, b, ||fit - mat||)``.
 
@@ -72,11 +62,13 @@ def _two_sided_fit(mat: np.ndarray):
 
         a = (Tr_1(mat) - tau * 1) / n,   b = (Tr_2(mat).T - tau * 1) / n,
 
-    with tau = tr(mat) / (2n), makes tr(a) = tr(b), so b = a* whenever L is
-    Hermiticity-preserving.
+    with Tr_1, Tr_2 the partial traces over the first and second tensor
+    factor and tau = tr(mat) / (2n), makes tr(a) = tr(b), so b = a* whenever
+    L is Hermiticity-preserving.
     """
     n = dim_of(mat)
-    s1, s2 = _partial_traces(mat)
+    m4 = np.asarray(mat, dtype=complex).reshape(n, n, n, n)
+    s1, s2 = np.einsum("iaib->ab", m4), np.einsum("iaja->ij", m4)
     tau = np.trace(np.asarray(mat, dtype=complex)) / (2.0 * n)
     a = (s1 - tau * np.eye(n)) / n
     b = (s2.T - tau * np.eye(n)) / n

@@ -175,6 +175,24 @@ def test_covariance_branch_failure_is_exit_3(dephasing_file, tmp_path, capsys):
     assert rc == 3
 
 
+def test_overflowing_unit_operator_is_a_numerical_limit(dephasing_file, tmp_path, capsys, recwarn):
+    # exp(tL) is finite, but T(1) = exp(800) exp(v + k) is not
+    units = {
+        "units": [
+            {"c": [800.0, 0.0], "v": [[1.0, 0.0]]},
+            {"c": [0.0, 0.0], "v": [[-1.0, 0.0]]},
+        ]
+    }
+    upath = write(tmp_path, "units.json", units)
+    rc, out = run(
+        capsys,
+        ["covariance", "--input", dephasing_file, "--units", upath, "--t", "1", "--m", "1"],
+    )
+    assert rc == 3
+    assert json.loads(out)["error"] == "matrix exponential overflows: its norm is not finite"
+    assert not recwarn.list
+
+
 def test_covariance_rejects_wrong_coordinate_count(dephasing_file, tmp_path, capsys):
     units = {
         "units": [

@@ -406,6 +406,30 @@ def test_hamiltonian_lindblad_rejects_non_hermitian():
         hamiltonian_lindblad(np.array([[0.0, 1.0], [0.0, 0.0]]), [SZ])
 
 
+@pytest.mark.parametrize(
+    "ops", [[np.eye(3)], [np.eye(2), np.eye(3)], np.zeros((1, 4, 4))],
+    ids=["3x3", "ragged", "1x4x4"],
+)
+def test_hamiltonian_lindblad_rejects_jump_operators_that_are_not_n_by_n(ops):
+    # a (1, 4, 4) family is not read as four 2 x 2 operators
+    with pytest.raises(DimensionMismatch):
+        hamiltonian_lindblad(np.eye(2), ops)
+
+
+@pytest.mark.parametrize("rank_", [2, 0])
+def test_space_basis_is_one_kraus_array(rank_):
+    mat = (
+        random_ccp_generator(np.random.default_rng(3), 3, m=2)
+        if rank_ else hamiltonian_lindblad(SX + 0.5 * SZ, [])
+    )
+    space = decompose(mat).space
+    n = space.n
+    assert isinstance(space.basis, np.ndarray)
+    assert space.basis.shape == (rank_, n, n)
+    if not rank_:
+        np.testing.assert_array_equal(space.from_coords([]), np.zeros((n, n)))
+
+
 def test_gkls_superop_adds_drift_to_cp_part(rng):
     ops = [random_matrix(rng, 3) for _ in range(2)]
     k = random_matrix(rng, 3)
@@ -445,8 +469,9 @@ def test_index_is_rank():
 
 @pytest.mark.parametrize("rank_", [2, 0])
 def test_gauge_check_builds_each_cp_superoperator_once(monkeypatch, rank_):
-    """One CP superoperator per Kraus family (none at rank 0), and no
-    eigendecomposition: the shifted family is never made a space."""
+    """One CP superoperator per Kraus family (at rank 0 only the empty
+    family's, a product), and no eigendecomposition: the shifted family is
+    never made a space."""
     mat = (
         random_ccp_generator(np.random.default_rng(3), 3, m=2)
         if rank_ else hamiltonian_lindblad(SX + 0.5 * SZ, [])
@@ -470,4 +495,4 @@ def test_gauge_check_builds_each_cp_superoperator_once(monkeypatch, rank_):
             monkeypatch.setattr(module, "spectrum", counting("spectrum", real_spectrum))
     verdicts = gauge_check(d, np.random.default_rng(4), DEFAULT_TOL)
     assert verdicts["pass"] is True
-    assert counts == {"kraus_to_superop": 2 if rank_ else 0, "spectrum": 0}
+    assert counts == {"kraus_to_superop": 2 if rank_ else 1, "spectrum": 0}
