@@ -18,8 +18,8 @@ nested lists of such pairs::
 
 A report's numeric data are float arrays from :func:`encode`.  Output
 (stdout or --output) is the text of json.dumps(report, sort_keys=True,
-indent=2, default=np.ndarray.tolist) plus a newline, written in pieces (see
-:func:`_write`); it is byte-identical for identical (input, flags, seed).
+indent=2, default=np.ndarray.tolist) plus a newline; it is byte-identical
+for identical (input, flags, seed).
 Exit codes: 0 ok, 1 parse error (including a bad flag value and a usage
 error), 2 input is not a generator (one report for every
 subcommand, see :func:`_rejection`), 3 numerical limit exceeded (or a
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import heapq
 import json
 import math
 import sys
@@ -218,68 +219,46 @@ def load_units(path: str, d: GklsForm):
 
 
 # ---------------------------------------------------------------------------
-# Report writer: the bytes of json.dumps(report, sort_keys=True, indent=2,
-# default=np.ndarray.tolist), written in pieces.  The standard encoder falls
-# back to pure Python once ``indent`` is set; the float arrays of encode are
-# the bulk of a report, and are formatted here a leading-axis slice at a time.
+# Report writer
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_DUMP = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_DUMP |= orjson.OPT_APPEND_NEWLINE  # so that every number token ends at a newline
 
 
-def _write_floats(a: np.ndarray, write, pad: str) -> None:
-    """Write a non-empty float array as nested lists, indented as
-    ``json.dumps(a.tolist(), indent=2)`` indents them under ``pad``."""
-    depth = a.ndim
-    ind = [pad + "  " * level for level in range(depth + 1)]
-
-    def sep(r: int) -> str:  # between two numbers where r inner lists roll over
-        closes = "".join(f"\n{ind[depth - 1 - q]}]" for q in range(r))
-        opens = "".join(f"\n{ind[depth - r + q]}[" for q in range(r))
-        return f"{closes},{opens}\n{ind[depth]}"
-
-    seps = [sep(r) for r in range(depth)]
-    chunks = a if depth > 1 else a[None]
-    shape = chunks.shape[1:]
-    # How many inner lists of a chunk close before each number but the first.
-    after = np.arange(1, int(np.prod(shape)))
-    roll = np.zeros(after.size, dtype=int)
-    for q in range(1, len(shape)):
-        roll += after % int(np.prod(shape[q:])) == 0
-    parts = [""] * (2 * after.size + 1)
-    parts[1::2] = [seps[r] for r in roll.tolist()]
-    finite = bool(np.isfinite(a).all())
-
-    write("[" + "".join(f"\n{ind[level]}[" for level in range(1, depth)) + "\n" + ind[depth])
-    for i, chunk in enumerate(chunks):
-        if i:
-            write(seps[depth - 1])
-        nums = list(map(float.__repr__, chunk.ravel().tolist()))
-        parts[::2] = nums if finite else [_NONFINITE.get(s, s) for s in nums]
-        write("".join(parts))
-    write("".join(f"\n{ind[level]}]" for level in range(depth - 1, -1, -1)))
+def _finds(raw: bytes, needle: bytes):
+    at = raw.find(needle)
+    while at >= 0:
+        yield at
+        at = raw.find(needle, at + 1)
 
 
-def _write(obj, write, pad: str = "") -> None:
-    """Write ``obj`` through ``write`` as the text of ``json.dumps(obj,
-    sort_keys=True, indent=2, default=np.ndarray.tolist)``, without building
-    it whole.  Dict keys are strings and arrays are float arrays of at least
-    one dimension, as in every report."""
-    if isinstance(obj, dict) and obj:
-        inner = pad + "  "
-        for i, key in enumerate(sorted(obj)):
-            write(("{" if i == 0 else ",") + f"\n{inner}{json.dumps(str(key))}: ")
-            _write(obj[key], write, inner)
-        write(f"\n{pad}}}")
-    elif isinstance(obj, np.ndarray) and obj.size:
-        _write_floats(obj, write, pad)
-    elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):  # an array of shape (2, 0) too
-        inner = pad + "  "
-        for i, item in enumerate(obj):
-            write(("[" if i == 0 else ",") + f"\n{inner}")
-            _write(item, write, inner)
-        write(f"\n{pad}]")
-    else:
-        write("[]" if isinstance(obj, np.ndarray) else json.dumps(obj))
+def _write(obj, write) -> None:
+    r"""Write ``obj`` through ``write`` as the text of ``json.dumps(obj,
+    sort_keys=True, indent=2, default=np.ndarray.tolist)``.
+
+    That is orjson's text, a slice at a time, with each number token holding
+    ``e`` or ``0.0000`` re-spelled as ``repr(float(token))``: orjson has the
+    same digits, as ``1e-7``, ``1e16`` and ``0.00001``.  A token runs from a
+    space (indentation or ``": ``) to ``,\n`` or ``\n``, so never lies in a
+    string, which holds no raw newline.  Text that orjson spells unlike json
+    (``null`` for NaN, an infinity or None; DEL and non-ASCII) is json's own.
+    """
+    try:
+        raw = orjson.dumps(obj, default=np.ndarray.tolist, option=_DUMP)
+    except orjson.JSONEncodeError:  # an integer beyond 64 bits, a key that is not a string
+        raw = b"null"
+    if b"null" in raw or b"\x7f" in raw or not raw.isascii():
+        write(json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist))
+        return
+    done = 0
+    for at in heapq.merge(_finds(raw, b"e"), _finds(raw, b"0.0000")):
+        start = raw.rfind(b" ", 0, at) + 1
+        token = raw[start : raw.find(b"\n", at)].removesuffix(b",")
+        if at >= done and not token.translate(None, b"0123456789.e-"):
+            write(raw[done:start].decode())
+            write(repr(float(token)))
+            done = start + len(token)
+    write(raw[done:-1].decode())
 
 
 def _emit(report: dict, output: str | None) -> None:

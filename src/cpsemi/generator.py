@@ -318,9 +318,13 @@ def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     whether c + conj(c) >= <v, v> (within ``psd_slack``), the condition under
     which x -> P(x) + kcand x + x kcand* is completely positive, not merely
     conditionally so.
+
+    :raises DimensionMismatch: if ``kcand`` is not n x n.
     """
-    kcand = np.asarray(kcand, dtype=complex)
-    sol, res = lstsq(_scalar_design(d.space.basis, d.n), vec(kcand))
+    kcand, n = np.asarray(kcand, dtype=complex), d.n
+    if kcand.shape != (n, n):
+        raise DimensionMismatch(f"operator shape {kcand.shape} does not match algebra dimension {n}")
+    sol, res = lstsq(_scalar_design(d.space.basis, n), vec(kcand))
     if not within(res, tol.eig_cut, frob(kcand)):
         return None
     # The basis is orthonormal in the space's inner product, so <v, v> is
@@ -344,9 +348,11 @@ def hamiltonian_lindblad(
     of the operators, sum_m v_m v_m* = W W*.
 
     :param ops: the jump operators, shape (m, n, n); ``[]`` is the empty family.
-    :raises DimensionMismatch: if ``ops`` is not of shape (m, n, n).
+    :raises DimensionMismatch: if ``h`` is not square or ``ops`` not of shape (m, n, n).
     """
     h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"hamiltonian part must be square, got shape {h.shape}")
     if not is_hermitian(h, tol):
         raise NotHermitian("hamiltonian part must be Hermitian")
     n = h.shape[0]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotHermitian, Overflow
 
@@ -162,6 +161,7 @@ def expm(m: np.ndarray) -> np.ndarray:
 
     :raises Overflow: if its norm is not finite.
     """
+    import scipy.linalg  # here, not at the top: no other path needs scipy
     return _finite(scipy.linalg.expm, np.asarray(m, dtype=complex))
 
 

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +55,18 @@ def test_analyze_dephasing(dephasing_file, capsys):
     assert rep["index"] == 1
     assert rep["hermiticity_preserving"] is True
     assert rep["residual"] <= 1e-10
+
+
+def test_analyze_does_not_import_scipy(dephasing_file, tmp_path):
+    # scipy is imported only for a matrix exponential, which analyze never needs.
+    script = "import sys, cpsemi.cli\nrc = cpsemi.cli.main(sys.argv[1:])\nprint(rc, 'scipy' in sys.modules)"
+    argv = ["analyze", "--input", dephasing_file, "--output", str(tmp_path / "report.json")]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_analyze_output_is_byte_stable(dephasing_file, tmp_path, capsys):
@@ -502,7 +517,15 @@ def _written(obj) -> str:
 
 
 _NAN, _INF = float("nan"), float("inf")
+# Where float.__repr__ and orjson spell the same digits differently: exponents
+# (1e-07 / 1e-7, 1e+16 / 1e16) and fixed notation below 1e-4 (1e-05 / 0.00001).
+_SPELLING = [
+    1e-4, float(np.nextafter(1e-4, 0)), 1e-5, float(np.nextafter(1e-5, 0)),
+    1e16, float(np.nextafter(1e16, 0)), 1e22, -1e-7, 5e-324, -0.0, _NAN, _INF, -_INF,
+]
 _WRITER_CASES = [
+    *_SPELLING, _SPELLING, [_SPELLING[:-3]], {"x": _SPELLING[:4], "y": 1e16},
+    {"error": "bound: 1.000e-09", "note": "  1.0e-5 and 0.00001", "k": "1e5"}, "del\x7f",
     -0.0, 5e-324, 1e300, _NAN, _INF, -_INF, 3, True, None, "x",
     [], [[]], {}, [{}], [[], []], [[[]]], {"a": {}, "b": [[], [1.0]]},
     [1.0], [[1.0]], [-0.0, 5e-324, 1e300, -1e-300], [_NAN, _INF, -_INF, 0.0],
@@ -543,6 +566,8 @@ _ARRAY_CASES = {
     "depth-4": np.arange(-8.0, 8.0).reshape(2, 2, 2, 2) / 3.0,
     "nonfinite": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
     "subnormal": np.array([[5e-324, -5e-324]]),
+    "spelling": np.array(_SPELLING),
+    "spelling-finite": np.array(_SPELLING[:-3]).reshape(2, 5),
 }
 
 

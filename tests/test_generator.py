@@ -391,6 +391,11 @@ def test_split_k_absent_outside_space(dephasing):
     assert split_k(decompose(dephasing), SX) is None
 
 
+def test_split_k_rejects_a_candidate_of_the_wrong_shape(dephasing):
+    with pytest.raises(DimensionMismatch, match=r"shape \(3, 3\) does not match algebra dimension 2"):
+        split_k(decompose(dephasing), np.eye(3))
+
+
 def test_hamiltonian_lindblad_matches_hand_built():
     h = np.array([[0.2, 0.3j], [-0.3j, -0.2]])
     ops = [SZ, 0.5 * SX]
@@ -404,6 +409,13 @@ def test_hamiltonian_lindblad_matches_hand_built():
 def test_hamiltonian_lindblad_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hamiltonian_lindblad(np.array([[0.0, 1.0], [0.0, 0.0]]), [SZ])
+
+
+@pytest.mark.parametrize("h", [np.zeros((2, 3)), np.zeros(2)], ids=["2x3", "vector"])
+def test_hamiltonian_lindblad_rejects_a_hamiltonian_that_is_not_square(h):
+    # checked before Hermiticity, which cannot be tested on such an h
+    with pytest.raises(DimensionMismatch, match="hamiltonian part must be square"):
+        hamiltonian_lindblad(h, [])
 
 
 @pytest.mark.parametrize(
