@@ -51,7 +51,7 @@ class LogBranch(CpsemiError):
 
 
 class Overflow(CpsemiError):
-    """A matrix exponential overflowed: its norm is not finite."""
+    """A matrix exponential's norm, or a covariance estimate, is not finite."""
 
 
 class ParseError(CpsemiError):

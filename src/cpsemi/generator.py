@@ -32,6 +32,7 @@ from .numerics import (
 )
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
+    _operator,
     apply_superop,
     dim_of,
     kraus_to_superop,
@@ -300,6 +301,8 @@ def dominates(
     if np.asarray(mat1).shape != np.asarray(mat2).shape:
         raise ValueError("generators must act on the same algebra")
     for p2, p1 in zip(expm_times(mat2, t_samples), expm_times(mat1, t_samples)):
+        # The Hermitian part, unchecked: the difference carries anti-Hermitian roundoff
+        # ~ eps ||tL||, which choi_spectrum's Hermiticity test rejects at large ||L||.
         if not spectrum(superop_to_choi(p2 - p1), vectors=False).psd(tol):
             return False
     return True
@@ -321,9 +324,7 @@ def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
     :raises DimensionMismatch: if ``kcand`` is not n x n.
     """
-    kcand, n = np.asarray(kcand, dtype=complex), d.n
-    if kcand.shape != (n, n):
-        raise DimensionMismatch(f"operator shape {kcand.shape} does not match algebra dimension {n}")
+    kcand, n = _operator(kcand, d.n), d.n
     sol, res = lstsq(_scalar_design(d.space.basis, n), vec(kcand))
     if not within(res, tol.eig_cut, frob(kcand)):
         return None

@@ -3,15 +3,18 @@ least squares, with one tolerance rule.
 
 Every tolerance decision is :func:`within`: value <= rel * anchor(norms),
 with ``rel`` one of the three bounds a :class:`Tolerances` derives from its
-one relative tolerance, and anchor(norms) = max(1, norms...)
-over the norms of what the value was computed from.  The floor of 1 keeps
+one relative tolerance, and anchor(norms) = max(1, norms...) over the
+norms of what the value was computed from.  The floor of 1 keeps
 tiny inputs from facing vacuously strict checks; membership in a metric
 operator space and the unitality of a generator pass ``floor=0``.  Every
 PSD, rank, Kraus and metric-space decision is read off the eigenvalues of
 one Hermitian matrix, held in one :class:`Spectrum` whose ``scale`` is the
 anchor of its largest |eigenvalue|; a stack of matrices, shape (..., k, k),
-gets one scale and one verdict per matrix.  Every matrix exponential is
-made here, and one whose norm overflows raises :class:`~cpsemi.errors.Overflow`.
+gets one scale and one verdict per matrix.  :func:`spectrum` takes the
+Hermitian part and decides nothing; whether the input had to be Hermitian
+is its caller's :func:`is_hermitian` (for a Choi matrix,
+:func:`~cpsemi.superop.choi_spectrum`).  Every matrix exponential is made
+here, and one whose norm overflows raises :class:`~cpsemi.errors.Overflow`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotHermitian, Overflow
+from .errors import Overflow
 
 __all__ = [
     "Tolerances",
@@ -115,23 +118,13 @@ class Spectrum(NamedTuple):
         return ~within(self.w, tol.eig_cut, scale)
 
 
-def spectrum(
-    m: np.ndarray, tol: Tolerances | None = None, vectors: bool = True
-) -> Spectrum:
+def spectrum(m: np.ndarray, *, vectors: bool = True) -> Spectrum:
     """Spectrum of the Hermitian part (m + m*) / 2 of a square matrix, or of
-    each matrix of a stack of shape (..., k, k).
+    each matrix of a stack of shape (..., k, k); ``m`` itself is not checked.
 
-    :param tol: when given, ``m`` itself must be Hermitian
-        (:func:`is_hermitian`), every matrix of a stack.
     :param vectors: also compute the eigenvectors.
-    :raises NotHermitian: if ``tol`` is given and the Hermiticity check fails.
     """
     m = np.asarray(m, dtype=complex)
-    if tol is not None:
-        for one in m.reshape((-1,) + m.shape[-2:]):
-            if not is_hermitian(one, tol):
-                defect = frob(one - one.conj().T)
-                raise NotHermitian(f"matrix is not Hermitian: ||m - m*|| = {defect:.3e}")
     h = (m + m.conj().swapaxes(-1, -2)) / 2.0
     if vectors:
         w, u = np.linalg.eigh(h)

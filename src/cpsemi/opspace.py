@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotMember
 from .numerics import DEFAULT_TOL, Spectrum, Tolerances, within
-from .superop import choi_spectrum, kraus_from_spectrum, superop_to_choi, vec
+from .superop import _operator, choi_spectrum, kraus_from_spectrum, superop_to_choi, vec
 
 __all__ = ["MetricOperatorSpace", "space_from_spectrum", "space_from_cp_map"]
 
@@ -52,12 +52,7 @@ class MetricOperatorSpace:
 
         :raises DimensionMismatch: if ``a`` is not n x n.
         """
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.n, self.n):
-            raise DimensionMismatch(
-                f"operator shape {a.shape} does not match algebra dimension {self.n}"
-            )
-        r = vec(a)
+        r = vec(_operator(a, self.n))
         c = self.u.conj().T @ r
         if not within(np.linalg.norm(r - self.u @ c), tol.eig_cut, np.linalg.norm(r), floor=0.0):
             return None

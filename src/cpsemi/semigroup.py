@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch
+from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Overflow
 from .generator import GklsForm, rank
 from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, spectrum
 from .opspace import MetricOperatorSpace, space_from_cp_map
@@ -99,8 +99,8 @@ def product_system_check(
     p_t = p_s if t == s else evolve(mat, t)
     j_prod = superop_to_choi(p_s @ p_t)
     j_target = superop_to_choi(evolve(mat, s + t))
-    r_prod = choi_spectrum(j_prod, tol).kept(tol).sum()
-    r_target = choi_spectrum(j_target, tol).kept(tol).sum()
+    r_prod = choi_spectrum(j_prod, tol, vectors=False).kept(tol).sum()
+    r_target = choi_spectrum(j_target, tol, vectors=False).kept(tol).sum()
     r_union = spectrum(j_prod + j_target, vectors=False).kept(tol).sum()
     return bool(r_prod == r_target == r_union)
 
@@ -168,6 +168,7 @@ def verify_units(
             if space.membership(tt, tol) is None:
                 return False
             diff = np.exp(a * t) * big - ad_superop(tt)
+            # The Hermitian part, unchecked, as in generator.dominates.
             if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
                 return False
     return True
@@ -197,6 +198,7 @@ def covariance_estimate(
         t/m is too coarse for the membership tolerance).
     :raises LogBranch: if the inner product lands on or too close to the
         branch cut of the principal logarithm.
+    :raises Overflow: if an exponential or the estimate is not finite.
     """
     if u1.owner is not u2.owner:
         raise OwnerMismatch("units must share an owner")
@@ -215,7 +217,11 @@ def covariance_estimate(
         raise LogBranch("inner product vanished; logarithm undefined")
     if np.pi - abs(np.angle(z)) < _BRANCH_ANGLE:
         raise LogBranch("inner product too close to the negative real axis")
-    return complex(m / t) * np.log(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = complex(m / t) * np.log(z)
+    if not np.isfinite(estimate):
+        raise Overflow("covariance estimate overflows: (m / t) * Log z is not finite")
+    return estimate
 
 
 # The numerical index of the semigroup generated by a generator is the

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCP, NotHermitian
+from .errors import DimensionMismatch, NotCP
 from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, is_hermitian, spectrum, within
 
 __all__ = [
@@ -86,15 +86,18 @@ def ad_superop(v: np.ndarray) -> np.ndarray:
     return np.kron(v.conj(), v)
 
 
+def _operator(x: np.ndarray, n: int) -> np.ndarray:
+    """``x`` as a complex n x n array; any other shape is DimensionMismatch."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n, n):
+        raise DimensionMismatch(f"operator shape {x.shape} does not match algebra dimension {n}")
+    return x
+
+
 def apply_superop(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply the map with matrix ``mat`` to the operator ``x``."""
     n = dim_of(mat)
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (n, n):
-        raise DimensionMismatch(
-            f"operator shape {x.shape} does not match algebra dimension {n}"
-        )
-    return unvec(np.asarray(mat, dtype=complex) @ vec(x), n)
+    return unvec(np.asarray(mat, dtype=complex) @ vec(_operator(x, n)), n)
 
 
 def kraus_to_superop(ops: np.ndarray) -> np.ndarray:
@@ -129,25 +132,25 @@ def superop_to_choi(mat: np.ndarray) -> np.ndarray:
     )
 
 
-def choi_spectrum(choi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Spectrum of the Choi matrix of a map that must be completely positive.
+def choi_spectrum(
+    choi: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, vectors: bool = True
+) -> Spectrum:
+    """Spectrum of the Choi matrix of a map that must be completely positive,
+    the one complete-positivity rule.
 
+    :param vectors: also compute the eigenvectors, which only a Kraus basis reads.
     :raises NotCP: if the matrix is not Hermitian, or has an eigenvalue
         below ``-psd_slack`` (relative to its scale).
     """
-    try:
-        s = spectrum(choi, tol)
-    except NotHermitian as exc:
-        raise NotCP(
-            f"map is not completely positive: Choi matrix is not Hermitian: {exc}"
-        ) from exc
-    if not s.psd(tol):
-        raise NotCP(
-            "map is not completely positive: "
-            f"Choi matrix has negative eigenvalue {s.w[-1]:.3e} "
-            f"(slack {tol.psd_slack * s.scale:.3e})"
-        )
-    return s
+    choi = np.asarray(choi, dtype=complex)
+    if not is_hermitian(choi, tol):
+        fault = f"is not Hermitian: ||m - m*|| = {frob(choi - choi.conj().T):.3e}"
+    else:
+        s = spectrum(choi, vectors=vectors)
+        if s.psd(tol):
+            return s
+        fault = f"has negative eigenvalue {s.w[-1]:.3e} (slack {tol.psd_slack * s.scale:.3e})"
+    raise NotCP(f"map is not completely positive: Choi matrix {fault}")
 
 
 def kraus_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -173,11 +176,12 @@ def is_hermiticity_preserving(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the Choi matrix is PSD within ``psd_slack`` (relative)."""
+    """True iff :func:`choi_spectrum` accepts the Choi matrix."""
     try:
-        return spectrum(superop_to_choi(mat), tol, vectors=False).psd(tol)
-    except NotHermitian:
+        choi_spectrum(superop_to_choi(mat), tol, vectors=False)
+    except NotCP:
         return False
+    return True
 
 
 def is_unital(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstraintViolated, DimensionMismatch, NotHermiticityPreserving
+from .errors import ConstraintViolated, NotHermiticityPreserving
 from .numerics import DEFAULT_TOL, Spectrum, Tolerances, anchor, frob, spectrum, within
 from .sampling import random_constrained_tuples
 from .superop import (
+    _operator,
     apply_superop,
     dim_of,
     is_hermiticity_preserving,
@@ -130,6 +131,8 @@ def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Spectrum of the projected Choi matrix of a Hermiticity-preserving map,
     the one CCP decision: the map is CCP iff the spectrum is PSD within
     ``psd_slack``, and otherwise its last eigenvector is the defect direction.
+    :func:`is_conditionally_cp` takes the eigenvectors too, so that its
+    eigenvalues are bit for bit those that ``decompose`` reads.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     """
@@ -212,12 +215,7 @@ def check_block_positivity(
     if len(xs) != len(as_) or len(xs) == 0:
         raise ConstraintViolated("need equally many x's and a's, at least one each")
     n = dim_of(mat)
-    ops = [np.asarray(op, dtype=complex) for op in (*xs, *as_)]
-    for op in ops:
-        if op.shape != (n, n):
-            raise DimensionMismatch(
-                f"operator shape {op.shape} does not match algebra dimension {n}"
-            )
+    ops = [_operator(op, n) for op in (*xs, *as_)]
     _require_hermiticity_preserving(mat, tol)
     stack = np.stack(ops).reshape(2, 1, len(xs), n, n)
     return bool(_block_psd(mat, stack[0], stack[1], tol)[0])

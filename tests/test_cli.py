@@ -208,6 +208,21 @@ def test_overflowing_unit_operator_is_a_numerical_limit(dephasing_file, tmp_path
     assert not recwarn.list
 
 
+def test_covariance_estimate_overflow_is_a_numerical_limit(
+    dephasing_file, tmp_path, capsys, recwarn
+):
+    # t / m = 1e-310 is a positive float, but m / t overflows
+    upath = write(tmp_path, "units.json", _specs()["units"])
+    argv = ["covariance", "--input", dephasing_file, "--units", upath,
+            "--t", "1e-10", "--m", "1" + "0" * 300]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["error"].startswith("covariance estimate overflows") and err == ""
+    assert "estimate" not in report and "abs_error" not in report
+    assert not recwarn.list
+
+
 def test_covariance_rejects_wrong_coordinate_count(dephasing_file, tmp_path, capsys):
     units = {
         "units": [

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -7,7 +8,6 @@ import scipy.linalg
 from conftest import random_ccp_generator
 
 from cpsemi import numerics
-from cpsemi.errors import NotHermitian
 from cpsemi.numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -76,7 +76,7 @@ def test_norms_match_numpy(rng):
 def test_spectrum_descending_and_reconstructs(rng):
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     h = (a + a.conj().T) / 2
-    w, u, scale = spectrum(h, DEFAULT_TOL)
+    w, u, scale = spectrum(h)
     assert np.all(np.diff(w) <= 0)
     np.testing.assert_allclose(u @ np.diag(w) @ u.conj().T, h, atol=1e-12)
     assert scale == max(1.0, np.abs(w).max())
@@ -87,14 +87,15 @@ def test_spectrum_descending_and_reconstructs(rng):
     assert scale_v == pytest.approx(scale)
 
 
-def test_spectrum_rejects_non_hermitian(rng):
+def test_spectrum_decomposes_the_hermitian_part(rng):
+    # a pure kernel: no Hermiticity verdict (choi_spectrum makes that one),
+    # and no tolerance parameter to pass one positionally
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    with pytest.raises(NotHermitian):
-        spectrum(m, DEFAULT_TOL)
-    # without tolerances the Hermitian part is decomposed
     np.testing.assert_allclose(
         spectrum(m).w, np.linalg.eigvalsh((m + m.conj().T) / 2)[::-1], atol=1e-12
     )
+    with pytest.raises(TypeError):
+        spectrum(m, DEFAULT_TOL)
 
 
 def test_spectrum_psd_and_kept():
@@ -145,10 +146,6 @@ def test_spectrum_of_a_stack_decides_each_matrix_like_the_single_call(rng):
     hollow = spectrum(np.zeros((2, 0, 0)))
     assert hollow.psd().tolist() == [True, True] and hollow.scale.tolist() == [1.0, 1.0]
     assert hollow.kept().shape == (2, 0)
-    # the Hermiticity check holds for every matrix of a stack
-    spectrum(mats[:-1], DEFAULT_TOL)
-    with pytest.raises(NotHermitian):
-        spectrum(mats, DEFAULT_TOL)
 
 
 def test_expm_matches_scipy(rng):
@@ -259,6 +256,33 @@ def test_eigendecompositions_only_in_numerics():
         assert "svd" not in text, path.name
         if path.name != "numerics.py":
             assert not re.search(r"\b(eigh|eigvalsh|matrix_rank)\b", text), path.name
+
+
+def _calls(tree, name):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
+def test_hermiticity_is_decided_outside_spectrum():
+    # spectrum is a pure kernel: no call in the package hands it a tolerance,
+    # and the only NotHermitian raised is hamiltonian_lindblad's (Choi
+    # matrices are choi_spectrum's NotCP)
+    raisers = []
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for call in _calls(tree, "spectrum"):
+            assert len(call.args) == 1, (path.name, call.lineno)
+            assert [k.arg for k in call.keywords] in ([], ["vectors"]), (path.name, call.lineno)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                raisers += [
+                    fn.name for node in ast.walk(fn)
+                    if isinstance(node, ast.Raise) and _calls(node, "NotHermitian")
+                ]
+    assert raisers == ["hamiltonian_lindblad"]
 
 
 def test_threshold_rule_only_in_numerics():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import SX, SY, SZ, dephasing_generator, random_ccp_generator
 
-from cpsemi.errors import LogBranch, NotCP, NotMember, OwnerMismatch
+from cpsemi.errors import LogBranch, NotCP, NotMember, Overflow, OwnerMismatch
 from cpsemi.generator import decompose, hamiltonian_lindblad, rebuild
 from cpsemi.numerics import DEFAULT_TOL, is_hermitian
 from cpsemi.semigroup import (
@@ -100,6 +100,17 @@ def test_product_system_check_evolves_each_distinct_time_once(monkeypatch):
     calls.clear()
     assert product_system_check(mat, 0.3, 0.7)
     assert sorted(calls) == [0.3, 0.7, 1.0]
+
+
+def test_product_system_check_reads_no_eigenvectors(monkeypatch):
+    # its three ranks are eigenvalue counts: eigvalsh only, never eigh
+    mat = random_ccp_generator(np.random.default_rng(4), 3, m=2, unital=True)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    assert product_system_check(mat, 0.5, 0.5)
+    assert product_system_check(mat, 0.3, 0.7)
+    assert calls == []
 
 
 def test_make_unit_checks_dimensions(dephasing):
@@ -244,6 +255,15 @@ def test_covariance_estimate_branch_cut(dephasing):
     u2 = make_unit(d, 8j * np.pi, [0.0])
     with pytest.raises(LogBranch):
         covariance_estimate(dephasing, u1, u2, t=1.0, m=8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariance_estimate_that_overflows_is_overflow(dephasing):
+    # the step t / m is positive, but m / t is beyond the float range
+    d = decompose(dephasing)
+    u1, u2 = make_unit(d, 0.0, [1.0]), make_unit(d, 0.0, [-1.0])
+    with pytest.raises(Overflow, match="covariance estimate overflows"):
+        covariance_estimate(dephasing, u1, u2, t=1e-10, m=10**300)
 
 
 def test_covariance_estimate_foreign_units(dephasing):

@@ -153,6 +153,49 @@ def test_choi_to_kraus_rejects_indefinite():
         choi_spectrum(superop_to_choi(1j * identity_superop(2)))
 
 
+def test_choi_spectrum_rejects_non_hermitian(rng):
+    # Hermiticity is decided here, once, with the plain message
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    defect = frob(m - m.conj().T)
+    with pytest.raises(NotCP) as info:
+        choi_spectrum(m)
+    assert str(info.value) == (
+        "map is not completely positive: Choi matrix is not Hermitian: "
+        f"||m - m*|| = {defect:.3e}"
+    )
+    assert not is_completely_positive(superop_to_choi(m))
+    # a Hermitian Choi matrix within the residual is accepted as it is
+    h = m @ m.conj().T
+    assert is_completely_positive(superop_to_choi(h + 1e-14 * m))
+
+
+def _outcome(choi, vectors):
+    try:
+        s = choi_spectrum(choi, vectors=vectors)
+    except NotCP as exc:
+        return str(exc)
+    return s
+
+
+def test_choi_spectrum_without_vectors_decides_the_same(rng):
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    cases = {
+        "cp": a @ a.conj().T,
+        "indefinite": superop_to_choi(transpose_superop(2)),
+        "not hermitian": a,
+    }
+    for name, choi in cases.items():
+        with_u, without = _outcome(choi, True), _outcome(choi, False)
+        if isinstance(with_u, str):
+            assert name != "cp" and without == with_u
+            continue
+        assert name == "cp" and without.u is None and with_u.u.shape == (4, 4)
+        np.testing.assert_allclose(without.w, with_u.w, atol=1e-12)
+        assert without.scale == pytest.approx(with_u.scale)
+        assert without.psd() == with_u.psd()
+        np.testing.assert_array_equal(without.kept(), with_u.kept())
+
+
 def test_hermiticity_preserving_verdicts(rng):
     assert is_hermiticity_preserving(ad_superop(SZ + 1j * SX))
     assert is_hermiticity_preserving(transpose_superop(2))
