@@ -20,16 +20,18 @@ A report's numeric data are float arrays from :func:`encode`.  Output
 (stdout or --output) is the text of json.dumps(report, sort_keys=True,
 indent=2, default=np.ndarray.tolist) plus a newline; it is byte-identical
 for identical (input, flags, seed).
-Exit codes: 0 ok, 1 parse error (including a bad flag value and a usage
-error), 2 input is not a generator (one report for every
-subcommand, see :func:`_rejection`), 3 numerical limit exceeded (or a
-verification check failed).
+Exit codes: 0 ok, 1 parse error (including a bad flag value, a usage error
+and an --output that cannot be written), 2 input is not a generator (one
+report for every subcommand, see :func:`_rejection`), 3 numerical limit
+exceeded (or a verification check failed).
+A call runs with Python's cyclic garbage collector paused (see :func:`main`).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import heapq
 import json
 import math
@@ -262,9 +264,14 @@ def _write(obj, write) -> None:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
-        _write(report, fh.write)
-        fh.write("\n")
+    try:
+        with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+            _write(report, fh.write)
+            fh.write("\n")
+    except OSError as exc:
+        if not output:
+            raise
+        raise ParseError(f"cannot write {output}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -459,28 +466,45 @@ def _check_flags(args) -> Tolerances:
     return Tolerances(args.tol)
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring its state on the way out:
+    it would rescan the 65,536 parsed lists of an n = 16 spec, none in a cycle,
+    at every collection.  The first collection after the call finds its cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        tol = _check_flags(args)
-        mat, n = load_generator(args.input, tol)
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def main(argv=None) -> int:
+    """Run one CLI call and return its exit code.  The cyclic garbage
+    collector is paused for the whole call, then left as it was found."""
+    with _collector_paused():
+        args = build_parser().parse_args(argv)
         try:
-            d = decompose(mat, tol)
-        except (NotCCP, NotHermiticityPreserving) as exc:
-            report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
-        else:
-            report, code = args.func(args, mat, d, tol)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GENERATOR
-    except (LogBranch, NotMember, Overflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    _emit(report, args.output)
-    return code
+            tol = _check_flags(args)
+            mat, n = load_generator(args.input, tol)
+            try:
+                d = decompose(mat, tol)
+            except (NotCCP, NotHermiticityPreserving) as exc:
+                report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
+            else:
+                report, code = args.func(args, mat, d, tol)
+            _emit(report, args.output)
+        except ParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NOT_GENERATOR
+        except (LogBranch, NotMember, Overflow) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        return code
 
 
 if __name__ == "__main__":

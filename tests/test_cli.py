@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -653,6 +654,106 @@ def test_help_exits_0(capsys):
         main(["analyze", "--help"])
     assert exc.value.code == 0
     assert "--input" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+def test_unwritable_output_is_exit_1(target, dephasing_file, tmp_path, capsys):
+    out = tmp_path / "nonexistent" / "out.json" if target == "missing-dir" else tmp_path
+    assert main(["analyze", "--input", dephasing_file, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector is paused for a call and restored after it
+
+
+def _units_file(tmp_path, rank, c2=0.0):
+    v = np.eye(1, rank)[0]
+    units = {"units": [{"c": [0.0, 0.0], "v": [c2j(z) for z in v]}, {"c": [0.0, c2], "v": [c2j(-z) for z in v]}]}
+    return write(tmp_path, "units.json", units)
+
+
+def test_a_call_starts_no_collection(tmp_path, capsys):
+    # an n = 8 superop spec parses to 4,096 [re, im] lists, enough to start
+    # several collections while the collector runs.  A warm call leaves about
+    # 400 containers of argparse's cycles to the first collection after it;
+    # from a fresh count that collection stays below the threshold of 700.
+    gen = random_ccp_generator(np.random.default_rng(3), 8, m=2, unital=True)
+    spec = write(tmp_path, "n8.json", superop_doc(gen, 8))
+    calls = [
+        ["analyze", "--input", spec],
+        ["covariance", "--input", spec, "--units", _units_file(tmp_path, 2)],
+    ]
+    for argv in calls:  # warm-up: the first covariance call imports scipy
+        assert main(argv) == 0
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        for argv in calls:
+            gc.collect()
+            started.clear()
+            assert main(argv) == 0
+            assert started == [], argv[0]
+    finally:
+        gc.callbacks.remove(count)
+
+
+def _outcome(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return f"SystemExit({exc.code})"
+    except RuntimeError:
+        return "RuntimeError"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("analyze", 0),
+        ("unreadable-input", 1),
+        ("unwritable-output", 1),
+        ("usage-error", "SystemExit(1)"),
+        ("help", "SystemExit(0)"),
+        ("transpose", 2),
+        ("covariance-branch", 3),
+        ("escaping-exception", "RuntimeError"),
+    ],
+)
+def test_collector_state_is_restored(
+    case, expected, enabled, dephasing_file, tmp_path, monkeypatch, capsys
+):
+    transpose = write(tmp_path, "tr.json", superop_doc(transpose_superop(2), 2))
+    branch_units = _units_file(tmp_path, 1, c2=8 * np.pi)
+    argv = {
+        "unreadable-input": ["analyze", "--input", str(tmp_path / "missing.json")],
+        "unwritable-output": ["analyze", "--input", dephasing_file, "--output", str(tmp_path)],
+        "usage-error": ["analyze", "--bogus"],
+        "help": ["analyze", "--help"],
+        "transpose": ["analyze", "--input", transpose],
+        "covariance-branch": ["covariance", "--input", dephasing_file, "--units", branch_units, "--m", "8"],
+    }.get(case, ["analyze", "--input", dephasing_file])
+    if case == "escaping-exception":
+        def decompose_fails(mat, tol):
+            raise RuntimeError("decompose failed")
+
+        monkeypatch.setattr(cli, "decompose", decompose_fails)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _outcome(argv) == expected
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
