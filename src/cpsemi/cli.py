@@ -20,10 +20,10 @@ A report's numeric data are float arrays from :func:`encode`.  Output
 (stdout or --output) is the text of json.dumps(report, sort_keys=True,
 indent=2, default=np.ndarray.tolist) plus a newline; it is byte-identical
 for identical (input, flags, seed).
-Exit codes: 0 ok, 1 parse error (including a bad flag value, a usage error
-and an --output that cannot be written), 2 input is not a generator (one
-report for every subcommand, see :func:`_rejection`), 3 numerical limit
-exceeded (or a verification check failed).
+Exit codes: 0 ok, 1 parse error (including a bad flag value, a usage error,
+an --output that cannot be written and a stdout whose reader has gone), 2
+input is not a generator (one report for every subcommand, see
+:func:`_rejection`), 3 numerical limit exceeded (or a verification check failed).
 A call runs with Python's cyclic garbage collector paused (see :func:`main`).
 """
 
@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import heapq
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -269,9 +271,13 @@ def _emit(report: dict, output: str | None) -> None:
             _write(report, fh.write)
             fh.write("\n")
     except OSError as exc:
-        if not output:
+        if output:
+            raise ParseError(f"cannot write {output}: {exc}") from exc
+        if not isinstance(exc, BrokenPipeError):
             raise
-        raise ParseError(f"cannot write {output}: {exc}") from exc
+        # The reader has gone: send what stdout still buffers to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ParseError(f"cannot write stdout: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +408,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in it."""
     parser = _Parser(
         prog="cpsemi",
         description="analyze generators of completely positive semigroups",

@@ -166,7 +166,8 @@ def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
     earlier sample time, the result is the previous one times the kept
     exponential of that time; every other time gets its own :func:`expm`.
     Only the exponentials that a later step reuses are kept.  For the times
-    (0.1, 0.25, 0.5, 0.75, 1.0) that is 2 exponentials and 3 products.
+    (0.125, 0.25, 0.5, 0.75, 1.0) that is 1 exponential and 4 products, for
+    (0.1, 0.5, 1.0) 2 exponentials and 1 product.
 
     :raises Overflow: at the first result whose norm is not finite.
     """

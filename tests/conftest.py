@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpsemi import ad_superop, identity_superop, kraus_to_superop, superop_to_choi, vec
+from cpsemi import ad_superop, identity_superop, kraus_to_superop, numerics, superop_to_choi, vec
 from cpsemi.sampling import random_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -69,6 +69,14 @@ def loop_constrained_tuple(rng, n, r=3):
 def dephasing_generator():
     """Qubit dephasing generator L(x) = sz x sz - x."""
     return ad_superop(SZ) - identity_superop(2)
+
+
+def expm_spy(monkeypatch):
+    """The list of matrices that ``numerics.expm`` is called on from now on."""
+    calls = []
+    real = numerics.expm
+    monkeypatch.setattr(numerics, "expm", lambda m: calls.append(m) or real(m))
+    return calls
 
 
 @pytest.fixture

@@ -665,6 +665,48 @@ def test_unwritable_output_is_exit_1(target, dephasing_file, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
+def test_a_stdout_reader_that_goes_away_is_exit_1_without_traceback(tmp_path):
+    # the n = 8 report (about 290 kB) overflows a 64 KiB pipe buffer, so the
+    # write fails after the reader has closed its end
+    gen = random_ccp_generator(np.random.default_rng(3), 8, unital=True)
+    spec = write(tmp_path, "n8.json", superop_doc(gen, 8))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cpsemi.cli", "analyze", "--input", spec],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err.startswith("error: cannot write stdout: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_two_calls_build_the_parser_once(dephasing_file, capsys):
+    cli.build_parser.cache_clear()
+    assert main(["index", "--input", dephasing_file]) == 0
+    assert main(["analyze", "--input", dephasing_file]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(dephasing_file, capsys):
+    calls = [
+        ["analyze", "--input", dephasing_file, "--tol", "abc"],
+        ["verify", "--input", dephasing_file, "--checks", "units", "--seed", "3"],
+        ["verify", "--input", dephasing_file],
+    ]
+    cli.build_parser.cache_clear()
+    rounds = [[(_outcome(argv), *capsys.readouterr()) for argv in calls] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    assert [code for code, _, _ in rounds[0]] == ["SystemExit(1)", 0, 0]
+    assert rounds[0][0][2].startswith("usage: cpsemi analyze")
+    assert sorted(json.loads(rounds[0][2][1])["checks"]) == sorted(cli._ALL_CHECKS)
+
+
 # ---------------------------------------------------------------------------
 # The cyclic garbage collector is paused for a call and restored after it
 
@@ -677,9 +719,10 @@ def _units_file(tmp_path, rank, c2=0.0):
 
 def test_a_call_starts_no_collection(tmp_path, capsys):
     # an n = 8 superop spec parses to 4,096 [re, im] lists, enough to start
-    # several collections while the collector runs.  A warm call leaves about
-    # 400 containers of argparse's cycles to the first collection after it;
-    # from a fresh count that collection stays below the threshold of 700.
+    # several collections while the collector runs.  A warm call, which
+    # reuses the parser, leaves few containers in cycles to the first
+    # collection after it; from a fresh count that stays below the threshold
+    # of 700.
     gen = random_ccp_generator(np.random.default_rng(3), 8, m=2, unital=True)
     spec = write(tmp_path, "n8.json", superop_doc(gen, 8))
     calls = [

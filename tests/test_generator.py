@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import (
     SY,
     SZ,
     dephasing_generator,
+    expm_spy,
     random_ccp_generator,
     transpose_superop,
 )
@@ -243,7 +245,22 @@ def test_dominates(rng):
     assert not dominates(upper, lower)
 
 
-def _dominates_oracle(mat1, mat2, t_samples=(0.1, 0.25, 0.5, 0.75, 1.0)):
+DOMINATION_TIMES = inspect.signature(dominates).parameters["t_samples"].default
+
+
+def test_dominates_makes_one_expm_per_semigroup(monkeypatch):
+    # every step of the dyadic default grid is an earlier sample time
+    rng = np.random.default_rng(3)
+    mat = random_ccp_generator(rng, 3)
+    bigger = mat + random_cp_map(rng, 3, m=1)
+    calls = expm_spy(monkeypatch)
+    assert dominates(mat, bigger)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], 0.125 * bigger)
+    assert np.array_equal(calls[1], 0.125 * mat)
+
+
+def _dominates_oracle(mat1, mat2, t_samples=DOMINATION_TIMES):
     """Every sampled exponential computed on its own."""
     return all(
         spectrum(superop_to_choi(expm(t * mat2) - expm(t * mat1)), vectors=False).psd()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_ccp_generator
+from conftest import expm_spy, random_ccp_generator
 
 from cpsemi import numerics
 from cpsemi.numerics import (
@@ -160,22 +160,18 @@ def test_expm_zero_is_identity():
     np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
 
-DOMINATION_TIMES = (0.1, 0.25, 0.5, 0.75, 1.0)
+DOMINATION_TIMES = (0.125, 0.25, 0.5, 0.75, 1.0)  # generator.dominates' default
 UNITS_TIMES = (0.1, 0.5, 1.0)
-
-
-def _expm_spy(monkeypatch):
-    calls = []
-    real = numerics.expm
-    monkeypatch.setattr(numerics, "expm", lambda m: calls.append(m) or real(m))
-    return calls
+# The first step, 0.15, is no sample time
+UNEVEN_TIMES = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("unital", [True, False])
 def test_expm_times_matches_per_time_expm(n, unital):
     mat = random_ccp_generator(np.random.default_rng(100 + n), n, unital=unital)
-    for times in (DOMINATION_TIMES, UNITS_TIMES, (0.0, 0.5, 1.0), (1.0, 0.25, 0.5, 0.75)):
+    grids = (DOMINATION_TIMES, UNEVEN_TIMES, UNITS_TIMES, (0.0, 0.5, 1.0), (1.0, 0.25, 0.5, 0.75))
+    for times in grids:
         got = list(expm_times(mat, times))
         assert len(got) == len(times)
         for t, p in zip(times, got):
@@ -187,7 +183,7 @@ def test_expm_times_matches_per_time_expm(n, unital):
     "times, expm_at",
     [
         # steps 0.15, then 0.25 = an earlier time three times
-        (DOMINATION_TIMES, [0.1, 0.25]),
+        (UNEVEN_TIMES, [0.1, 0.25]),
         # step 0.4, then 0.5 = an earlier time
         (UNITS_TIMES, [0.1, 0.5]),
         # steps 0.2 and 0.4: no earlier time
@@ -196,11 +192,13 @@ def test_expm_times_matches_per_time_expm(n, unital):
         ((0.0, 0.5, 1.0, 1.5), [0.0, 0.5]),
         # unsorted: steps -0.5 and -0.25, then 0.5 = an earlier time
         ((1.0, 0.5, 0.25, 0.75), [1.0, 0.5, 0.25]),
+        # dyadic: steps 0.125, then 0.25 = an earlier time three times
+        (DOMINATION_TIMES, [0.125]),
     ],
 )
 def test_expm_times_exponentiates_only_unreached_times(monkeypatch, times, expm_at):
     mat = random_ccp_generator(np.random.default_rng(3), 2)
-    calls = _expm_spy(monkeypatch)
+    calls = expm_spy(monkeypatch)
     out = list(expm_times(mat, times))
     assert len(out) == len(times)
     assert len(calls) == len(expm_at)
@@ -210,8 +208,8 @@ def test_expm_times_exponentiates_only_unreached_times(monkeypatch, times, expm_
 
 def test_expm_times_is_lazy(monkeypatch):
     mat = random_ccp_generator(np.random.default_rng(3), 2)
-    calls = _expm_spy(monkeypatch)
-    gen = expm_times(mat, DOMINATION_TIMES)
+    calls = expm_spy(monkeypatch)
+    gen = expm_times(mat, UNEVEN_TIMES)
     assert calls == []
     first = next(gen)
     assert len(calls) == 1
