@@ -150,12 +150,12 @@ def _finite(f, *args) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential, by scaling and squaring.
+    """Matrix exponential, by scaling and squaring; real for real ``m``.
 
     :raises Overflow: if its norm is not finite.
     """
     import scipy.linalg  # here, not at the top: no other path needs scipy
-    return _finite(scipy.linalg.expm, np.asarray(m, dtype=complex))
+    return _finite(scipy.linalg.expm, np.asarray(m))
 
 
 def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
@@ -171,7 +171,7 @@ def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
 
     :raises Overflow: at the first result whose norm is not finite.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     times = [float(t) for t in times]
     steps = [None] + [b - a for a, b in zip(times, times[1:])]
     reused = {step for i, step in enumerate(steps) if step in times[:i]}

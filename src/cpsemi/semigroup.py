@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Over
 from .generator import GklsForm, rank
 from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, spectrum
 from .opspace import MetricOperatorSpace, space_from_cp_map
-from .superop import ad_superop, choi_spectrum, superop_to_choi
+from .superop import _complex_form, _real_form, ad_superop, choi_spectrum, superop_to_choi
 
 __all__ = [
     "evolve",
@@ -53,11 +53,12 @@ _BRANCH_ANGLE = 1e-8
 _BRANCH_MODULUS = 1e-300
 
 
-def evolve(mat: np.ndarray, t: float) -> np.ndarray:
-    """Superoperator matrix of exp(t L)."""
+def evolve(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Superoperator matrix of exp(t L), taken of L's real form so that it preserves
+    Hermiticity exactly; raises NotHermiticityPreserving if L does not."""
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    return expm(t * np.asarray(mat, dtype=complex))
+    return _complex_form(expm(t * _real_form(mat, tol)))
 
 
 def space_at(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> MetricOperatorSpace:
@@ -68,7 +69,7 @@ def space_at(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> Metric
     """
     if t <= 0:
         raise ValueError("the space is defined for strictly positive times")
-    return space_from_cp_map(evolve(mat, t), tol)
+    return space_from_cp_map(evolve(mat, t, tol), tol)
 
 
 def product_system_check(
@@ -85,20 +86,20 @@ def product_system_check(
     Kraus bases :func:`space_at` extracts from those ranges, which
     ``test_space_at_goldens`` and acceptance criterion 2 cover.
 
-    Each distinct time of {s, t, s + t} gets its own :func:`evolve` (two
-    when s == t).  The check never derives exp((s + t) L) from the factors,
-    as :func:`~cpsemi.numerics.expm_times` would: the law it tests would
-    then hold by construction.
+    Each distinct time of {s, t, s + t} gets its own exponential of L's
+    real form (two when s == t), and the product is taken in that form.
+    The check never derives exp((s + t) L) from the factors: the law it
+    tests would then hold by construction.
 
     :raises NotCP: if exp(s L) exp(t L) or exp((s + t) L) is not completely
         positive within tolerance (i.e. L was not a generator to begin with).
     """
     if s <= 0 or t <= 0:
         raise ValueError("the spaces are defined for strictly positive times")
-    p_s = evolve(mat, s)
-    p_t = p_s if t == s else evolve(mat, t)
-    j_prod = superop_to_choi(p_s @ p_t)
-    j_target = superop_to_choi(evolve(mat, s + t))
+    r = _real_form(mat, tol)
+    p = {x: next(expm_times(r, [x])) for x in dict.fromkeys((s, t, s + t))}
+    j_prod = superop_to_choi(_complex_form(p[s] @ p[t]))
+    j_target = superop_to_choi(_complex_form(p[s + t]))
     r_prod = choi_spectrum(j_prod, tol, vectors=False).kept(tol).sum()
     r_target = choi_spectrum(j_target, tol, vectors=False).kept(tol).sum()
     r_union = spectrum(j_prod + j_target, vectors=False).kept(tol).sum()
@@ -161,14 +162,14 @@ def verify_units(
         float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real) if alpha is None else alpha
         for u in units
     ]
-    for t, big in zip(t_samples, expm_times(mat, t_samples)):
+    for t, big in zip(t_samples, map(_complex_form, expm_times(_real_form(mat, tol), t_samples))):
         space = space_from_cp_map(big, tol)
         for u, a in zip(units, alphas):
             tt = unit_matrix(u, t)
             if space.membership(tt, tol) is None:
                 return False
             diff = np.exp(a * t) * big - ad_superop(tt)
-            # The Hermitian part, unchecked, as in generator.dominates.
+            # The Hermitian part: numpy's complex multiply leaves J(ad_superop(tt)) non-Hermitian
             if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
                 return False
     return True

@@ -24,9 +24,11 @@ All maps here act in the Heisenberg picture: "unital" means P(1) = 1.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import DimensionMismatch, NotCP
+from .errors import DimensionMismatch, NotCP, NotHermiticityPreserving
 from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, is_hermitian, spectrum, within
 
 __all__ = [
@@ -68,7 +70,7 @@ def dim_of(mat: np.ndarray) -> int:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"superoperator must be square, got {mat.shape}")
-    n = int(round(np.sqrt(mat.shape[0])))
+    n = round(mat.shape[0] ** 0.5)
     if n * n != mat.shape[0]:
         raise DimensionMismatch(
             f"superoperator side {mat.shape[0]} is not a perfect square"
@@ -173,6 +175,46 @@ def is_hermiticity_preserving(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) ->
     """True iff the map sends Hermitian matrices to Hermitian matrices,
     tested as Hermiticity of the Choi matrix."""
     return is_hermitian(superop_to_choi(mat), tol)
+
+
+@functools.cache
+def _hermitian_basis(n: int) -> list:
+    """The arguments of :func:`_sandwich` after ``m``, for B and for B*."""
+    col, row = np.divmod(np.arange(n * n), n)
+    c = np.where(row == col, 0.5, np.where(row < col, 1, -1j) * 0.5**0.5).reshape(n, n)
+    pairs = (c, c.conj()), (c.conj(), c.T)
+    return [(a, b, a.conj()[:, :, None, None], b.conj()[:, :, None, None]) for a, b in pairs]
+
+
+def _sandwich(m, c0, c1, c0_conj, c1_conj) -> np.ndarray:
+    """B* m B for B = diag(c0) + T diag(c1), T the transposition x[k, i] <-> x[i, k] of vec
+    positions, a swap of two axes of m as (n, n, n, n).  With c0 = c, c1 = conj c, column p of
+    B, for x[k, i], is E_kk, (E_ki + E_ik)/sqrt(2) or i (E_ik - E_ki)/sqrt(2) as k =, <, > i."""
+    n = len(c0)
+    m4 = m.reshape(n, n, n, n)
+    mb = m4 * c0
+    mb += m4.swapaxes(2, 3) * c1
+    out = mb.swapaxes(0, 1) * c1_conj
+    mb *= c0_conj
+    out += mb
+    return out.reshape(n * n, n * n)
+
+
+def _real_form(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The real matrix B* L B of L in that Hermitian basis, by neither a gather nor an n^2 x n^2
+    product.  2 ||Im B* L B|| = ||J - J*|| and ||B* L B|| = ||J|| for J = J(L), so it raises
+    NotHermiticityPreserving by the rule of :func:`is_hermiticity_preserving`."""
+    r = _sandwich(np.asarray(mat), *_hermitian_basis(dim_of(mat))[0])
+    skew = 2.0 * frob(r.imag)
+    if not within(skew, tol.residual, frob(r)):
+        raise NotHermiticityPreserving(f"not Hermiticity-preserving: ||J - J*|| = {skew:.3e}")
+    return np.ascontiguousarray(r.real)
+
+
+def _complex_form(r: np.ndarray) -> np.ndarray:
+    """B r B*, the inverse of :func:`_real_form`.  Its Choi matrix is Hermitian bit for bit:
+    an entry and its transpose's are formed alike from conjugate coefficients."""
+    return _sandwich(r, *_hermitian_basis(dim_of(r))[1])
 
 
 def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -1,5 +1,10 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,16 @@ def loop_constrained_tuple(rng, n, r=3):
     rest = sum((x @ a for x, a in zip(xs, as_)), np.zeros((n, n), dtype=complex))
     as_.append(-np.linalg.solve(xs[-1], rest))
     return xs, as_
+
+
+@functools.cache
+def bench_corpus():
+    """The benchmark's seeded inputs, ``perfbench/corpus.py`` (plain numpy)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def dephasing_generator():

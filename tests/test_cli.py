@@ -7,7 +7,13 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import SZ, dephasing_generator, random_ccp_generator, transpose_superop
+from conftest import (
+    SZ,
+    bench_corpus,
+    dephasing_generator,
+    random_ccp_generator,
+    transpose_superop,
+)
 
 import cpsemi.cli as cli
 import cpsemi.generator as generator
@@ -332,6 +338,18 @@ def test_verify_gauge_passes_at_every_scale(tmp_path, capsys, scale):
     assert rc == 0
     assert json.loads(out)["checks"]["gauge"]["perturbation_detected"] is True
     assert json.loads(out)["checks"]["gauge"]["pass"] is True
+
+
+@pytest.mark.parametrize("check", ["product_system", "units"])
+def test_verify_passes_a_generator_of_large_norm(tmp_path, capsys, check):
+    """exp(tL) is exponentiated in a Hermitian basis, so its Choi matrix is
+    exactly Hermitian; taken directly it carried anti-Hermitian roundoff of
+    order eps ||tL|| (2.3e-9 here), and both checks exited 2."""
+    mat = 1e8 * bench_corpus().make_generator(np.random.default_rng(3), 3, 2, True).mat
+    path = write(tmp_path, "gen.json", superop_doc(mat, 3))
+    rc, out = run(capsys, ["verify", "--input", path, "--checks", check])
+    assert rc == 0
+    assert json.loads(out)["checks"][check]["pass"] is True
 
 
 def test_verify_covariance_sees_an_offset_kernel(tmp_path, monkeypatch, capsys):

@@ -36,6 +36,7 @@ from cpsemi.opspace import space_from_cp_map
 from cpsemi.sampling import random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, index
 from cpsemi.superop import (
+    _real_form,
     ad_superop,
     apply_superop,
     identity_superop,
@@ -256,8 +257,30 @@ def test_dominates_makes_one_expm_per_semigroup(monkeypatch):
     calls = expm_spy(monkeypatch)
     assert dominates(mat, bigger)
     assert len(calls) == 2
-    assert np.array_equal(calls[0], 0.125 * bigger)
-    assert np.array_equal(calls[1], 0.125 * mat)
+    assert np.array_equal(calls[0], 0.125 * _real_form(bigger))
+    assert np.array_equal(calls[1], 0.125 * _real_form(mat))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_dominates_decides_differences_that_are_hermitian_bit_for_bit(monkeypatch, scale):
+    # each sampled exp(t L2) - exp(t L1) comes back from the real form with a
+    # Choi matrix that is exactly Hermitian, so the one complete-positivity
+    # rule decides it at any scale
+    rng = np.random.default_rng(3)
+    mat = scale * random_ccp_generator(rng, 3, unital=True)
+    bigger = mat + random_cp_map(rng, 3, m=1)  # as verify's domination check
+    seen = []
+    real = generator.is_completely_positive
+    monkeypatch.setattr(
+        generator, "is_completely_positive", lambda m, tol: seen.append(m) or real(m, tol)
+    )
+    assert dominates(mat, bigger)
+    assert len(seen) == len(DOMINATION_TIMES)
+    for diff in seen:
+        j = superop_to_choi(diff)
+        assert np.array_equal(j, j.conj().T)
+    with pytest.raises(NotHermiticityPreserving):
+        dominates(mat, bigger + 1e-3j * scale * identity_superop(3))
 
 
 def _dominates_oracle(mat1, mat2, t_samples=DOMINATION_TIMES):

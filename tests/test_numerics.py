@@ -160,6 +160,14 @@ def test_expm_zero_is_identity():
     np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
 
+def test_expm_keeps_real_input_real(rng):
+    m = rng.normal(size=(9, 9))
+    e = expm(m)
+    assert e.dtype == np.float64
+    np.testing.assert_allclose(e, scipy.linalg.expm(m.astype(complex)).real, rtol=1e-13)
+    assert all(p.dtype == np.float64 for p in expm_times(m, (0.25, 0.5, 0.75)))
+
+
 DOMINATION_TIMES = (0.125, 0.25, 0.5, 0.75, 1.0)  # generator.dominates' default
 UNITS_TIMES = (0.1, 0.5, 1.0)
 # The first step, 0.15, is no sample time
@@ -281,6 +289,41 @@ def test_hermiticity_is_decided_outside_spectrum():
                     if isinstance(node, ast.Raise) and _calls(node, "NotHermitian")
                 ]
     assert raisers == ["hamiltonian_lindblad"]
+
+
+def _bindings(fn):
+    """Each name a function assigns, with the expression assigned to it
+    (plain and tuple-to-tuple assignments)."""
+    out = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                out.update((t.id, v) for t, v in pairs if isinstance(t, ast.Name))
+    return out
+
+
+def test_superoperator_exponentials_are_taken_in_real_form():
+    # numerics.expm is called only by evolve, unit_matrix (an n x n operator)
+    # and expm_times, and expm_times only on a _real_form value
+    expm_callers = set()
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in _calls(fn, "expm"):
+                func = call.func
+                if isinstance(func, ast.Name) or getattr(func.value, "id", None) == "numerics":
+                    expm_callers.add(fn.name)
+            bound = _bindings(fn)
+            for call in _calls(fn, "expm_times"):
+                arg = call.args[0]
+                arg = bound.get(arg.id, arg) if isinstance(arg, ast.Name) else arg
+                assert _calls(arg, "_real_form") == [arg], (path.name, call.lineno)
+    assert expm_callers == {"evolve", "unit_matrix", "expm_times"}
 
 
 def test_threshold_rule_only_in_numerics():

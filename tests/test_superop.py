@@ -3,11 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SX, SZ, superop_of, transpose_superop
+from conftest import (
+    SX,
+    SZ,
+    random_ccp_generator,
+    random_hermitian,
+    random_hp_map,
+    superop_of,
+    transpose_superop,
+)
 
 import cpsemi.superop as superop
-from cpsemi.errors import DimensionMismatch, NotCP
-from cpsemi.numerics import frob
+from cpsemi.errors import DimensionMismatch, NotCP, NotHermiticityPreserving
+from cpsemi.numerics import DEFAULT_TOL, frob
 from cpsemi.superop import (
     ad_superop,
     apply_superop,
@@ -201,6 +209,78 @@ def test_hermiticity_preserving_verdicts(rng):
     assert is_hermiticity_preserving(transpose_superop(2))
     # x -> i x has an anti-Hermitian Choi matrix
     assert not is_hermiticity_preserving(1j * identity_superop(2))
+
+
+def _hermitian_basis_oracle(n):
+    """The basis of ``_real_form``'s docstring: for the vec position of
+    x[k, i], E_kk, (E_ki + E_ik)/sqrt(2) (k < i) or i (E_ik - E_ki)/sqrt(2) (k > i)."""
+    def e(a, b):
+        return np.outer(np.eye(n)[a], np.eye(n)[b])
+
+    out = []
+    for p in range(n * n):
+        i, k = divmod(p, n)
+        if k == i:
+            out.append(e(k, k))
+        elif k < i:
+            out.append((e(k, i) + e(i, k)) / np.sqrt(2))
+        else:
+            out.append(1j * (e(i, k) - e(k, i)) / np.sqrt(2))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_form_is_the_matrix_in_an_orthonormal_hermitian_basis(rng, n):
+    basis = _hermitian_basis_oracle(n)
+    assert all(np.array_equal(h, h.conj().T) for h in basis)
+    gram = [[np.trace(a.conj().T @ b) for b in basis] for a in basis]
+    np.testing.assert_allclose(gram, np.eye(n * n), atol=1e-15)
+    mat = random_hp_map(rng, n)
+    expected = [[np.trace(a @ apply_superop(mat, b)).real for b in basis] for a in basis]
+    r = superop._real_form(mat)
+    assert r.dtype == np.float64
+    np.testing.assert_allclose(r, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_complex_form_inverts_real_form(n):
+    rng = np.random.default_rng(n)
+    for mat in (random_hp_map(rng, n), random_ccp_generator(rng, n), 1e8 * random_hp_map(rng, n)):
+        back = superop._complex_form(superop._real_form(mat))
+        assert frob(back - mat) <= 1e-15 * frob(mat)
+    r = rng.normal(size=(n * n, n * n))
+    assert frob(superop._real_form(superop._complex_form(r)) - r) <= 1e-15 * frob(r)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_complex_form_preserves_hermiticity_bit_for_bit(rng, scale):
+    for n in (2, 3, 5):
+        j = superop_to_choi(superop._complex_form(scale * rng.normal(size=(n * n, n * n))))
+        assert np.array_equal(j, j.conj().T)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_real_form_raises_exactly_when_not_hermiticity_preserving(rng, scale):
+    n = 3
+    hp = [random_hp_map(rng, n), random_ccp_generator(rng, n), transpose_superop(n)]
+    cases = [(scale * m, True) for m in hp]
+    cases.append((scale * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))), False))
+    # x -> i K(x) for a Hermiticity-preserving K has an anti-Hermitian Choi
+    # matrix: added with weight eps it makes ||J - J*|| = 2 eps ||K||, here a
+    # factor f from the bound residual * max(1, ||J||)
+    for m in hp:
+        k = 1j * superop_to_choi(random_hermitian(rng, n * n))
+        for f in (0.5, 0.99, 1.01, 2.0):
+            base = scale * m
+            eps = f * DEFAULT_TOL.residual * max(1.0, frob(base)) / (2.0 * frob(k))
+            cases.append((base + eps * k, f < 1))
+    for mat, preserving in cases:
+        assert is_hermiticity_preserving(mat) == preserving
+        if preserving:
+            superop._real_form(mat)
+        else:
+            with pytest.raises(NotHermiticityPreserving, match="J - J"):
+                superop._real_form(mat)
 
 
 def test_complete_positivity_verdicts(rng):
