@@ -30,7 +30,6 @@ from .generator import (
     rank,
     rebuild,
     same_generator,
-    split_k,
 )
 from .numerics import DEFAULT_TOL, Tolerances
 from .opspace import MetricOperatorSpace, space_from_cp_map
@@ -56,7 +55,6 @@ from .superop import (
     identity_superop,
     is_completely_positive,
     is_hermiticity_preserving,
-    is_unital,
     kraus_from_spectrum,
     kraus_to_superop,
     superop_to_choi,
@@ -67,8 +65,6 @@ from .symbols import (
     block_positivity_witness,
     check_block_positivity,
     is_conditionally_cp,
-    recover_linear_form,
-    symbol,
     symbols_equal,
 )
 

@@ -365,7 +365,7 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
         checks["gauge"] = gauge_check(d, rng, tol)
     if "units" in args.checks:
         units = sample_units(d, 2, seed=args.seed)
-        checks["units"] = {"pass": verify_units(mat, units, (0.1, 0.5, 1.0), tol)}
+        checks["units"] = {"pass": verify_units(mat, units, tol=tol)}
     if "covariance" in args.checks:
         units = sample_units(d, d.space.dim + 3, seed=args.seed)
         kern = covariance_kernel(d, units)

@@ -33,7 +33,6 @@ from .numerics import (
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
     _complex_form,
-    _operator,
     _real_form,
     apply_superop,
     dim_of,
@@ -56,8 +55,6 @@ __all__ = [
     "extract_gauge",
     "gauge_check",
     "dominates",
-    "KSplit",
-    "split_k",
     "hamiltonian_lindblad",
 ]
 
@@ -110,7 +107,7 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
         )
     space = space_from_spectrum(s, tol)
     cp_part = kraus_to_superop(space.basis)
-    a, b, _ = _two_sided_fit(mat - cp_part)
+    a, b = _two_sided_fit(mat - cp_part)
     k = (a + b.conj().T) / 2.0
     k = k - 1j * (np.trace(k).imag / n) * np.eye(n)  # Im tr k = 0
     rebuilt = gkls_superop(k, cp_part)
@@ -176,12 +173,6 @@ def same_generator(d1: GklsForm, d2: GklsForm, tol: Tolerances = DEFAULT_TOL) ->
     return d1.n == d2.n and _same_superop(rebuild(d1), rebuild(d2), tol)
 
 
-def _scalar_design(ops: np.ndarray, n: int) -> np.ndarray:
-    """Columns vec(b_1), ..., vec(b_m), vec(1): the operators, then the
-    identity, as the design of a least-squares fit over span(ops) + C1."""
-    return np.column_stack([vec(ops).T, vec(np.eye(n))])
-
-
 class GaugeRelation(NamedTuple):
     """How a canonical form relates to another presentation of its generator.
 
@@ -231,7 +222,7 @@ def extract_gauge(
         raise DimensionMismatch(f"Kraus operators must be {n}x{n}")
     ops = np.reshape(ops, (dim, n, n))
     rhs = vec(d.space.basis).T  # the columns vec(u_i), one solve for all
-    sol, res = lstsq(_scalar_design(ops, n), rhs)
+    sol, res = lstsq(np.column_stack([vec(ops).T, vec(np.eye(n))]), rhs)
     if not np.all(within(res, tol.eig_cut, np.linalg.norm(rhs, axis=0))):
         raise ValueError("spaces do not agree modulo scalars")
     theta = sol[:dim]
@@ -286,12 +277,10 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
     }
 
 
-def dominates(
-    mat1: np.ndarray,
-    mat2: np.ndarray,
-    t_samples: Sequence[float] = (0.125, 0.25, 0.5, 0.75, 1.0),
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
+_DOMINATION_TIMES = (0.125, 0.25, 0.5, 0.75, 1.0)
+
+
+def dominates(mat1: np.ndarray, mat2: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff exp(t L2) - exp(t L1) is completely positive at each sample.
 
     When L2 - L1 is completely positive this holds for every t >= 0; the
@@ -299,47 +288,17 @@ def dominates(
     :func:`~cpsemi.superop.is_completely_positive`, stopping at the first
     that is not.  Each semigroup is exponentiated in its real form, so the
     difference preserves Hermiticity exactly, and reuses its exponentials
-    across the times (:func:`~cpsemi.numerics.expm_times`).  The default
-    grid is dyadic so that every step between samples is an earlier sample:
-    one ``expm`` and four products per semigroup.
+    across the times (:func:`~cpsemi.numerics.expm_times`).  The grid
+    ``_DOMINATION_TIMES`` is dyadic so that every step between samples is an
+    earlier sample: one ``expm`` and four products per semigroup.
     """
     if np.asarray(mat1).shape != np.asarray(mat2).shape:
         raise ValueError("generators must act on the same algebra")
     r1, r2 = _real_form(mat1, tol), _real_form(mat2, tol)
-    for p2, p1 in zip(expm_times(r2, t_samples), expm_times(r1, t_samples)):
+    for p2, p1 in zip(expm_times(r2, _DOMINATION_TIMES), expm_times(r1, _DOMINATION_TIMES)):
         if not is_completely_positive(_complex_form(p2 - p1), tol):
             return False
     return True
-
-
-class KSplit(NamedTuple):
-    v: np.ndarray
-    c: complex
-    cp_drift: bool
-
-
-def split_k(d: GklsForm, kcand: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Split a drift candidate as kcand = v + c 1 with v in the space.
-
-    Returns None when kcand is not in E + C1.  The flag ``cp_drift`` reports
-    whether c + conj(c) >= <v, v> (within ``psd_slack``), the condition under
-    which x -> P(x) + kcand x + x kcand* is completely positive, not merely
-    conditionally so.
-
-    :raises DimensionMismatch: if ``kcand`` is not n x n.
-    """
-    kcand, n = _operator(kcand, d.n), d.n
-    sol, res = lstsq(_scalar_design(d.space.basis, n), vec(kcand))
-    if not within(res, tol.eig_cut, frob(kcand)):
-        return None
-    # The basis is orthonormal in the space's inner product, so <v, v> is
-    # the squared norm of v's coordinates.
-    coords = sol[: d.space.dim]
-    v = d.space.from_coords(coords)
-    vv = float(np.real(np.vdot(coords, coords)))
-    c = complex(sol[-1])
-    cp_drift = within(vv - 2.0 * c.real, tol.psd_slack, vv)
-    return KSplit(v=v, c=c, cp_drift=cp_drift)
 
 
 def hamiltonian_lindblad(

@@ -141,7 +141,6 @@ def verify_units(
     units: Sequence[Unit],
     t_samples: Sequence[float] = (0.1, 0.5, 1.0),
     tol: Tolerances = DEFAULT_TOL,
-    alpha: float | None = None,
 ) -> bool:
     """Verify the defining property of every unit against the semigroup of
     ``mat``.
@@ -149,19 +148,16 @@ def verify_units(
     For each sampled t and each unit, checks that T(t) is a member of the
     space of exp(tL) and that the Choi matrix of
     e^{alpha t} exp(tL) - (x -> T x T*) is PSD within ``psd_slack``, with
-    alpha = <v, v> + 2 Re c by default.  A single unit is ``[u]``.
+    each unit's alpha = <v, v> + 2 Re c.  A single unit is ``[u]``.  To test
+    every alpha lowered by s, pass L - s id: its semigroup is e^{-st} exp(tL).
 
     exp(tL) and its space are computed once per sampled t and shared by all
     units, and exp(tL) reuses the exponentials of earlier times
-    (:func:`~cpsemi.numerics.expm_times`).  ``alpha``, when given, replaces
-    the default of every unit.  Returns False at the first failure.
+    (:func:`~cpsemi.numerics.expm_times`).  Returns False at the first failure.
     """
     if any(t < 0 for t in t_samples):
         raise ValueError("evolution time must be nonnegative")
-    alphas = [
-        float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real) if alpha is None else alpha
-        for u in units
-    ]
+    alphas = [float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real) for u in units]
     for t, big in zip(t_samples, map(_complex_form, expm_times(_real_form(mat, tol), t_samples))):
         space = space_from_cp_map(big, tol)
         for u, a in zip(units, alphas):

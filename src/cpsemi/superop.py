@@ -44,7 +44,6 @@ __all__ = [
     "kraus_from_spectrum",
     "is_hermiticity_preserving",
     "is_completely_positive",
-    "is_unital",
 ]
 
 
@@ -225,9 +224,3 @@ def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bo
         return False
     return True
 
-
-def is_unital(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff P(1) = 1 within ``residual``; kept as API to check that exp(tL) is unital."""
-    n = dim_of(mat)
-    p1 = apply_superop(mat, np.eye(n))
-    return within(frob(p1 - np.eye(n)), tol.residual, frob(p1))

@@ -23,7 +23,6 @@ from .numerics import DEFAULT_TOL, Spectrum, Tolerances, anchor, frob, spectrum,
 from .sampling import random_constrained_tuples
 from .superop import (
     _operator,
-    apply_superop,
     dim_of,
     is_hermiticity_preserving,
     superop_to_choi,
@@ -32,9 +31,7 @@ from .superop import (
 )
 
 __all__ = [
-    "symbol",
     "symbols_equal",
-    "recover_linear_form",
     "projected_choi",
     "is_conditionally_cp",
     "check_block_positivity",
@@ -42,22 +39,8 @@ __all__ = [
 ]
 
 
-def symbol(mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate sigma_L(x, y) for the map L with superoperator matrix ``mat``."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    n = dim_of(mat)
-    lone = apply_superop(mat, np.eye(n))
-    return (
-        apply_superop(mat, x @ y)
-        - x @ apply_superop(mat, y)
-        - apply_superop(mat, x) @ y
-        + x @ lone @ y
-    )
-
-
 def _two_sided_fit(mat: np.ndarray):
-    """Least-squares fit L(x) ~ a x + x b: ``(a, b, ||fit - mat||)``.
+    """Least-squares fit L(x) ~ a x + x b: ``(a, b)``.
 
     The minimum-norm solution of the normal equations, in closed form
 
@@ -73,8 +56,7 @@ def _two_sided_fit(mat: np.ndarray):
     tau = np.trace(np.asarray(mat, dtype=complex)) / (2.0 * n)
     a = (s1 - tau * np.eye(n)) / n
     b = (s2.T - tau * np.eye(n)) / n
-    rebuilt = np.kron(np.eye(n), a) + np.kron(b.T, np.eye(n))
-    return a, b, frob(rebuilt - mat)
+    return a, b
 
 
 def symbols_equal(
@@ -90,22 +72,11 @@ def symbols_equal(
     """
     m1 = np.asarray(mat1, dtype=complex)
     m2 = np.asarray(mat2, dtype=complex)
-    _, _, err = _two_sided_fit(m1 - m2)
-    return within(err, tol.residual, frob(m1), frob(m2))
-
-
-def recover_linear_form(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """If L(x) = a x + x b for some a, b, recover such a pair; else None.
-
-    Kept as API (unused here) for the paper's two-sided lemma.  The pair is
-    only determined up to (a + z*1, b - z*1); the gauge is fixed by the
-    minimum-norm least-squares solution of :func:`_two_sided_fit`, which
-    returns b = a* whenever L is Hermiticity-preserving.
-    """
-    a, b, err = _two_sided_fit(mat)
-    if not within(err, tol.residual, frob(np.asarray(mat))):
-        return None
-    return a, b
+    diff = m1 - m2
+    a, b = _two_sided_fit(diff)
+    n = dim_of(diff)
+    rebuilt = np.kron(np.eye(n), a) + np.kron(b.T, np.eye(n))
+    return within(frob(rebuilt - diff), tol.residual, frob(m1), frob(m2))
 
 
 def projected_choi(mat: np.ndarray) -> np.ndarray:

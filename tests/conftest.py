@@ -8,8 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpsemi import ad_superop, identity_superop, kraus_to_superop, numerics, superop_to_choi, vec
+from cpsemi import (
+    ad_superop,
+    apply_superop,
+    identity_superop,
+    kraus_to_superop,
+    numerics,
+    superop_to_choi,
+    vec,
+)
 from cpsemi.sampling import random_matrix
+from cpsemi.superop import dim_of
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -25,6 +34,21 @@ def superop_of(f, n):
         e[i, j] = 1.0
         out[:, p] = vec(f(e))
     return out
+
+
+def symbol(mat, x, y):
+    """sigma_L(x, y) = L(x y) - x L(y) - L(x) y + x L(1) y for the map L with
+    superoperator matrix ``mat``: the n^6-value oracle of ``symbols_equal``."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    n = dim_of(mat)
+    lone = apply_superop(mat, np.eye(n))
+    return (
+        apply_superop(mat, x @ y)
+        - x @ apply_superop(mat, y)
+        - apply_superop(mat, x) @ y
+        + x @ lone @ y
+    )
 
 
 def transpose_superop(n):

@@ -1,4 +1,3 @@
-import inspect
 import sys
 
 import numpy as np
@@ -17,6 +16,7 @@ import cpsemi.generator as generator
 import cpsemi.numerics as numerics
 from cpsemi.errors import DimensionMismatch, NotCCP, NotHermitian, NotHermiticityPreserving
 from cpsemi.generator import (
+    _DOMINATION_TIMES,
     GklsForm,
     decompose,
     dominates,
@@ -29,7 +29,6 @@ from cpsemi.generator import (
     rank,
     rebuild,
     same_generator,
-    split_k,
 )
 from cpsemi.numerics import DEFAULT_TOL, expm, spectrum
 from cpsemi.opspace import space_from_cp_map
@@ -40,8 +39,6 @@ from cpsemi.superop import (
     ad_superop,
     apply_superop,
     identity_superop,
-    is_completely_positive,
-    is_unital,
     kraus_to_superop,
     superop_to_choi,
     vec,
@@ -131,7 +128,8 @@ def test_rank_invariant_under_regauging(rng):
 def test_unitality_equivalences(rng):
     mat = random_ccp_generator(rng, 2, unital=True)
     d = decompose(mat)
-    assert is_unital(evolve(mat, 0.8))
+    eye = np.eye(2)
+    np.testing.assert_allclose(apply_superop(evolve(mat, 0.8), eye), eye, atol=1e-11)
     np.testing.assert_allclose(apply_superop(mat, np.eye(2)), 0, atol=1e-11)
     total = sum(v @ v.conj().T for v in d.space.basis) + d.k + d.k.conj().T
     np.testing.assert_allclose(total, 0, atol=1e-10)
@@ -246,11 +244,8 @@ def test_dominates(rng):
     assert not dominates(upper, lower)
 
 
-DOMINATION_TIMES = inspect.signature(dominates).parameters["t_samples"].default
-
-
 def test_dominates_makes_one_expm_per_semigroup(monkeypatch):
-    # every step of the dyadic default grid is an earlier sample time
+    # every step of the dyadic grid is an earlier sample time
     rng = np.random.default_rng(3)
     mat = random_ccp_generator(rng, 3)
     bigger = mat + random_cp_map(rng, 3, m=1)
@@ -275,7 +270,7 @@ def test_dominates_decides_differences_that_are_hermitian_bit_for_bit(monkeypatc
         generator, "is_completely_positive", lambda m, tol: seen.append(m) or real(m, tol)
     )
     assert dominates(mat, bigger)
-    assert len(seen) == len(DOMINATION_TIMES)
+    assert len(seen) == len(_DOMINATION_TIMES)
     for diff in seen:
         j = superop_to_choi(diff)
         assert np.array_equal(j, j.conj().T)
@@ -283,11 +278,11 @@ def test_dominates_decides_differences_that_are_hermitian_bit_for_bit(monkeypatc
         dominates(mat, bigger + 1e-3j * scale * identity_superop(3))
 
 
-def _dominates_oracle(mat1, mat2, t_samples=DOMINATION_TIMES):
+def _dominates_oracle(mat1, mat2):
     """Every sampled exponential computed on its own."""
     return all(
         spectrum(superop_to_choi(expm(t * mat2) - expm(t * mat1)), vectors=False).psd()
-        for t in t_samples
+        for t in _DOMINATION_TIMES
     )
 
 
@@ -397,43 +392,6 @@ def test_gauge_check_passes_on_dephasing_and_hamiltonian_only_forms(rank_):
         "shift_same_generator": True,
         "symbols_equal": True,
     }
-
-
-def test_split_k_scalar(dephasing):
-    d = decompose(dephasing)
-    out = split_k(d, np.eye(2))
-    np.testing.assert_allclose(out.v, 0, atol=1e-10)
-    assert out.c == pytest.approx(1.0)
-    assert out.cp_drift
-
-
-def test_split_k_boundary_case(dephasing):
-    d = decompose(dephasing)
-    out = split_k(d, SZ + 0.5 * np.eye(2))
-    np.testing.assert_allclose(out.v, SZ, atol=1e-9)
-    assert out.c == pytest.approx(0.5)
-    assert out.cp_drift  # 2 Re c = <v,v> = 1, boundary counts as CP
-    kc = SZ + 0.5 * np.eye(2)
-    assembled = kraus_to_superop(d.space.basis) + two_sided(kc, kc.conj().T)
-    assert is_completely_positive(assembled)
-
-
-def test_split_k_detects_non_cp_drift(dephasing):
-    d = decompose(dephasing)
-    kc = SZ - 0.2 * np.eye(2)
-    out = split_k(d, kc)
-    assert not out.cp_drift
-    assembled = kraus_to_superop(d.space.basis) + two_sided(kc, kc.conj().T)
-    assert not is_completely_positive(assembled)
-
-
-def test_split_k_absent_outside_space(dephasing):
-    assert split_k(decompose(dephasing), SX) is None
-
-
-def test_split_k_rejects_a_candidate_of_the_wrong_shape(dephasing):
-    with pytest.raises(DimensionMismatch, match=r"shape \(3, 3\) does not match algebra dimension 2"):
-        split_k(decompose(dephasing), np.eye(3))
 
 
 def test_hamiltonian_lindblad_matches_hand_built():

@@ -8,6 +8,7 @@ import scipy.linalg
 from conftest import expm_spy, random_ccp_generator
 
 from cpsemi import numerics
+from cpsemi.generator import _DOMINATION_TIMES
 from cpsemi.numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -168,7 +169,6 @@ def test_expm_keeps_real_input_real(rng):
     assert all(p.dtype == np.float64 for p in expm_times(m, (0.25, 0.5, 0.75)))
 
 
-DOMINATION_TIMES = (0.125, 0.25, 0.5, 0.75, 1.0)  # generator.dominates' default
 UNITS_TIMES = (0.1, 0.5, 1.0)
 # The first step, 0.15, is no sample time
 UNEVEN_TIMES = (0.1, 0.25, 0.5, 0.75, 1.0)
@@ -178,7 +178,7 @@ UNEVEN_TIMES = (0.1, 0.25, 0.5, 0.75, 1.0)
 @pytest.mark.parametrize("unital", [True, False])
 def test_expm_times_matches_per_time_expm(n, unital):
     mat = random_ccp_generator(np.random.default_rng(100 + n), n, unital=unital)
-    grids = (DOMINATION_TIMES, UNEVEN_TIMES, UNITS_TIMES, (0.0, 0.5, 1.0), (1.0, 0.25, 0.5, 0.75))
+    grids = (_DOMINATION_TIMES, UNEVEN_TIMES, UNITS_TIMES, (0.0, 0.5, 1.0), (1.0, 0.25, 0.5, 0.75))
     for times in grids:
         got = list(expm_times(mat, times))
         assert len(got) == len(times)
@@ -201,7 +201,7 @@ def test_expm_times_matches_per_time_expm(n, unital):
         # unsorted: steps -0.5 and -0.25, then 0.5 = an earlier time
         ((1.0, 0.5, 0.25, 0.75), [1.0, 0.5, 0.25]),
         # dyadic: steps 0.125, then 0.25 = an earlier time three times
-        (DOMINATION_TIMES, [0.125]),
+        (_DOMINATION_TIMES, [0.125]),
     ],
 )
 def test_expm_times_exponentiates_only_unreached_times(monkeypatch, times, expm_at):

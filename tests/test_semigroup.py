@@ -189,13 +189,16 @@ def test_verify_units_shares_each_time_between_units(monkeypatch):
     spaces.clear()
     assert all(verify_units(mat, [u]) for u in units)
     assert len(calls) == 6 and len(spaces) == 9
-    # alpha below the default breaks positivity; the first failure stops it
+    # alpha = -1 for every unit breaks positivity; the first failure stops it.
+    # exp(t (L - s id)) = e^(-st) exp(tL) lowers every unit's alpha by s.
+    alphas = [np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real for u in units]
+    shifted = mat - (max(alphas) + 1.0) * identity_superop(3)
     calls.clear()
     spaces.clear()
-    assert not verify_units(mat, units, alpha=-1.0)
-    assert len(calls) == 1 and np.array_equal(calls[0], 0.1 * r)
+    assert not verify_units(shifted, units)
+    assert len(calls) == 1 and np.array_equal(calls[0], 0.1 * _real_form(shifted))
     assert len(spaces) == 1
-    assert not verify_units(mat, [units[0]], alpha=-1.0)
+    assert not verify_units(mat - (alphas[0] + 1.0) * identity_superop(3), [units[0]])
 
 
 def test_verify_units_rejects_negative_time(dephasing):
@@ -209,8 +212,9 @@ def test_verify_unit(dephasing):
     assert verify_units(dephasing, [make_unit(d, 0.0, [0.0])])
     u = make_unit(d, 0.0, [1.0])
     assert verify_units(dephasing, [u], t_samples=tuple(np.linspace(0.1, 1.0, 10)))
-    # alpha = <v,v> + 2 Re c = 1 is minimal: shaving it off breaks positivity
-    assert not verify_units(dephasing, [u], alpha=0.5)
+    # alpha = <v,v> + 2 Re c = 1 is minimal: lowering it by 0.5, as the
+    # shifted generator does, breaks positivity
+    assert not verify_units(dephasing - 0.5 * identity_superop(2), [u])
 
 
 def test_covariance_goldens(dephasing):

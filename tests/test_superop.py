@@ -23,7 +23,6 @@ from cpsemi.superop import (
     identity_superop,
     is_completely_positive,
     is_hermiticity_preserving,
-    is_unital,
     kraus_from_spectrum,
     kraus_to_superop,
     superop_to_choi,
@@ -295,12 +294,6 @@ def test_transpose_choi_spectrum():
     np.testing.assert_allclose(np.linalg.eigvalsh(j), [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
-def test_is_unital():
-    u = np.linalg.qr(np.arange(4).reshape(2, 2) + 1j * np.eye(2))[0]
-    assert is_unital(ad_superop(u))
-    assert not is_unital(0.5 * identity_superop(2))
-
-
 def _kron_users(path: Path) -> set[str]:
     """Dotted names of the functions of a module that use kron."""
     users = set()
@@ -325,4 +318,4 @@ def test_kron_only_in_conjugations_and_two_sided_maps():
     sources = sorted(Path(superop.__file__).parent.glob("*.py"))
     assert len(sources) > 1
     users = set().union(*map(_kron_users, sources))
-    assert users == {"superop.ad_superop", "generator.gkls_superop", "symbols._two_sided_fit"}
+    assert users == {"superop.ad_superop", "generator.gkls_superop", "symbols.symbols_equal"}

@@ -7,6 +7,7 @@ from conftest import (
     loop_constrained_tuple,
     random_ccp_generator,
     random_hp_map,
+    symbol,
     transpose_superop,
 )
 
@@ -29,8 +30,6 @@ from cpsemi.symbols import (
     block_positivity_witness,
     check_block_positivity,
     is_conditionally_cp,
-    recover_linear_form,
-    symbol,
     symbols_equal,
 )
 
@@ -151,46 +150,39 @@ def test_symbols_equal_under_linear_shift(rng):
     assert not symbols_equal(ad_superop(SZ), ad_superop(SX))
 
 
-def test_recover_linear_form_round_trip():
+def test_two_sided_fit_round_trip():
+    # the fit recovers a two-sided map, with b = a* when it preserves Hermiticity
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     mat = two_sided(a, a.conj().T)
-    out = recover_linear_form(mat)
-    assert out is not None
-    ra, rb = out
+    ra, rb = _two_sided_fit(mat)
     np.testing.assert_allclose(two_sided(ra, rb), mat, atol=1e-10)
     np.testing.assert_allclose(rb, ra.conj().T, atol=1e-10)
-
-
-def test_recover_linear_form_commutator():
-    h = np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]])
-    mat = two_sided(1j * h, -1j * h)
-    ra, rb = recover_linear_form(mat)
-    np.testing.assert_allclose(ra, 1j * h, atol=1e-10)
-    np.testing.assert_allclose(rb, -1j * h, atol=1e-10)
-
-
-def test_recover_linear_form_absent_for_nonzero_symbol():
-    assert recover_linear_form(ad_superop(SZ)) is None
-    assert recover_linear_form(dephasing_generator()) is None
-
-
-def test_recover_linear_form_zero_map():
-    ra, rb = recover_linear_form(np.zeros((9, 9)))
+    ra, rb = _two_sided_fit(np.zeros((9, 9)))
     np.testing.assert_allclose(ra, 0, atol=1e-14)
     np.testing.assert_allclose(rb, 0, atol=1e-14)
 
 
+def test_two_sided_fit_commutator():
+    h = np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]])
+    ra, rb = _two_sided_fit(two_sided(1j * h, -1j * h))
+    np.testing.assert_allclose(ra, 1j * h, atol=1e-10)
+    np.testing.assert_allclose(rb, -1j * h, atol=1e-10)
+
+
 def test_linear_form_presence_agrees_with_symbol_vanishing(rng):
-    # 50 pure linear forms and 50 generic maps, presence iff the symbol is zero
+    # 50 pure linear forms and 50 generic maps: the symbol is zero exactly on
+    # the former, at a random pair and by symbols_equal against the zero map
     for _ in range(50):
         n = int(rng.integers(2, 4))
         mat = two_sided(random_matrix(rng, n), random_matrix(rng, n))
-        assert recover_linear_form(mat) is not None
+        x, y = random_matrix(rng, n), random_matrix(rng, n)
+        np.testing.assert_allclose(symbol(mat, x, y), 0, atol=1e-10)
         assert symbols_equal(mat, np.zeros_like(mat))
     for _ in range(50):
         n = int(rng.integers(2, 4))
         mat = ad_superop(random_matrix(rng, n))
-        assert recover_linear_form(mat) is None
+        x, y = random_matrix(rng, n), random_matrix(rng, n)
+        assert np.linalg.norm(symbol(mat, x, y)) > 1e-3
         assert not symbols_equal(mat, np.zeros_like(mat))
 
 
@@ -376,7 +368,8 @@ def _table_distance(mat1, mat2, residual):
 
 def _fit_distance(mat1, mat2, residual):
     """What symbols_equal compares: the two-sided fit residual over its bound."""
-    _, _, err = _two_sided_fit(mat1 - mat2)
+    a, b = _two_sided_fit(mat1 - mat2)
+    err = np.linalg.norm(two_sided(a, b) - (mat1 - mat2))
     return err / (residual * max(1.0, np.linalg.norm(mat1), np.linalg.norm(mat2)))
 
 
