@@ -150,13 +150,16 @@ def test_symbols_equal_under_linear_shift(rng):
     assert not symbols_equal(ad_superop(SZ), ad_superop(SX))
 
 
-def test_two_sided_fit_round_trip():
+def test_recover_linear_form_round_trip():
     # the fit recovers a two-sided map, with b = a* when it preserves Hermiticity
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     mat = two_sided(a, a.conj().T)
     ra, rb = _two_sided_fit(mat)
     np.testing.assert_allclose(two_sided(ra, rb), mat, atol=1e-10)
     np.testing.assert_allclose(rb, ra.conj().T, atol=1e-10)
+
+
+def test_recover_linear_form_zero_map():
     ra, rb = _two_sided_fit(np.zeros((9, 9)))
     np.testing.assert_allclose(ra, 0, atol=1e-14)
     np.testing.assert_allclose(rb, 0, atol=1e-14)
