@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotCCP, NotHermitian
 from .numerics import (
-    DEFAULT_TOL, Tolerances, anchor, expm_times, frob, is_hermitian, lstsq, within
+    DEFAULT_TOL, Tolerances, anchor, expm_times, frob, is_hermitian, is_psd, lstsq, within
 )
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
@@ -36,8 +36,8 @@ from .superop import (
     _real_form,
     apply_superop,
     dim_of,
-    is_completely_positive,
     kraus_to_superop,
+    superop_to_choi,
     vec,
 )
 from .symbols import _ccp_spectrum, _two_sided_fit, symbols_equal
@@ -284,19 +284,21 @@ def dominates(mat1: np.ndarray, mat2: np.ndarray, tol: Tolerances = DEFAULT_TOL)
     """True iff exp(t L2) - exp(t L1) is completely positive at each sample.
 
     When L2 - L1 is completely positive this holds for every t >= 0; the
-    check decides each sampled difference with
-    :func:`~cpsemi.superop.is_completely_positive`, stopping at the first
-    that is not.  Each semigroup is exponentiated in its real form, so the
-    difference preserves Hermiticity exactly, and reuses its exponentials
-    across the times (:func:`~cpsemi.numerics.expm_times`).  The grid
-    ``_DOMINATION_TIMES`` is dyadic so that every step between samples is an
-    earlier sample: one ``expm`` and four products per semigroup.
+    check stops at the first sampled difference that is not.  Each semigroup
+    is exponentiated in its real form, so the Choi matrix of a difference is
+    Hermitian bit for bit and needs no Hermiticity test: it goes straight to
+    :func:`~cpsemi.numerics.is_psd`, whose Cholesky fast exit (shift
+    psd_slack * s_lo, s_lo at most the spectrum's scale) keeps the rule and
+    certifies a CP difference without an eigenvalue.  Each semigroup reuses
+    its exponentials across the times (:func:`~cpsemi.numerics.expm_times`);
+    the grid ``_DOMINATION_TIMES`` is dyadic so that every step between
+    samples is an earlier sample: one ``expm`` and four products per semigroup.
     """
     if np.asarray(mat1).shape != np.asarray(mat2).shape:
         raise ValueError("generators must act on the same algebra")
     r1, r2 = _real_form(mat1, tol), _real_form(mat2, tol)
     for p2, p1 in zip(expm_times(r2, _DOMINATION_TIMES), expm_times(r1, _DOMINATION_TIMES)):
-        if not is_completely_positive(_complex_form(p2 - p1), tol):
+        if not is_psd(superop_to_choi(_complex_form(p2 - p1)), tol):
             return False
     return True
 

@@ -7,14 +7,18 @@ one relative tolerance, and anchor(norms) = max(1, norms...) over the
 norms of what the value was computed from.  The floor of 1 keeps
 tiny inputs from facing vacuously strict checks; membership in a metric
 operator space and the unitality of a generator pass ``floor=0``.  Every
-PSD, rank, Kraus and metric-space decision is read off the eigenvalues of
+PSD, rank, Kraus and metric-space decision is a rule on the eigenvalues of
 one Hermitian matrix, held in one :class:`Spectrum` whose ``scale`` is the
 anchor of its largest |eigenvalue|; a stack of matrices, shape (..., k, k),
 gets one scale and one verdict per matrix.  :func:`spectrum` takes the
 Hermitian part and decides nothing; whether the input had to be Hermitian
 is its caller's :func:`is_hermitian` (for a Choi matrix,
-:func:`~cpsemi.superop.choi_spectrum`).  Every matrix exponential is made
-here, and one whose norm overflows raises :class:`~cpsemi.errors.Overflow`.
+:func:`~cpsemi.superop.choi_spectrum`).  :func:`is_psd` is the PSD verdict
+alone, with a fast exit that keeps the rule: s_lo = anchor(max |h_ii|) is at
+most ``scale``, so a Cholesky factorisation of h + psd_slack * s_lo * 1
+proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
+Every matrix exponential is made here, and one whose norm overflows raises
+:class:`~cpsemi.errors.Overflow`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "is_hermitian",
     "Spectrum",
     "spectrum",
+    "is_psd",
     "expm",
     "expm_times",
     "lstsq",
@@ -125,7 +130,11 @@ def spectrum(m: np.ndarray, *, vectors: bool = True) -> Spectrum:
     :param vectors: also compute the eigenvectors.
     """
     m = np.asarray(m, dtype=complex)
-    h = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return _hermitian_spectrum((m + m.conj().swapaxes(-1, -2)) / 2.0, vectors)
+
+
+def _hermitian_spectrum(h: np.ndarray, vectors: bool) -> Spectrum:
+    """:func:`spectrum` of ``h``, already Hermitian."""
     if vectors:
         w, u = np.linalg.eigh(h)
         u = u[..., ::-1].copy()
@@ -133,6 +142,33 @@ def spectrum(m: np.ndarray, *, vectors: bool = True) -> Spectrum:
         w, u = np.linalg.eigvalsh(h), None
     w = w[..., ::-1].copy()
     return Spectrum(w, u, anchor(np.abs(w).max(axis=-1, initial=0.0)))
+
+
+def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """``spectrum(m, vectors=False).psd(tol)`` for one square matrix, with a fast exit.
+
+    The Hermitian part h is formed once.  max |h_ii| <= ||h||_2, so s_lo =
+    anchor(max |h_ii|) <= ``scale``, and if ``cholesky`` factorises
+    h + psd_slack * s_lo * 1 the answer is True with no eigenvalue computed;
+    otherwise the diagonal is restored and :meth:`Spectrum.psd` decides on h.
+    The paths can disagree only within Cholesky's backward error, about
+    k eps ||h|| for k x k, of the bound.
+    """
+    m = np.asarray(m, dtype=complex)
+    h = np.conjugate(m.T, order="C")
+    h += m
+    h *= 0.5
+    diag = h.reshape(-1)[:: len(h) + 1]
+    saved = diag.copy()
+    diag += tol.psd_slack * anchor(float(np.abs(saved).max(initial=0.0)))
+    try:
+        # a NaN or inf anywhere in h reaches a pivot: the factor is then no certificate
+        if np.isfinite(np.linalg.cholesky(h).trace()):
+            return True
+    except np.linalg.LinAlgError:
+        pass
+    diag[:] = saved
+    return _hermitian_spectrum(h, False).psd(tol)
 
 
 def _finite(f, *args) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Overflow
 from .generator import GklsForm, rank
-from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, spectrum
+from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, is_psd, spectrum
 from .opspace import MetricOperatorSpace, space_from_cp_map
 from .superop import _complex_form, _real_form, ad_superop, choi_spectrum, superop_to_choi
 
@@ -148,8 +148,11 @@ def verify_units(
     For each sampled t and each unit, checks that T(t) is a member of the
     space of exp(tL) and that the Choi matrix of
     e^{alpha t} exp(tL) - (x -> T x T*) is PSD within ``psd_slack``, with
-    each unit's alpha = <v, v> + 2 Re c.  A single unit is ``[u]``.  To test
-    every alpha lowered by s, pass L - s id: its semigroup is e^{-st} exp(tL).
+    each unit's alpha = <v, v> + 2 Re c, by :func:`~cpsemi.numerics.is_psd`:
+    its Cholesky fast exit (shift psd_slack * s_lo, s_lo at most the spectrum's
+    scale) keeps the rule, and a passing unit costs no eigenvalue.  A single
+    unit is ``[u]``.  To test every alpha lowered by s, pass L - s id: its
+    semigroup is e^{-st} exp(tL).
 
     exp(tL) and its space are computed once per sampled t and shared by all
     units, and exp(tL) reuses the exponentials of earlier times
@@ -164,9 +167,9 @@ def verify_units(
             tt = unit_matrix(u, t)
             if space.membership(tt, tol) is None:
                 return False
-            diff = np.exp(a * t) * big - ad_superop(tt)
-            # The Hermitian part: numpy's complex multiply leaves J(ad_superop(tt)) non-Hermitian
-            if not spectrum(superop_to_choi(diff), vectors=False).psd(tol):
+            # is_psd takes the Hermitian part: numpy's complex multiply leaves
+            # J(ad_superop(tt)) non-Hermitian
+            if not is_psd(superop_to_choi(np.exp(a * t) * big - ad_superop(tt)), tol):
                 return False
     return True
 

@@ -29,7 +29,9 @@ import functools
 import numpy as np
 
 from .errors import DimensionMismatch, NotCP, NotHermiticityPreserving
-from .numerics import DEFAULT_TOL, Spectrum, Tolerances, frob, is_hermitian, spectrum, within
+from .numerics import (
+    DEFAULT_TOL, Spectrum, Tolerances, frob, is_hermitian, is_psd, spectrum, within
+)
 
 __all__ = [
     "vec",
@@ -217,10 +219,9 @@ def _complex_form(r: np.ndarray) -> np.ndarray:
 
 
 def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff :func:`choi_spectrum` accepts the Choi matrix."""
-    try:
-        choi_spectrum(superop_to_choi(mat), tol, vectors=False)
-    except NotCP:
-        return False
-    return True
+    """True iff :func:`choi_spectrum` accepts the Choi matrix: it is Hermitian and
+    :func:`~cpsemi.numerics.is_psd`, the same PSD rule, whose Cholesky fast exit
+    (shift psd_slack * s_lo, s_lo <= scale) certifies a CP map with no eigenvalue."""
+    choi = superop_to_choi(mat)
+    return is_hermitian(choi, tol) and is_psd(choi, tol)
 

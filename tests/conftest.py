@@ -118,6 +118,16 @@ def expm_spy(monkeypatch):
     return calls
 
 
+def linalg_spy(monkeypatch, name):
+    """The shapes of the matrices that ``np.linalg.<name>`` is called on from now on."""
+    calls = []
+    real = getattr(np.linalg, name)
+    monkeypatch.setattr(
+        np.linalg, name, lambda a, *args, **kw: calls.append(np.shape(a)) or real(a, *args, **kw)
+    )
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)

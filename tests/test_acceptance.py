@@ -19,7 +19,6 @@ frozen; everything runs at desk scale (n <= 4) in well under a minute.
 import time
 
 import numpy as np
-import pytest
 from conftest import SX, SY, SZ, dephasing_generator, random_ccp_generator, random_hp_map
 
 from cpsemi.generator import decompose, gauge_shift, rebuild, same_generator

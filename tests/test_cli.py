@@ -20,7 +20,6 @@ import cpsemi.generator as generator
 from cpsemi import DEFAULT_TOL, NotCCP, ParseError
 from cpsemi.cli import _rejection, _write, cmd_analyze, cmd_covariance, decode, encode, main
 from cpsemi.generator import decompose, same_generator
-from cpsemi.superop import ad_superop, identity_superop
 
 
 def c2j(z):

@@ -8,6 +8,7 @@ from conftest import (
     SZ,
     dephasing_generator,
     expm_spy,
+    linalg_spy,
     random_ccp_generator,
     transpose_superop,
 )
@@ -256,23 +257,37 @@ def test_dominates_makes_one_expm_per_semigroup(monkeypatch):
     assert np.array_equal(calls[1], 0.125 * _real_form(mat))
 
 
+def test_passing_dominates_computes_no_eigenvalue(monkeypatch):
+    # each CP difference is certified by one Cholesky factorisation
+    rng = np.random.default_rng(3)
+    mat = random_ccp_generator(rng, 4, unital=True)
+    bigger = mat + random_cp_map(rng, 4, m=1)  # as verify's domination check
+    eig_calls = linalg_spy(monkeypatch, "eigvalsh")
+    chol_calls = linalg_spy(monkeypatch, "cholesky")
+    assert dominates(mat, bigger)
+    assert eig_calls == []
+    assert chol_calls == [(16, 16)] * len(_DOMINATION_TIMES)
+    # the first difference that is not CP fails its factorisation and is
+    # decided by its spectrum, and no later one is tried
+    chol_calls.clear()
+    assert not dominates(bigger, mat)
+    assert eig_calls == [(16, 16)] and chol_calls == [(16, 16)]
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e8])
 def test_dominates_decides_differences_that_are_hermitian_bit_for_bit(monkeypatch, scale):
     # each sampled exp(t L2) - exp(t L1) comes back from the real form with a
-    # Choi matrix that is exactly Hermitian, so the one complete-positivity
-    # rule decides it at any scale
+    # Choi matrix that is exactly Hermitian, so it passes the Hermiticity test
+    # of the one complete-positivity rule at any scale, and is_psd decides it
     rng = np.random.default_rng(3)
     mat = scale * random_ccp_generator(rng, 3, unital=True)
     bigger = mat + random_cp_map(rng, 3, m=1)  # as verify's domination check
     seen = []
-    real = generator.is_completely_positive
-    monkeypatch.setattr(
-        generator, "is_completely_positive", lambda m, tol: seen.append(m) or real(m, tol)
-    )
+    real = generator.is_psd
+    monkeypatch.setattr(generator, "is_psd", lambda m, tol: seen.append(m) or real(m, tol))
     assert dominates(mat, bigger)
     assert len(seen) == len(_DOMINATION_TIMES)
-    for diff in seen:
-        j = superop_to_choi(diff)
+    for j in seen:
         assert np.array_equal(j, j.conj().T)
     with pytest.raises(NotHermiticityPreserving):
         dominates(mat, bigger + 1e-3j * scale * identity_superop(3))

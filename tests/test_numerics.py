@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import expm_spy, random_ccp_generator
+from conftest import bench_corpus, expm_spy, linalg_spy, random_ccp_generator
 
 from cpsemi import numerics
-from cpsemi.generator import _DOMINATION_TIMES
+from cpsemi.generator import _DOMINATION_TIMES, decompose
 from cpsemi.numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -16,9 +16,19 @@ from cpsemi.numerics import (
     expm,
     expm_times,
     frob,
+    is_psd,
     lstsq,
     spectrum,
     within,
+)
+from cpsemi.sampling import random_cp_map, random_matrix
+from cpsemi.semigroup import evolve, sample_units, unit_matrix
+from cpsemi.superop import (
+    _complex_form,
+    _real_form,
+    ad_superop,
+    identity_superop,
+    superop_to_choi,
 )
 
 
@@ -149,6 +159,103 @@ def test_spectrum_of_a_stack_decides_each_matrix_like_the_single_call(rng):
     assert hollow.kept().shape == (2, 0)
 
 
+def _psd_decisions(n, seed):
+    """The Choi matrices whose PSD verdicts verify's domination and units checks
+    take on one corpus generator: every sampled difference of ``dominates``, in
+    both orders, and every difference of ``verify_units`` for L and L - 0.5 id."""
+    rng = np.random.default_rng(seed)
+    mat = bench_corpus().make_generator(rng, n, int(rng.integers(1, n * n)), seed % 2 == 0).mat
+    bigger = mat + random_cp_map(rng, n, m=1)
+    flows = (expm_times(_real_form(m), _DOMINATION_TIMES) for m in (bigger, mat))
+    for p2, p1 in zip(*flows):
+        yield superop_to_choi(_complex_form(p2 - p1))
+        yield superop_to_choi(_complex_form(p1 - p2))
+    units = sample_units(decompose(mat), 2, seed=seed)
+    for gen in (mat, mat - 0.5 * identity_superop(n)):
+        for t in (0.1, 0.5, 1.0):
+            big = evolve(gen, t)
+            for u in units:
+                alpha = np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real
+                yield superop_to_choi(np.exp(alpha * t) * big - ad_superop(unit_matrix(u, t)))
+
+
+def test_is_psd_decides_every_corpus_decision_as_the_spectrum(monkeypatch):
+    eig_calls = linalg_spy(monkeypatch, "eigvalsh")
+    verdicts, certified = [], []
+    for n in (2, 3, 4, 8):
+        for seed in range(6):
+            for choi in _psd_decisions(n, seed):
+                before = len(eig_calls)
+                got = is_psd(choi)
+                certified.append(len(eig_calls) == before)
+                verdicts.append(spectrum(choi, vectors=False).psd())
+                assert got == verdicts[-1], (n, seed, len(verdicts))
+    assert len(verdicts) == 24 * (2 * len(_DOMINATION_TIMES) + 2 * 3 * 2)
+    # both verdicts and both paths occur; a certified verdict is True
+    assert 100 < verdicts.count(True) < len(verdicts) - 100
+    assert 100 < certified.count(True) <= verdicts.count(True)
+    assert all(v for v, c in zip(verdicts, certified) if c)
+
+
+def _unitary(rng, k):
+    return np.linalg.qr(random_matrix(rng, k))[0]
+
+
+@pytest.mark.parametrize("k", [4, 16, 64])
+@pytest.mark.parametrize("c", [0.5, 0.99, 1.01, 2.0])
+def test_is_psd_at_the_slack_bound(monkeypatch, k, c):
+    # lowest eigenvalue -c * psd_slack * scale, scale = 10, the largest
+    # eigenvalue: on the diagonal (s_lo = scale), or rotated with the
+    # eigenvalue 2 into the block [[6, 4], [4, 6]] (s_lo = 6)
+    rng = np.random.default_rng(k)
+    low = -c * DEFAULT_TOL.psd_slack * 10.0
+    for top, s_lo in ((np.array([[10.0]]), 10.0), (np.array([[6.0, 4.0], [4.0, 6.0]]), 6.0)):
+        rest = np.concatenate([[low], rng.uniform(0.0, 5.0, k - len(top) - 1)])
+        u = _unitary(rng, len(rest))
+        h = scipy.linalg.block_diag(top, (u * rest) @ u.conj().T)
+        assert np.abs(np.diag(h)).max() == pytest.approx(s_lo)
+        s = spectrum(h, vectors=False)
+        assert s.scale == pytest.approx(10.0) and s.w[-1] == pytest.approx(low, rel=1e-4)
+        eig_calls = linalg_spy(monkeypatch, "eigvalsh")
+        assert is_psd(h) == s.psd() == (c < 1)
+        # Cholesky certifies exactly the verdicts its shift psd_slack * s_lo covers
+        assert (eig_calls == []) == (c * 10.0 < s_lo)
+        monkeypatch.undo()
+
+
+def _psd_outcome(decide, m):
+    try:
+        return decide(m)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+def test_is_psd_falls_back_on_a_matrix_that_is_not_finite():
+    # numpy's Cholesky "factorises" some matrices with a NaN or an inf; they
+    # are decided by the spectrum, whatever it makes of them
+    rng = np.random.default_rng(1)
+    a = random_matrix(rng, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (4, 4), (3, 1)):
+            m = a @ a.conj().T + np.eye(5)
+            m[i, j] = m[j, i] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = _psd_outcome(lambda m: spectrum(m, vectors=False).psd(), m)
+                assert _psd_outcome(is_psd, m) == want, (bad, i, j)
+
+
+def test_is_psd_leaves_its_input_alone(rng):
+    m = random_matrix(rng, 6)
+    before = m.copy()
+    is_psd(m)
+    is_psd(m.T)
+    assert np.array_equal(m, before)
+
+
+def test_is_psd_of_the_empty_matrix():
+    assert is_psd(np.zeros((0, 0))) and spectrum(np.zeros((0, 0)), vectors=False).psd()
+
+
 def test_expm_matches_scipy(rng):
     # one Hermitian, one normal (unitary generator), one generic matrix
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -253,15 +360,16 @@ def test_lstsq_matrix_rhs_reports_residual_per_column(rng):
 
 
 def test_eigendecompositions_only_in_numerics():
-    # every PSD and rank decision reads one Spectrum: no other module
-    # eigendecomposes or takes a rank, and no module takes singular values
+    # every PSD and rank decision reads one Spectrum, or is_psd's Cholesky
+    # certificate: no other module eigendecomposes, factorises or takes a
+    # rank, and no module takes singular values
     sources = sorted(Path(numerics.__file__).parent.glob("*.py"))
     assert len(sources) > 1
     for path in sources:
         text = path.read_text()
         assert "svd" not in text, path.name
         if path.name != "numerics.py":
-            assert not re.search(r"\b(eigh|eigvalsh|matrix_rank)\b", text), path.name
+            assert not re.search(r"\b(eigh|eigvalsh|cholesky|matrix_rank)\b", text), path.name
 
 
 def _calls(tree, name):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import SX, SY, SZ, bench_corpus, dephasing_generator, expm_spy, random_ccp_generator
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    bench_corpus,
+    dephasing_generator,
+    expm_spy,
+    linalg_spy,
+    random_ccp_generator,
+)
 
 from cpsemi.errors import (
     LogBranch,
@@ -199,6 +208,22 @@ def test_verify_units_shares_each_time_between_units(monkeypatch):
     assert len(calls) == 1 and np.array_equal(calls[0], 0.1 * _real_form(shifted))
     assert len(spaces) == 1
     assert not verify_units(mat - (alphas[0] + 1.0) * identity_superop(3), [units[0]])
+
+
+def test_passing_verify_units_computes_no_eigenvalue(monkeypatch):
+    # each unit's positivity at each time is certified by one Cholesky
+    # factorisation; only the spaces of exp(tL) are eigendecomposed (eigh)
+    mat = random_ccp_generator(np.random.default_rng(4), 4, m=8, unital=True)
+    units = sample_units(decompose(mat), 3, seed=1)
+    eig_calls = linalg_spy(monkeypatch, "eigvalsh")
+    chol_calls = linalg_spy(monkeypatch, "cholesky")
+    assert verify_units(mat, units)
+    assert eig_calls == []
+    assert chol_calls == [(16, 16)] * 9
+    # the first unit of the first time fails: one factorisation, one spectrum
+    chol_calls.clear()
+    assert not verify_units(mat - 10.0 * identity_superop(4), units)
+    assert eig_calls == [(16, 16)] and chol_calls == [(16, 16)]
 
 
 def test_verify_units_rejects_negative_time(dephasing):

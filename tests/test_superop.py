@@ -6,10 +6,10 @@ import pytest
 from conftest import (
     SX,
     SZ,
+    linalg_spy,
     random_ccp_generator,
     random_hermitian,
     random_hp_map,
-    superop_of,
     transpose_superop,
 )
 
@@ -286,6 +286,16 @@ def test_complete_positivity_verdicts(rng):
     ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
     assert is_completely_positive(kraus_to_superop(ops))
     assert not is_completely_positive(transpose_superop(2))
+
+
+def test_is_completely_positive_takes_a_spectrum_only_when_cholesky_fails(monkeypatch, rng):
+    eig_calls = linalg_spy(monkeypatch, "eigvalsh")
+    chol_calls = linalg_spy(monkeypatch, "cholesky")
+    assert not is_completely_positive(transpose_superop(3))
+    assert eig_calls == [(9, 9)] and chol_calls == [(9, 9)]
+    ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    assert is_completely_positive(kraus_to_superop(ops))
+    assert eig_calls == [(9, 9)] and len(chol_calls) == 2
 
 
 def test_transpose_choi_spectrum():

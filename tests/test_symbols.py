@@ -19,7 +19,6 @@ from cpsemi.superop import (
     apply_superop,
     dim_of,
     identity_superop,
-    kraus_to_superop,
     unvec,
     vec,
 )
