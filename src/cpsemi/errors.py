@@ -51,7 +51,7 @@ class LogBranch(CpsemiError):
 
 
 class Overflow(CpsemiError):
-    """A matrix exponential's norm, or a covariance estimate, is not finite."""
+    """A matrix exponential's norm, a covariance estimate or a spectrum's input is not finite."""
 
 
 class ParseError(CpsemiError):

@@ -17,8 +17,9 @@ is its caller's :func:`is_hermitian` (for a Choi matrix,
 alone, with a fast exit that keeps the rule: s_lo = anchor(max |h_ii|) is at
 most ``scale``, so a Cholesky factorisation of h + psd_slack * s_lo * 1
 proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
-Every matrix exponential is made here, and one whose norm overflows raises
-:class:`~cpsemi.errors.Overflow`.
+Every matrix exponential is made here.  One whose norm overflows raises
+:class:`~cpsemi.errors.Overflow`, as does a spectrum of a matrix that is not
+finite, on which LAPACK's eigenvalues mean nothing.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ def spectrum(m: np.ndarray, *, vectors: bool = True) -> Spectrum:
 
 
 def _hermitian_spectrum(h: np.ndarray, vectors: bool) -> Spectrum:
-    """:func:`spectrum` of ``h``, already Hermitian."""
+    """:func:`spectrum` of ``h``, already Hermitian; Overflow if ``h`` is not finite."""
+    if not np.isfinite(h).all():
+        raise Overflow("the matrix has an entry that is not finite: no spectrum")
     if vectors:
         w, u = np.linalg.eigh(h)
         u = u[..., ::-1].copy()

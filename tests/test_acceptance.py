@@ -113,7 +113,8 @@ def test_criterion_3_covariance_estimator_matches_closed_form():
 def test_criterion_4_sampled_units_verify():
     # 20 seeded units over 10 random unital generators (n in {2, 3}):
     # Choi(e^(alpha t) P_t - Ad T(t)) stays PSD within 1e-9 relative slack
-    # on ten sampled times, with T(t) a member of the step space.
+    # on ten sampled times, which by the definition of the metric of E(t)
+    # also makes T(t) a member of the space of P_t.
     rng = np.random.default_rng(404)
     checked = 0
     for i in range(10):

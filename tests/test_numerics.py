@@ -8,6 +8,7 @@ import scipy.linalg
 from conftest import bench_corpus, expm_spy, linalg_spy, random_ccp_generator
 
 from cpsemi import numerics
+from cpsemi.errors import Overflow
 from cpsemi.generator import _DOMINATION_TIMES, decompose
 from cpsemi.numerics import (
     DEFAULT_TOL,
@@ -223,25 +224,27 @@ def test_is_psd_at_the_slack_bound(monkeypatch, k, c):
         monkeypatch.undo()
 
 
-def _psd_outcome(decide, m):
-    try:
-        return decide(m)
-    except np.linalg.LinAlgError as exc:
-        return str(exc)
-
-
 def test_is_psd_falls_back_on_a_matrix_that_is_not_finite():
     # numpy's Cholesky "factorises" some matrices with a NaN or an inf; they
-    # are decided by the spectrum, whatever it makes of them
+    # fall back to the spectrum, which refuses them as it refuses them alone
     rng = np.random.default_rng(1)
     a = random_matrix(rng, 5)
     for bad in (np.nan, np.inf, -np.inf):
         for i, j in ((0, 0), (4, 4), (3, 1)):
             m = a @ a.conj().T + np.eye(5)
             m[i, j] = m[j, i] = bad
-            with np.errstate(invalid="ignore", over="ignore"):
-                want = _psd_outcome(lambda m: spectrum(m, vectors=False).psd(), m)
-                assert _psd_outcome(is_psd, m) == want, (bad, i, j)
+            for decide in (is_psd, lambda m: spectrum(m, vectors=False).psd()):
+                with pytest.raises(Overflow, match="not finite"), np.errstate(invalid="ignore"):
+                    decide(m)
+
+
+def test_spectrum_refuses_a_matrix_that_is_not_finite():
+    # LAPACK gives a NaN matrix the eigenvalues [-0, 0], or raises LinAlgError
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(Overflow, match="not finite"):
+        spectrum(nan, vectors=False).psd()
+    with pytest.raises(Overflow, match="not finite"):
+        spectrum(np.stack([np.eye(2), nan]))
 
 
 def test_is_psd_leaves_its_input_alone(rng):

@@ -189,41 +189,84 @@ def test_verify_units_shares_each_time_between_units(monkeypatch):
         lambda big, tol: spaces.append(big) or real_space(big, tol),
     )
     assert verify_units(mat, units)
-    # one space per time for all units; exp(1.0 L) = exp(0.5 L) exp(0.5 L)
-    assert len(spaces) == 3
+    # no space of exp(tL) is built; exp(1.0 L) = exp(0.5 L) exp(0.5 L)
     assert len(calls) == 2
     r = _real_form(mat)
     assert np.array_equal(calls[0], 0.1 * r) and np.array_equal(calls[1], 0.5 * r)
     calls.clear()
-    spaces.clear()
     assert all(verify_units(mat, [u]) for u in units)
-    assert len(calls) == 6 and len(spaces) == 9
+    assert len(calls) == 6
     # alpha = -1 for every unit breaks positivity; the first failure stops it.
     # exp(t (L - s id)) = e^(-st) exp(tL) lowers every unit's alpha by s.
     alphas = [np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real for u in units]
     shifted = mat - (max(alphas) + 1.0) * identity_superop(3)
     calls.clear()
-    spaces.clear()
     assert not verify_units(shifted, units)
     assert len(calls) == 1 and np.array_equal(calls[0], 0.1 * _real_form(shifted))
-    assert len(spaces) == 1
     assert not verify_units(mat - (alphas[0] + 1.0) * identity_superop(3), [units[0]])
+    assert spaces == []
 
 
 def test_passing_verify_units_computes_no_eigenvalue(monkeypatch):
     # each unit's positivity at each time is certified by one Cholesky
-    # factorisation; only the spaces of exp(tL) are eigendecomposed (eigh)
+    # factorisation, and nothing is eigendecomposed
     mat = random_ccp_generator(np.random.default_rng(4), 4, m=8, unital=True)
     units = sample_units(decompose(mat), 3, seed=1)
     eig_calls = linalg_spy(monkeypatch, "eigvalsh")
+    eigh_calls = linalg_spy(monkeypatch, "eigh")
     chol_calls = linalg_spy(monkeypatch, "cholesky")
     assert verify_units(mat, units)
-    assert eig_calls == []
+    assert eig_calls == [] and eigh_calls == []
     assert chol_calls == [(16, 16)] * 9
     # the first unit of the first time fails: one factorisation, one spectrum
     chol_calls.clear()
     assert not verify_units(mat - 10.0 * identity_superop(4), units)
     assert eig_calls == [(16, 16)] and chol_calls == [(16, 16)]
+    assert eigh_calls == []
+
+
+def test_verify_units_accepts_units_the_membership_cut_rejected():
+    # ROADMAP item 2: a linear membership cut on the space of exp(tL) rejected
+    # true units of these generators, and of s L at small s; the CP test that
+    # defines the metric of E(t) accepts every one of them
+    def generator(seed, n, m, s=1.0):
+        return s * bench_corpus().make_generator(np.random.default_rng(seed), n, m, True).mat
+
+    cases = [
+        (seed, generator(seed, n, m)) for n, m in ((4, 1), (8, 1), (8, 2)) for seed in range(10)
+    ]
+    cases += [
+        (seed, generator(seed, n, m, s))
+        for s in (1e-8, 1e-4)
+        for n, m in ((2, 1), (2, 2), (3, 2))
+        for seed in range(4)
+    ]
+    for i, (seed, mat) in enumerate(cases):
+        for u in sample_units(decompose(mat), 3, seed=seed)[1:]:
+            assert verify_units(mat, [u]), i
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_verify_units_rejects_units_of_another_generator(n):
+    # the negative control of the test above: with E(t) all of M_n (rank
+    # n^2 - 1) membership says nothing, and the CP test still rejects
+    rng = np.random.default_rng(n)
+    for m in (1, 2, n * n - 1):
+        mat, other = (bench_corpus().make_generator(rng, n, m, True).mat for _ in range(2))
+        units = sample_units(decompose(other), 3, seed=n)[1:]
+        assert all(verify_units(other, [u]) for u in units)
+        assert not any(verify_units(mat, [u]) for u in units)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_units_refuses_a_difference_that_is_not_finite(dephasing):
+    # e^(alpha t) overflows while T(t) does not: the difference map holds
+    # inf - inf, which is a numerical limit, not a verdict
+    d = decompose(dephasing)
+    with pytest.raises(Overflow, match="not finite"):
+        verify_units(dephasing, [make_unit(d, 354.9, [0.0])], t_samples=(1.0,))
+    with pytest.raises(Overflow, match="overflows"):
+        verify_units(dephasing, [make_unit(d, 355.5, [0.0])], t_samples=(1.0,))
 
 
 def test_verify_units_rejects_negative_time(dephasing):

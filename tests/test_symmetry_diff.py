@@ -37,10 +37,8 @@ def test_a_frozen_slice_counts_the_known_defects_and_nothing_else():
     known = {
         # index 1 -> 0: the eigenvalue cut does not scale with s
         **{f"scale 1e{j}": 2 for j in range(-12, -8)},
-        # units exits 3 at small s; exp(s L) overflows for the general one
-        # from s = 1e4
-        "verify scale 1e-8": 2, "verify scale 1e-4": 1, "verify scale 1e4": 1,
-        "verify scale 1e8": 1, "verify scale 1e12": 1,
+        # exp(s L) overflows for the general one from s = 1e4
+        "verify scale 1e4": 1, "verify scale 1e8": 1, "verify scale 1e12": 1,
         # exit 2 (not CCP): the roundoff of a Hamiltonian term 1e8 times the
         # dissipative part exceeds the PSD slack of the projected Choi matrix
         "ham 1e8": 2, "ham 1e10": 2,
