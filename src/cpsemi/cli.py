@@ -36,6 +36,7 @@ import gc
 import heapq
 import json
 import math
+import operator
 import os
 import sys
 
@@ -95,18 +96,27 @@ def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
 
     The nesting must have shape ``shape + (2,)`` and every number must be
     finite and exactly an ``int`` or a ``float`` (``bool`` is a subclass of
-    ``int``, so JSON ``true`` is not a number here).
+    ``int``, so JSON ``true`` is not a number here).  It is flattened a level
+    at a time; only malformed input is made an object array, to name its shape.
     """
     want = shape + (2,)
-    a = np.array(obj, dtype=object)
-    if a.shape == (0,) and shape[:1] == (0,):  # [] carries no inner shape
-        a = a.reshape(want)
-    if a.shape != want:
-        raise ParseError(f"{what}: expected [re, im] pairs nested to shape {want}, got {a.shape}")
-    if not set(map(type, a.flat)) <= {int, float}:
-        raise ParseError(f"{what}: every entry must be a JSON number")
+    flat = [obj]
     try:
-        f = a.astype(float)
+        for size in want:
+            # len() refuses a number, and a string or an object of the right length
+            # leaves strings among the entries: only an empty level needs a type test
+            if not set(map(len, flat)) <= {size} or not (size or set(map(type, flat)) <= {list}):
+                raise TypeError
+            flat = functools.reduce(operator.iconcat, flat, [])  # extends by whole lists
+        if not set(map(type, flat)) <= {int, float}:
+            raise TypeError
+    except TypeError:  # malformed: the object array is the reference for what is wrong
+        got = np.array(obj, dtype=object).shape
+        fault = f"expected [re, im] pairs nested to shape {want}, got {got}" if got != want else (
+            "every entry must be a JSON number")
+        raise ParseError(f"{what}: {fault}") from None
+    try:
+        f = np.fromiter(flat, dtype=float, count=len(flat))
         finite = np.isfinite(f).all()
     except OverflowError:  # an int beyond the float range
         finite = False

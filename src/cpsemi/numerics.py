@@ -18,8 +18,8 @@ alone, with a fast exit that keeps the rule: s_lo = anchor(max |h_ii|) is at
 most ``scale``, so a Cholesky factorisation of h + psd_slack * s_lo * 1
 proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
 Every matrix exponential is made here.  One whose norm overflows raises
-:class:`~cpsemi.errors.Overflow`, as does a spectrum of a matrix that is not
-finite, on which LAPACK's eigenvalues mean nothing.
+:class:`~cpsemi.errors.Overflow`, as does a Hermiticity, spectrum or PSD
+verdict on a matrix that is not finite, before any arithmetic on it.
 """
 
 from __future__ import annotations
@@ -91,8 +91,14 @@ def within(value, rel: float, *norms, floor: float = 1.0):
     return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
+def _require_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise Overflow("the matrix has an entry that is not finite: no verdict")
+
+
 def is_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``||m - m*|| <= residual * max(1, ||m||)`` (Frobenius norms)."""
+    _require_finite(m)
     return within(frob(m - m.conj().T), tol.residual, frob(m))
 
 
@@ -126,18 +132,18 @@ class Spectrum(NamedTuple):
 
 def spectrum(m: np.ndarray, *, vectors: bool = True) -> Spectrum:
     """Spectrum of the Hermitian part (m + m*) / 2 of a square matrix, or of
-    each matrix of a stack of shape (..., k, k); ``m`` itself is not checked.
+    each matrix of a stack of shape (..., k, k); ``m`` is not tested for Hermiticity.
 
     :param vectors: also compute the eigenvectors.
     """
     m = np.asarray(m, dtype=complex)
+    _require_finite(m)
     return _hermitian_spectrum((m + m.conj().swapaxes(-1, -2)) / 2.0, vectors)
 
 
 def _hermitian_spectrum(h: np.ndarray, vectors: bool) -> Spectrum:
     """:func:`spectrum` of ``h``, already Hermitian; Overflow if ``h`` is not finite."""
-    if not np.isfinite(h).all():
-        raise Overflow("the matrix has an entry that is not finite: no spectrum")
+    _require_finite(h)
     if vectors:
         w, u = np.linalg.eigh(h)
         u = u[..., ::-1].copy()
@@ -158,6 +164,7 @@ def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     k eps ||h|| for k x k, of the bound.
     """
     m = np.asarray(m, dtype=complex)
+    _require_finite(m)
     h = np.conjugate(m.T, order="C")
     h += m
     h *= 0.5

@@ -19,16 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstraintViolated, NotHermiticityPreserving
-from .numerics import DEFAULT_TOL, Spectrum, Tolerances, anchor, frob, spectrum, within
-from .sampling import random_constrained_tuples
-from .superop import (
-    _operator,
-    dim_of,
-    is_hermiticity_preserving,
-    superop_to_choi,
-    unvec,
-    vec,
+from .numerics import (
+    DEFAULT_TOL, Spectrum, Tolerances, _hermitian_spectrum, anchor, frob, is_hermitian, spectrum,
+    within,
 )
+from .sampling import random_constrained_tuples
+from .superop import _operator, dim_of, superop_to_choi, unvec, vec
 
 __all__ = [
     "symbols_equal",
@@ -79,36 +75,49 @@ def symbols_equal(
     return within(frob(rebuilt - diff), tol.residual, frob(m1), frob(m2))
 
 
-def projected_choi(mat: np.ndarray) -> np.ndarray:
-    """Compression of the Choi matrix to the orthogonal complement of vec(1),
-    hermitized."""
-    n = dim_of(mat)
+def projected_choi(j: np.ndarray) -> np.ndarray:
+    """P J P, P = 1 - omega omega* / n the projection onto vec(1)^perp, hermitized
+    (Hermitian bit for bit), written over the complex Choi matrix ``j``.  omega
+    is 1 at the positions ``::n+1``, so J P is J less the mean of those columns
+    in each of them, and P J P is J P less the mean of those rows in each: O(n^3).
+    Each mean is taken off twice, the second time the first's rounding residue,
+    so that omega stays in the kernel where x -> a x + x b puts a large J there."""
+    n = dim_of(j)
+    cols, rows = j[:, :: n + 1], j[:: n + 1]
+    mean = np.full((n, 1), 1.0 / n, dtype=complex)
+    for _ in range(2):
+        cols -= cols @ mean  # J P
+    for _ in range(2):
+        rows -= mean.T @ rows  # P J P
+    j += j.conj().T
+    j *= 0.5
+    return j
+
+
+def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The one Hermiticity-preservation guard of the CCP routes; returns the
+    Choi matrix of ``mat``, a fresh array (Overflow if it is not finite)."""
     j = superop_to_choi(mat)
-    omega = vec(np.eye(n))
-    proj = np.eye(n * n, dtype=complex) - np.outer(omega, omega.conj()) / n
-    jp = proj @ j @ proj
-    return (jp + jp.conj().T) / 2.0
-
-
-def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> None:
-    """The one Hermiticity-preservation guard of the CCP routes."""
-    if not is_hermiticity_preserving(mat, tol):
+    if not is_hermitian(j, tol):
         raise NotHermiticityPreserving(
             "generator does not preserve Hermiticity (Choi matrix not Hermitian)"
         )
+    return j
 
 
-def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL, choi=None) -> Spectrum:
     """Spectrum of the projected Choi matrix of a Hermiticity-preserving map,
     the one CCP decision: the map is CCP iff the spectrum is PSD within
     ``psd_slack``, and otherwise its last eigenvector is the defect direction.
     :func:`is_conditionally_cp` takes the eigenvectors too, so that its
-    eigenvalues are bit for bit those that ``decompose`` reads.
+    eigenvalues are bit for bit those that ``decompose`` reads.  The guard's
+    Choi matrix, or ``choi`` if the caller holds it, is projected in place.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     """
-    _require_hermiticity_preserving(mat, tol)
-    return spectrum(projected_choi(mat))
+    if choi is None:
+        choi = _require_hermiticity_preserving(mat, tol)
+    return _hermitian_spectrum(projected_choi(choi), True)
 
 
 def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -192,9 +201,9 @@ def check_block_positivity(
     return bool(_block_psd(mat, stack[0], stack[1], tol)[0])
 
 
-def _defect_tuple(mat: np.ndarray):
+def _defect_tuple(mat: np.ndarray, choi: np.ndarray):
     """Constrained tuple built from the projected-Choi defect direction, as
-    two arrays of shape (n, n, n).
+    two arrays of shape (n, n, n), from the guard's Choi matrix ``choi``.
 
     If the projected Choi matrix has a negative eigenvalue with eigenvector
     u, the tuple x_k = E_0k, a_k = (column k of unvec(u)) e_0* violates the
@@ -202,7 +211,7 @@ def _defect_tuple(mat: np.ndarray):
     (e_0, ..., e_0) equals u* J u.
     """
     n = dim_of(mat)
-    u = spectrum(projected_choi(mat)).u[:, -1]
+    u = _ccp_spectrum(mat, choi=choi).u[:, -1]
     omega = vec(np.eye(n))
     u = u - omega * (omega.conj() @ u) / n  # enforce the traceless constraint
     bigu = unvec(u, n)
@@ -231,14 +240,14 @@ def block_positivity_witness(
     :raises NotHermiticityPreserving: if L is not Hermiticity-preserving;
         the tuple criterion cannot see an anti-Hermitian part such as i c id.
     """
-    _require_hermiticity_preserving(mat, tol)
+    choi = _require_hermiticity_preserving(mat, tol)
     n = dim_of(mat)
     xs, as_ = random_constrained_tuples(np.random.default_rng(seed), n, n_tuples)
     verdicts = _block_psd(mat, xs, as_, tol)
     if not verdicts.all():
         first = int(np.argmin(verdicts))
         return list(xs[first]), list(as_[first])
-    xs, as_ = _defect_tuple(mat)
+    xs, as_ = _defect_tuple(mat, choi)
     if not _block_psd(mat, xs[None], as_[None], tol)[0]:
         return list(xs), list(as_)
     return None

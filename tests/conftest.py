@@ -51,6 +51,16 @@ def symbol(mat, x, y):
     )
 
 
+def dense_projected_choi(j):
+    """P J P with P = 1 - omega omega* / n, omega = vec(1), by two dense
+    n^2 x n^2 products, hermitized: the oracle of ``projected_choi``."""
+    n = dim_of(j)
+    omega = vec(np.eye(n))
+    proj = np.eye(n * n, dtype=complex) - np.outer(omega, omega.conj()) / n
+    jp = proj @ j @ proj
+    return (jp + jp.conj().T) / 2.0
+
+
 def transpose_superop(n):
     return superop_of(lambda x: x.T, n)
 

@@ -495,6 +495,47 @@ def test_malformed_numbers_and_flags_are_parse_errors(
     assert captured.err.startswith(f"error: {field}")
 
 
+def _with(matrix, row, col, value):
+    matrix = json.loads(json.dumps(matrix))
+    if col is None:
+        matrix[row] = value(matrix[row])
+    else:
+        matrix[row][col] = value
+    return matrix
+
+
+_SHAPE_ERROR = "matrix: expected [re, im] pairs nested to shape (4, 4, 2), got "
+_DECODE_MESSAGES = {
+    "ragged-row": ((1, None, lambda row: row[:3]), _SHAPE_ERROR + "(4,)"),
+    "pair-is-a-string": ((2, 3, "ab"), _SHAPE_ERROR + "(4, 4)"),
+    "pair-is-an-object": ((0, 1, {"re": 1.0, "im": 0.0}), _SHAPE_ERROR + "(4, 4)"),
+    "nested-number": ((3, 0, [1.0, [2.0]]), "matrix: every entry must be a JSON number"),
+    "true": ((1, 1, [True, 0.0]), "matrix: every entry must be a JSON number"),
+    "int-beyond-floats": ((0, 0, [10**400, 0.0]), "matrix: every entry must be finite"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _DECODE_MESSAGES.values(), ids=_DECODE_MESSAGES)
+def test_decode_messages_are_frozen(edit, message, tmp_path):
+    doc = superop_doc(dephasing_generator(), 2)
+    doc["matrix"] = _with(doc["matrix"], *edit)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert _load_outcome(str(path)) == ("error", message)
+
+
+def test_an_empty_kraus_stack_is_the_zero_map(tmp_path):
+    doc = {"type": "gkls", "n": 2, "kraus": [], "k": m2j(-0.5 * np.eye(2))}
+    mat, n = cli.load_generator(write(tmp_path, "gkls.json", doc), DEFAULT_TOL)
+    assert n == 2 and np.array_equal(mat, -np.eye(4))
+    empty = cli.decode([], (0, 2, 2), "kraus")
+    assert empty.shape == (0, 2, 2) and empty.dtype == complex
+    doc["k"] = []
+    with pytest.raises(ParseError) as info:
+        cli.load_generator(write(tmp_path, "k.json", doc), DEFAULT_TOL)
+    assert str(info.value) == "k: expected [re, im] pairs nested to shape (2, 2, 2), got (0,)"
+
+
 @pytest.mark.parametrize("cmd", ["decompose", "index", "covariance", "verify"])
 def test_other_subcommands_reject_transpose_with_analyze_report(cmd, tmp_path, capsys):
     path = write(tmp_path, "tr.json", superop_doc(transpose_superop(2), 2))
@@ -1027,3 +1068,15 @@ def test_exponential_overflow_is_a_numerical_limit(case, tmp_path, capsys, recwa
     else:
         assert out == "" and err == f"error: {message}\n"
     assert not recwarn.list  # nothing is printed before the error
+
+
+def test_a_generator_that_overflows_is_a_numerical_limit(tmp_path, capsys):
+    # the Kraus entries are finite, their Choi matrix V V* is not: no verdict,
+    # where "does not preserve Hermiticity" (exit 2) was given before
+    big = 1e200 * np.eye(2)
+    doc = {"type": "gkls", "n": 2, "kraus": [m2j(big)], "k": m2j(np.zeros((2, 2)))}
+    path = write(tmp_path, "gen.json", doc)
+    with np.errstate(over="ignore"):
+        assert main(["analyze", "--input", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the matrix has an entry that is not finite: no verdict\n"

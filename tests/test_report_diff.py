@@ -1,6 +1,7 @@
 """tools/report_diff.py: the report comparison between two source trees."""
 
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -35,6 +36,22 @@ def test_describe_reports_exit_codes_and_outputs():
     assert line == "op: exit 0 -> 0, max |diff| 5.000e-01 at .x"
     line = report_diff.describe("op", same, [3, "not json", "boom"])
     assert line == "op: exit 0 -> 3, stderr differs, stdout differs (not JSON)"
+
+
+def test_field_differences_collapse_array_indices():
+    def report(kraus, rank):
+        return [0, json.dumps({"kraus": kraus, "rank": rank, "note": "x"}), ""]
+
+    old = {"a": report([[1.0, 2.0], [3.0, 4.0]], 2), "b": report([[0.0]], 1),
+           "c": [3, "not json", ""], "d": report([[5.0]], 1)}
+    new = {"a": report([[1.0, 2.5], [3.0, 4.0]], 2), "b": report([[0.25]], 2),
+           "c": [3, "still not json", ""], "d": report([[5.0]], 1)}
+    assert report_diff.field_differences(old, new) == {".kraus[][]": 0.5, ".rank": 1}
+    assert report_diff.field_differences(old, old) == {}
+    short = {"a": report([[1.0]], 2)}
+    assert report_diff.field_differences(short, {"a": report([[1.0], [2.0]], 2)}) == {
+        ".kraus": math.inf
+    }
 
 
 def test_a_tree_against_itself_differs_nowhere():

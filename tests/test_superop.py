@@ -14,7 +14,7 @@ from conftest import (
 )
 
 import cpsemi.superop as superop
-from cpsemi.errors import DimensionMismatch, NotCP, NotHermiticityPreserving
+from cpsemi.errors import DimensionMismatch, NotCP, NotHermiticityPreserving, Overflow
 from cpsemi.numerics import DEFAULT_TOL, frob
 from cpsemi.superop import (
     ad_superop,
@@ -286,6 +286,20 @@ def test_complete_positivity_verdicts(rng):
     ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
     assert is_completely_positive(kraus_to_superop(ops))
     assert not is_completely_positive(transpose_superop(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cp_rule_refuses_a_choi_matrix_that_is_not_finite(bad, recwarn):
+    # no verdict, neither "not CP" nor "not Hermitian", and no warning first
+    for real in (True, False):
+        j = superop_to_choi(kraus_to_superop([SX, SZ]))
+        j[1, 2] = bad if real else complex(0.0, bad)
+        with pytest.raises(Overflow, match="not finite"):
+            is_completely_positive(superop_to_choi(j))
+        for vectors in (True, False):
+            with pytest.raises(Overflow, match="not finite"):
+                choi_spectrum(j, vectors=vectors)
+    assert not recwarn.list
 
 
 def test_is_completely_positive_takes_a_spectrum_only_when_cholesky_fails(monkeypatch, rng):

@@ -3,15 +3,19 @@ import pytest
 from conftest import (
     SX,
     SZ,
+    dense_projected_choi,
     dephasing_generator,
     loop_constrained_tuple,
     random_ccp_generator,
+    random_hermitian,
     random_hp_map,
     symbol,
     transpose_superop,
 )
 
-from cpsemi.errors import ConstraintViolated, DimensionMismatch, NotHermiticityPreserving
+from cpsemi.errors import (
+    ConstraintViolated, DimensionMismatch, NotHermiticityPreserving, Overflow
+)
 from cpsemi.numerics import DEFAULT_TOL, spectrum
 from cpsemi.sampling import random_constrained_tuples, random_cp_map, random_matrix
 from cpsemi.superop import (
@@ -19,6 +23,7 @@ from cpsemi.superop import (
     apply_superop,
     dim_of,
     identity_superop,
+    superop_to_choi,
     unvec,
     vec,
 )
@@ -29,6 +34,7 @@ from cpsemi.symbols import (
     block_positivity_witness,
     check_block_positivity,
     is_conditionally_cp,
+    projected_choi,
     symbols_equal,
 )
 
@@ -203,6 +209,70 @@ def test_projected_choi_defect_goldens():
     assert _ccp_spectrum(-ad_superop(SZ)).w[-1] == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_projected_choi_matches_the_dense_products(n):
+    rng = np.random.default_rng(n)
+    omega = vec(np.eye(n))
+    maps = {
+        "hermiticity-preserving": random_hp_map(rng, n),
+        "generator": random_ccp_generator(rng, n, 2),
+        "general": random_matrix(rng, n * n),
+        "large": 1e6 * random_matrix(rng, n * n),
+    }
+    for name, mat in maps.items():
+        j = superop_to_choi(mat)
+        ref = dense_projected_choi(j)
+        h = projected_choi(j.copy())
+        assert np.linalg.norm(h - ref) <= 1e-14 * np.linalg.norm(ref), name
+        assert np.array_equal(h, h.conj().T), name
+        assert np.linalg.norm(h @ omega) <= 1e-14 * np.linalg.norm(h), name
+
+
+def test_projected_choi_keeps_vec1_in_its_kernel_under_a_large_hamiltonian():
+    # i[h, .] puts J's large entries in the rows and columns of vec(1), where the
+    # projection cancels them; a second pass takes the first's rounding residue
+    eps = np.finfo(float).eps
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        mat = random_ccp_generator(rng, n, 2)
+        h = random_hermitian(rng, n)
+        h *= 1e8 * np.linalg.norm(mat) / np.linalg.norm(h)
+        eye = np.eye(n)
+        j = superop_to_choi(mat + 1j * (np.kron(eye, h) - np.kron(h.T, eye)))
+        p = projected_choi(j.copy())
+        assert np.linalg.norm(p @ vec(eye)) <= 0.25 * eps * np.linalg.norm(j), seed
+
+
+def test_projected_choi_overwrites_its_input(rng):
+    j = superop_to_choi(random_hp_map(rng, 3))
+    h = projected_choi(j)
+    assert h is j
+
+
+def test_ccp_spectrum_builds_the_choi_matrix_once(monkeypatch, rng):
+    import cpsemi.symbols as symbols
+
+    calls = []
+    real = symbols.superop_to_choi
+    monkeypatch.setattr(symbols, "superop_to_choi", lambda m: calls.append(1) or real(m))
+    mat = random_ccp_generator(rng, 3, 2)
+    w = _ccp_spectrum(mat).w
+    assert len(calls) == 1
+    ref = spectrum(dense_projected_choi(real(mat)), vectors=False).w
+    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ccp_routes_refuse_a_map_that_is_not_finite(bad, recwarn):
+    mat = dephasing_generator()
+    mat[1, 2] = bad
+    for route in (_ccp_spectrum, is_conditionally_cp, lambda m: block_positivity_witness(m, 5)):
+        with pytest.raises(Overflow, match="not finite"):
+            route(mat)
+    assert not recwarn.list
+
+
 def test_block_positivity_on_cp_map(rng):
     mat = random_cp_map(rng, 2)
     for _ in range(20):
@@ -296,17 +366,17 @@ def test_witness_search_rejects_maps_that_are_not_hermiticity_preserving():
 
 def test_witness_search_checks_hermiticity_preservation_once(monkeypatch):
     # a CCP map has no random witness, so the search also builds the defect
-    # tuple; that step reads the projected Choi spectrum without a second guard
+    # tuple; that step projects the guard's Choi matrix without a second guard
     import cpsemi.symbols as symbols
 
     calls = []
-    real = symbols.is_hermiticity_preserving
+    real = symbols.is_hermitian
 
-    def counting(mat, tol=DEFAULT_TOL):
+    def counting(m, tol=DEFAULT_TOL):
         calls.append(1)
-        return real(mat, tol)
+        return real(m, tol)
 
-    monkeypatch.setattr(symbols, "is_hermiticity_preserving", counting)
+    monkeypatch.setattr(symbols, "is_hermitian", counting)
     ccp = random_ccp_generator(np.random.default_rng(0), 3, 2)
     assert block_positivity_witness(ccp, 50, seed=1) is None
     assert len(calls) == 1

@@ -13,8 +13,10 @@ the witness written as ``[re, im]`` pairs.
 
 One line is printed per operation whose exit code or output differs, with
 the largest absolute difference between numbers at the same place of the
-two JSON outputs and where it sits, then a summary line.  The exit status
-is 0 iff nothing differs.  ``--selfcheck`` uses the benchmark's n = 2
+two JSON outputs and where it sits, then a summary line, then one line per
+differing field of the outputs with its largest difference over all
+operations (array indices collapsed, as in ``.kraus[][][][]``).  The exit
+status is 0 iff nothing differs.  ``--selfcheck`` uses the benchmark's n = 2
 workloads.
 """
 
@@ -24,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -70,25 +73,52 @@ def dump(tree: str, workload: str, seed: int, selfcheck: bool, out: str) -> None
         json.dump(reports, fh)
 
 
-def largest_difference(a, b, where: str = "") -> tuple[float, str]:
-    """Largest |x - y| over the numbers at the same place of two JSON
-    values, and that place; inf where their structure differs."""
+def differences(a, b, where: str = ""):
+    """Yield (|x - y|, place) for every place where two JSON values differ:
+    the distance of two numbers, and inf where anything else differs or
+    their structure does."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            return math.inf, where or "."
+            yield math.inf, where or "."
+            return
         pairs = [(a[k], b[k], f"{where}.{k}") for k in sorted(a)]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return math.inf, where or "."
+            yield math.inf, where or "."
+            return
         pairs = [(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
-    elif _number(a) and _number(b):
-        return abs(a - b), where
     else:
-        return (0.0 if a == b else math.inf), where
-    best = (0.0, "")
+        if _number(a) and _number(b):
+            if a != b:
+                yield abs(a - b), where
+        elif a != b:
+            yield math.inf, where
+        return
     for x, y, w in pairs:
-        best = max(best, largest_difference(x, y, w), key=lambda d: d[0])
-    return best
+        yield from differences(x, y, w)
+
+
+def largest_difference(a, b) -> tuple[float, str]:
+    """Largest |x - y| over the numbers at the same place of two JSON
+    values, and that place; inf where their structure differs."""
+    return max(differences(a, b), key=lambda d: d[0], default=(0.0, ""))
+
+
+def field_differences(old: dict, new: dict) -> dict[str, float]:
+    """Largest difference of each field over all operations' JSON outputs,
+    the field being its place with array indices collapsed (``.kraus[][]``)."""
+    fields: dict[str, float] = {}
+    for key in old:
+        if old[key][1] == new[key][1]:
+            continue
+        try:
+            a, b = json.loads(old[key][1]), json.loads(new[key][1])
+        except ValueError:  # an output that is not JSON has a line of its own
+            continue
+        for diff, where in differences(a, b):
+            field = re.sub(r"\[\d+\]", "[]", where)
+            fields[field] = max(fields.get(field, 0.0), diff)
+    return fields
 
 
 def _number(x) -> bool:
@@ -145,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     for line in lines:
         print(line)
     print(f"{args.workload} seed {args.seed}: {len(lines)} of {len(old)} operations differ")
+    for field, diff in sorted(field_differences(old, new).items()):
+        print(f"  {field}: max |diff| {diff:.3e}")
     return 1 if lines else 0
 
 
