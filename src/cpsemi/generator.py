@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotCCP, NotHermitian
 from .numerics import (
-    DEFAULT_TOL, Tolerances, anchor, expm_times, frob, is_hermitian, is_psd, lstsq, within
+    DEFAULT_TOL, Tolerances, anchor, expm_times, frob, is_hermitian, is_psd, within
 )
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
@@ -203,11 +203,13 @@ def extract_gauge(
     (Kraus family ``ops``, drift ``k2``) of the same generator.
 
     Each basis element u_i of d's space is expanded over ``ops`` plus the
-    identity, all in one least-squares solve, and must leave a residual
-    within ``eig_cut`` of ||u_i||; the identity components define a linear
-    functional on span(ops), represented by ``v2``.  d's basis is independent
-    and traceless, so passing this test forces ``ops`` to be independent
-    modulo scalars.
+    identity, all in one solve: a QR factorisation of the design
+    D = [vec(w_1) ... vec(w_m), vec(1)] and one triangular system.  D must
+    have full column rank, min |r_ii| above ``eig_cut`` of max |r_ii|, with
+    no floor; each u_i must leave a residual within ``eig_cut`` of ||u_i||.
+    The identity components define a linear functional on span(ops),
+    represented by ``v2``.  d's basis is independent and traceless, so
+    passing the test makes the square coordinate matrix ``theta`` invertible.
 
     :raises ValueError: if ``ops`` does not have one operator per basis
         element, or the two families do not agree modulo scalars.
@@ -221,13 +223,18 @@ def extract_gauge(
     if any(v.shape != (n, n) for v in ops):
         raise DimensionMismatch(f"Kraus operators must be {n}x{n}")
     ops = np.reshape(ops, (dim, n, n))
+    design = np.column_stack([vec(ops).T, vec(np.eye(n))])
     rhs = vec(d.space.basis).T  # the columns vec(u_i), one solve for all
-    sol, res = lstsq(np.column_stack([vec(ops).T, vec(np.eye(n))]), rhs)
+    q, r = np.linalg.qr(design)
+    diag = np.abs(np.diagonal(r))
+    if within(diag.min(), tol.eig_cut, diag.max(), floor=0.0):
+        raise ValueError("spaces do not agree modulo scalars")
+    sol = np.linalg.solve(r, q.conj().T @ rhs)
+    res = np.linalg.norm(design @ sol - rhs, axis=0)
     if not np.all(within(res, tol.eig_cut, np.linalg.norm(rhs, axis=0))):
         raise ValueError("spaces do not agree modulo scalars")
     theta = sol[:dim]
-    f = sol[dim]
-    gamma = lstsq(theta.T, f)[0].conj()
+    gamma = np.linalg.solve(theta.T, sol[dim]).conj()
     v2 = np.tensordot(gamma, ops, axes=1)
     vv = float(np.real(np.vdot(gamma, gamma)))
     resid_mat = np.asarray(k2, dtype=complex) - d.k - v2 - 0.5 * vv * np.eye(n)
@@ -247,26 +254,23 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
     ``perturbation_detected``, adding 0.1 anchor(||L||) 1 to the drift
     changes L.  ``pass`` also needs :func:`extract_gauge` to relate ``d`` to
     the shifted presentation with a residual within ``eig_cut`` of ||k||.
-    Rank 0 has no family to shift, and only the perturbation is tested.
-    Each family's CP superoperator is built once.
+    At rank 0 the family is empty and the same lines run on it.  Each
+    family's CP superoperator is built once.
     """
     dim = d.space.dim
     lam = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     eye = np.eye(d.n)
     cp = kraus_to_superop(d.space.basis)
     mat = gkls_superop(d.k, cp)
-    if dim:
-        cp2 = gauge_shift(d, lam)
-        sym_ok = symbols_equal(cp2, cp, tol)
-        u = d.space.from_coords(lam.conj())
-        k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * eye
-        same = _same_superop(mat, gkls_superop(k2, cp2), tol)
-        # The shifted presentation itself, not a canonical form, so that
-        # extract_gauge has a nonzero v2 to recover.
-        gauge = extract_gauge(d, _shifted_kraus(d, lam), k2, tol)
-        gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
-    else:
-        sym_ok = same = gauge_ok = True
+    cp2 = gauge_shift(d, lam)
+    sym_ok = symbols_equal(cp2, cp, tol)
+    u = d.space.from_coords(lam.conj())
+    k2 = d.k - u - 0.5 * float(np.vdot(lam, lam).real) * eye
+    same = _same_superop(mat, gkls_superop(k2, cp2), tol)
+    # The shifted presentation itself, not a canonical form, so that
+    # extract_gauge has a nonzero v2 to recover.
+    gauge = extract_gauge(d, _shifted_kraus(d, lam), k2, tol)
+    gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
     bump = 0.1 * anchor(frob(mat))
     different = not _same_superop(mat, gkls_superop(d.k + bump * eye, cp), tol)
     return {

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: Hermitian spectra, matrix exponentials and
-least squares, with one tolerance rule.
+"""Shared numerical kernels: Hermitian spectra and matrix exponentials, with
+one tolerance rule.
 
 Every tolerance decision is :func:`within`: value <= rel * anchor(norms),
 with ``rel`` one of the three bounds a :class:`Tolerances` derives from its
@@ -44,7 +44,6 @@ __all__ = [
     "is_psd",
     "expm",
     "expm_times",
-    "lstsq",
 ]
 
 
@@ -229,15 +228,3 @@ def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
             kept[t] = last
         yield last
 
-
-def lstsq(a: np.ndarray, b: np.ndarray):
-    """Minimum-norm least-squares solution of ``a @ x = b``.
-
-    :return: ``(x, residual)`` with ``residual = ||a @ x - b||``; for a
-        matrix ``b`` one residual per column, as an array.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    residual = np.linalg.norm(a @ x - b, axis=0)
-    return x, residual if b.ndim > 1 else float(residual)

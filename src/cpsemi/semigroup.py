@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Over
 from .generator import GklsForm, rank
 from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, is_psd, spectrum
 from .opspace import MetricOperatorSpace, space_from_cp_map
-from .superop import _complex_form, _real_form, ad_superop, choi_spectrum, superop_to_choi
+from .superop import _complex_form, _real_form, choi_spectrum, superop_to_choi, vec
 
 __all__ = [
     "evolve",
@@ -148,9 +148,10 @@ def verify_units(
     ||a||^2_E(t) is the least c >= 0 for which c P_t - (x -> a x a*) is CP,
     and only members of E(t) have one: the test also says that T(t) lies in
     E(t), and no membership is tested.  :func:`~cpsemi.numerics.is_psd`
-    decides it, so a passing unit costs no eigenvalue.  A single unit is
-    ``[u]``; to lower every alpha by s, pass L - s id (its semigroup is
-    e^{-st} exp(tL)).
+    decides it, so a passing unit costs no eigenvalue.  The Choi matrix of
+    x -> T x T* is vec(T) vec(T)*, so each unit is checked against the one
+    Choi matrix J_t of exp(tL).  A single unit is ``[u]``; to lower every
+    alpha by s, pass L - s id (its semigroup is e^{-st} exp(tL)).
 
     exp(tL) is computed once per sampled t for all units, reusing earlier
     times' exponentials (:func:`~cpsemi.numerics.expm_times`).  Returns False
@@ -160,13 +161,13 @@ def verify_units(
         raise ValueError("evolution time must be nonnegative")
     alphas = [float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real) for u in units]
     for t, big in zip(t_samples, map(_complex_form, expm_times(_real_form(mat, tol), t_samples))):
+        choi = superop_to_choi(big)
         for u, a in zip(units, alphas):
-            # is_psd takes the Hermitian part (numpy's complex multiply leaves
-            # J(ad_superop(T)) non-Hermitian), and is the one to raise Overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                diff = np.exp(a * t) * big - ad_superop(unit_matrix(u, t))
-                if not is_psd(superop_to_choi(diff), tol):
-                    return False
+            r = vec(unit_matrix(u, t))
+            with np.errstate(over="ignore", invalid="ignore"):  # is_psd raises Overflow
+                diff = np.exp(a * t) * choi - np.outer(r, r.conj())
+            if not is_psd(diff, tol):
+                return False
     return True
 
 
@@ -202,13 +203,13 @@ def covariance_estimate(
         raise ValueError("need t > 0 and m >= 1")
     delta = t / m
     step_space = space_at(mat, delta, tol)
-    t1 = unit_matrix(u1, delta)
-    t2 = unit_matrix(u2, delta)
-    if step_space.membership(t1, tol) is None:
+    c1 = step_space._project(unit_matrix(u1, delta), tol)
+    if c1 is None:
         raise NotMember("first unit operator is not in the step space")
-    if step_space.membership(t2, tol) is None:
+    c2 = step_space._project(unit_matrix(u2, delta), tol)
+    if c2 is None:
         raise NotMember("second unit operator is not in the step space")
-    z = step_space.inner(t1, t2, tol)
+    z = complex(np.vdot(c2, c1 / step_space.w))  # the inner product <T1, T2> in E(t/m)
     if abs(z) < _BRANCH_MODULUS:
         raise LogBranch("inner product vanished; logarithm undefined")
     if np.pi - abs(np.angle(z)) < _BRANCH_ANGLE:

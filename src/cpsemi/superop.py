@@ -117,7 +117,8 @@ def kraus_to_superop(ops: np.ndarray) -> np.ndarray:
     if v.ndim != 3 or v.shape[1] != v.shape[2]:
         raise DimensionMismatch("Kraus operators must share a square shape")
     big_v = vec(v).T
-    return superop_to_choi(big_v @ big_v.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a verdict on it raises Overflow
+        return superop_to_choi(big_v @ big_v.conj().T)
 
 
 def superop_to_choi(mat: np.ndarray) -> np.ndarray:

@@ -1070,13 +1070,14 @@ def test_exponential_overflow_is_a_numerical_limit(case, tmp_path, capsys, recwa
     assert not recwarn.list  # nothing is printed before the error
 
 
-def test_a_generator_that_overflows_is_a_numerical_limit(tmp_path, capsys):
+def test_a_generator_that_overflows_is_a_numerical_limit(tmp_path, capsys, recwarn):
     # the Kraus entries are finite, their Choi matrix V V* is not: no verdict,
     # where "does not preserve Hermiticity" (exit 2) was given before
     big = 1e200 * np.eye(2)
     doc = {"type": "gkls", "n": 2, "kraus": [m2j(big)], "k": m2j(np.zeros((2, 2)))}
     path = write(tmp_path, "gen.json", doc)
-    with np.errstate(over="ignore"):
-        assert main(["analyze", "--input", path]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: the matrix has an entry that is not finite: no verdict\n"
+    for command in ("analyze", "verify"):
+        assert main([command, "--input", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the matrix has an entry that is not finite: no verdict\n"
+    assert not recwarn.list  # nothing is printed before the error

@@ -384,6 +384,10 @@ def test_extract_gauge_rejects_a_dependent_family():
     v = d1.space.basis[0]
     with pytest.raises(ValueError, match="modulo scalars"):
         extract_gauge(d1, [v, v + 2.0 * np.eye(3)], d1.k)
+    # a zero operator leaves R an exact zero pivot: the rank rule rejects the
+    # design before the triangular solve could raise LinAlgError
+    with pytest.raises(ValueError, match="modulo scalars"):
+        extract_gauge(d1, [v, np.zeros((3, 3))], d1.k)
 
 
 def test_extract_gauge_checks_the_family_shape(dephasing):
@@ -396,8 +400,8 @@ def test_extract_gauge_checks_the_family_shape(dephasing):
 
 @pytest.mark.parametrize("rank_", [1, 0])
 def test_gauge_check_passes_on_dephasing_and_hamiltonian_only_forms(rank_):
-    # rank 1: dephasing; rank 0: a Hamiltonian-only form, with no family to
-    # shift, where only the perturbation is tested
+    # rank 1: dephasing; rank 0: a Hamiltonian-only form, whose empty
+    # family goes through the same checks
     mat = dephasing_generator() if rank_ else hamiltonian_lindblad(SX + 0.5 * SZ, [])
     d = decompose(mat)
     assert d.space.dim == rank_
@@ -494,9 +498,9 @@ def test_index_is_rank():
 
 @pytest.mark.parametrize("rank_", [2, 0])
 def test_gauge_check_builds_each_cp_superoperator_once(monkeypatch, rank_):
-    """One CP superoperator per Kraus family (at rank 0 only the empty
-    family's, a product), and no eigendecomposition: the shifted family is
-    never made a space."""
+    """One CP superoperator per Kraus family (at rank 0 the empty family and
+    its empty shift), and no eigendecomposition: the shifted family is never
+    made a space."""
     mat = (
         random_ccp_generator(np.random.default_rng(3), 3, m=2)
         if rank_ else hamiltonian_lindblad(SX + 0.5 * SZ, [])
@@ -520,4 +524,36 @@ def test_gauge_check_builds_each_cp_superoperator_once(monkeypatch, rank_):
             monkeypatch.setattr(module, "spectrum", counting("spectrum", real_spectrum))
     verdicts = gauge_check(d, np.random.default_rng(4), DEFAULT_TOL)
     assert verdicts["pass"] is True
-    assert counts == {"kraus_to_superop": 2 if rank_ else 1, "spectrum": 0}
+    assert counts == {"kraus_to_superop": 2, "spectrum": 0}
+
+
+def test_gauge_makes_no_svd(monkeypatch):
+    # extract_gauge solves by one QR and square solves, at every rank
+    calls = []
+    for name in ("lstsq", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
+        )
+    rng = np.random.default_rng(6)
+    for m in (0, 1, 8):
+        mat = (
+            random_ccp_generator(rng, 3, m=m)
+            if m else hamiltonian_lindblad(SX + 0.5 * SZ, [])
+        )
+        d = decompose(mat)
+        assert d.space.dim == m
+        assert gauge_check(d, rng, DEFAULT_TOL)["pass"] is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("which", ["1", "2", "n^2-1"])
+def test_gauge_check_passes_at_every_scale(n, which):
+    # the rank rule on R's diagonal has no floor, so scaling L leaves it alone
+    m = {"1": 1, "2": 2, "n^2-1": n * n - 1}[which]
+    rng = np.random.default_rng(20 * n + m)
+    mat = random_ccp_generator(rng, n, m=m, unital=bool(m % 2))
+    for j in range(-12, 13, 3):
+        verdicts = gauge_check(decompose(10.0**j * mat), rng, DEFAULT_TOL)
+        assert verdicts["pass"] is True, (j, verdicts)
