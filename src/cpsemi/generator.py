@@ -12,11 +12,13 @@ the identity is fixed by Im(tr k) = 0.  The number of Kraus operators,
 dim E, is the rank of the generator and equals the numerical index of the
 semigroup it generates.
 
-Construction: the basis is extracted from the eigendecomposition of the
+Construction: the basis is extracted from the kept eigenpairs of the
 projected Choi matrix of L (compression to the orthogonal complement of
 vec(1)), whose eigenvectors are automatically orthogonal to vec(1), hence
-traceless as operators; k is the two-sided least-squares fit of
-mat(L) - mat(P), x -> a x + x b, as k = (a + b*) / 2.
+traceless as operators.  From n = 8 they come from a pivoted Cholesky factor
+when it certifies the rank, otherwise from one eigendecomposition.  k is
+the two-sided least-squares fit of mat(L) - mat(P), x -> a x + x b, as
+k = (a + b*) / 2.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotCCP, NotHermitian
 from .numerics import (
-    DEFAULT_TOL, Tolerances, anchor, expm_times, frob, is_hermitian, is_psd, within
+    DEFAULT_TOL, Tolerances, _require_finite, anchor, expm_times, frob, is_hermitian, is_psd,
+    within,
 )
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
@@ -87,8 +90,13 @@ def gkls_superop(k: np.ndarray, cp: np.ndarray = 0.0) -> np.ndarray:
 def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
     """Canonical decomposition of a generator.
 
-    One eigendecomposition of the projected Choi matrix gives the verdict,
-    the witness, the Kraus basis and the space's inner product.
+    One spectrum of the projected Choi matrix gives the verdict, the
+    witness, the Kraus basis and the space's inner product.  From n = 8 it
+    is first certified from a pivoted Cholesky factor, an r x r eigenproblem
+    at rank r, which gives only the kept pairs of a PSD matrix; where the
+    factor declines (rank n^2 / 4 or more, a margin of less than 10 to the
+    cut or the slack, or a matrix that may not be PSD) one eigendecomposition
+    gives every pair.
 
     :param mat: superoperator matrix of a Hermiticity-preserving,
         conditionally completely positive map.
@@ -214,6 +222,7 @@ def extract_gauge(
     :raises ValueError: if ``ops`` does not have one operator per basis
         element, or the two families do not agree modulo scalars.
     :raises DimensionMismatch: if an operator is not n x n.
+    :raises Overflow: if ``ops`` or ``k2`` has an entry that is not finite.
     """
     n = d.n
     dim = d.space.dim
@@ -223,6 +232,9 @@ def extract_gauge(
     if any(v.shape != (n, n) for v in ops):
         raise DimensionMismatch(f"Kraus operators must be {n}x{n}")
     ops = np.reshape(ops, (dim, n, n))
+    k2 = np.asarray(k2, dtype=complex)
+    _require_finite(ops)
+    _require_finite(k2)
     design = np.column_stack([vec(ops).T, vec(np.eye(n))])
     rhs = vec(d.space.basis).T  # the columns vec(u_i), one solve for all
     q, r = np.linalg.qr(design)
@@ -237,7 +249,7 @@ def extract_gauge(
     gamma = np.linalg.solve(theta.T, sol[dim]).conj()
     v2 = np.tensordot(gamma, ops, axes=1)
     vv = float(np.real(np.vdot(gamma, gamma)))
-    resid_mat = np.asarray(k2, dtype=complex) - d.k - v2 - 0.5 * vv * np.eye(n)
+    resid_mat = k2 - d.k - v2 - 0.5 * vv * np.eye(n)
     c = float(np.trace(resid_mat).imag / n)
     leftover = frob(resid_mat - 1j * c * np.eye(n))
     return GaugeRelation(theta=theta, v2=v2, c=c, residual=leftover)

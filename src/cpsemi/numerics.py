@@ -17,6 +17,9 @@ is its caller's :func:`is_hermitian` (for a Choi matrix,
 alone, with a fast exit that keeps the rule: s_lo = anchor(max |h_ii|) is at
 most ``scale``, so a Cholesky factorisation of h + psd_slack * s_lo * 1
 proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
+:func:`_factor_spectrum` keeps the rule the same way for a matrix of low
+rank: a pivoted Cholesky factor and Weyl's inequality certify its PSD
+verdict and its kept pairs, or it declines and the eigendecomposition decides.
 Every matrix exponential is made here.  One whose norm overflows raises
 :class:`~cpsemi.errors.Overflow`, as does a Hermiticity, spectrum or PSD
 verdict on a matrix that is not finite, before any arithmetic on it.
@@ -109,7 +112,10 @@ class Spectrum(NamedTuple):
     for), and ``scale = anchor(largest |eigenvalue|)`` anchors every relative
     comparison made on them.  For a stack of shape (..., k, k) the fields
     keep the leading axes: ``w`` is (..., k), ``u`` is (..., k, k) and
-    ``scale`` is an array of shape (...), one anchor per matrix.
+    ``scale`` is an array of shape (...), one anchor per matrix.  A spectrum
+    certified from a factor (:func:`_factor_spectrum`) holds only its kept
+    pairs: ``w`` is (r,), ``u`` is (k, r), every pair is kept and ``psd`` is
+    True.
     """
 
     w: np.ndarray
@@ -150,6 +156,62 @@ def _hermitian_spectrum(h: np.ndarray, vectors: bool) -> Spectrum:
         w, u = np.linalg.eigvalsh(h), None
     w = w[..., ::-1].copy()
     return Spectrum(w, u, anchor(np.abs(w).max(axis=-1, initial=0.0)))
+
+
+# The factor certificate's margin on each side of the cut, which leaves eigh's
+# own rounding (about k eps ||h||) far inside it, and its rank limit as a share
+# of the side k.  At n = 16 (k = 256, one BLAS thread) eigh takes 16-20 ms,
+# the certificate 0.5-3.2 ms up to rank 63 and a declined attempt 1.2 ms.
+_FACTOR_MARGIN = 10.0
+_FACTOR_MAX_SHARE = 4
+
+
+def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
+    """The kept eigenpairs of ``h``, Hermitian and k x k, certified from a
+    pivoted Cholesky factor; None where :func:`_hermitian_spectrum` must decide.
+
+    r steps of Cholesky with diagonal pivoting (Higham 2002, section 10.3)
+    give h = F F* + S, F of size k x r; they stop once the pivots left sum to
+    at most min(eig_cut, psd_slack) s_lo / 10, s_lo = anchor(max |h_ii|).
+    With delta = ||S||_F, formed explicitly, and F* F = W Lam W* (r x r),
+    Weyl's inequality puts every eigenvalue of h within delta of
+    (Lam, 0, ..., 0).  So when delta <= min(eig_cut, psd_slack)
+    anchor(lam_1 - delta) / 10 and lam_r - delta > 10 eig_cut
+    anchor(lam_1 + delta), :class:`Spectrum`'s rules, on any eigenvalues
+    within eigh's rounding of h's, find h PSD and keep exactly r pairs; the
+    result is those pairs, Spectrum(Lam, F W Lam^(-1/2), anchor(lam_1)).
+    None, early, if a pivot left falls below -psd_slack s_lo, or none is
+    positive, or r would reach k / 4; None if a margin fails.
+    """
+    _require_finite(h)
+    k = len(h)
+    d = h.diagonal().real.copy()  # the pivots left: the diagonal of S
+    s_lo = anchor(float(np.abs(d).max(initial=0.0)))
+    rel = min(tol.eig_cut, tol.psd_slack)
+    rows = np.empty((k // _FACTOR_MAX_SHARE - 1, k), dtype=complex)  # F's columns, r < k / 4
+    r = 0
+    while not within(_FACTOR_MARGIN * np.abs(d).sum(), rel, s_lo):
+        p = int(np.argmax(d))
+        if r == len(rows) or not d[p] > 0 or d.min() < -tol.psd_slack * s_lo:
+            return None
+        # column p of S; h is Hermitian, so its column p is conj(row p)
+        col = h[p].conj() - rows[:r].T @ rows[:r, p].conj()
+        rows[r] = col / np.sqrt(d[p])
+        d -= (rows[r] * rows[r].conj()).real
+        d[p] = 0.0
+        r += 1
+    f = rows[:r].T
+    rest = f @ rows[:r].conj()
+    rest -= h  # -S
+    delta = frob(rest)
+    lam, w = np.linalg.eigh(rows[:r].conj() @ f)
+    lam, w = lam[::-1].copy(), w[:, ::-1]
+    top = float(lam[0]) if r else 0.0
+    if not within(_FACTOR_MARGIN * delta, rel, top - delta) or (
+        r and within(float(lam[-1]) - delta, _FACTOR_MARGIN * tol.eig_cut, top + delta)
+    ):
+        return None
+    return Spectrum(lam, (f @ w) / np.sqrt(lam), anchor(np.abs(lam).max(initial=0.0)))
 
 
 def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -114,7 +114,7 @@ def space_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> MetricOpe
     keep = s.kept(tol)
     u, w = s.u[:, keep], s.w[keep]
     return MetricOperatorSpace(
-        n=int(round(np.sqrt(s.w.size))),
+        n=int(round(np.sqrt(s.u.shape[0]))),
         dim=int(w.size),
         basis=kraus_from_spectrum(s, tol),
         u=u,

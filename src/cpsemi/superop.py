@@ -166,7 +166,7 @@ def kraus_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     output is deterministic.
     """
     keep = s.kept(tol)
-    m, n = int(keep.sum()), int(round(np.sqrt(s.w.size)))
+    m, n = int(keep.sum()), int(round(np.sqrt(s.u.shape[0])))
     ops = (s.u[:, keep] * np.sqrt(s.w[keep])).T.reshape(m, n, n).swapaxes(1, 2)
     flat = ops.reshape(m, n * n)  # each operator's entries in row-major order
     top = flat[np.arange(m), np.argmax(np.abs(flat), axis=1)]

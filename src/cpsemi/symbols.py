@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConstraintViolated, NotHermiticityPreserving
 from .numerics import (
-    DEFAULT_TOL, Spectrum, Tolerances, _hermitian_spectrum, anchor, frob, is_hermitian, spectrum,
-    within,
+    DEFAULT_TOL, Spectrum, Tolerances, _factor_spectrum, _hermitian_spectrum, anchor, frob,
+    is_hermitian, spectrum, within,
 )
 from .sampling import random_constrained_tuples
 from .superop import _operator, dim_of, superop_to_choi, unvec, vec
@@ -105,19 +105,28 @@ def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> np.ndar
     return j
 
 
-def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL, choi=None) -> Spectrum:
+# Below n = 8 the factor certificate costs as much as the eigendecomposition
+# (35-70 us at n <= 4), and the goldens at n <= 4 keep the eigendecomposition's
+# signs of zero (the factor path writes the dephasing golden's -0.0 as +0.0).
+_FACTOR_MIN_N = 8
+
+
+def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Spectrum of the projected Choi matrix of a Hermiticity-preserving map,
     the one CCP decision: the map is CCP iff the spectrum is PSD within
-    ``psd_slack``, and otherwise its last eigenvector is the defect direction.
-    :func:`is_conditionally_cp` takes the eigenvectors too, so that its
-    eigenvalues are bit for bit those that ``decompose`` reads.  The guard's
-    Choi matrix, or ``choi`` if the caller holds it, is projected in place.
+    ``psd_slack``.  From n = 8 it is first tried as a factor certificate
+    (:func:`~cpsemi.numerics._factor_spectrum`), which holds only the kept
+    pairs and comes only where h is PSD; below n = 8, or where it declines,
+    one full eigendecomposition gives every pair, the last eigenvector being
+    the defect direction.  :func:`is_conditionally_cp` takes this spectrum
+    too, so that its eigenvalues are bit for bit those that ``decompose``
+    reads.  The guard's Choi matrix is projected in place.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     """
-    if choi is None:
-        choi = _require_hermiticity_preserving(mat, tol)
-    return _hermitian_spectrum(projected_choi(choi), True)
+    h = projected_choi(_require_hermiticity_preserving(mat, tol))
+    s = _factor_spectrum(h, tol) if dim_of(mat) >= _FACTOR_MIN_N else None
+    return _hermitian_spectrum(h, True) if s is None else s
 
 
 def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -208,10 +217,11 @@ def _defect_tuple(mat: np.ndarray, choi: np.ndarray):
     If the projected Choi matrix has a negative eigenvalue with eigenvector
     u, the tuple x_k = E_0k, a_k = (column k of unvec(u)) e_0* violates the
     block positivity test, because the quadratic form of the block matrix at
-    (e_0, ..., e_0) equals u* J u.
+    (e_0, ..., e_0) equals u* J u.  That lowest eigenvector is only in the
+    full eigendecomposition, never in the factor certificate.
     """
     n = dim_of(mat)
-    u = _ccp_spectrum(mat, choi=choi).u[:, -1]
+    u = _hermitian_spectrum(projected_choi(choi), True).u[:, -1]
     omega = vec(np.eye(n))
     u = u - omega * (omega.conj() @ u) / n  # enforce the traceless constraint
     bigu = unvec(u, n)

@@ -1,0 +1,87 @@
+"""The dense-kernel ledger: the n^2 x n^2 kernels each CLI call makes.
+
+Every subcommand, and each ``verify`` check alone, runs through ``cli.main``
+at n = 8 on the benchmark corpus's unital generators of rank 2, where the
+projected Choi matrix's rank is certified from its pivoted Cholesky factor,
+and of rank 63, where the factor declines and ``eigh`` decides.  The counts
+are exact; a change that adds or removes a kernel updates this table.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import bench_corpus
+
+import cpsemi.cli as cli
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_rows.py"
+_spec = importlib.util.spec_from_file_location("bench_rows", _TOOL)
+bench_rows = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_rows)
+
+N = 8
+_COLUMNS = ("eigh", "eigvalsh", "cholesky", "qr", "solve", "expm")
+# (rank, call): counts in the order of _COLUMNS
+LEDGER = {
+    (2, "analyze"): (0, 0, 0, 0, 0, 0),
+    (2, "decompose"): (0, 0, 0, 0, 0, 0),
+    (2, "index"): (0, 0, 0, 0, 0, 0),
+    (2, "covariance"): (1, 0, 0, 0, 0, 1),
+    (2, "verify"): (0, 6, 11, 0, 0, 9),
+    (2, "verify product_system"): (0, 6, 0, 0, 0, 5),
+    (2, "verify domination"): (0, 0, 5, 0, 0, 2),
+    (2, "verify gauge"): (0, 0, 0, 0, 0, 0),
+    (2, "verify units"): (0, 0, 6, 0, 0, 2),
+    (2, "verify covariance"): (0, 0, 0, 0, 0, 0),
+    (63, "analyze"): (1, 0, 0, 0, 0, 0),
+    (63, "decompose"): (1, 0, 0, 0, 0, 0),
+    (63, "index"): (1, 0, 0, 0, 0, 0),
+    (63, "covariance"): (2, 0, 0, 0, 0, 1),
+    (63, "verify"): (1, 7, 11, 1, 1, 9),
+    (63, "verify product_system"): (1, 6, 0, 0, 0, 5),
+    (63, "verify domination"): (1, 0, 5, 0, 0, 2),
+    (63, "verify gauge"): (1, 0, 0, 1, 1, 0),
+    (63, "verify units"): (1, 0, 6, 0, 0, 2),
+    (63, "verify covariance"): (1, 1, 0, 0, 0, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def specs(tmp_path_factory):
+    corpus = bench_corpus()
+    tmp = tmp_path_factory.mktemp("ledger")
+    files = {}
+    for rank in (2, 63):
+        gen = corpus.make_generator(np.random.default_rng(7), N, rank, True)
+        pair = corpus.make_unit_pair(np.random.default_rng(7), rank)
+        files[rank] = (
+            corpus.write_json(str(tmp / f"r{rank}.json"), corpus.spec_superop(gen.mat)),
+            corpus.write_json(str(tmp / f"u{rank}.json"), pair.to_json()),
+        )
+    return files, str(tmp / "report.json")
+
+
+@pytest.mark.parametrize("rank, call", sorted(LEDGER))
+def test_each_call_makes_the_ledgers_kernels(specs, rank, call):
+    files, out = specs
+    spec, units = files[rank]
+    command, _, check = call.partition(" ")
+    argv = [command, "--input", spec, "--output", out]
+    if command == "covariance":
+        argv += ["--units", units]
+    if check:
+        argv += ["--checks", check]
+    with bench_rows.kernel_ledger(N * N) as counts:
+        assert cli.main(argv) == 0
+    assert tuple(counts[name] for name in _COLUMNS) == LEDGER[rank, call]
+
+
+def test_the_ledger_counts_a_stack_by_its_matrices():
+    real = np.linalg.eigh
+    with bench_rows.kernel_ledger(4) as counts:
+        np.linalg.eigvalsh(np.eye(4)[None].repeat(3, axis=0))
+        np.linalg.eigh(np.eye(3))  # below the side: not counted
+    assert counts["eigvalsh"] == 3 and counts["eigh"] == 0
+    assert np.linalg.eigh is real

@@ -15,7 +15,9 @@ from conftest import (
 
 import cpsemi.generator as generator
 import cpsemi.numerics as numerics
-from cpsemi.errors import DimensionMismatch, NotCCP, NotHermitian, NotHermiticityPreserving
+from cpsemi.errors import (
+    DimensionMismatch, NotCCP, NotHermitian, NotHermiticityPreserving, Overflow
+)
 from cpsemi.generator import (
     _DOMINATION_TIMES,
     GklsForm,
@@ -388,6 +390,22 @@ def test_extract_gauge_rejects_a_dependent_family():
     # design before the triangular solve could raise LinAlgError
     with pytest.raises(ValueError, match="modulo scalars"):
         extract_gauge(d1, [v, np.zeros((3, 3))], d1.k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_gauge_refuses_input_that_is_not_finite(bad, recwarn):
+    # Overflow, as every other verdict on such input; before the check a NaN
+    # family failed "modulo scalars" and an inf drift gave residual inf
+    d = decompose(random_ccp_generator(np.random.default_rng(5), 3, m=2))
+    ops = d.space.basis.copy()
+    ops[1, 0, 2] = bad
+    with pytest.raises(Overflow, match="not finite"):
+        extract_gauge(d, ops, d.k)
+    k2 = d.k.copy()
+    k2[1, 1] = bad
+    with pytest.raises(Overflow, match="not finite"):
+        extract_gauge(d, d.space.basis, k2)
+    assert not recwarn.list
 
 
 def test_extract_gauge_checks_the_family_shape(dephasing):

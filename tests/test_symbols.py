@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     SX,
     SZ,
+    bench_corpus,
     dense_projected_choi,
     dephasing_generator,
     loop_constrained_tuple,
@@ -13,10 +14,15 @@ from conftest import (
     transpose_superop,
 )
 
+import cpsemi.cli as cli
+import cpsemi.symbols as symbols
 from cpsemi.errors import (
-    ConstraintViolated, DimensionMismatch, NotHermiticityPreserving, Overflow
+    ConstraintViolated, DimensionMismatch, NotCCP, NotHermiticityPreserving, Overflow
 )
-from cpsemi.numerics import DEFAULT_TOL, spectrum
+from cpsemi.generator import decompose, is_unital_generator
+from cpsemi.numerics import (
+    DEFAULT_TOL, Tolerances, _factor_spectrum, _hermitian_spectrum, spectrum
+)
 from cpsemi.sampling import random_constrained_tuples, random_cp_map, random_matrix
 from cpsemi.superop import (
     ad_superop,
@@ -476,3 +482,147 @@ def test_symbols_equal_agrees_with_symbol_table_oracle():
         elif i % 3 == 2:
             assert not verdict
     assert disagree <= 6
+
+
+# ---------------------------------------------------------------------------
+# The factor certificate of _ccp_spectrum (numerics._factor_spectrum)
+
+
+def _weighted_jumps(weights, n=8, seed=3):
+    """L(x) = sum_i w_i v_i x v_i* with the v_i traceless and orthonormal in
+    the Frobenius product: P J P = sum_i w_i vec(v_i) vec(v_i)* exactly."""
+    rng = np.random.default_rng(seed)
+    shape = (n * n, len(weights))
+    draws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, _ = np.linalg.qr(np.column_stack([vec(np.eye(n)), draws]))
+    vs = [unvec(col, n) for col in q[:, 1:].T]
+    return sum(w * np.kron(v.conj(), v) for w, v in zip(weights, vs))
+
+
+def _projected(mat):
+    return projected_choi(superop_to_choi(mat))
+
+
+_CUT = DEFAULT_TOL.eig_cut * 4.0  # the cut at scale 4, the largest weight
+# (third weight, rank by the eigendecomposition or None for not CCP, certified)
+_NEAR_THE_CUT = [
+    (20 * _CUT, 3, True),
+    (3 * _CUT, 3, False),  # kept, within 10x of the cut
+    (0.3 * _CUT, 2, False),  # dropped, within 10x of the cut
+    (0.005 * _CUT, 2, True),
+    (-0.3 * _CUT, 2, False),  # PSD within the slack, within 10x of it
+    (-3 * _CUT, None, False),
+]
+
+
+@pytest.mark.parametrize("third, rank, certified", _NEAR_THE_CUT)
+def test_factor_certificate_declines_near_the_cut(third, rank, certified):
+    mat = _weighted_jumps([4.0, 1.0, third])
+    h = _projected(mat)
+    s = _factor_spectrum(h.copy(), DEFAULT_TOL)
+    assert (s is not None) == certified
+    ref = _hermitian_spectrum(h, True)
+    got = _ccp_spectrum(mat)
+    assert bool(got.psd()) == bool(ref.psd()) == (rank is not None)
+    if rank is not None:
+        assert got.kept().sum() == ref.kept().sum() == rank
+
+
+def test_factor_certificate_sees_an_indefinite_remainder():
+    # P J P = 4 e_p e_p* + e_q e_q* + eps (e_s e_t* + e_t e_s*): the pivots
+    # left are all 0 after two steps, but the remainder has eigenvalue -eps,
+    # beyond the slack; only the explicit ||S||_F finds it
+    def unit(i, j):
+        e = np.zeros((8, 8), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    eps = 3 * _CUT
+    a, b = unit(0, 1), unit(2, 3)
+    mat = (4 * np.kron(unit(4, 5).conj(), unit(4, 5)) + np.kron(unit(6, 7).conj(), unit(6, 7))
+           + eps * (np.kron(b.conj(), a) + np.kron(a.conj(), b)))
+    assert _factor_spectrum(_projected(mat), DEFAULT_TOL) is None
+    assert not is_conditionally_cp(mat)
+    assert _ccp_spectrum(mat).w[-1] == pytest.approx(-eps)
+
+
+def _reports_with_and_without_factor(tmp_path, monkeypatch, mat, *flags):
+    """`cpsemi analyze` on the superop spec of ``mat``: (exit code, report
+    bytes) with the factor certificate, then with it disabled."""
+    corpus = bench_corpus()
+    spec = corpus.write_json(str(tmp_path / "gen.json"), corpus.spec_superop(mat))
+    out = tmp_path / "out.json"
+    reports = []
+    for disable in (False, True):
+        if disable:
+            monkeypatch.setattr(symbols, "_factor_spectrum", lambda h, tol: None)
+        code = cli.main(["analyze", "--input", spec, "--output", str(out), *flags])
+        reports.append((code, out.read_bytes()))
+    return reports
+
+
+def test_factor_certificate_declines_a_tight_tolerance(tmp_path, monkeypatch):
+    mat = bench_corpus().make_generator(np.random.default_rng(7), 8, 2, True).mat
+    h = _projected(mat)
+    assert _factor_spectrum(h, DEFAULT_TOL) is not None
+    assert _factor_spectrum(h, Tolerances(1e-15)) is None
+    with_factor, without = _reports_with_and_without_factor(
+        tmp_path, monkeypatch, mat, "--tol", "1e-15"
+    )
+    assert with_factor == without and with_factor[0] == 0
+
+
+def test_a_generator_that_is_not_ccp_keeps_its_witness(tmp_path, monkeypatch):
+    corpus = bench_corpus()
+    rng = np.random.default_rng(11)
+    mat = corpus.make_non_ccp(rng, corpus.make_generator(rng, 16, 3, False).mat)
+    assert _factor_spectrum(_projected(mat), DEFAULT_TOL) is None
+    with_factor, without = _reports_with_and_without_factor(tmp_path, monkeypatch, mat)
+    assert with_factor == without and with_factor[0] == 2
+    assert b'"witness"' in with_factor[1]
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_factor_certificate_agrees_with_the_eigendecomposition(n, monkeypatch):
+    corpus = bench_corpus()
+    cases = []
+    for seed in range(20):
+        for m in (1, 2, n, n * n // 4, n * n - 1):
+            rng = np.random.default_rng([seed, m])
+            cases.append(random_ccp_generator(rng, n, m, unital=seed % 2 == 0))
+        cases.append(corpus.make_non_ccp(rng, cases[-4]))
+
+    def answers():
+        # index, ccp and unital, as `cpsemi analyze` reports them
+        out = []
+        for mat in cases:
+            try:
+                index = decompose(mat).space.dim
+            except NotCCP:
+                index = None
+            out.append((index, is_unital_generator(mat)))
+        return out
+
+    real, certified = symbols._factor_spectrum, []
+    monkeypatch.setattr(
+        symbols, "_factor_spectrum", lambda h, tol: certified.append(real(h, tol)) or certified[-1]
+    )
+    with_factor = answers()
+    # the 60 CCP cases of ranks 1, 2 and n; rank n^2 / 4 is the limit
+    assert sum(s is not None for s in certified) == 60
+    monkeypatch.setattr(symbols, "_factor_spectrum", lambda h, tol: None)
+    assert answers() == with_factor
+
+
+def test_a_certified_spectrum_holds_the_kept_eigenpairs():
+    corpus = bench_corpus()
+    for m in (1, 2, 8, 15):
+        h = _projected(corpus.make_generator(np.random.default_rng(m), 8, m, True).mat)
+        s = _factor_spectrum(h, DEFAULT_TOL)
+        ref = _hermitian_spectrum(h, True)
+        assert s.w.shape == (m,) and s.u.shape == (64, m)
+        np.testing.assert_allclose(s.w, ref.w[:m], rtol=0, atol=1e-13 * ref.scale)
+        assert s.scale == pytest.approx(ref.scale, rel=1e-13)
+        assert np.abs(s.u.conj().T @ s.u - np.eye(m)).max() <= 1e-13
+        # the same span: each projector reproduces the other's vectors
+        assert np.linalg.norm(s.u @ (s.u.conj().T @ ref.u[:, :m]) - ref.u[:, :m]) <= 1e-12

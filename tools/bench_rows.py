@@ -1,0 +1,180 @@
+"""Before/after rows of one source tree: in-process and cold CLI timings and
+the dense-kernel ledger, written to ``BENCH_<short-commit>.json``.
+
+    python tools/bench_rows.py [TREE] [--out DIR]
+
+TREE (default: the checkout this script sits in) is run from its own
+``src/``, with one BLAS thread; the inputs are the benchmark corpus's
+``make_generator(default_rng(7), n, m, True)`` as ``superop`` specs, built
+from ``perfbench/corpus.py`` of this checkout, so two trees answer the same
+inputs.  The file is named after TREE's ``git rev-parse --short HEAD``, with
+``-dirty`` appended when TREE's ``src/`` differs from that commit.
+
+* ``in_process``: ``analyze`` and each ``verify`` check alone at
+  n in {4, 8, 16} and ranks {2, n^2 - 1}, each through ``cli.main`` with
+  ``--output`` to a temporary file: the best of 3 calls after one warm-up,
+  and the kernel counts of one more call (:func:`kernel_ledger`, side n^2).
+* ``cold``: ``analyze`` and ``verify`` at n = 16, one subprocess per call,
+  best of 5 wall times, with the child's peak RSS (its ``VmHWM``; Linux).
+
+:func:`kernel_ledger` is also the spy of ``tests/test_cost.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+KERNELS = ("eigh", "eigvalsh", "cholesky", "qr", "solve")
+CHECKS = ("product_system", "domination", "gauge", "units", "covariance")
+SIZES = (4, 8, 16)
+COLD_N = 16
+
+
+@contextlib.contextmanager
+def kernel_ledger(side: int):
+    """Count the dense kernels called while the block runs: each of
+    ``numpy.linalg.{eigh, eigvalsh, cholesky, qr, solve}`` and
+    ``cpsemi.numerics.expm`` on a matrix whose last side is at least
+    ``side``, one per matrix of a stack.  Yields the dict of counts."""
+    import numpy as np
+
+    from cpsemi import numerics
+
+    counts = dict.fromkeys((*KERNELS, "expm"), 0)
+
+    def spy(name, real):
+        def call(a, *args, **kw):
+            shape = np.shape(a)
+            if shape[-1] >= side:
+                counts[name] += int(np.prod(shape[:-2], dtype=int))
+            return real(a, *args, **kw)
+        return call
+
+    patched = [(np.linalg, name, getattr(np.linalg, name)) for name in KERNELS]
+    expm = numerics.expm
+    for name, module in list(sys.modules.items()):  # each module that holds expm
+        if name.partition(".")[0] == "cpsemi" and getattr(module, "expm", None) is expm:
+            patched.append((module, "expm", expm))
+    try:
+        for owner, name, real in patched:
+            setattr(owner, name, spy(name, real))
+        yield counts
+    finally:
+        for owner, name, real in patched:
+            setattr(owner, name, real)
+
+
+def _corpus():
+    path = os.path.join(ROOT, "perfbench", "corpus.py")
+    spec = importlib.util.spec_from_file_location("bench_rows_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _in_process(cli, spec: str, out: str, n: int, rank: int) -> list[dict]:
+    calls = [("analyze", ["analyze"])] + [(c, ["verify", "--checks", c]) for c in CHECKS]
+    rows = []
+    for name, argv in calls:
+        argv = [*argv, "--input", spec, "--output", out]
+        cli.main(argv)  # warm-up
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code = cli.main(argv)
+            times.append(time.perf_counter() - start)
+        with kernel_ledger(n * n) as counts:
+            cli.main(argv)
+        rows.append({"call": name, "n": n, "rank": rank, "exit": code,
+                     "ms": round(1e3 * min(times), 2), "kernels": dict(counts)})
+    return rows
+
+
+# A cold call reports its own peak RSS, the VmHWM of its address space: its
+# ru_maxrss would also count the pages it shared with this process before exec.
+_COLD = """import sys
+from cpsemi.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM")).split()[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cold(src: str, spec: str, out: str, rank: int) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
+    rows = []
+    for name in ("analyze", "verify"):
+        cmd = [sys.executable, "-c", _COLD, name, "--input", spec, "--output", out]
+        best, rss = float("inf"), 0.0
+        for _ in range(5):
+            start = time.perf_counter()
+            proc = subprocess.run(cmd, env=env, stderr=subprocess.PIPE, text=True)
+            best = min(best, time.perf_counter() - start)
+            rss = max(rss, int(proc.stderr.split()[-1]) / 1024.0)  # kB
+        rows.append({"call": name, "n": COLD_N, "rank": rank, "exit": proc.returncode,
+                     "ms": round(1e3 * best, 1), "peak_rss_mb": round(rss, 1)})
+    return rows
+
+
+def _commit(tree: str) -> str:
+    def git(*args):
+        return subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "--short", "HEAD").stdout.strip() or "unknown"
+    dirty = git("diff", "--quiet", "HEAD", "--", "src").returncode != 0
+    return head + ("-dirty" if dirty else "")
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("tree", nargs="?", default=ROOT, metavar="TREE")
+    ap.add_argument("--out", default=ROOT, help="directory for the BENCH file")
+    args = ap.parse_args(argv)
+    tree = os.path.abspath(args.tree)
+    src = os.path.join(tree, "src")
+    for var in THREAD_VARS:  # before numpy loads its BLAS
+        os.environ[var] = "1"
+    sys.path.insert(0, src)
+    import numpy as np
+
+    import cpsemi.cli as cli
+
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise RuntimeError(f"cpsemi imported from {cli.__file__}, not from {src}")
+    corpus = _corpus()
+    commit = _commit(tree)
+    doc = {"commit": commit, "python": platform.python_version(), "numpy": np.__version__,
+           "machine": platform.machine(), "cpus": os.cpu_count(), "blas_threads": 1,
+           "in_process": [], "cold": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        for n in SIZES:
+            for rank in (2, n * n - 1):
+                gen = corpus.make_generator(np.random.default_rng(7), n, rank, True)
+                spec = corpus.write_json(os.path.join(tmp, f"n{n}.r{rank}.json"),
+                                         corpus.spec_superop(gen.mat))
+                doc["in_process"] += _in_process(cli, spec, out, n, rank)
+                if n == COLD_N:
+                    doc["cold"] += _cold(src, spec, out, rank)
+    path = os.path.join(args.out, f"BENCH_{commit}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
