@@ -61,6 +61,7 @@ from . import (
     kraus_to_superop,
     make_unit,
     product_system_check,
+    rank,
     sample_units,
     verify_units,
 )
@@ -68,6 +69,7 @@ from .generator import GklsForm, gauge_check, gkls_superop, is_unital_generator
 from .numerics import frob, is_hermitian, within
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
+from .superop import dim_of
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -291,8 +293,8 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reports.  Each subcommand gets the decomposed generator and returns
-# (report, exit code); main() writes the report.
+# Reports.  Each subcommand gets the decomposed generator, or ``index`` the
+# rank alone, and returns (report, exit code); main() writes the report.
 
 
 def _rejection(command: str, n: int, exc: NotCCP | NotHermiticityPreserving) -> dict:
@@ -320,15 +322,15 @@ def _canonical(d: GklsForm) -> dict:
     }
 
 
-def _index(d: GklsForm) -> dict:
-    return {"index": d.space.dim, "index_note": _INDEX_NOTE, "n": d.n, "rank": d.space.dim}
+def _index(n: int, dim: int) -> dict:
+    return {"index": dim, "index_note": _INDEX_NOTE, "n": n, "rank": dim}
 
 
 def cmd_analyze(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
     report = {
         "command": "analyze",
         **_canonical(d),
-        **_index(d),
+        **_index(d.n, d.space.dim),
         "ccp": True,
         "hermiticity_preserving": True,
         "unital": is_unital_generator(mat, tol),
@@ -342,8 +344,8 @@ def cmd_decompose(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
     return {"type": "gkls", **_canonical(d)}, EXIT_OK
 
 
-def cmd_index(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
-    return {"command": "index", **_index(d)}, EXIT_OK
+def cmd_index(args, mat: np.ndarray, dim: int, tol: Tolerances):
+    return {"command": "index", **_index(dim_of(mat), dim)}, EXIT_OK
 
 
 def cmd_covariance(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
@@ -507,7 +509,7 @@ def main(argv=None) -> int:
             tol = _check_flags(args)
             mat, n = load_generator(args.input, tol)
             try:
-                d = decompose(mat, tol)
+                d = (rank if args.command == "index" else decompose)(mat, tol)
             except (NotCCP, NotHermiticityPreserving) as exc:
                 report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
             else:

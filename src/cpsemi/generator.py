@@ -16,7 +16,8 @@ Construction: the basis is extracted from the kept eigenpairs of the
 projected Choi matrix of L (compression to the orthogonal complement of
 vec(1)), whose eigenvectors are automatically orthogonal to vec(1), hence
 traceless as operators.  From n = 8 they come from a pivoted Cholesky factor
-when it certifies the rank, otherwise from one eigendecomposition.  k is
+when it certifies the rank, otherwise from one eigendecomposition; the rank
+alone, :func:`rank`, is read off certificates where they hold.  k is
 the two-sided least-squares fit of mat(L) - mat(P), x -> a x + x b, as
 k = (a + b*) / 2.
 """
@@ -28,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCCP, NotHermitian
+from .errors import DimensionMismatch, NotHermitian
 from .numerics import (
     DEFAULT_TOL, Tolerances, _require_finite, anchor, expm_times, frob, is_hermitian, is_psd,
     within,
@@ -43,7 +44,7 @@ from .superop import (
     superop_to_choi,
     vec,
 )
-from .symbols import _ccp_spectrum, _two_sided_fit, symbols_equal
+from .symbols import _ccp_rank, _ccp_spectrum, _require_ccp, _two_sided_fit, symbols_equal
 
 __all__ = [
     "GklsForm",
@@ -93,26 +94,22 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
     One spectrum of the projected Choi matrix gives the verdict, the
     witness, the Kraus basis and the space's inner product.  From n = 8 it
     is first certified from a pivoted Cholesky factor, an r x r eigenproblem
-    at rank r, which gives only the kept pairs of a PSD matrix; where the
-    factor declines (rank n^2 / 4 or more, a margin of less than 10 to the
-    cut or the slack, or a matrix that may not be PSD) one eigendecomposition
-    gives every pair.
+    at rank r, which gives only the kept pairs of a PSD matrix; a matrix
+    with a diagonal entry below -psd_slack s_lo is not PSD, and its
+    eigenvalues alone and one solve give its verdict and witness; where the
+    factor declines otherwise (rank n^2 / 4 or more, a margin of less than
+    10 to the cut or the slack) one eigendecomposition gives every pair
+    (:func:`~cpsemi.symbols._ccp_spectrum`).
 
     :param mat: superoperator matrix of a Hermiticity-preserving,
         conditionally completely positive map.
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     :raises NotCCP: if the projected Choi matrix has a negative eigenvalue
-        beyond ``psd_slack`` (the witness eigenvector is attached).
+        beyond ``psd_slack`` (the witness eigenvector is attached, its phase
+        fixed as a Kraus operator's).
     """
     n = dim_of(mat)
-    s = _ccp_spectrum(mat, tol)
-    if not s.psd(tol):
-        low = float(s.w[-1])
-        raise NotCCP(
-            f"projected Choi matrix has negative eigenvalue {low:.3e}",
-            witness=s.u[:, -1].copy(),
-            eigenvalue=low,
-        )
+    s = _require_ccp(_ccp_spectrum(mat, tol), tol)
     space = space_from_spectrum(s, tol)
     cp_part = kraus_to_superop(space.basis)
     a, b = _two_sided_fit(mat - cp_part)
@@ -132,8 +129,15 @@ def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of a generator: the dimension of its metric operator space.  It
     is also the numerical index of the semigroup the generator generates
     (the index of its minimal dilation to a semigroup of *-endomorphisms),
-    so :func:`cpsemi.semigroup.index` is this function."""
-    return decompose(mat, tol).space.dim
+    so :func:`cpsemi.semigroup.index` is this function.
+
+    It reads a count and builds no canonical form: from n = 8 the rank is
+    certified by the pivoted factor below rank n^2 / 4, by one Cholesky
+    factorisation at rank n^2 - 1, and read off the eigenvalues alone
+    otherwise (:func:`~cpsemi.symbols._ccp_rank`).  It raises as
+    :func:`decompose`.
+    """
+    return _ccp_rank(mat, tol)
 
 
 def is_unital_generator(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

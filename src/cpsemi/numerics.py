@@ -20,6 +20,10 @@ proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
 :func:`_factor_spectrum` keeps the rule the same way for a matrix of low
 rank: a pivoted Cholesky factor and Weyl's inequality certify its PSD
 verdict and its kept pairs, or it declines and the eigendecomposition decides.
+:func:`_full_rank_certified` certifies a rank of n^2 - 1, the largest of a
+projected Choi matrix, by one Cholesky factorisation and rank-one
+interlacing, and :func:`_witness_spectrum` finds the lowest eigenvector of a
+matrix that is not PSD by ``eigvalsh`` and one solve.
 Every matrix exponential is made here.  One whose norm overflows raises
 :class:`~cpsemi.errors.Overflow`, as does a Hermiticity, spectrum or PSD
 verdict on a matrix that is not finite, before any arithmetic on it.
@@ -28,6 +32,7 @@ verdict on a matrix that is not finite, before any arithmetic on it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -115,7 +120,9 @@ class Spectrum(NamedTuple):
     ``scale`` is an array of shape (...), one anchor per matrix.  A spectrum
     certified from a factor (:func:`_factor_spectrum`) holds only its kept
     pairs: ``w`` is (r,), ``u`` is (k, r), every pair is kept and ``psd`` is
-    True.
+    True.  One that :func:`_witness_spectrum` finds not PSD holds every
+    eigenvalue and only the lowest one's vector: ``u`` is (k, 1).  In each
+    kind, ``w[-1]`` and ``u[:, -1]`` are the lowest pair it holds.
     """
 
     w: np.ndarray
@@ -158,12 +165,26 @@ def _hermitian_spectrum(h: np.ndarray, vectors: bool) -> Spectrum:
     return Spectrum(w, u, anchor(np.abs(w).max(axis=-1, initial=0.0)))
 
 
-# The factor certificate's margin on each side of the cut, which leaves eigh's
-# own rounding (about k eps ||h||) far inside it, and its rank limit as a share
-# of the side k.  At n = 16 (k = 256, one BLAS thread) eigh takes 16-20 ms,
-# the certificate 0.5-3.2 ms up to rank 63 and a declined attempt 1.2 ms.
+# The certificates' margin on each side of the cut, which leaves eigh's own
+# rounding (about k eps ||h||) far inside it, and the factor's rank limit as a
+# share of the side k.  At n = 16 (k = 256, one BLAS thread) eigh takes
+# 16-20 ms, the factor certificate 0.5-3.2 ms up to rank 63, a declined
+# attempt 1.2 ms and the full-rank certificate 1.5-3 ms.
 _FACTOR_MARGIN = 10.0
 _FACTOR_MAX_SHARE = 4
+
+
+def _diagonal_scale(h: np.ndarray) -> float:
+    """s_lo = anchor(max |h_ii|); max |h_ii| <= ||h||_2, so s_lo <= ``scale``."""
+    return anchor(float(np.abs(h.diagonal().real).max(initial=0.0)))
+
+
+def _negative_pivot(h: np.ndarray, tol: Tolerances) -> bool:
+    """True iff a diagonal entry of ``h``, Hermitian, lies below -psd_slack s_lo:
+    the first pivot test of :func:`_factor_spectrum`.  e_i* h e_i < 0 then, so
+    h is not PSD; by how much, only an eigenvalue says."""
+    lowest = float(h.diagonal().real.min(initial=0.0))
+    return not within(-lowest, tol.psd_slack, _diagonal_scale(h))
 
 
 def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
@@ -172,33 +193,36 @@ def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
 
     r steps of Cholesky with diagonal pivoting (Higham 2002, section 10.3)
     give h = F F* + S, F of size k x r; they stop once the pivots left sum to
-    at most min(eig_cut, psd_slack) s_lo / 10, s_lo = anchor(max |h_ii|).
-    With delta = ||S||_F, formed explicitly, and F* F = W Lam W* (r x r),
-    Weyl's inequality puts every eigenvalue of h within delta of
-    (Lam, 0, ..., 0).  So when delta <= min(eig_cut, psd_slack)
-    anchor(lam_1 - delta) / 10 and lam_r - delta > 10 eig_cut
-    anchor(lam_1 + delta), :class:`Spectrum`'s rules, on any eigenvalues
-    within eigh's rounding of h's, find h PSD and keep exactly r pairs; the
-    result is those pairs, Spectrum(Lam, F W Lam^(-1/2), anchor(lam_1)).
-    None, early, if a pivot left falls below -psd_slack s_lo, or none is
-    positive, or r would reach k / 4; None if a margin fails.
+    at most min(eig_cut, psd_slack) anchor(max_j ||f_j||^2) / 10, the largest
+    diagonal entry of F* F being at most its largest eigenvalue.  With delta
+    = ||S||_F, formed explicitly, and F* F = W Lam W* (r x r), Weyl's
+    inequality puts every eigenvalue of h within delta of (Lam, 0, ..., 0).
+    So when delta <= min(eig_cut, psd_slack) anchor(lam_1 - delta) / 10 and
+    lam_r - delta > 10 eig_cut anchor(lam_1 + delta), :class:`Spectrum`'s
+    rules, on any eigenvalues within eigh's rounding of h's, find h PSD and
+    keep exactly r pairs; the result is those pairs, Spectrum(Lam,
+    F W Lam^(-1/2), anchor(lam_1)).  None, early, if a pivot left falls below
+    -psd_slack s_lo, s_lo = anchor(max |h_ii|), or none is positive, or r
+    would reach k / 4; None if a margin fails.
     """
     _require_finite(h)
     k = len(h)
     d = h.diagonal().real.copy()  # the pivots left: the diagonal of S
-    s_lo = anchor(float(np.abs(d).max(initial=0.0)))
+    s_lo = _diagonal_scale(h)
     rel = min(tol.eig_cut, tol.psd_slack)
     rows = np.empty((k // _FACTOR_MAX_SHARE - 1, k), dtype=complex)  # F's columns, r < k / 4
-    r = 0
-    while not within(_FACTOR_MARGIN * np.abs(d).sum(), rel, s_lo):
+    r, low = 0, 0.0  # low = max_j ||f_j||^2 <= F* F's largest eigenvalue
+    while not within(_FACTOR_MARGIN * np.abs(d).sum(), rel, low):
         p = int(np.argmax(d))
         if r == len(rows) or not d[p] > 0 or d.min() < -tol.psd_slack * s_lo:
             return None
         # column p of S; h is Hermitian, so its column p is conj(row p)
         col = h[p].conj() - rows[:r].T @ rows[:r, p].conj()
         rows[r] = col / np.sqrt(d[p])
-        d -= (rows[r] * rows[r].conj()).real
+        norms = (rows[r] * rows[r].conj()).real
+        d -= norms
         d[p] = 0.0
+        low = max(low, float(norms.sum()))
         r += 1
     f = rows[:r].T
     rest = f @ rows[:r].conj()
@@ -212,6 +236,82 @@ def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
     ):
         return None
     return Spectrum(lam, (f @ w) / np.sqrt(lam), anchor(np.abs(lam).max(initial=0.0)))
+
+
+def _full_rank_certified(h: np.ndarray, tol: Tolerances) -> bool:
+    """True iff one Cholesky factorisation certifies that ``h``, Hermitian and
+    k x k with k = n^2, is PSD with k - 1 eigenvalues kept and the one along
+    omega = vec(1) (1 at the positions ``::n+1``) dropped, as
+    :class:`Spectrum`'s rules would find on eigh's eigenvalues.  For the
+    projected Choi matrix, whose kernel holds omega, that is the largest
+    rank, n^2 - 1.
+
+    With w = omega / sqrt(n) and U = anchor(||h||_F) >= ``scale``, a factor of
+    h + U w w* - c 1, c = 10 eig_cut U, puts every eigenvalue of h + U w w*
+    above c, and by rank-one interlacing (the i-th eigenvalue of h is at
+    least the (i + 1)-th of h + U w w*) the k - 1 largest of h too: kept, by
+    a margin of 10.  h has an eigenvalue within ||h w|| of 0, and when
+    ||h w|| <= min(eig_cut, psd_slack) s_lo / 10 < c it can only be the
+    last: dropped and PSD, by a margin of 10 again (s_lo = anchor(max |h_ii|)
+    <= ``scale``).  That test, a column sum, comes first.
+    """
+    _require_finite(h)
+    k = len(h)
+    n = math.isqrt(k)
+    ones = slice(None, None, n + 1)  # omega's support
+    hw = np.linalg.norm(h[:, ones].sum(axis=1)) / np.sqrt(n)
+    if not within(_FACTOR_MARGIN * hw, min(tol.eig_cut, tol.psd_slack), _diagonal_scale(h)):
+        return False
+    top = anchor(frob(h))
+    g = h.copy()
+    g[ones, ones] += top / n
+    g.reshape(-1)[:: k + 1] -= _FACTOR_MARGIN * tol.eig_cut * top
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _witness_spectrum(h: np.ndarray, tol: Tolerances, *, vectors: bool) -> Spectrum:
+    """Every eigenvalue of ``h``, Hermitian, and where h is not PSD the unit
+    eigenvector of the lowest as the one column of ``u``, (k, 1), without the
+    other k - 1 vectors.
+
+    ``eigvalsh`` gives the eigenvalues; one solve of inverse iteration (Ipsen
+    1997), (h - sigma 1) x = b for a fixed generic b and sigma just below the
+    lowest eigenvalue, gives the vector.  Its Rayleigh quotient rho and
+    residual must meet ||h x - rho x|| <= residual (lam_2 - rho), lam_2 the
+    next eigenvalue, which bounds the sine of its angle to the eigenvector by
+    ``residual`` (Davis-Kahan); else, or where h is PSD and ``vectors`` asks
+    for its eigenvectors, :func:`_hermitian_spectrum` decides with them.  It
+    decides too where an eigenvalue lies within 10 k eps ``scale``, about
+    the two drivers' rounding, of the cut eig_cut ``scale`` or the lowest of
+    -psd_slack ``scale``, so that the count and verdict are the
+    eigendecomposition's wherever rounding could move them.
+    """
+    k = len(h)
+    s = _hermitian_spectrum(h, False)
+    rounding = _FACTOR_MARGIN * k * np.finfo(float).eps * s.scale
+    if (np.abs(s.w - tol.eig_cut * s.scale) <= rounding).any() or (
+        abs(s.w[-1] + tol.psd_slack * s.scale) <= rounding
+    ):
+        return _hermitian_spectrum(h, True)
+    if s.psd(tol):
+        return _hermitian_spectrum(h, True) if vectors else s
+    a = h.copy()
+    a.reshape(-1)[:: k + 1] -= float(s.w[-1]) - np.finfo(float).eps * s.scale
+    rng = np.random.default_rng(0)
+    try:
+        x = np.linalg.solve(a, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    except np.linalg.LinAlgError:  # sigma is an eigenvalue to the last bit
+        return _hermitian_spectrum(h, True)
+    x /= np.linalg.norm(x)
+    hx = h @ x
+    rho = float(np.vdot(x, hx).real)
+    if not within(np.linalg.norm(hx - rho * x), tol.residual, float(s.w[-2]) - rho, floor=0.0):
+        return _hermitian_spectrum(h, True)
+    return s._replace(u=x[:, None])
 
 
 def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -263,6 +363,16 @@ def expm(m: np.ndarray) -> np.ndarray:
     """
     import scipy.linalg  # here, not at the top: no other path needs scipy
     return _finite(scipy.linalg.expm, np.asarray(m))
+
+
+def _expm_rounding(m: np.ndarray, e: np.ndarray) -> float:
+    """An allowance for the rounding in e = expm(m), m k x k: k eps ||m||_F
+    ||e||_F.  Scaling and squaring has a backward error of order eps ||m||,
+    and exp magnifies a relative perturbation of m by about ||m||.  On the
+    benchmark corpus's generators at n = 3 and 4, scaled by up to 1e9, the
+    law P_s P_t = P_{s+t} missed by at most 4 % of this allowance plus
+    ``residual`` ||e||_F."""
+    return len(m) * np.finfo(float).eps * frob(m) * frob(e)
 
 
 def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:

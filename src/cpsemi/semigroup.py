@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Overflow
 from .generator import GklsForm, rank
-from .numerics import DEFAULT_TOL, Tolerances, expm, expm_times, is_psd, spectrum
+from .numerics import (
+    DEFAULT_TOL, Tolerances, _expm_rounding, expm, expm_times, frob, is_psd, spectrum, within,
+)
 from .opspace import MetricOperatorSpace, space_from_cp_map
 from .superop import _complex_form, _real_form, choi_spectrum, superop_to_choi, vec
 
@@ -75,7 +77,13 @@ def space_at(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> Metric
 def product_system_check(
     mat: np.ndarray, s: float, t: float, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
-    """Check E(s) E(t) spans E(s + t).
+    """Check the semigroup law P_s P_t = P_{s+t} and that E(s) E(t) spans E(s + t).
+
+    The law holds when ||P_s P_t - P_{s+t}||_F, less the rounding that
+    exp((s + t) L) itself may carry (:func:`~cpsemi.numerics._expm_rounding`,
+    which grows with ||(s + t) L||), is within ``residual`` of
+    anchor(||P_s P_t||_F, ||P_{s+t}||_F), compared in L's real form, whose
+    Frobenius norms are those of the maps.
 
     Products of Kraus operators of P_s and P_t are Kraus operators of
     P_s P_t, so E(s) E(t) spans the range of J(P_s P_t) and E(s + t) the
@@ -89,7 +97,8 @@ def product_system_check(
     Each distinct time of {s, t, s + t} gets its own exponential of L's
     real form (two when s == t), and the product is taken in that form.
     The check never derives exp((s + t) L) from the factors: the law it
-    tests would then hold by construction.
+    tests would then hold by construction.  Where the law fails, no rank is
+    computed.
 
     :raises NotCP: if exp(s L) exp(t L) or exp((s + t) L) is not completely
         positive within tolerance (i.e. L was not a generator to begin with).
@@ -98,7 +107,11 @@ def product_system_check(
         raise ValueError("the spaces are defined for strictly positive times")
     r = _real_form(mat, tol)
     p = {x: next(expm_times(r, [x])) for x in dict.fromkeys((s, t, s + t))}
-    j_prod = superop_to_choi(_complex_form(p[s] @ p[t]))
+    prod = p[s] @ p[t]
+    error = frob(prod - p[s + t]) - _expm_rounding((s + t) * r, p[s + t])
+    if not within(error, tol.residual, frob(prod), frob(p[s + t])):
+        return False
+    j_prod = superop_to_choi(_complex_form(prod))
     j_target = superop_to_choi(_complex_form(p[s + t]))
     r_prod = choi_spectrum(j_prod, tol, vectors=False).kept(tol).sum()
     r_target = choi_spectrum(j_target, tol, vectors=False).kept(tol).sum()

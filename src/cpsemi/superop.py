@@ -167,7 +167,13 @@ def kraus_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     """
     keep = s.kept(tol)
     m, n = int(keep.sum()), int(round(np.sqrt(s.u.shape[0])))
-    ops = (s.u[:, keep] * np.sqrt(s.w[keep])).T.reshape(m, n, n).swapaxes(1, 2)
+    return _fix_phases((s.u[:, keep] * np.sqrt(s.w[keep])).T.reshape(m, n, n).swapaxes(1, 2))
+
+
+def _fix_phases(ops: np.ndarray) -> np.ndarray:
+    """The operators of a stack (m, n, n), each times the phase that makes its
+    largest-magnitude entry, the first such in row-major order, real and positive."""
+    m, n, _ = ops.shape
     flat = ops.reshape(m, n * n)  # each operator's entries in row-major order
     top = flat[np.arange(m), np.argmax(np.abs(flat), axis=1)]
     return ops * (top.conj() / np.abs(top))[:, None, None]

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstraintViolated, NotHermiticityPreserving
+from .errors import ConstraintViolated, NotCCP, NotHermiticityPreserving
 from .numerics import (
-    DEFAULT_TOL, Spectrum, Tolerances, _factor_spectrum, _hermitian_spectrum, anchor, frob,
-    is_hermitian, spectrum, within,
+    DEFAULT_TOL, Spectrum, Tolerances, _factor_spectrum, _full_rank_certified,
+    _hermitian_spectrum, _negative_pivot, _witness_spectrum, anchor, frob, is_hermitian,
+    spectrum, within,
 )
 from .sampling import random_constrained_tuples
-from .superop import _operator, dim_of, superop_to_choi, unvec, vec
+from .superop import _fix_phases, _operator, dim_of, superop_to_choi, unvec, vec
 
 __all__ = [
     "symbols_equal",
@@ -105,39 +106,102 @@ def _require_hermiticity_preserving(mat: np.ndarray, tol: Tolerances) -> np.ndar
     return j
 
 
-# Below n = 8 the factor certificate costs as much as the eigendecomposition
+# Below n = 8 the certificates cost as much as the eigendecomposition
 # (35-70 us at n <= 4), and the goldens at n <= 4 keep the eigendecomposition's
-# signs of zero (the factor path writes the dephasing golden's -0.0 as +0.0).
+# signs of zero (the factor path writes the dephasing golden's -0.0 as +0.0):
+# there one eigendecomposition answers every question.
 _FACTOR_MIN_N = 8
 
 
-def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Spectrum of the projected Choi matrix of a Hermiticity-preserving map,
-    the one CCP decision: the map is CCP iff the spectrum is PSD within
-    ``psd_slack``.  From n = 8 it is first tried as a factor certificate
-    (:func:`~cpsemi.numerics._factor_spectrum`), which holds only the kept
-    pairs and comes only where h is PSD; below n = 8, or where it declines,
-    one full eigendecomposition gives every pair, the last eigenvector being
-    the defect direction.  :func:`is_conditionally_cp` takes this spectrum
-    too, so that its eigenvalues are bit for bit those that ``decompose``
-    reads.  The guard's Choi matrix is projected in place.
+def _projected(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The projected Choi matrix of a Hermiticity-preserving map, written over
+    the guard's Choi matrix.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     """
-    h = projected_choi(_require_hermiticity_preserving(mat, tol))
-    s = _factor_spectrum(h, tol) if dim_of(mat) >= _FACTOR_MIN_N else None
+    return projected_choi(_require_hermiticity_preserving(mat, tol))
+
+
+def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """Spectrum of the projected Choi matrix h of a Hermiticity-preserving
+    map, as much of it as a Kraus basis or a witness reads: the map is CCP
+    iff it is PSD within ``psd_slack`` (:func:`_require_ccp`).
+
+    From n = 8, a diagonal entry of h below -psd_slack s_lo
+    (:func:`~cpsemi.numerics._negative_pivot`) sends h to its eigenvalues
+    alone and one solve for the lowest eigenvector
+    (:func:`~cpsemi.numerics._witness_spectrum`); otherwise a pivoted
+    Cholesky factor is tried, which certifies the kept pairs of a PSD h
+    (:func:`~cpsemi.numerics._factor_spectrum`).  Below n = 8, or where the
+    factor declines, one full eigendecomposition gives every pair.
+
+    :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
+    """
+    h = _projected(mat, tol)
+    if dim_of(mat) < _FACTOR_MIN_N:
+        return _hermitian_spectrum(h, True)
+    if _negative_pivot(h, tol):
+        return _witness_spectrum(h, tol, vectors=True)
+    s = _factor_spectrum(h, tol)
     return _hermitian_spectrum(h, True) if s is None else s
+
+
+def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """The rank of the projected Choi matrix h of a CCP map, a count read by
+    certificates where they hold: no Kraus basis, and from n = 8 no
+    eigenvector but a witness.
+
+    From n = 8: where h has a diagonal entry below -psd_slack s_lo,
+    its eigenvalues alone and one solve; else the pivoted factor's r; else,
+    when one Cholesky factorisation certifies it
+    (:func:`~cpsemi.numerics._full_rank_certified`), n^2 - 1; else the count
+    of its kept eigenvalues, computed without vectors.  Below n = 8 one full
+    eigendecomposition, as in :func:`_ccp_spectrum`.
+
+    :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
+    :raises NotCCP: as :func:`_require_ccp`.
+    """
+    h = _projected(mat, tol)
+    if dim_of(mat) < _FACTOR_MIN_N:
+        s = _hermitian_spectrum(h, True)
+    elif _negative_pivot(h, tol):
+        s = _witness_spectrum(h, tol, vectors=False)
+    elif (s := _factor_spectrum(h, tol)) is None:
+        if _full_rank_certified(h, tol):
+            return len(h) - 1
+        s = _witness_spectrum(h, tol, vectors=False)
+    return int(_require_ccp(s, tol).kept(tol).sum())
+
+
+def _require_ccp(s: Spectrum, tol: Tolerances) -> Spectrum:
+    """``s``, a spectrum of :func:`_ccp_spectrum` or :func:`_ccp_rank`, if it
+    is PSD within ``psd_slack``.
+
+    :raises NotCCP: if it is not; the witness attached is its lowest
+        eigenvector, with the phase that :func:`~cpsemi.superop.kraus_from_spectrum`
+        gives a Kraus operator, so that it does not depend on how it was found.
+    """
+    if s.psd(tol):
+        return s
+    low = float(s.w[-1])
+    raise NotCCP(
+        f"projected Choi matrix has negative eigenvalue {low:.3e}",
+        witness=vec(_fix_phases(unvec(s.u[:, -1])[None])[0]),
+        eigenvalue=low,
+    )
 
 
 def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``mat`` generates a semigroup of completely positive maps:
     the map is Hermiticity-preserving and its projected Choi matrix is PSD
-    within ``psd_slack``.  This is the test :func:`~cpsemi.generator.decompose`
-    applies before it raises NotCCP."""
+    within ``psd_slack``.  This is the verdict of
+    :func:`~cpsemi.generator.rank`, the test that
+    :func:`~cpsemi.generator.decompose` applies before it raises NotCCP."""
     try:
-        return _ccp_spectrum(mat, tol).psd(tol)
-    except NotHermiticityPreserving:
+        _ccp_rank(mat, tol)
+    except (NotCCP, NotHermiticityPreserving):
         return False
+    return True
 
 
 def _block_operators(

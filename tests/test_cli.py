@@ -366,6 +366,83 @@ def test_verify_covariance_sees_an_offset_kernel(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["checks"]["covariance"] == {"pass": False}
 
 
+# Planted defects: each verify check must fail, exit 3, on a semigroup that
+# breaks what it tests, at n = 4 rank 2 and at n = 8 rank 63.
+
+
+@pytest.fixture(params=[(4, 2), (8, 63)], ids=["n4.r2", "n8.r63"])
+def corpus_spec(request, tmp_path):
+    n, rank = request.param
+    mat = bench_corpus().make_generator(np.random.default_rng(7), n, rank, True).mat
+    return write(tmp_path, "gen.json", superop_doc(mat, n))
+
+
+def _fails_once_planted(capsys, spec, check, plant):
+    """The check passes on ``spec``, and exits 3 once ``plant()`` has run."""
+    argv = ["verify", "--input", spec, "--checks", check]
+    assert main(argv) == 0
+    capsys.readouterr()
+    plant()
+    rc, out = run(capsys, argv)
+    assert rc == 3
+    assert json.loads(out)["checks"][check]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "factor", [lambda t: 1 + 0.01 * t * t, lambda t: 1 - 0.5 * t * t], ids=["1+0.01t2", "1-0.5t2"]
+)
+def test_verify_product_system_sees_a_broken_semigroup_law(
+    corpus_spec, factor, monkeypatch, capsys
+):
+    """exp(tL) times a factor of 1 at t = 0 keeps every Choi range, so only the
+    law P_s P_t = P_{s+t} sees it; the rank comparison alone passed both."""
+    import cpsemi.semigroup as semigroup
+
+    real = semigroup.expm_times
+
+    def planted(m, times):
+        times = list(times)
+        for t, e in zip(times, real(m, times)):
+            yield factor(t) * e
+
+    _fails_once_planted(capsys, corpus_spec, "product_system",
+                        lambda: monkeypatch.setattr(semigroup, "expm_times", planted))
+
+
+def test_verify_units_sees_an_inflated_unit(corpus_spec, monkeypatch, capsys):
+    import cpsemi.semigroup as semigroup
+
+    real = semigroup.unit_matrix
+    _fails_once_planted(capsys, corpus_spec, "units", lambda: monkeypatch.setattr(
+        semigroup, "unit_matrix", lambda u, t: 1.1 * real(u, t)))
+
+
+def test_verify_domination_sees_a_deflated_dominating_semigroup(corpus_spec, monkeypatch, capsys):
+    """L + C - 0.1 id generates e^(-0.1 t) exp(t (L + C)), which does not
+    dominate exp(tL)."""
+    real = cli.random_cp_map
+
+    def deflated(rng, n, m=1):
+        return real(rng, n, m=m) - 0.1 * np.eye(n * n)
+
+    _fails_once_planted(capsys, corpus_spec, "domination",
+                        lambda: monkeypatch.setattr(cli, "random_cp_map", deflated))
+
+
+def test_verify_gauge_sees_a_perturbed_drift(corpus_spec, monkeypatch, capsys):
+    """k2 = k - u - (1/2)|lam|^2 1 with u off by 1e-3 diag(0, 1, ...): the
+    shifted presentation no longer builds L."""
+    from cpsemi.opspace import MetricOperatorSpace
+
+    real = MetricOperatorSpace.from_coords
+
+    def perturbed(self, coords):
+        return real(self, coords) + 1e-3 * np.diag(np.arange(self.n))
+
+    _fails_once_planted(capsys, corpus_spec, "gauge",
+                        lambda: monkeypatch.setattr(MetricOperatorSpace, "from_coords", perturbed))
+
+
 def test_verify_subset_of_checks(dephasing_file, capsys):
     rc, out = run(
         capsys,

@@ -3,8 +3,11 @@
 Every subcommand, and each ``verify`` check alone, runs through ``cli.main``
 at n = 8 on the benchmark corpus's unital generators of rank 2, where the
 projected Choi matrix's rank is certified from its pivoted Cholesky factor,
-and of rank 63, where the factor declines and ``eigh`` decides.  The counts
-are exact; a change that adds or removes a kernel updates this table.
+and of rank 63, where the factor declines: ``eigh`` decides for a basis, one
+shifted ``cholesky`` for ``index``.  ``analyze`` and ``index`` also run on a
+map that is not CCP, whose verdict is ``eigvalsh``'s and whose witness one
+``solve`` finds.  The counts are exact; a change that adds or removes a
+kernel updates this table.
 """
 
 import importlib.util
@@ -37,7 +40,7 @@ LEDGER = {
     (2, "verify covariance"): (0, 0, 0, 0, 0, 0),
     (63, "analyze"): (1, 0, 0, 0, 0, 0),
     (63, "decompose"): (1, 0, 0, 0, 0, 0),
-    (63, "index"): (1, 0, 0, 0, 0, 0),
+    (63, "index"): (0, 0, 1, 0, 0, 0),
     (63, "covariance"): (2, 0, 0, 0, 0, 1),
     (63, "verify"): (1, 7, 11, 1, 1, 9),
     (63, "verify product_system"): (1, 6, 0, 0, 0, 5),
@@ -45,6 +48,11 @@ LEDGER = {
     (63, "verify gauge"): (1, 0, 0, 1, 1, 0),
     (63, "verify units"): (1, 0, 6, 0, 0, 2),
     (63, "verify covariance"): (1, 1, 0, 0, 0, 0),
+}
+# call: counts on make_non_ccp of the rank-2 generator, which exits 2
+LEDGER_NOT_CCP = {
+    "analyze": (0, 1, 0, 0, 1, 0),
+    "index": (0, 1, 0, 0, 1, 0),
 }
 
 
@@ -60,6 +68,9 @@ def specs(tmp_path_factory):
             corpus.write_json(str(tmp / f"r{rank}.json"), corpus.spec_superop(gen.mat)),
             corpus.write_json(str(tmp / f"u{rank}.json"), pair.to_json()),
         )
+        if rank == 2:
+            bad = corpus.make_non_ccp(np.random.default_rng(7), gen.mat)
+            files["not ccp"] = corpus.write_json(str(tmp / "bad.json"), corpus.spec_superop(bad))
     return files, str(tmp / "report.json")
 
 
@@ -76,6 +87,14 @@ def test_each_call_makes_the_ledgers_kernels(specs, rank, call):
     with bench_rows.kernel_ledger(N * N) as counts:
         assert cli.main(argv) == 0
     assert tuple(counts[name] for name in _COLUMNS) == LEDGER[rank, call]
+
+
+@pytest.mark.parametrize("command", sorted(LEDGER_NOT_CCP))
+def test_a_map_that_is_not_ccp_makes_the_ledgers_kernels(specs, command):
+    files, out = specs
+    with bench_rows.kernel_ledger(N * N) as counts:
+        assert cli.main([command, "--input", files["not ccp"], "--output", out]) == 2
+    assert tuple(counts[name] for name in _COLUMNS) == LEDGER_NOT_CCP[command]
 
 
 def test_the_ledger_counts_a_stack_by_its_matrices():

@@ -64,3 +64,12 @@ def test_a_tree_against_itself_differs_nowhere():
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip().endswith(f"0 of {count} operations differ"), workload
+
+
+def test_witness_overlap_is_blind_to_a_phase():
+    u = [[0.6, 0.0], [0.0, 0.8]]
+    v = [[0.0, 0.6], [-0.8, 0.0]]  # i u
+    old = {"op": [2, json.dumps({"witness": u}), ""]}
+    new = {"op": [2, json.dumps({"witness": v}), ""]}
+    assert math.isclose(report_diff.witness_overlap(old, new), 1.0)
+    assert report_diff.witness_overlap(old, old) is None

@@ -15,6 +15,7 @@ from conftest import (
 )
 
 import cpsemi.cli as cli
+import cpsemi.generator as generator
 import cpsemi.symbols as symbols
 from cpsemi.errors import (
     ConstraintViolated, DimensionMismatch, NotCCP, NotHermiticityPreserving, Overflow
@@ -509,6 +510,7 @@ _NEAR_THE_CUT = [
     (20 * _CUT, 3, True),
     (3 * _CUT, 3, False),  # kept, within 10x of the cut
     (0.3 * _CUT, 2, False),  # dropped, within 10x of the cut
+    (0.05 * _CUT, 2, True),  # the pivots stop against max ||f_j||^2, not max |h_ii|
     (0.005 * _CUT, 2, True),
     (-0.3 * _CUT, 2, False),  # PSD within the slack, within 10x of it
     (-3 * _CUT, None, False),
@@ -626,3 +628,66 @@ def test_a_certified_spectrum_holds_the_kept_eigenpairs():
         assert np.abs(s.u.conj().T @ s.u - np.eye(m)).max() <= 1e-13
         # the same span: each projector reproduces the other's vectors
         assert np.linalg.norm(s.u @ (s.u.conj().T @ ref.u[:, :m]) - ref.u[:, :m]) <= 1e-12
+
+
+def _spy_on_the_ladder(monkeypatch):
+    """Record, per call, which step of the CCP ladder answered: 'factor',
+    'full rank' or 'eigenvalues' (the count of the eigenvalues alone)."""
+    steps = []
+
+    def spy(name, real, answered):
+        def call(*args, **kw):
+            out = real(*args, **kw)
+            steps.append((name, answered(out)))
+            return out
+        monkeypatch.setattr(symbols, real.__name__, call)
+
+    spy("factor", symbols._factor_spectrum, lambda s: s is not None)
+    spy("full rank", symbols._full_rank_certified, bool)
+    spy("eigenvalues", symbols._witness_spectrum, lambda s: True)
+
+    def path():
+        answered = [name for name, done in steps if done]
+        steps.clear()
+        return answered[-1] if answered else None
+    return path
+
+
+def _or_none(count, mat):
+    """count(mat), or None where it raises NotCCP."""
+    try:
+        return count(mat)
+    except NotCCP:
+        return None
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rank_is_decomposes_dimension_by_the_expected_certificate(n, monkeypatch):
+    corpus = bench_corpus()
+    expected = {1: "factor", 2: "factor", n * n // 4: "eigenvalues",
+                n * n - 2: "eigenvalues", n * n - 1: "full rank"}
+    for seed in range(10):
+        for m, step in expected.items():
+            mat = corpus.make_generator(np.random.default_rng(seed), n, m, seed % 2 == 0).mat
+            path = _spy_on_the_ladder(monkeypatch)
+            assert generator.rank(mat) == m
+            assert path() == step, (seed, m)
+            assert decompose(mat).space.dim == m
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("third, rank, certified", _NEAR_THE_CUT)
+def test_rank_near_the_cut_is_decomposes_dimension(third, rank, certified, monkeypatch):
+    mat = _weighted_jumps([4.0, 1.0, third])
+    path = _spy_on_the_ladder(monkeypatch)
+    assert _or_none(generator.rank, mat) == rank
+    assert path() == ("factor" if certified else "eigenvalues")
+    assert _or_none(lambda m: decompose(m).space.dim, mat) == rank
+
+
+def test_rank_at_a_tight_tolerance_is_decomposes_dimension():
+    # at --tol 1e-15 the cut lies within rounding of the eigenvalue along
+    # vec(1); the eigenvalues alone counted 65 here where eigh counts 64
+    mat = bench_corpus().make_generator(np.random.default_rng(5), 16, 64, False).mat
+    tol = Tolerances(1e-15)
+    assert generator.rank(mat, tol) == decompose(mat, tol).space.dim

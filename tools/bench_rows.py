@@ -10,10 +10,14 @@ from ``perfbench/corpus.py`` of this checkout, so two trees answer the same
 inputs.  The file is named after TREE's ``git rev-parse --short HEAD``, with
 ``-dirty`` appended when TREE's ``src/`` differs from that commit.
 
-* ``in_process``: ``analyze`` and each ``verify`` check alone at
-  n in {4, 8, 16} and ranks {2, n^2 - 1}, each through ``cli.main`` with
-  ``--output`` to a temporary file: the best of 3 calls after one warm-up,
-  and the kernel counts of one more call (:func:`kernel_ledger`, side n^2).
+* ``in_process``: the ``analyze``, ``decompose``, ``index`` and
+  ``covariance`` subcommands and each ``verify`` check alone (``verify
+  <check>``) at n in {4, 8, 16} and ranks {2, n^2 - 1}, and ``analyze`` and
+  ``index`` on ``make_non_ccp`` of the rank-2 generator (``ccp`` false, exit
+  2), each through ``cli.main`` with ``--output`` to a temporary file: the
+  best of 3 calls after one warm-up, and the kernel counts of one more call
+  (:func:`kernel_ledger`, side n^2).  ``covariance`` reads
+  ``make_unit_pair(default_rng(7), rank)``.
 * ``cold``: ``analyze`` and ``verify`` at n = 16, one subprocess per call,
   best of 5 wall times, with the child's peak RSS (its ``VmHWM``; Linux).
 
@@ -83,8 +87,7 @@ def _corpus():
     return module
 
 
-def _in_process(cli, spec: str, out: str, n: int, rank: int) -> list[dict]:
-    calls = [("analyze", ["analyze"])] + [(c, ["verify", "--checks", c]) for c in CHECKS]
+def _in_process(cli, spec: str, out: str, n: int, rank: int, calls) -> list[dict]:
     rows = []
     for name, argv in calls:
         argv = [*argv, "--input", spec, "--output", out]
@@ -96,9 +99,19 @@ def _in_process(cli, spec: str, out: str, n: int, rank: int) -> list[dict]:
             times.append(time.perf_counter() - start)
         with kernel_ledger(n * n) as counts:
             cli.main(argv)
-        rows.append({"call": name, "n": n, "rank": rank, "exit": code,
+        rows.append({"call": name, "n": n, "rank": rank, "ccp": code != 2, "exit": code,
                      "ms": round(1e3 * min(times), 2), "kernels": dict(counts)})
     return rows
+
+
+def _calls(units: str | None) -> list[tuple[str, list[str]]]:
+    """(row name, argv) of the in-process calls; only ``analyze`` and
+    ``index`` when ``units`` is None, for a map that is not CCP."""
+    calls = [(c, [c]) for c in ("analyze", "index")]
+    if units is None:
+        return calls
+    calls += [("decompose", ["decompose"]), ("covariance", ["covariance", "--units", units])]
+    return calls + [(f"verify {c}", ["verify", "--checks", c]) for c in CHECKS]
 
 
 # A cold call reports its own peak RSS, the VmHWM of its address space: its
@@ -165,9 +178,16 @@ def main(argv: list[str] | None = None) -> int:
                 gen = corpus.make_generator(np.random.default_rng(7), n, rank, True)
                 spec = corpus.write_json(os.path.join(tmp, f"n{n}.r{rank}.json"),
                                          corpus.spec_superop(gen.mat))
-                doc["in_process"] += _in_process(cli, spec, out, n, rank)
+                pair = corpus.make_unit_pair(np.random.default_rng(7), rank)
+                units = corpus.write_json(os.path.join(tmp, f"u{rank}.json"), pair.to_json())
+                doc["in_process"] += _in_process(cli, spec, out, n, rank, _calls(units))
                 if n == COLD_N:
                     doc["cold"] += _cold(src, spec, out, rank)
+                if rank == 2:
+                    bad = corpus.make_non_ccp(np.random.default_rng(7), gen.mat)
+                    spec = corpus.write_json(os.path.join(tmp, f"n{n}.bad.json"),
+                                             corpus.spec_superop(bad))
+                    doc["in_process"] += _in_process(cli, spec, out, n, rank, _calls(None))
     path = os.path.join(args.out, f"BENCH_{commit}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

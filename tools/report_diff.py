@@ -15,9 +15,10 @@ One line is printed per operation whose exit code or output differs, with
 the largest absolute difference between numbers at the same place of the
 two JSON outputs and where it sits, then a summary line, then one line per
 differing field of the outputs with its largest difference over all
-operations (array indices collapsed, as in ``.kraus[][][][]``).  The exit
-status is 0 iff nothing differs.  ``--selfcheck`` uses the benchmark's n = 2
-workloads.
+operations (array indices collapsed, as in ``.kraus[][][][]``), then, where
+witnesses differ, the smallest |<old, new>| of two unit witnesses, which is 1
+when they differ by a phase only.  The exit status is 0 iff nothing differs.
+``--selfcheck`` uses the benchmark's n = 2 workloads.
 """
 
 from __future__ import annotations
@@ -121,6 +122,24 @@ def field_differences(old: dict, new: dict) -> dict[str, float]:
     return fields
 
 
+def witness_overlap(old: dict, new: dict) -> float | None:
+    """The smallest |<u, v>| over the operations whose JSON outputs carry
+    different witnesses u and v; None if none do."""
+    overlaps = []
+    for key in old:
+        if old[key][1] == new[key][1]:
+            continue
+        try:
+            a, b = json.loads(old[key][1]), json.loads(new[key][1])
+        except ValueError:
+            continue
+        if isinstance(a, dict) and isinstance(b, dict) and a.get("witness") != b.get("witness"):
+            u, v = ([complex(*pair) for pair in doc.get("witness") or []] for doc in (a, b))
+            if len(u) == len(v):
+                overlaps.append(abs(sum(x.conjugate() * y for x, y in zip(u, v))))
+    return min(overlaps, default=None)
+
+
 def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -177,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload} seed {args.seed}: {len(lines)} of {len(old)} operations differ")
     for field, diff in sorted(field_differences(old, new).items()):
         print(f"  {field}: max |diff| {diff:.3e}")
+    overlap = witness_overlap(old, new)
+    if overlap is not None:
+        print(f"  witness: min |<old, new>| = 1 - {1.0 - overlap:.3e}")
     return 1 if lines else 0
 
 
