@@ -19,7 +19,8 @@ most ``scale``, so a Cholesky factorisation of h + psd_slack * s_lo * 1
 proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
 :func:`_factor_spectrum` keeps the rule the same way for a matrix of low
 rank: a pivoted Cholesky factor and Weyl's inequality certify its PSD
-verdict and its kept pairs, or it declines and the eigendecomposition decides.
+verdict and its kept pairs, a negative pivot shows it is not PSD, or it
+declines and the eigendecomposition decides.
 :func:`_full_rank_certified` certifies a rank of n^2 - 1, the largest of a
 projected Choi matrix, by one Cholesky factorisation and rank-one
 interlacing, and :func:`_witness_spectrum` finds the lowest eigenvector of a
@@ -179,17 +180,10 @@ def _diagonal_scale(h: np.ndarray) -> float:
     return anchor(float(np.abs(h.diagonal().real).max(initial=0.0)))
 
 
-def _negative_pivot(h: np.ndarray, tol: Tolerances) -> bool:
-    """True iff a diagonal entry of ``h``, Hermitian, lies below -psd_slack s_lo:
-    the first pivot test of :func:`_factor_spectrum`.  e_i* h e_i < 0 then, so
-    h is not PSD; by how much, only an eigenvalue says."""
-    lowest = float(h.diagonal().real.min(initial=0.0))
-    return not within(-lowest, tol.psd_slack, _diagonal_scale(h))
-
-
-def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
+def _factor_spectrum(h: np.ndarray, tol: Tolerances, *, vectors: bool = True) -> Spectrum | None:
     """The kept eigenpairs of ``h``, Hermitian and k x k, certified from a
-    pivoted Cholesky factor; None where :func:`_hermitian_spectrum` must decide.
+    pivoted Cholesky factor; at a negative pivot, :func:`_witness_spectrum`'s
+    spectrum; None where :func:`_hermitian_spectrum` must decide.
 
     r steps of Cholesky with diagonal pivoting (Higham 2002, section 10.3)
     give h = F F* + S, F of size k x r; they stop once the pivots left sum to
@@ -201,9 +195,12 @@ def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
     lam_r - delta > 10 eig_cut anchor(lam_1 + delta), :class:`Spectrum`'s
     rules, on any eigenvalues within eigh's rounding of h's, find h PSD and
     keep exactly r pairs; the result is those pairs, Spectrum(Lam,
-    F W Lam^(-1/2), anchor(lam_1)).  None, early, if a pivot left falls below
-    -psd_slack s_lo, s_lo = anchor(max |h_ii|), or none is positive, or r
-    would reach k / 4; None if a margin fails.
+    F W Lam^(-1/2), anchor(lam_1)).  None, early, if no pivot left is
+    positive or r would reach k / 4; None if a margin fails.  Where a pivot
+    left (at step 0 a diagonal entry of h) falls below -psd_slack s_lo, s_lo
+    = anchor(max |h_ii|), e_i* S e_i < 0 shows that h is not PSD; by how
+    much only an eigenvalue says, and :func:`_witness_spectrum` decides,
+    with ``vectors`` passed on.
     """
     _require_finite(h)
     k = len(h)
@@ -213,8 +210,10 @@ def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
     rows = np.empty((k // _FACTOR_MAX_SHARE - 1, k), dtype=complex)  # F's columns, r < k / 4
     r, low = 0, 0.0  # low = max_j ||f_j||^2 <= F* F's largest eigenvalue
     while not within(_FACTOR_MARGIN * np.abs(d).sum(), rel, low):
+        if d.min() < -tol.psd_slack * s_lo:
+            return _witness_spectrum(h, tol, vectors=vectors)
         p = int(np.argmax(d))
-        if r == len(rows) or not d[p] > 0 or d.min() < -tol.psd_slack * s_lo:
+        if r == len(rows) or not d[p] > 0:
             return None
         # column p of S; h is Hermitian, so its column p is conj(row p)
         col = h[p].conj() - rows[:r].T @ rows[:r, p].conj()

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConstraintViolated, NotCCP, NotHermiticityPreserving
 from .numerics import (
     DEFAULT_TOL, Spectrum, Tolerances, _factor_spectrum, _full_rank_certified,
-    _hermitian_spectrum, _negative_pivot, _witness_spectrum, anchor, frob, is_hermitian,
+    _hermitian_spectrum, _witness_spectrum, anchor, frob, is_hermitian,
     spectrum, within,
 )
 from .sampling import random_constrained_tuples
@@ -127,12 +127,11 @@ def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     map, as much of it as a Kraus basis or a witness reads: the map is CCP
     iff it is PSD within ``psd_slack`` (:func:`_require_ccp`).
 
-    From n = 8, a diagonal entry of h below -psd_slack s_lo
-    (:func:`~cpsemi.numerics._negative_pivot`) sends h to its eigenvalues
-    alone and one solve for the lowest eigenvector
-    (:func:`~cpsemi.numerics._witness_spectrum`); otherwise a pivoted
-    Cholesky factor is tried, which certifies the kept pairs of a PSD h
-    (:func:`~cpsemi.numerics._factor_spectrum`).  Below n = 8, or where the
+    From n = 8 a pivoted Cholesky factor is tried, which certifies the kept
+    pairs of a PSD h (:func:`~cpsemi.numerics._factor_spectrum`); a pivot
+    below -psd_slack s_lo at any step sends h to its eigenvalues alone and
+    one solve for the lowest eigenvector
+    (:func:`~cpsemi.numerics._witness_spectrum`).  Below n = 8, or where the
     factor declines, one full eigendecomposition gives every pair.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
@@ -140,9 +139,7 @@ def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     h = _projected(mat, tol)
     if dim_of(mat) < _FACTOR_MIN_N:
         return _hermitian_spectrum(h, True)
-    if _negative_pivot(h, tol):
-        return _witness_spectrum(h, tol, vectors=True)
-    s = _factor_spectrum(h, tol)
+    s = _factor_spectrum(h, tol, vectors=True)
     return _hermitian_spectrum(h, True) if s is None else s
 
 
@@ -151,8 +148,8 @@ def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     certificates where they hold: no Kraus basis, and from n = 8 no
     eigenvector but a witness.
 
-    From n = 8: where h has a diagonal entry below -psd_slack s_lo,
-    its eigenvalues alone and one solve; else the pivoted factor's r; else,
+    From n = 8: the pivoted factor's r, or where a pivot falls below
+    -psd_slack s_lo, h's eigenvalues alone and one solve; else,
     when one Cholesky factorisation certifies it
     (:func:`~cpsemi.numerics._full_rank_certified`), n^2 - 1; else the count
     of its kept eigenvalues, computed without vectors.  Below n = 8 one full
@@ -164,9 +161,7 @@ def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     h = _projected(mat, tol)
     if dim_of(mat) < _FACTOR_MIN_N:
         s = _hermitian_spectrum(h, True)
-    elif _negative_pivot(h, tol):
-        s = _witness_spectrum(h, tol, vectors=False)
-    elif (s := _factor_spectrum(h, tol)) is None:
+    elif (s := _factor_spectrum(h, tol, vectors=False)) is None:
         if _full_rank_certified(h, tol):
             return len(h) - 1
         s = _witness_spectrum(h, tol, vectors=False)
@@ -210,9 +205,10 @@ def _block_operators(
     """S = sum_{j,k} a_j* L(x_j* x_k) a_k for each tuple of a stack, shape
     (count, n, n); ``xs`` and ``as_`` have shape (count, r, n, n).
 
-    With X = [x_1 ... x_r] the blocks x_j* x_k are those of X* X; L acts on
-    all their vecs in one product, and S = A* M A for the column
-    A = [a_1; ...; a_r] and the block matrix M of the images L(x_j* x_k).
+    With X = [x_1 ... x_r] and the column A = [a_1; ...; a_r], the constraint
+    is X A = 0, the blocks x_j* x_k are those of X* X, and S = A* M A for the
+    block matrix M of the images L(x_j* x_k).  L acts on the vecs of all
+    count r^2 blocks as one (count r^2) x n^2 by n^2 x n^2 product.
 
     :raises ConstraintViolated: if a tuple has sum_k x_k a_k != 0, beyond
         ``residual`` relative to sum_k ||x_k|| ||a_k||; the message names the
@@ -220,7 +216,9 @@ def _block_operators(
     """
     count, r, n, _ = xs.shape
     mat = np.asarray(mat, dtype=complex)
-    total = np.linalg.norm(np.matmul(xs, as_).sum(axis=1), axis=(-2, -1))
+    big_x = xs.transpose(0, 2, 1, 3).reshape(count, n, r * n)
+    col = as_.reshape(count, r * n, n)
+    total = np.linalg.norm(big_x @ col, axis=(-2, -1))
     sizes = np.linalg.norm(xs, axis=(-2, -1)) * np.linalg.norm(as_, axis=(-2, -1))
     scale = anchor(sizes.sum(axis=1))
     if not np.all(within(total, tol.residual, scale)):
@@ -229,12 +227,10 @@ def _block_operators(
             f"sum_k x_k a_k has norm {total[worst]:.3e}, expected 0"
             + (f" (tuple {worst} of {count})" if count > 1 else "")
         )
-    big_x = xs.transpose(0, 2, 1, 3).reshape(count, n, r * n)
     gram = big_x.conj().swapaxes(-1, -2) @ big_x
     vecs = gram.reshape(count, r, n, r, n).transpose(0, 1, 3, 4, 2)
-    images = (vecs.reshape(count, r, r, n * n) @ mat.T).reshape(count, r, r, n, n)
+    images = (vecs.reshape(count * r * r, n * n) @ mat.T).reshape(count, r, r, n, n)
     blocks = images.transpose(0, 1, 4, 2, 3).reshape(count, r * n, r * n)
-    col = as_.reshape(count, r * n, n)
     return col.conj().swapaxes(-1, -2) @ blocks @ col
 
 

@@ -6,8 +6,9 @@ projected Choi matrix's rank is certified from its pivoted Cholesky factor,
 and of rank 63, where the factor declines: ``eigh`` decides for a basis, one
 shifted ``cholesky`` for ``index``.  ``analyze`` and ``index`` also run on a
 map that is not CCP, whose verdict is ``eigvalsh``'s and whose witness one
-``solve`` finds.  The counts are exact; a change that adds or removes a
-kernel updates this table.
+``solve`` finds.  The library's witness search, which no CLI call makes,
+has rows of its own at n = 6.  The counts are exact; a change that adds or
+removes a kernel updates this table.
 """
 
 import importlib.util
@@ -18,6 +19,7 @@ import pytest
 from conftest import bench_corpus
 
 import cpsemi.cli as cli
+from cpsemi.symbols import block_positivity_witness
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_rows.py"
 _spec = importlib.util.spec_from_file_location("bench_rows", _TOOL)
@@ -53,6 +55,18 @@ LEDGER = {
 LEDGER_NOT_CCP = {
     "analyze": (0, 1, 0, 0, 1, 0),
     "index": (0, 1, 0, 0, 1, 0),
+}
+
+
+# map: counts of block_positivity_witness(mat, 50, seed=7) at n = 6, the
+# corpus's make_generator(default_rng(7), 6, 6, False) and
+# make_hp_map(default_rng(7), 6).  The 50 drawn tuples are decided at the side
+# n, which the ledger does not count; a generator passes them all, and eigh
+# of its projected Choi matrix gives the defect direction.
+WITNESS_N = 6
+LEDGER_WITNESS = {
+    "generator": (1, 0, 0, 0, 0, 0),
+    "hp map": (0, 0, 0, 0, 0, 0),
 }
 
 
@@ -95,6 +109,22 @@ def test_a_map_that_is_not_ccp_makes_the_ledgers_kernels(specs, command):
     with bench_rows.kernel_ledger(N * N) as counts:
         assert cli.main([command, "--input", files["not ccp"], "--output", out]) == 2
     assert tuple(counts[name] for name in _COLUMNS) == LEDGER_NOT_CCP[command]
+
+
+@pytest.mark.parametrize("kind", sorted(LEDGER_WITNESS))
+def test_the_witness_search_makes_the_ledgers_kernels(kind):
+    corpus, rng = bench_corpus(), np.random.default_rng(7)
+    if kind == "generator":
+        mat = corpus.make_generator(rng, WITNESS_N, WITNESS_N, False).mat
+    else:
+        mat = corpus.make_hp_map(rng, WITNESS_N)
+    with bench_rows.kernel_ledger(WITNESS_N * WITNESS_N) as counts:
+        found = block_positivity_witness(mat, 50, seed=7)
+    if kind == "generator":
+        assert found is None
+    else:
+        assert len(found[0]) == 3  # a drawn tuple; the defect tuple has length n
+    assert tuple(counts[name] for name in _COLUMNS) == LEDGER_WITNESS[kind]
 
 
 def test_the_ledger_counts_a_stack_by_its_matrices():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import (
@@ -6,6 +8,7 @@ from conftest import (
     bench_corpus,
     dense_projected_choi,
     dephasing_generator,
+    linalg_spy,
     loop_constrained_tuple,
     random_ccp_generator,
     random_hermitian,
@@ -16,6 +19,7 @@ from conftest import (
 
 import cpsemi.cli as cli
 import cpsemi.generator as generator
+import cpsemi.numerics as numerics
 import cpsemi.symbols as symbols
 from cpsemi.errors import (
     ConstraintViolated, DimensionMismatch, NotCCP, NotHermiticityPreserving, Overflow
@@ -325,17 +329,41 @@ def _frozen_maps():
             yield near, 300 + i
 
 
+def _one_term_tuples(rng, n, count):
+    """``count`` tuples of length 1 with x a = 0 and a != 0, shape (count, 1,
+    n, n): x is random but for a zero first column, and a = e_0 w* for a
+    random w.  (A random x is invertible, and forces a = 0.)"""
+    xs = np.stack([random_matrix(rng, n) for _ in range(count)])
+    xs[:, :, 0] = 0.0
+    as_ = np.zeros_like(xs)
+    as_[:, 0] = np.stack([random_matrix(rng, n)[0] for _ in range(count)])
+    return xs[:, None], as_[:, None]
+
+
 def test_block_operators_match_the_pairwise_loop():
     # every S of a stacked evaluation agrees with the one-pair-at-a-time
-    # reference to 1e-12 relative
+    # reference to 1e-12 relative, for tuples of length r = 1..4 in stacks
+    # of 1 and 20, whose count r^2 blocks L maps as the rows of one product
     for mat, seed in _frozen_maps():
         n = dim_of(mat)
-        xs, as_ = random_constrained_tuples(np.random.default_rng(seed), n, 20)
-        stacked = _block_operators(mat, xs, as_, DEFAULT_TOL)
-        assert stacked.shape == (20, n, n)
-        for i in range(20):
-            ref = loop_block_operator(mat, xs[i], as_[i])
-            assert np.linalg.norm(stacked[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+        rng = np.random.default_rng(seed)
+        stacks = [_one_term_tuples(rng, n, count) for count in (1, 20)]
+        stacks += [random_constrained_tuples(rng, n, count, r)
+                   for r in (2, 3, 4) for count in (1, 20)]
+        for xs, as_ in stacks:
+            count, r = xs.shape[:2]
+            stacked = _block_operators(mat, xs, as_, DEFAULT_TOL)
+            assert stacked.shape == (count, n, n)
+            for i in range(count):
+                ref = loop_block_operator(mat, xs[i], as_[i])
+                assert np.linalg.norm(stacked[i] - ref) <= 1e-12 * np.linalg.norm(ref), (r, i)
+        # the defect tuple, r = n: its S is u* J u e_0 e_0*, near 0 for a CCP
+        # map, so 1e-12 relative to ||L||_F (sum_k ||x_k|| ||a_k||)^2 >= ||S||
+        xs, as_ = symbols._defect_tuple(mat, superop_to_choi(mat))
+        size = np.linalg.norm(xs, axis=(1, 2)) @ np.linalg.norm(as_, axis=(1, 2))
+        stacked = _block_operators(mat, xs[None], as_[None], DEFAULT_TOL)[0]
+        ref = loop_block_operator(mat, xs, as_)
+        assert np.linalg.norm(stacked - ref) <= 1e-12 * np.linalg.norm(mat) * size**2
 
 
 def test_witness_search_returns_the_reference_tuple_bitwise():
@@ -504,6 +532,13 @@ def _projected(mat):
     return projected_choi(superop_to_choi(mat))
 
 
+def _certified(s):
+    """True iff ``s``, a result of the factor, is a certified spectrum: every
+    pair it holds is kept, where any other spectrum of a projected Choi
+    matrix holds the eigenvalue 0 along vec(1)."""
+    return s is not None and bool(s.kept().all())
+
+
 _CUT = DEFAULT_TOL.eig_cut * 4.0  # the cut at scale 4, the largest weight
 # (third weight, rank by the eigendecomposition or None for not CCP, certified)
 _NEAR_THE_CUT = [
@@ -521,8 +556,7 @@ _NEAR_THE_CUT = [
 def test_factor_certificate_declines_near_the_cut(third, rank, certified):
     mat = _weighted_jumps([4.0, 1.0, third])
     h = _projected(mat)
-    s = _factor_spectrum(h.copy(), DEFAULT_TOL)
-    assert (s is not None) == certified
+    assert _certified(_factor_spectrum(h.copy(), DEFAULT_TOL)) == certified
     ref = _hermitian_spectrum(h, True)
     got = _ccp_spectrum(mat)
     assert bool(got.psd()) == bool(ref.psd()) == (rank is not None)
@@ -557,7 +591,7 @@ def _reports_with_and_without_factor(tmp_path, monkeypatch, mat, *flags):
     reports = []
     for disable in (False, True):
         if disable:
-            monkeypatch.setattr(symbols, "_factor_spectrum", lambda h, tol: None)
+            monkeypatch.setattr(symbols, "_factor_spectrum", lambda h, tol, **kw: None)
         code = cli.main(["analyze", "--input", spec, "--output", str(out), *flags])
         reports.append((code, out.read_bytes()))
     return reports
@@ -575,13 +609,51 @@ def test_factor_certificate_declines_a_tight_tolerance(tmp_path, monkeypatch):
 
 
 def test_a_generator_that_is_not_ccp_keeps_its_witness(tmp_path, monkeypatch):
+    # the factor meets a negative pivot (a diagonal entry of h) and sends h
+    # to its eigenvalues and one solve: the report is the eigendecomposition's
+    # but for the last bits of the witness and its eigenvalue
     corpus = bench_corpus()
     rng = np.random.default_rng(11)
     mat = corpus.make_non_ccp(rng, corpus.make_generator(rng, 16, 3, False).mat)
-    assert _factor_spectrum(_projected(mat), DEFAULT_TOL) is None
+    assert not _certified(_factor_spectrum(_projected(mat), DEFAULT_TOL))
     with_factor, without = _reports_with_and_without_factor(tmp_path, monkeypatch, mat)
-    assert with_factor == without and with_factor[0] == 2
-    assert b'"witness"' in with_factor[1]
+    assert with_factor[0] == without[0] == 2
+    got, want = (json.loads(report) for _, report in (with_factor, without))
+    u, v = (np.array([complex(*pair) for pair in doc.pop("witness")]) for doc in (got, want))
+    assert np.linalg.norm(u - v) <= 1e-12
+    assert got.pop("projected_eigenvalue") == pytest.approx(want.pop("projected_eigenvalue"),
+                                                            rel=1e-12)
+    assert got == want
+
+
+# make_non_ccp of the corpus's generators at n = 16 whose factor meets a
+# pivot below -psd_slack s_lo only after step 0, as (seed, rank): one rng
+# per seed and size, drawing ranks 1, 2, 16, 64 and 255 in turn.  They are
+# all 8 such maps among n in {8, 12, 16} and seeds 0-5.
+_LATE_NEGATIVE_PIVOTS = [(0, 255), (1, 64), (1, 255), (2, 255), (3, 255), (4, 64),
+                         (5, 64), (5, 255)]
+
+
+def test_a_late_negative_pivot_takes_the_witness_route(monkeypatch):
+    # rank and decompose both find the witness by eigvalsh and one solve,
+    # the same bytes, and decompose makes no eigh at the side n^2
+    corpus = bench_corpus()
+    eigh = linalg_spy(monkeypatch, "eigh")
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for m in (1, 2, 16, 64, 255):
+            mat = corpus.make_non_ccp(rng, corpus.make_generator(rng, 16, m, seed % 2 == 0).mat)
+            if (seed, m) not in _LATE_NEGATIVE_PIVOTS:
+                continue
+            assert _projected(mat).diagonal().real.min() > -DEFAULT_TOL.psd_slack
+            with pytest.raises(NotCCP) as by_rank:
+                generator.rank(mat)
+            eigh.clear()
+            with pytest.raises(NotCCP) as by_decompose:
+                decompose(mat)
+            assert [shape for shape in eigh if shape[-1] == 256] == [], (seed, m)
+            assert by_rank.value.witness.tobytes() == by_decompose.value.witness.tobytes()
+            assert by_rank.value.eigenvalue == by_decompose.value.eigenvalue
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -607,12 +679,13 @@ def test_factor_certificate_agrees_with_the_eigendecomposition(n, monkeypatch):
 
     real, certified = symbols._factor_spectrum, []
     monkeypatch.setattr(
-        symbols, "_factor_spectrum", lambda h, tol: certified.append(real(h, tol)) or certified[-1]
+        symbols, "_factor_spectrum",
+        lambda h, tol, **kw: certified.append(real(h, tol, **kw)) or certified[-1],
     )
     with_factor = answers()
     # the 60 CCP cases of ranks 1, 2 and n; rank n^2 / 4 is the limit
-    assert sum(s is not None for s in certified) == 60
-    monkeypatch.setattr(symbols, "_factor_spectrum", lambda h, tol: None)
+    assert sum(map(_certified, certified)) == 60
+    monkeypatch.setattr(symbols, "_factor_spectrum", lambda h, tol, **kw: None)
     assert answers() == with_factor
 
 
@@ -632,19 +705,21 @@ def test_a_certified_spectrum_holds_the_kept_eigenpairs():
 
 def _spy_on_the_ladder(monkeypatch):
     """Record, per call, which step of the CCP ladder answered: 'factor',
-    'full rank' or 'eigenvalues' (the count of the eigenvalues alone)."""
+    'full rank' or 'eigenvalues' (the count of the eigenvalues alone, which
+    the factor itself asks for at a negative pivot)."""
     steps = []
 
-    def spy(name, real, answered):
+    def spy(name, module, real, answered):
         def call(*args, **kw):
             out = real(*args, **kw)
             steps.append((name, answered(out)))
             return out
-        monkeypatch.setattr(symbols, real.__name__, call)
+        monkeypatch.setattr(module, real.__name__, call)
 
-    spy("factor", symbols._factor_spectrum, lambda s: s is not None)
-    spy("full rank", symbols._full_rank_certified, bool)
-    spy("eigenvalues", symbols._witness_spectrum, lambda s: True)
+    spy("factor", symbols, symbols._factor_spectrum, _certified)
+    spy("full rank", symbols, symbols._full_rank_certified, bool)
+    for module in (symbols, numerics):
+        spy("eigenvalues", module, module._witness_spectrum, lambda s: True)
 
     def path():
         answered = [name for name, done in steps if done]

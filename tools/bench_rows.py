@@ -20,6 +20,14 @@ inputs.  The file is named after TREE's ``git rev-parse --short HEAD``, with
   ``make_unit_pair(default_rng(7), rank)``.
 * ``cold``: ``analyze`` and ``verify`` at n = 16, one subprocess per call,
   best of 5 wall times, with the child's peak RSS (its ``VmHWM``; Linux).
+* ``library``: the library's CCP routes, which no CLI call makes, at n in
+  {3, 4, 6} on ``make_generator(default_rng(7), n, n, False)`` and
+  ``make_hp_map(default_rng(7), n)``: ``block_positivity_witness(mat, 50,
+  seed=7)``, ``is_conditionally_cp(mat)`` and
+  ``is_completely_positive(evolve(mat, t))`` for t in (0.01, 0.1, 1.0), each
+  the best of 20 calls after one warm-up, in microseconds, and the kernel
+  counts of one more call.  ``passes`` is the verdict: True where the call
+  returns True or the witness search finds no tuple.
 
 :func:`kernel_ledger` is also the spy of ``tests/test_cost.py``.
 """
@@ -43,6 +51,8 @@ KERNELS = ("eigh", "eigvalsh", "cholesky", "qr", "solve")
 CHECKS = ("product_system", "domination", "gauge", "units", "covariance")
 SIZES = (4, 8, 16)
 COLD_N = 16
+LIBRARY_SIZES = (3, 4, 6)
+T_GRID = (0.01, 0.1, 1.0)
 
 
 @contextlib.contextmanager
@@ -141,6 +151,39 @@ def _cold(src: str, spec: str, out: str, rank: int) -> list[dict]:
     return rows
 
 
+def _library(corpus) -> list[dict]:
+    import numpy as np
+
+    from cpsemi import (
+        block_positivity_witness, evolve, is_completely_positive, is_conditionally_cp,
+    )
+
+    calls = {  # each returns the verdict: True where no witness is found
+        "block_positivity_witness": lambda mat: block_positivity_witness(mat, 50, seed=7) is None,
+        "is_conditionally_cp": is_conditionally_cp,
+    }
+    for t in T_GRID:
+        calls[f"is_completely_positive(evolve(mat, {t}))"] = (
+            lambda mat, t=t: is_completely_positive(evolve(mat, t)))
+    rows = []
+    for n in LIBRARY_SIZES:
+        maps = {"generator": corpus.make_generator(np.random.default_rng(7), n, n, False).mat,
+                "hp map": corpus.make_hp_map(np.random.default_rng(7), n)}
+        for kind, mat in maps.items():
+            for name, call in calls.items():
+                passes = call(mat)  # warm-up
+                times = []
+                for _ in range(20):
+                    start = time.perf_counter()
+                    call(mat)
+                    times.append(time.perf_counter() - start)
+                with kernel_ledger(n * n) as counts:
+                    call(mat)
+                rows.append({"call": name, "n": n, "map": kind, "passes": passes,
+                             "us": round(1e6 * min(times), 1), "kernels": dict(counts)})
+    return rows
+
+
 def _commit(tree: str) -> str:
     def git(*args):
         return subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True)
@@ -170,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     commit = _commit(tree)
     doc = {"commit": commit, "python": platform.python_version(), "numpy": np.__version__,
            "machine": platform.machine(), "cpus": os.cpu_count(), "blas_threads": 1,
-           "in_process": [], "cold": []}
+           "in_process": [], "cold": [], "library": _library(corpus)}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         for n in SIZES:
