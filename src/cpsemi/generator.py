@@ -94,11 +94,11 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
     One spectrum of the projected Choi matrix gives the verdict, the
     witness, the Kraus basis and the space's inner product.  From n = 8 it
     is first certified from a pivoted Cholesky factor, an r x r eigenproblem
-    at rank r, which gives only the kept pairs of a PSD matrix; a matrix
-    with a diagonal entry below -psd_slack s_lo is not PSD, and its
-    eigenvalues alone and one solve give its verdict and witness; where the
-    factor declines otherwise (rank n^2 / 4 or more, a margin of less than
-    10 to the cut or the slack) one eigendecomposition gives every pair
+    at rank r, which gives only the kept pairs of a PSD matrix; a pivot
+    below -psd_slack s_lo shows the matrix is not PSD, and its eigenvalues
+    alone and one solve give its verdict and witness; where the factor
+    declines (rank n^2 / 4 or more, a margin of less than 10 to the cut or
+    the slack) one eigendecomposition gives every pair
     (:func:`~cpsemi.symbols._ccp_spectrum`).
 
     :param mat: superoperator matrix of a Hermiticity-preserving,
@@ -131,10 +131,10 @@ def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     (the index of its minimal dilation to a semigroup of *-endomorphisms),
     so :func:`cpsemi.semigroup.index` is this function.
 
-    It reads a count and builds no canonical form: from n = 8 the rank is
-    certified by the pivoted factor below rank n^2 / 4, by one Cholesky
-    factorisation at rank n^2 - 1, and read off the eigenvalues alone
-    otherwise (:func:`~cpsemi.symbols._ccp_rank`).  It raises as
+    It reads a count and builds no canonical form, on the spectrum that
+    :func:`decompose` reads, so the two agree at every tolerance; from n = 8
+    one Cholesky factorisation certifies rank n^2 - 1 before any
+    eigendecomposition (:func:`~cpsemi.symbols._ccp_rank`).  It raises as
     :func:`decompose`.
     """
     return _ccp_rank(mat, tol)

@@ -19,12 +19,13 @@ most ``scale``, so a Cholesky factorisation of h + psd_slack * s_lo * 1
 proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
 :func:`_factor_spectrum` keeps the rule the same way for a matrix of low
 rank: a pivoted Cholesky factor and Weyl's inequality certify its PSD
-verdict and its kept pairs, a negative pivot shows it is not PSD, or it
-declines and the eigendecomposition decides.
-:func:`_full_rank_certified` certifies a rank of n^2 - 1, the largest of a
-projected Choi matrix, by one Cholesky factorisation and rank-one
-interlacing, and :func:`_witness_spectrum` finds the lowest eigenvector of a
-matrix that is not PSD by ``eigvalsh`` and one solve.
+verdict and its kept pairs, or a negative pivot shows it is not PSD and
+:func:`_witness_spectrum` finds the lowest eigenvector by ``eigvalsh`` and
+one solve, or it declines.  :func:`_full_rank_certified` certifies a rank
+of n^2 - 1, the largest of a projected Choi matrix, by one Cholesky
+factorisation and rank-one interlacing.  Where they decline, one ``eigh``
+decides: it is the one fallback, so a count and a basis read the same
+eigenvalues.
 Every matrix exponential is made here.  One whose norm overflows raises
 :class:`~cpsemi.errors.Overflow`, as does a Hermiticity, spectrum or PSD
 verdict on a matrix that is not finite, before any arithmetic on it.
@@ -121,9 +122,10 @@ class Spectrum(NamedTuple):
     ``scale`` is an array of shape (...), one anchor per matrix.  A spectrum
     certified from a factor (:func:`_factor_spectrum`) holds only its kept
     pairs: ``w`` is (r,), ``u`` is (k, r), every pair is kept and ``psd`` is
-    True.  One that :func:`_witness_spectrum` finds not PSD holds every
-    eigenvalue and only the lowest one's vector: ``u`` is (k, 1).  In each
-    kind, ``w[-1]`` and ``u[:, -1]`` are the lowest pair it holds.
+    True.  One that :func:`_witness_spectrum` returns is not PSD and holds
+    every eigenvalue and only the lowest one's vector: ``u`` is (k, 1).  Any
+    other spectrum of the CCP ladder is ``eigh``'s, with every pair.  In
+    each kind, ``w[-1]`` and ``u[:, -1]`` are the lowest pair it holds.
     """
 
     w: np.ndarray
@@ -180,7 +182,7 @@ def _diagonal_scale(h: np.ndarray) -> float:
     return anchor(float(np.abs(h.diagonal().real).max(initial=0.0)))
 
 
-def _factor_spectrum(h: np.ndarray, tol: Tolerances, *, vectors: bool = True) -> Spectrum | None:
+def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
     """The kept eigenpairs of ``h``, Hermitian and k x k, certified from a
     pivoted Cholesky factor; at a negative pivot, :func:`_witness_spectrum`'s
     spectrum; None where :func:`_hermitian_spectrum` must decide.
@@ -199,8 +201,7 @@ def _factor_spectrum(h: np.ndarray, tol: Tolerances, *, vectors: bool = True) ->
     positive or r would reach k / 4; None if a margin fails.  Where a pivot
     left (at step 0 a diagonal entry of h) falls below -psd_slack s_lo, s_lo
     = anchor(max |h_ii|), e_i* S e_i < 0 shows that h is not PSD; by how
-    much only an eigenvalue says, and :func:`_witness_spectrum` decides,
-    with ``vectors`` passed on.
+    much only an eigenvalue says, and :func:`_witness_spectrum` decides.
     """
     _require_finite(h)
     k = len(h)
@@ -211,7 +212,7 @@ def _factor_spectrum(h: np.ndarray, tol: Tolerances, *, vectors: bool = True) ->
     r, low = 0, 0.0  # low = max_j ||f_j||^2 <= F* F's largest eigenvalue
     while not within(_FACTOR_MARGIN * np.abs(d).sum(), rel, low):
         if d.min() < -tol.psd_slack * s_lo:
-            return _witness_spectrum(h, tol, vectors=vectors)
+            return _witness_spectrum(h, tol)
         p = int(np.argmax(d))
         if r == len(rows) or not d[p] > 0:
             return None
@@ -272,7 +273,7 @@ def _full_rank_certified(h: np.ndarray, tol: Tolerances) -> bool:
     return True
 
 
-def _witness_spectrum(h: np.ndarray, tol: Tolerances, *, vectors: bool) -> Spectrum:
+def _witness_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum:
     """Every eigenvalue of ``h``, Hermitian, and where h is not PSD the unit
     eigenvector of the lowest as the one column of ``u``, (k, 1), without the
     other k - 1 vectors.
@@ -282,22 +283,13 @@ def _witness_spectrum(h: np.ndarray, tol: Tolerances, *, vectors: bool) -> Spect
     lowest eigenvalue, gives the vector.  Its Rayleigh quotient rho and
     residual must meet ||h x - rho x|| <= residual (lam_2 - rho), lam_2 the
     next eigenvalue, which bounds the sine of its angle to the eigenvector by
-    ``residual`` (Davis-Kahan); else, or where h is PSD and ``vectors`` asks
-    for its eigenvectors, :func:`_hermitian_spectrum` decides with them.  It
-    decides too where an eigenvalue lies within 10 k eps ``scale``, about
-    the two drivers' rounding, of the cut eig_cut ``scale`` or the lowest of
-    -psd_slack ``scale``, so that the count and verdict are the
-    eigendecomposition's wherever rounding could move them.
+    ``residual`` (Davis-Kahan); else, or where h turns out PSD,
+    :func:`_hermitian_spectrum` decides with every eigenvector.
     """
     k = len(h)
     s = _hermitian_spectrum(h, False)
-    rounding = _FACTOR_MARGIN * k * np.finfo(float).eps * s.scale
-    if (np.abs(s.w - tol.eig_cut * s.scale) <= rounding).any() or (
-        abs(s.w[-1] + tol.psd_slack * s.scale) <= rounding
-    ):
-        return _hermitian_spectrum(h, True)
     if s.psd(tol):
-        return _hermitian_spectrum(h, True) if vectors else s
+        return _hermitian_spectrum(h, True)
     a = h.copy()
     a.reshape(-1)[:: k + 1] -= float(s.w[-1]) - np.finfo(float).eps * s.scale
     rng = np.random.default_rng(0)
@@ -330,7 +322,7 @@ def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     h *= 0.5
     diag = h.reshape(-1)[:: len(h) + 1]
     saved = diag.copy()
-    diag += tol.psd_slack * anchor(float(np.abs(saved).max(initial=0.0)))
+    diag += tol.psd_slack * _diagonal_scale(h)
     try:
         # a NaN or inf anywhere in h reaches a pivot: the factor is then no certificate
         if np.isfinite(np.linalg.cholesky(h).trace()):

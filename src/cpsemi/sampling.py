@@ -30,15 +30,20 @@ def random_cp_map(rng: np.random.Generator, n: int, m: int | None = None) -> np.
 def random_constrained_tuples(
     rng: np.random.Generator, n: int, count: int, r: int = 3
 ):
-    """``count`` random tuples of length ``r`` with sum_k x_k a_k = 0, as two
-    arrays ``xs`` and ``as_`` of shape (count, r, n, n).
+    """``count`` random tuples of length ``r`` >= 2 with sum_k x_k a_k = 0, as
+    two arrays ``xs`` and ``as_`` of shape (count, r, n, n).
 
     All x's and a_1, ..., a_{r-1} are random, drawn as by :func:`random_matrix`
     in the order x_1, ..., x_r, a_1, ..., a_{r-1}, tuple after tuple, so one
     call consumes the stream exactly as ``count`` calls with ``count=1`` do.
     The last a solves the constraint, a_r = -x_r^{-1} sum_{k<r} x_k a_k
     (x_r is almost surely invertible).
+
+    :raises ValueError: if ``r`` < 2: a tuple of length 1 has a_1 = 0, so
+        every S it gives is 0 and tests nothing.
     """
+    if r < 2:
+        raise ValueError(f"a constrained tuple needs length r >= 2, got {r}")
     normal = rng.standard_normal((count, 2 * r - 1, 2, n, n))
     ops = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
     xs, free = ops[:, :r], ops[:, r:]

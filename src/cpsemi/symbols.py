@@ -21,8 +21,7 @@ import numpy as np
 from .errors import ConstraintViolated, NotCCP, NotHermiticityPreserving
 from .numerics import (
     DEFAULT_TOL, Spectrum, Tolerances, _factor_spectrum, _full_rank_certified,
-    _hermitian_spectrum, _witness_spectrum, anchor, frob, is_hermitian,
-    spectrum, within,
+    _hermitian_spectrum, anchor, frob, is_hermitian, spectrum, within,
 )
 from .sampling import random_constrained_tuples
 from .superop import _fix_phases, _operator, dim_of, superop_to_choi, unvec, vec
@@ -132,28 +131,23 @@ def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     below -psd_slack s_lo at any step sends h to its eigenvalues alone and
     one solve for the lowest eigenvector
     (:func:`~cpsemi.numerics._witness_spectrum`).  Below n = 8, or where the
-    factor declines, one full eigendecomposition gives every pair.
+    factor declines, one full eigendecomposition gives every pair: the one
+    fallback of every rank, CCP verdict and Kraus basis.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     """
     h = _projected(mat, tol)
-    if dim_of(mat) < _FACTOR_MIN_N:
-        return _hermitian_spectrum(h, True)
-    s = _factor_spectrum(h, tol, vectors=True)
+    s = _factor_spectrum(h, tol) if dim_of(mat) >= _FACTOR_MIN_N else None
     return _hermitian_spectrum(h, True) if s is None else s
 
 
 def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """The rank of the projected Choi matrix h of a CCP map, a count read by
-    certificates where they hold: no Kraus basis, and from n = 8 no
-    eigenvector but a witness.
-
-    From n = 8: the pivoted factor's r, or where a pivot falls below
-    -psd_slack s_lo, h's eigenvalues alone and one solve; else,
-    when one Cholesky factorisation certifies it
-    (:func:`~cpsemi.numerics._full_rank_certified`), n^2 - 1; else the count
-    of its kept eigenvalues, computed without vectors.  Below n = 8 one full
-    eigendecomposition, as in :func:`_ccp_spectrum`.
+    """The rank of the projected Choi matrix h of a CCP map: the count of
+    :func:`_ccp_spectrum`'s kept pairs, with one more certificate before its
+    eigendecomposition.  From n = 8, where the factor declines and one
+    Cholesky factorisation certifies it
+    (:func:`~cpsemi.numerics._full_rank_certified`), the rank is n^2 - 1,
+    the largest, with no eigenvalue computed.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     :raises NotCCP: as :func:`_require_ccp`.
@@ -161,10 +155,10 @@ def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     h = _projected(mat, tol)
     if dim_of(mat) < _FACTOR_MIN_N:
         s = _hermitian_spectrum(h, True)
-    elif (s := _factor_spectrum(h, tol, vectors=False)) is None:
+    elif (s := _factor_spectrum(h, tol)) is None:
         if _full_rank_certified(h, tol):
             return len(h) - 1
-        s = _witness_spectrum(h, tol, vectors=False)
+        s = _hermitian_spectrum(h, True)
     return int(_require_ccp(s, tol).kept(tol).sum())
 
 

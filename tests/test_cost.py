@@ -4,11 +4,12 @@ Every subcommand, and each ``verify`` check alone, runs through ``cli.main``
 at n = 8 on the benchmark corpus's unital generators of rank 2, where the
 projected Choi matrix's rank is certified from its pivoted Cholesky factor,
 and of rank 63, where the factor declines: ``eigh`` decides for a basis, one
-shifted ``cholesky`` for ``index``.  ``analyze`` and ``index`` also run on a
-map that is not CCP, whose verdict is ``eigvalsh``'s and whose witness one
-``solve`` finds.  The library's witness search, which no CLI call makes,
-has rows of its own at n = 6.  The counts are exact; a change that adds or
-removes a kernel updates this table.
+shifted ``cholesky`` for ``index``.  ``analyze`` and ``index`` also run at
+rank 16 = n^2 / 4, where both certificates decline and ``index`` reads the
+one ``eigh`` that a basis reads, and on a map that is not CCP, whose verdict
+is ``eigvalsh``'s and whose witness one ``solve`` finds.  The library's
+witness search, which no CLI call makes, has rows of its own at n = 6.  The
+counts are exact; a change that adds or removes a kernel updates this table.
 """
 
 import importlib.util
@@ -40,6 +41,8 @@ LEDGER = {
     (2, "verify gauge"): (0, 0, 0, 0, 0, 0),
     (2, "verify units"): (0, 0, 6, 0, 0, 2),
     (2, "verify covariance"): (0, 0, 0, 0, 0, 0),
+    (16, "analyze"): (1, 0, 0, 0, 0, 0),
+    (16, "index"): (1, 0, 1, 0, 0, 0),
     (63, "analyze"): (1, 0, 0, 0, 0, 0),
     (63, "decompose"): (1, 0, 0, 0, 0, 0),
     (63, "index"): (0, 0, 1, 0, 0, 0),
@@ -75,7 +78,7 @@ def specs(tmp_path_factory):
     corpus = bench_corpus()
     tmp = tmp_path_factory.mktemp("ledger")
     files = {}
-    for rank in (2, 63):
+    for rank in (2, 16, 63):
         gen = corpus.make_generator(np.random.default_rng(7), N, rank, True)
         pair = corpus.make_unit_pair(np.random.default_rng(7), rank)
         files[rank] = (

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from conftest import (
     loop_constrained_tuple,
     random_ccp_generator,
@@ -49,7 +50,7 @@ def test_batched_draw_matches_repeated_single_draws():
     # one call of count tuples consumes the stream like count reference
     # draws and returns the same operators, bit for bit
     for n in (2, 3, 4, 6):
-        for r in (1, 3):
+        for r in (2, 3):
             xs, as_ = random_constrained_tuples(np.random.default_rng(n), n, 12, r)
             assert xs.shape == as_.shape == (12, r, n, n)
             rng = np.random.default_rng(n)
@@ -61,6 +62,12 @@ def test_batched_draw_matches_repeated_single_draws():
             (one_xs,), (one_as,) = random_constrained_tuples(np.random.default_rng(n), n, 1, r)
             for got, ref in zip((*one_xs, *one_as), (*xs[0], *as_[0])):
                 assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_a_constrained_tuple_of_length_one_is_refused():
+    # x_1 a_1 = 0 with x_1 invertible forces a_1 = 0: such a tuple tests nothing
+    with pytest.raises(ValueError, match="r >= 2"):
+        random_constrained_tuples(np.random.default_rng(0), 3, 4, 1)
 
 
 def test_sampling_is_reproducible():

@@ -705,8 +705,8 @@ def test_a_certified_spectrum_holds_the_kept_eigenpairs():
 
 def _spy_on_the_ladder(monkeypatch):
     """Record, per call, which step of the CCP ladder answered: 'factor',
-    'full rank' or 'eigenvalues' (the count of the eigenvalues alone, which
-    the factor itself asks for at a negative pivot)."""
+    'full rank', 'witness' (the eigenvalues and one solve, which the factor
+    itself asks for at a negative pivot) or 'eigh' (the one fallback)."""
     steps = []
 
     def spy(name, module, real, answered):
@@ -718,8 +718,8 @@ def _spy_on_the_ladder(monkeypatch):
 
     spy("factor", symbols, symbols._factor_spectrum, _certified)
     spy("full rank", symbols, symbols._full_rank_certified, bool)
-    for module in (symbols, numerics):
-        spy("eigenvalues", module, module._witness_spectrum, lambda s: True)
+    spy("witness", numerics, numerics._witness_spectrum, lambda s: True)
+    spy("eigh", symbols, symbols._hermitian_spectrum, lambda s: True)
 
     def path():
         answered = [name for name, done in steps if done]
@@ -739,8 +739,8 @@ def _or_none(count, mat):
 @pytest.mark.parametrize("n", [8, 16])
 def test_rank_is_decomposes_dimension_by_the_expected_certificate(n, monkeypatch):
     corpus = bench_corpus()
-    expected = {1: "factor", 2: "factor", n * n // 4: "eigenvalues",
-                n * n - 2: "eigenvalues", n * n - 1: "full rank"}
+    expected = {1: "factor", 2: "factor", n * n // 4: "eigh",
+                n * n - 2: "eigh", n * n - 1: "full rank"}
     for seed in range(10):
         for m, step in expected.items():
             mat = corpus.make_generator(np.random.default_rng(seed), n, m, seed % 2 == 0).mat
@@ -756,13 +756,16 @@ def test_rank_near_the_cut_is_decomposes_dimension(third, rank, certified, monke
     mat = _weighted_jumps([4.0, 1.0, third])
     path = _spy_on_the_ladder(monkeypatch)
     assert _or_none(generator.rank, mat) == rank
-    assert path() == ("factor" if certified else "eigenvalues")
+    # a map that is not CCP meets a negative pivot; any other the factor declines
+    assert path() == ("factor" if certified else "eigh" if rank else "witness")
     assert _or_none(lambda m: decompose(m).space.dim, mat) == rank
 
 
 def test_rank_at_a_tight_tolerance_is_decomposes_dimension():
     # at --tol 1e-15 the cut lies within rounding of the eigenvalue along
-    # vec(1); the eigenvalues alone counted 65 here where eigh counts 64
+    # vec(1); eigvalsh counted 65 here where eigh counts 64, so a count
+    # reads eigh wherever the certificates decline
     mat = bench_corpus().make_generator(np.random.default_rng(5), 16, 64, False).mat
-    tol = Tolerances(1e-15)
-    assert generator.rank(mat, tol) == decompose(mat, tol).space.dim
+    for rel in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+        tol = Tolerances(rel)
+        assert generator.rank(mat, tol) == decompose(mat, tol).space.dim, rel

@@ -12,11 +12,11 @@ inputs.  The file is named after TREE's ``git rev-parse --short HEAD``, with
 
 * ``in_process``: the ``analyze``, ``decompose``, ``index`` and
   ``covariance`` subcommands and each ``verify`` check alone (``verify
-  <check>``) at n in {4, 8, 16} and ranks {2, n^2 - 1}, and ``analyze`` and
-  ``index`` on ``make_non_ccp`` of the rank-2 generator (``ccp`` false, exit
-  2), each through ``cli.main`` with ``--output`` to a temporary file: the
-  best of 3 calls after one warm-up, and the kernel counts of one more call
-  (:func:`kernel_ledger`, side n^2).  ``covariance`` reads
+  <check>``) at n in {4, 8, 16} and ranks {2, n^2 / 4, n^2 - 1}, and
+  ``analyze`` and ``index`` on ``make_non_ccp`` of the rank-2 generator
+  (``ccp`` false, exit 2), each through ``cli.main`` with ``--output`` to a
+  temporary file: the best of 3 calls after one warm-up, and the kernel
+  counts of one more call (:func:`kernel_ledger`, side n^2).  ``covariance`` reads
   ``make_unit_pair(default_rng(7), rank)``.
 * ``cold``: ``analyze`` and ``verify`` at n = 16, one subprocess per call,
   best of 5 wall times, with the child's peak RSS (its ``VmHWM``; Linux).
@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         for n in SIZES:
-            for rank in (2, n * n - 1):
+            for rank in (2, n * n // 4, n * n - 1):
                 gen = corpus.make_generator(np.random.default_rng(7), n, rank, True)
                 spec = corpus.write_json(os.path.join(tmp, f"n{n}.r{rank}.json"),
                                          corpus.spec_superop(gen.mat))
