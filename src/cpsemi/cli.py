@@ -16,6 +16,13 @@ nested lists of such pairs::
     {"type": "gkls", "n": 2, "kraus": [[[..]..]..], "k": [[..]..]}
     {"type": "hamiltonian_lindblad", "n": 2, "h": [[..]..], "lindblad": [..]}
 
+A spec's top-level arrays of [re, im] pairs are read flat where their
+skeleton, the structure bytes that one pass keeps, is rectangular: orjson
+parses their numbers as one list each, and the rest of the text apart
+(:func:`_read_flat`).  Everything else takes the reference route, orjson or
+the json module on the whole text and :func:`decode`'s walk of the nested
+lists (:func:`_parse`), with the same arrays and messages.
+
 A report's numeric data are float arrays from :func:`encode`.  Output
 (stdout or --output) is the text of json.dumps(report, sort_keys=True,
 indent=2, default=np.ndarray.tolist) plus a newline; it is byte-identical
@@ -100,8 +107,12 @@ def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
     finite and exactly an ``int`` or a ``float`` (``bool`` is a subclass of
     ``int``, so JSON ``true`` is not a number here).  It is flattened a level
     at a time; only malformed input is made an object array, to name its shape.
+    An array that :func:`_read_json` read flat holds finite numbers, so only
+    its shape is checked (by the same walk, where it is not ``want``).
     """
     want = shape + (2,)
+    if isinstance(obj, np.ndarray) and obj.shape == want:  # read flat by _read_json
+        return obj.view(complex).reshape(shape)
     flat = [obj]
     try:
         for size in want:
@@ -132,28 +143,42 @@ def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
 # about 10^5 deep overflows the C stack (the json module raises
 # RecursionError instead).
 _MAX_DEPTH = 64
-# Every byte but brackets, quotes and the backslash (see _nesting_depth).
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+# Every byte but brackets, braces, commas, quotes and the backslash (see _skeleton).
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{},"\\')))
+# The flat text of an array (see _flat_array): brackets become spaces, and each
+# byte that is not whitespace, a comma or part of a number "#", which no JSON
+# holds outside a string.
+_FLAT = bytes(32 if c in b"[]" else c if c in b"\t\n\r ,+-.0123456789Ee" else 35 for c in range(256))
+# Bytes of text per step of _pairs_filled: its temporaries stay in cache and
+# are reused, where whole-text ones cost a page fault per 4 kB.
+_BLOCK = 1 << 16
+# The keys of a generator spec whose values are arrays of [re, im] pairs.
+_ARRAYS = (b"matrix", b"kraus", b"k", b"h", b"lindblad")
 
 
-def _nesting_depth(raw: bytes) -> int:
-    """Deepest nesting of arrays and objects in the JSON text ``raw``, for
-    text that is valid JSON (orjson builds nothing from any other).
-
-    Without a backslash no quote is escaped, so the quotes pair up and
-    brackets between a pair belong to a string.  Text with a backslash counts
-    as nested ``len(raw)`` deep.
-    """
+def _skeleton(raw: bytes) -> list[bytes] | None:
+    """The structure bytes of the JSON text ``raw`` split at its quotes, or
+    None if it holds a backslash: without one the quotes pair up, and the
+    pieces at odd indices are strings."""
     skeleton = raw.translate(None, _NOT_STRUCTURE)
-    if b"\\" in skeleton:
+    return None if b"\\" in skeleton else skeleton.split(b'"')
+
+
+def _nesting_depth(raw: bytes, pieces: list[bytes] | None) -> int:
+    """Deepest nesting of arrays and objects in the JSON text ``raw`` whose
+    skeleton is ``pieces`` (see :func:`_skeleton`), for text that is valid
+    JSON (orjson builds nothing from any other).  Text with a backslash
+    counts as nested ``len(raw)`` deep."""
+    if pieces is None:
         return len(raw)
-    brackets = np.frombuffer(b"".join(skeleton.split(b'"')[::2]), dtype=np.uint8)
+    brackets = np.frombuffer(b"".join(pieces[::2]).translate(None, b","), dtype=np.uint8)
     steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
     return int(np.cumsum(steps).max(initial=0))
 
 
-def _parse(path: str, raw: bytes):
-    """The JSON value of the bytes of an input file.
+def _parse(path: str, raw: bytes, pieces: list[bytes] | None):
+    """The JSON value of the bytes of an input file, whose skeleton is
+    ``pieces``: the reference route.
 
     orjson parses the file.  The json module, which defines the input format,
     parses what orjson refuses (NaN, Infinity, numbers beyond the float range,
@@ -164,7 +189,7 @@ def _parse(path: str, raw: bytes):
     an integer beyond 64 bits, which orjson returns as a float, is a float
     after ``decode`` and out of range for ``n`` either way.
     """
-    if _nesting_depth(raw) <= _MAX_DEPTH:
+    if _nesting_depth(raw, pieces) <= _MAX_DEPTH:
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:
@@ -177,14 +202,116 @@ def _parse(path: str, raw: bytes):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _read_json(path: str) -> dict:
-    """The top-level JSON object of an input file."""
+def _rectangular(piece: bytes) -> list[int] | None:
+    """The shape ``s`` such that ``piece`` is the skeleton of an array of
+    [re, im] pairs nested to ``s + [2]``, then a ``,`` or ``}``; or None.
+    Level j starts at byte j, and its first element ends where the first run
+    of depth - j closing brackets does: the lengths of two levels' first
+    elements give the size of the outer one."""
+    depth = piece.find(b",")  # the first pair's comma
+    if not 1 < depth <= _MAX_DEPTH or piece[-1:] not in (b",", b"}"):
+        return None
+    shape, template = [], b"[,]"
+    for closers in range(2, depth + 1):
+        level = depth - closers
+        end = piece.find(b"]" * closers) + closers if level else len(piece) - 1
+        size, rest = divmod(end - level - 1, len(template) + 1)
+        if size < 1 or rest:
+            return None
+        shape.insert(0, size)
+        template = b"[" + b",".join([template] * size) + b"]"
+    return shape if piece.startswith(template) else None
+
+
+def _pairs_filled(raw: bytes, start: int, end: int) -> bool:
+    """Whether the byte inside each bracket of the text ``raw[start:end]`` is
+    above the comma, as a number's first and last bytes are (whitespace is
+    not)."""
+    u = np.frombuffer(raw, dtype=np.uint8, count=end - start, offset=start)
+    for at in range(0, len(u) - 1, _BLOCK):
+        v = u[at : at + _BLOCK + 1]
+        low = v <= ord(",")
+        if ((v[:-1] == ord("[")) & low[1:]).any() or (low[:-1] & (v[1:] == ord("]"))).any():
+            return False
+    return True
+
+
+def _flat_array(flat: bytearray, start: int, end: int, shape: list[int]):
+    """The float array of shape ``shape + [2]`` spelled by the text whose flat
+    form is ``flat[start:end]``, a text whose skeleton is that of such an
+    array and whose pairs are filled (:func:`_pairs_filled`); None if orjson
+    refuses it or an entry is not finite.
+
+    orjson parses the flat form, outer brackets put back, as one list, and
+    judges each number and what lies between two: so one number lies between
+    each two commas of the skeleton.  A filled pair's two slots hold one each,
+    so none lies between two brackets, and the nesting is the skeleton's.
+    """
+    flat[start], flat[end - 1] = ord("["), ord("]")
+    try:
+        numbers = orjson.loads(memoryview(flat)[start:end])
+    except orjson.JSONDecodeError:
+        return None
+    f = np.fromiter(numbers, dtype=float, count=len(numbers))
+    return f.reshape(*shape, 2) if np.isfinite(f).all() else None
+
+
+def _read_flat(raw: bytes, pieces: list[bytes], arrays) -> dict | None:
+    """The top-level JSON object of ``raw``, whose skeleton is ``pieces``, with
+    the value of each key in ``arrays`` that is an array of filled [re, im]
+    pairs read flat (:func:`_flat_array`); None where ``raw`` takes the
+    reference route (:func:`_parse`).  Such a value is cut out for a string
+    that no text without a backslash holds, ``"\\u0000<i>"``, and orjson parses
+    the rest.  Every failure declines, and so does a cut value that is not
+    then its key's value at the top level (a duplicate key, say)."""
+    cuts, quotes = [], [-1]  # quotes[i]: the quote before pieces[i]
+    for i in range(2, len(pieces), 2):
+        if not (shape := _rectangular(pieces[i])):
+            continue
+        while len(quotes) <= i:
+            quotes.append(raw.find(b'"', quotes[-1] + 1))
+        key = raw[quotes[i - 1] + 1 : quotes[i]]
+        if key in arrays:
+            stop = raw.find(b'"', quotes[i] + 1)
+            start = raw.find(b"[", quotes[i])
+            end = raw.rfind(b"]", start, len(raw) if stop < 0 else stop) + 1
+            if _pairs_filled(raw, start, end):
+                cuts.append((i, start, end, shape, key.decode()))
+    if not cuts:
+        return None
+    parts, done, rest = [], 0, pieces[:]
+    for k, (i, start, end, _, _) in enumerate(cuts):
+        parts += (raw[done:start], b'"\\u0000%d"' % k)
+        rest[i], done = pieces[i][-1:], end
+    parts.append(raw[done:])
+    if _nesting_depth(raw, rest) > _MAX_DEPTH:
+        return None
+    try:
+        doc = orjson.loads(b"".join(parts))
+    except orjson.JSONDecodeError:
+        return None
+    if not isinstance(doc, dict) or any(doc.get(c[4]) != f"\0{k}" for k, c in enumerate(cuts)):
+        return None
+    flat = bytearray(raw).translate(_FLAT)  # mutable: _flat_array puts brackets back
+    for _, start, end, shape, key in cuts:
+        doc[key] = _flat_array(flat, start, end, shape)
+        if doc[key] is None:
+            return None
+    return doc
+
+
+def _read_json(path: str, arrays=()) -> dict:
+    """The top-level JSON object of an input file, with the values of the keys
+    in ``arrays`` read flat where they can be (see :func:`_read_flat`)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    doc = _parse(path, raw)
+    pieces = _skeleton(raw)
+    doc = _read_flat(raw, pieces, arrays) if pieces and arrays else None
+    if doc is None:
+        doc = _parse(path, raw, pieces)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -192,14 +319,14 @@ def _read_json(path: str) -> dict:
 
 def _decode_stack(doc: dict, key: str, n: int) -> np.ndarray:
     ops = doc.get(key)
-    if not isinstance(ops, list):
+    if not isinstance(ops, (list, np.ndarray)):
         raise ParseError(f"'{key}' must be a list of matrices")
     return decode(ops, (len(ops), n, n), key)
 
 
 def load_generator(path: str, tol: Tolerances) -> tuple[np.ndarray, int]:
     """Read a generator spec file and return (superoperator matrix, n)."""
-    doc = _read_json(path)
+    doc = _read_json(path, _ARRAYS)
     kind = doc.get("type")
     n = doc.get("n")
     if type(n) is not int or not 2 <= n <= 16:
@@ -489,8 +616,9 @@ def _check_flags(args) -> Tolerances:
 @contextlib.contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector, restoring its state on the way out:
-    it would rescan the 65,536 parsed lists of an n = 16 spec, none in a cycle,
-    at every collection.  The first collection after the call finds its cycles."""
+    it would rescan the 65,536 lists of an n = 16 spec parsed on the reference
+    route, none in a cycle, at every collection.  The first collection after
+    the call finds its cycles."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -938,9 +938,9 @@ def test_collector_state_is_restored(
 # The input reader: orjson, with the json module as the reference
 
 
-def _reference_read_json(path):
+def _reference_read_json(path, arrays=()):
     """The json module on the file opened in text mode: the reference for
-    what the reader accepts and for its messages."""
+    what the reader accepts and for its messages.  It reads no array flat."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -961,6 +961,15 @@ def _load_outcome(path):
     return "ok", n, mat.shape, mat.tobytes()
 
 
+def _reference_outcome(path, monkeypatch):
+    """``_load_outcome`` with the json module reading the file and the flat
+    route declining."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_json", _reference_read_json)
+        m.setattr(cli, "_read_flat", lambda *args: None)
+        return _load_outcome(path)
+
+
 def _spec_text(entry="0.0", n="2"):
     """A superop spec whose first matrix entry and whose n are the given
     JSON literals."""
@@ -970,6 +979,16 @@ def _spec_text(entry="0.0", n="2"):
     return json.dumps(doc).replace('"ENTRY"', entry).replace('"N"', n)
 
 
+def _with_text(doc, path, text):
+    """The JSON text of ``doc`` with the value at ``path`` spelled ``text``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "HERE"
+    return json.dumps(doc).replace('"HERE"', text)
+
+
 _ENTRY_LITERALS = [
     "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400,
     str(2**64), str(2**64 - 1), str(-(2**63) - 1), str(-(2**63)), str(2**64 + 2048),
@@ -977,7 +996,7 @@ _ENTRY_LITERALS = [
     "-0", "-0.0", "0", "1E5", "1e-5", "1.5E+300", "4.9e-324", "2.4703282292062327e-324",
     "2.2250738585072011e-308", "1e-400", "0.1000000000000000055511151231257827",
     "2.00000000000000011102230246251565404236316680908203125", "9007199254740993.0",
-    "1.7976931348623157e308", "1.7976931348623159e308", "true", "null", '"1"', "[]",
+    "1.7976931348623157e308", "1.7976931348623159e308", "true", "null", '"1"', "[]", "-", "01",
 ]
 _N_LITERALS = [
     str(2**64), str(-(2**63) - 1), "1" + "0" * 400, "2.0", "2e0", "-0", "NaN", "16", "17",
@@ -1006,23 +1025,112 @@ _DOCUMENTS = {
     "leading-zero": _spec_text("01").encode(),
     "deep-matrix": _spec_text("[" * 80 + "1" + "]" * 80).encode(),
 }
-_READER_CASES = (
-    [pytest.param(_spec_text(lit).encode(), id=f"entry={lit[:24]}") for lit in _ENTRY_LITERALS]
-    + [pytest.param(_spec_text(n=lit).encode(), id=f"n={lit[:24]}") for lit in _N_LITERALS]
-    + [pytest.param(raw, id=name) for name, raw in _DOCUMENTS.items()]
+
+
+def _gkls_doc():
+    return {"type": "gkls", "n": 2, "kraus": [m2j(SZ), m2j(np.eye(2))], "k": m2j(-np.eye(2))}
+
+
+_SUPEROP = superop_doc(dephasing_generator(), 2)
+_SUPEROP_TEXT = json.dumps(_SUPEROP)
+_LARGE = json.dumps(superop_doc(random_ccp_generator(np.random.default_rng(3), 8), 8))
+_MATRIX = json.dumps(_SUPEROP["matrix"])
+_ROUTE_CASES = {
+    "newline-in-array": (_SUPEROP_TEXT.replace(", ", ",\n"), True),
+    "tab-in-array": (_SUPEROP_TEXT.replace(", ", ",\t"), True),
+    "crlf-in-array": (_SUPEROP_TEXT.replace(", ", ",\r\n"), True),
+    "newline-after-a-bracket": (_SUPEROP_TEXT.replace("[", "[\n"), False),
+    "space-before-a-bracket": (_SUPEROP_TEXT.replace("]", " ]"), False),
+    "pair-[1,,2]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1,,2]"), False),
+    "pair-[1 2]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1 2]"), False),
+    "pair-[1,]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1,]"), False),
+    "pair-[1,2,3]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1,2,3]"), False),
+    "pair-[[1],2]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[[1],2]"), False),
+    "number-after-a-pair": (
+        _with_text(_SUPEROP, ("matrix", 0), "[[1, ]2, [3, 4], [5, 6], [7, 8]]"), False),
+    "number-before-a-pair": (
+        _with_text(_SUPEROP, ("matrix", 0), "[[1, 2], 3[, 4], [5, 6], [7, 8]]"), False),
+    "numbers-joined-across-a-bracket": (
+        _with_text(_SUPEROP, ("matrix", 0), "[[1, 2]3, [4, 5], [6, 7], [8, 9]]"), False),
+    "ragged-rows-of-one-skeleton-length": (
+        _with_text(_SUPEROP, ("matrix", 1), "[[1, 2, 3], [4], [5, 6], [7, 8]]"), False),
+    "duplicate-matrix-last-not-numeric": (_SUPEROP_TEXT[:-1] + ', "matrix": "x"}', False),
+    "duplicate-matrix-both-numeric": (
+        _SUPEROP_TEXT[:-1] + ', "matrix": ' + _MATRIX.replace("-2.0", "-3.0") + "}", False),
+    "duplicate-matrix-first-not-numeric": ('{"matrix": "x", ' + _SUPEROP_TEXT[1:], True),
+    "syntax-error-after-a-large-matrix": (_LARGE[:-1] + ', "x": bogus}', False),
+    "bad-token-under-an-unknown-key": (_SUPEROP_TEXT[:-1] + ', "x": [[1, 01]]}', False),
+    "numeric-array-under-an-unknown-key": (_SUPEROP_TEXT[:-1] + ', "x": [[1, 2]]}', True),
+    "numeric-array-below-the-top-level": (
+        _SUPEROP_TEXT[:-1] + ', "o": {"matrix": ' + _MATRIX + ', "y": 1}}', False),
+    "non-ascii-key": (_SUPEROP_TEXT[:-1] + ', "clé": 1}', True),
+    "bom-leaves-the-flat-route": ("\ufeff" + _SUPEROP_TEXT, False),
+    "empty-kraus-stack": (json.dumps({**_gkls_doc(), "kraus": []}), True),
+    "ragged-kraus-stack": (
+        json.dumps({**_gkls_doc(), "kraus": [m2j(SZ), m2j(np.eye(2))[:1]]}), True),
+    "kraus-of-wrong-size": (json.dumps({**_gkls_doc(), "kraus": [m2j(np.eye(3))]}), True),
+    "hamiltonian-lindblad": (json.dumps(_specs()["hamiltonian_lindblad"]), True),
+}
+_READER_CASES = (  # (text, whether the flat route reads it, or None: either)
+    [pytest.param(_spec_text(lit).encode(), None, id=f"entry={lit[:24]}")
+     for lit in _ENTRY_LITERALS]
+    + [pytest.param(_spec_text(n=lit).encode(), None, id=f"n={lit[:24]}") for lit in _N_LITERALS]
+    + [pytest.param(raw, None, id=name) for name, raw in _DOCUMENTS.items()]
+    + [pytest.param(text.encode(), flat, id=name) for name, (text, flat) in _ROUTE_CASES.items()]
 )
 
 
-@pytest.mark.parametrize("raw", _READER_CASES)
-def test_reader_matches_the_json_module(raw, tmp_path, monkeypatch):
+def _flat_outcome(path, monkeypatch):
+    """``_load_outcome`` and whether the flat route read the file."""
+    docs = [None]
+    real = cli._read_flat
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_flat", lambda *args: docs.append(real(*args)) or docs[-1])
+        return _load_outcome(path), docs[-1] is not None
+
+
+@pytest.mark.parametrize("raw, flat", _READER_CASES)
+def test_reader_matches_the_json_module(raw, flat, tmp_path, monkeypatch):
     path = tmp_path / "spec.json"
     path.write_bytes(raw)
-    got = _load_outcome(str(path))
-    monkeypatch.setattr(cli, "_read_json", _reference_read_json)
-    assert got == _load_outcome(str(path))
+    got, read_flat = _flat_outcome(str(path), monkeypatch)
+    assert flat is None or read_flat == flat
+    assert got == _reference_outcome(str(path), monkeypatch)
+
+
+_SWEEP_BYTES = b'[]{},:" \t\n\r-+.eE0123456789tfnNI\\ax\xc3\xff'
+
+
+def test_single_byte_edits_read_like_the_json_module(tmp_path, monkeypatch):
+    """Each spec type at n = 2 and 3, with one byte replaced, inserted or
+    deleted at a random place: the reader gives the reference's matrix or
+    its message."""
+    rng = np.random.default_rng(30)
+    docs = []
+    for n in (2, 3):
+        gen = random_ccp_generator(rng, n, 2)
+        dec = decompose(gen, DEFAULT_TOL)
+        ops = [m2j(v) for v in dec.space.basis]
+        docs += [superop_doc(gen, n), {"type": "gkls", "n": n, "kraus": ops, "k": m2j(dec.k)},
+                 {"type": "hamiltonian_lindblad", "n": n, "h": m2j(np.eye(n)), "lindblad": ops}]
+    path = tmp_path / "spec.json"
+    routes = []
+    for doc in docs:
+        raw = json.dumps(doc).encode()
+        for _ in range(150):
+            at = int(rng.integers(len(raw)))
+            byte = _SWEEP_BYTES[int(rng.integers(len(_SWEEP_BYTES)))].to_bytes(1, "big")
+            edit = int(rng.integers(3))  # replace, insert, delete
+            path.write_bytes(raw[:at] + (byte if edit < 2 else b"") + raw[at + (edit != 1):])
+            got, flat = _flat_outcome(str(path), monkeypatch)
+            assert got == _reference_outcome(str(path), monkeypatch), path.read_bytes()
+            routes.append(flat)
+    assert 100 < sum(routes) < len(routes) - 100  # both routes are taken often
 
 
 def test_reader_rounds_numbers_like_the_json_module(tmp_path):
+    """The flat route reads 6,000 number literals as a vector of [re, im]
+    pairs, bit for bit as the json module reads them."""
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
     literals = [repr(x) for x in bits[np.isfinite(bits)].tolist()]
@@ -1033,18 +1141,21 @@ def test_reader_rounds_numbers_like_the_json_module(tmp_path):
     for _ in range(500):  # integers, most beyond 64 bits
         digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 300)))))
         literals.append(digits.lstrip("0") or "0")
+    literals += ["0"] * (len(literals) % 2)
+    pairs = ", ".join(f"[{re}, {im}]" for re, im in zip(literals[::2], literals[1::2]))
     path = tmp_path / "numbers.json"
-    path.write_text('{"x": [' + ", ".join(literals) + "]}")
-    got = cli._read_json(str(path))["x"]
-    ref = _reference_read_json(str(path))["x"]
-    assert len(got) == len(ref) == len(literals)
-    assert np.array(got, dtype=float).tobytes() == np.array(ref, dtype=float).tobytes()
-    # orjson returns an integer beyond 64 bits as a float; decode makes every
-    # entry a float either way, so that is the only difference of type
-    assert all(type(g) is type(r) or abs(r) >= 2**63 for g, r in zip(got, ref))
+    path.write_text('{"h": [' + pairs + "]}")
+    got = cli._read_json(str(path), (b"h",))["h"]
+    ref = _reference_read_json(str(path))["h"]
+    assert isinstance(got, np.ndarray) and got.shape == (len(literals) // 2, 2)
+    assert got.tobytes() == np.array(ref, dtype=float).tobytes()
 
 
 def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
+    """Well-formed specs are read without the json module, and those at n = 8
+    of each type without ``decode``'s object walk: every array reaches
+    ``decode`` as a float array.  A units file, whose value holds objects,
+    is read as lists."""
     calls = []
     real = json.loads
 
@@ -1056,9 +1167,32 @@ def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
     good.write_text(_spec_text())
     nan = tmp_path / "nan.json"
     nan.write_text(_spec_text("NaN"))
+    corpus = bench_corpus()
+    gen = corpus.make_generator(np.random.default_rng(5), 8, 3, True)
+    specs = [write(tmp_path, f"{i}.json", doc) for i, doc in enumerate(
+        [corpus.spec_superop(gen.mat), corpus.spec_gkls(gen), corpus.spec_hamiltonian_lindblad(gen)])]
+    pair = corpus.make_unit_pair(np.random.default_rng(5), 3)
+    units = write(tmp_path, "units.json", pair.to_json())
+    seen = []
+    real_decode = cli.decode
+
+    def decode_spy(obj, shape, what):
+        seen.append((what, type(obj)))
+        return real_decode(obj, shape, what)
+
     monkeypatch.setattr(cli.json, "loads", spy)
     mat, n = cli.load_generator(str(good), DEFAULT_TOL)
     assert n == 2 and mat.tobytes() == dephasing_generator().tobytes()
+    monkeypatch.setattr(cli, "decode", decode_spy)
+    for path in specs:
+        mat, n = cli.load_generator(path, DEFAULT_TOL)
+        assert n == 8 and np.allclose(mat, gen.mat, rtol=0, atol=1e-12)
+    assert seen == [(what, np.ndarray) for what in ("matrix", "kraus", "k", "h", "lindblad")]
+    seen.clear()
+    u1, u2 = cli.load_units(units, decompose(gen.mat, DEFAULT_TOL))
+    assert [kind for _, kind in seen] == [list] * 4
+    assert u1.v_coords.tobytes() == pair.v1.astype(complex).tobytes()
+    assert (u1.c, u2.c) == (pair.c1, pair.c2)
     assert calls == []
     with pytest.raises(ParseError, match="^matrix: every entry must be finite$"):
         cli.load_generator(str(nan), DEFAULT_TOL)
@@ -1070,11 +1204,11 @@ def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
     [
         (b"", 0), (b"1", 0), (b'"[[{"', 0), (b'{"a": [[1], {"b": []}]}', 4),
         (b'{"k": "]]]]]]", "v": [[[]]]}', 4), (b'["}", ["{"]]', 2),
-        (b'{"k\\"": [1]}', 12),
+        (b'{"k\\"": [1]}', 12), (b'[[1, 2], [3, [4, 5]]]', 3),
     ],
 )
 def test_nesting_depth(raw, depth):
-    assert cli._nesting_depth(raw) == depth
+    assert cli._nesting_depth(raw, cli._skeleton(raw)) == depth
 
 
 @pytest.mark.parametrize(
@@ -1083,8 +1217,9 @@ def test_nesting_depth(raw, depth):
         b"[" * 200_000 + b"]" * 200_000,
         b'{"k": "' + b"]" * 100 + b'", "v": ' + b"[" * 100 + b"]" * 100 + b"}",
         b'{"k\\u0041": [' + b"1, " * 40 + b"1]}",
+        b'{"matrix": [[[1, 2]]], "x": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
     ],
-    ids=["200000-deep", "closers-in-a-string", "escape"],
+    ids=["200000-deep", "closers-in-a-string", "escape", "200000-deep-after-a-matrix"],
 )
 def test_deep_or_escaped_text_never_reaches_orjson(raw, tmp_path, monkeypatch, capsys):
     """orjson 3.8 recurses without a limit and overflows the C stack on text

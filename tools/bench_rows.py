@@ -1,14 +1,22 @@
-"""Before/after rows of one source tree: in-process and cold CLI timings and
-the dense-kernel ledger, written to ``BENCH_<short-commit>.json``.
+"""Before/after rows of one or two source trees: in-process and cold CLI
+timings and the dense-kernel ledger, written to ``BENCH_<short-commit>.json``
+per tree.
 
-    python tools/bench_rows.py [TREE] [--out DIR]
+    python tools/bench_rows.py [TREE ...] [--out DIR]
 
-TREE (default: the checkout this script sits in) is run from its own
+Each TREE (default: the checkout this script sits in) is run from its own
 ``src/``, with one BLAS thread; the inputs are the benchmark corpus's
 ``make_generator(default_rng(7), n, m, True)`` as ``superop`` specs, built
 from ``perfbench/corpus.py`` of this checkout, so two trees answer the same
 inputs.  The file is named after TREE's ``git rev-parse --short HEAD``, with
 ``-dirty`` appended when TREE's ``src/`` differs from that commit.
+
+The rows come in groups (the library rows of one n; the in-process rows of
+one (n, rank); the cold rows of one (n, rank)).  Each group of each tree runs
+in a child process of its own, and the trees take turns group by group, the
+first tree first in even groups and last in odd ones, so that two trees given
+together (``PARENT CHANGE``) are timed side by side under the same load of the
+host.  A child is this script with ``--group``; it prints its rows as JSON.
 
 * ``in_process``: the ``analyze``, ``decompose``, ``index`` and
   ``covariance`` subcommands and each ``verify`` check alone (``verify
@@ -44,6 +52,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib.metadata import version
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -151,7 +160,7 @@ def _cold(src: str, spec: str, out: str, rank: int) -> list[dict]:
     return rows
 
 
-def _library(corpus) -> list[dict]:
+def _library(corpus, n: int) -> list[dict]:
     import numpy as np
 
     from cpsemi import (
@@ -166,21 +175,20 @@ def _library(corpus) -> list[dict]:
         calls[f"is_completely_positive(evolve(mat, {t}))"] = (
             lambda mat, t=t: is_completely_positive(evolve(mat, t)))
     rows = []
-    for n in LIBRARY_SIZES:
-        maps = {"generator": corpus.make_generator(np.random.default_rng(7), n, n, False).mat,
-                "hp map": corpus.make_hp_map(np.random.default_rng(7), n)}
-        for kind, mat in maps.items():
-            for name, call in calls.items():
-                passes = call(mat)  # warm-up
-                times = []
-                for _ in range(20):
-                    start = time.perf_counter()
-                    call(mat)
-                    times.append(time.perf_counter() - start)
-                with kernel_ledger(n * n) as counts:
-                    call(mat)
-                rows.append({"call": name, "n": n, "map": kind, "passes": passes,
-                             "us": round(1e6 * min(times), 1), "kernels": dict(counts)})
+    maps = {"generator": corpus.make_generator(np.random.default_rng(7), n, n, False).mat,
+            "hp map": corpus.make_hp_map(np.random.default_rng(7), n)}
+    for kind, mat in maps.items():
+        for name, call in calls.items():
+            passes = call(mat)  # warm-up
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                call(mat)
+                times.append(time.perf_counter() - start)
+            with kernel_ledger(n * n) as counts:
+                call(mat)
+            rows.append({"call": name, "n": n, "map": kind, "passes": passes,
+                         "us": round(1e6 * min(times), 1), "kernels": dict(counts)})
     return rows
 
 
@@ -193,12 +201,19 @@ def _commit(tree: str) -> str:
     return head + ("-dirty" if dirty else "")
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("tree", nargs="?", default=ROOT, metavar="TREE")
-    ap.add_argument("--out", default=ROOT, help="directory for the BENCH file")
-    args = ap.parse_args(argv)
-    tree = os.path.abspath(args.tree)
+def _groups() -> list[list]:
+    """The row groups in the order they run: [table, n] or [table, n, rank]."""
+    groups = [["library", n] for n in LIBRARY_SIZES]
+    for n in SIZES:
+        for rank in (2, n * n // 4, n * n - 1):
+            groups.append(["in_process", n, rank])
+            if n == COLD_N:
+                groups.append(["cold", n, rank])
+    return groups
+
+
+def _group(tree: str, group: list) -> list[dict]:
+    """The rows of one group for the tree, in this process."""
     src = os.path.join(tree, "src")
     for var in THREAD_VARS:  # before numpy loads its BLAS
         os.environ[var] = "1"
@@ -210,32 +225,53 @@ def main(argv: list[str] | None = None) -> int:
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise RuntimeError(f"cpsemi imported from {cli.__file__}, not from {src}")
     corpus = _corpus()
-    commit = _commit(tree)
-    doc = {"commit": commit, "python": platform.python_version(), "numpy": np.__version__,
-           "machine": platform.machine(), "cpus": os.cpu_count(), "blas_threads": 1,
-           "in_process": [], "cold": [], "library": _library(corpus)}
+    table, n, *rank = group
+    if table == "library":
+        return _library(corpus, n)
+    rank = rank[0]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        for n in SIZES:
-            for rank in (2, n * n // 4, n * n - 1):
-                gen = corpus.make_generator(np.random.default_rng(7), n, rank, True)
-                spec = corpus.write_json(os.path.join(tmp, f"n{n}.r{rank}.json"),
-                                         corpus.spec_superop(gen.mat))
-                pair = corpus.make_unit_pair(np.random.default_rng(7), rank)
-                units = corpus.write_json(os.path.join(tmp, f"u{rank}.json"), pair.to_json())
-                doc["in_process"] += _in_process(cli, spec, out, n, rank, _calls(units))
-                if n == COLD_N:
-                    doc["cold"] += _cold(src, spec, out, rank)
-                if rank == 2:
-                    bad = corpus.make_non_ccp(np.random.default_rng(7), gen.mat)
-                    spec = corpus.write_json(os.path.join(tmp, f"n{n}.bad.json"),
-                                             corpus.spec_superop(bad))
-                    doc["in_process"] += _in_process(cli, spec, out, n, rank, _calls(None))
-    path = os.path.join(args.out, f"BENCH_{commit}.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(path)
+        gen = corpus.make_generator(np.random.default_rng(7), n, rank, True)
+        spec = corpus.write_json(os.path.join(tmp, "spec.json"), corpus.spec_superop(gen.mat))
+        if table == "cold":
+            return _cold(src, spec, out, rank)
+        pair = corpus.make_unit_pair(np.random.default_rng(7), rank)
+        units = corpus.write_json(os.path.join(tmp, "units.json"), pair.to_json())
+        rows = _in_process(cli, spec, out, n, rank, _calls(units))
+        if rank == 2:
+            bad = corpus.make_non_ccp(np.random.default_rng(7), gen.mat)
+            spec = corpus.write_json(os.path.join(tmp, "bad.json"), corpus.spec_superop(bad))
+            rows += _in_process(cli, spec, out, n, rank, _calls(None))
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("trees", nargs="*", default=[ROOT], metavar="TREE")
+    ap.add_argument("--out", default=ROOT, help="directory for the BENCH files")
+    ap.add_argument("--group", help="run this one group (JSON) of the one TREE, print its rows")
+    args = ap.parse_args(argv)
+    trees = [os.path.abspath(tree) for tree in args.trees]
+    if args.group:
+        print(json.dumps(_group(trees[0], json.loads(args.group))))
+        return 0
+    commits = [_commit(tree) for tree in trees]
+    if len(set(commits)) < len(commits):
+        raise RuntimeError(f"two trees would write one file: {commits}")
+    docs = [{"commit": commit, "python": platform.python_version(), "numpy": version("numpy"),
+             "machine": platform.machine(), "cpus": os.cpu_count(), "blas_threads": 1,
+             "in_process": [], "cold": [], "library": []} for commit in commits]
+    for i, group in enumerate(_groups()):
+        for k in range(len(trees))[:: -1 if i % 2 else 1]:
+            cmd = [sys.executable, os.path.abspath(__file__), trees[k], "--group", json.dumps(group)]
+            proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
+            docs[k][group[0]] += json.loads(proc.stdout.splitlines()[-1])
+    for doc in docs:
+        path = os.path.join(args.out, f"BENCH_{doc['commit']}.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        print(path)
     return 0
 
 
