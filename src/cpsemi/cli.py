@@ -19,11 +19,12 @@ nested lists of such pairs::
 A spec's top-level arrays of [re, im] pairs are read flat where their
 skeleton, the structure bytes that one pass keeps, is rectangular: orjson
 parses their numbers as one list each, and the rest of the text apart
-(:func:`_read_flat`).  Everything else takes the reference route, orjson or
-the json module on the whole text and :func:`decode`'s walk of the nested
-lists (:func:`_parse`), with the same arrays and messages.
+(:func:`_read_flat`).  Everything else is read by the json module
+(:func:`_parse`), and :func:`decode` checks its lists, with the same arrays
+and messages.
 
-A report's numeric data are float arrays from :func:`encode`.  Output
+A report's numeric data are C-contiguous float arrays from :func:`encode`,
+which orjson writes without building a list.  Output
 (stdout or --output) is the text of json.dumps(report, sort_keys=True,
 indent=2, default=np.ndarray.tolist) plus a newline; it is byte-identical
 for identical (input, flags, seed).
@@ -31,7 +32,6 @@ Exit codes: 0 ok, 1 parse error (including a bad flag value, a usage error,
 an --output that cannot be written and a stdout whose reader has gone), 2
 input is not a generator (one report for every subcommand, see
 :func:`_rejection`), 3 numerical limit exceeded (or a verification check failed).
-A call runs with Python's cyclic garbage collector paused (see :func:`main`).
 """
 
 from __future__ import annotations
@@ -39,11 +39,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import gc
 import heapq
 import json
 import math
-import operator
 import os
 import sys
 
@@ -95,41 +93,32 @@ _INDEX_NOTE = (
 
 def encode(a) -> np.ndarray:
     """Report form of a complex scalar or array: a float array of shape
-    ``a.shape + (2,)``, every entry an [re, im] pair."""
-    a = np.asarray(a, dtype=complex)
+    ``a.shape + (2,)``, every entry an [re, im] pair.  It is C-contiguous,
+    as orjson needs to write it without ``default``: ``np.stack`` lays its
+    result out as its input is laid out."""
+    a = np.asarray(a, dtype=complex, order="C")
     return np.stack([a.real, a.imag], -1)
 
 
 def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Complex array of the given shape from its JSON form (see :func:`encode`).
 
-    The nesting must have shape ``shape + (2,)`` and every number must be
-    finite and exactly an ``int`` or a ``float`` (``bool`` is a subclass of
-    ``int``, so JSON ``true`` is not a number here).  It is flattened a level
-    at a time; only malformed input is made an object array, to name its shape.
     An array that :func:`_read_json` read flat holds finite numbers, so only
-    its shape is checked (by the same walk, where it is not ``want``).
+    its shape is checked.  Lists must nest to shape ``shape + (2,)``, or stop
+    at an empty level of it, and every number must be finite and exactly an
+    ``int`` or a ``float`` (``bool`` is a subclass of ``int``, so JSON
+    ``true`` is not a number here).
     """
     want = shape + (2,)
     if isinstance(obj, np.ndarray) and obj.shape == want:  # read flat by _read_json
         return obj.view(complex).reshape(shape)
-    flat = [obj]
+    a = np.array(obj, dtype=object)  # as deep as the nesting is regular
+    if a.shape != want and not (a.size == 0 and a.shape == want[: a.ndim]):
+        raise ParseError(f"{what}: expected [re, im] pairs nested to shape {want}, got {a.shape}")
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise ParseError(f"{what}: every entry must be a JSON number")
     try:
-        for size in want:
-            # len() refuses a number, and a string or an object of the right length
-            # leaves strings among the entries: only an empty level needs a type test
-            if not set(map(len, flat)) <= {size} or not (size or set(map(type, flat)) <= {list}):
-                raise TypeError
-            flat = functools.reduce(operator.iconcat, flat, [])  # extends by whole lists
-        if not set(map(type, flat)) <= {int, float}:
-            raise TypeError
-    except TypeError:  # malformed: the object array is the reference for what is wrong
-        got = np.array(obj, dtype=object).shape
-        fault = f"expected [re, im] pairs nested to shape {want}, got {got}" if got != want else (
-            "every entry must be a JSON number")
-        raise ParseError(f"{what}: {fault}") from None
-    try:
-        f = np.fromiter(flat, dtype=float, count=len(flat))
+        f = a.astype(float).reshape(want)
         finite = np.isfinite(f).all()
     except OverflowError:  # an int beyond the float range
         finite = False
@@ -164,36 +153,20 @@ def _skeleton(raw: bytes) -> list[bytes] | None:
     return None if b"\\" in skeleton else skeleton.split(b'"')
 
 
-def _nesting_depth(raw: bytes, pieces: list[bytes] | None) -> int:
-    """Deepest nesting of arrays and objects in the JSON text ``raw`` whose
-    skeleton is ``pieces`` (see :func:`_skeleton`), for text that is valid
-    JSON (orjson builds nothing from any other).  Text with a backslash
-    counts as nested ``len(raw)`` deep."""
-    if pieces is None:
-        return len(raw)
+def _nesting_depth(pieces: list[bytes]) -> int:
+    """Deepest nesting of arrays and objects in JSON text whose skeleton is
+    ``pieces`` (see :func:`_skeleton`), for text that is valid JSON (orjson
+    builds nothing from any other)."""
     brackets = np.frombuffer(b"".join(pieces[::2]).translate(None, b","), dtype=np.uint8)
     steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
     return int(np.cumsum(steps).max(initial=0))
 
 
-def _parse(path: str, raw: bytes, pieces: list[bytes] | None):
-    """The JSON value of the bytes of an input file, whose skeleton is
-    ``pieces``: the reference route.
-
-    orjson parses the file.  The json module, which defines the input format,
-    parses what orjson refuses (NaN, Infinity, numbers beyond the float range,
-    lone surrogates, malformed text) and what nests deeper than
-    ``_MAX_DEPTH``: it either accepts it, and ``decode`` then names a
-    non-finite entry, or its message is the parse error.  Where both accept a
-    text they give the same values: floats are correctly rounded by both, and
-    an integer beyond 64 bits, which orjson returns as a float, is a float
-    after ``decode`` and out of range for ``n`` either way.
-    """
-    if _nesting_depth(raw, pieces) <= _MAX_DEPTH:
-        try:
-            return orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
+def _parse(path: str, raw: bytes):
+    """The JSON value of the bytes of an input file that the flat route
+    declined, by the json module, which defines the input format: it accepts
+    NaN and Infinity (``decode`` then names the entry that is not finite),
+    and its message is the parse error."""
     try:
         # The text a text-mode open() reads: UTF-8, universal newlines.
         text = raw.decode().replace("\r\n", "\n").replace("\r", "\n")
@@ -223,11 +196,15 @@ def _rectangular(piece: bytes) -> list[int] | None:
     return shape if piece.startswith(template) else None
 
 
-def _pairs_filled(raw: bytes, start: int, end: int) -> bool:
-    """Whether the byte inside each bracket of the text ``raw[start:end]`` is
-    above the comma, as a number's first and last bytes are (whitespace is
-    not)."""
-    u = np.frombuffer(raw, dtype=np.uint8, count=end - start, offset=start)
+def _pairs_filled(raw: bytes, start: int, end: int, blank: bytes = b"") -> bool:
+    """Whether the byte inside each bracket of the text ``raw[start:end]``,
+    the bytes ``blank`` deleted, is above the comma, as a number's first and
+    last bytes are (whitespace is not)."""
+    text = memoryview(raw)[start:end]
+    if blank:  # deleted a block at a time: a whole-text slice costs a page fault per 4 kB
+        blocks = range(start, end, _BLOCK)
+        text = b"".join(raw[at : min(at + _BLOCK, end)].translate(None, blank) for at in blocks)
+    u = np.frombuffer(text, dtype=np.uint8)
     for at in range(0, len(u) - 1, _BLOCK):
         v = u[at : at + _BLOCK + 1]
         low = v <= ord(",")
@@ -244,8 +221,9 @@ def _flat_array(flat: bytearray, start: int, end: int, shape: list[int]):
 
     orjson parses the flat form, outer brackets put back, as one list, and
     judges each number and what lies between two: so one number lies between
-    each two commas of the skeleton.  A filled pair's two slots hold one each,
-    so none lies between two brackets, and the nesting is the skeleton's.
+    each two commas of the skeleton.  The byte inside each bracket, whitespace
+    skipped, is part of a number: so each of a pair's two slots holds one,
+    none lies between two brackets, and the nesting is the skeleton's.
     """
     flat[start], flat[end - 1] = ord("["), ord("]")
     try:
@@ -259,11 +237,14 @@ def _flat_array(flat: bytearray, start: int, end: int, shape: list[int]):
 def _read_flat(raw: bytes, pieces: list[bytes], arrays) -> dict | None:
     """The top-level JSON object of ``raw``, whose skeleton is ``pieces``, with
     the value of each key in ``arrays`` that is an array of filled [re, im]
-    pairs read flat (:func:`_flat_array`); None where ``raw`` takes the
-    reference route (:func:`_parse`).  Such a value is cut out for a string
-    that no text without a backslash holds, ``"\\u0000<i>"``, and orjson parses
-    the rest.  Every failure declines, and so does a cut value that is not
-    then its key's value at the top level (a duplicate key, say)."""
+    pairs read flat (:func:`_flat_array`); None where the json module reads
+    ``raw`` (:func:`_parse`).  An array whose pairs are not filled is tested
+    again with its whitespace deleted, as indented text needs; orjson still
+    parses the flat form of the text as it is.  Such a value is cut out for
+    a string that no text without a backslash holds, ``"\\u0000<i>"``, and
+    orjson parses the rest.  Every failure declines, and so does a cut value
+    that is not then its key's value at the top level (a duplicate key,
+    say)."""
     cuts, quotes = [], [-1]  # quotes[i]: the quote before pieces[i]
     for i in range(2, len(pieces), 2):
         if not (shape := _rectangular(pieces[i])):
@@ -275,7 +256,7 @@ def _read_flat(raw: bytes, pieces: list[bytes], arrays) -> dict | None:
             stop = raw.find(b'"', quotes[i] + 1)
             start = raw.find(b"[", quotes[i])
             end = raw.rfind(b"]", start, len(raw) if stop < 0 else stop) + 1
-            if _pairs_filled(raw, start, end):
+            if _pairs_filled(raw, start, end) or _pairs_filled(raw, start, end, b" \t\n\r"):
                 cuts.append((i, start, end, shape, key.decode()))
     if not cuts:
         return None
@@ -284,7 +265,7 @@ def _read_flat(raw: bytes, pieces: list[bytes], arrays) -> dict | None:
         parts += (raw[done:start], b'"\\u0000%d"' % k)
         rest[i], done = pieces[i][-1:], end
     parts.append(raw[done:])
-    if _nesting_depth(raw, rest) > _MAX_DEPTH:
+    if _nesting_depth(rest) > _MAX_DEPTH:
         return None
     try:
         doc = orjson.loads(b"".join(parts))
@@ -311,7 +292,7 @@ def _read_json(path: str, arrays=()) -> dict:
     pieces = _skeleton(raw)
     doc = _read_flat(raw, pieces, arrays) if pieces and arrays else None
     if doc is None:
-        doc = _parse(path, raw, pieces)
+        doc = _parse(path, raw)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -613,46 +594,29 @@ def _check_flags(args) -> Tolerances:
     return Tolerances(args.tol)
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, restoring its state on the way out:
-    it would rescan the 65,536 lists of an n = 16 spec parsed on the reference
-    route, none in a cycle, at every collection.  The first collection after
-    the call finds its cycles."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def main(argv=None) -> int:
-    """Run one CLI call and return its exit code.  The cyclic garbage
-    collector is paused for the whole call, then left as it was found."""
-    with _collector_paused():
-        args = build_parser().parse_args(argv)
+    """Run one CLI call and return its exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        tol = _check_flags(args)
+        mat, n = load_generator(args.input, tol)
         try:
-            tol = _check_flags(args)
-            mat, n = load_generator(args.input, tol)
-            try:
-                d = (rank if args.command == "index" else decompose)(mat, tol)
-            except (NotCCP, NotHermiticityPreserving) as exc:
-                report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
-            else:
-                report, code = args.func(args, mat, d, tol)
-            _emit(report, args.output)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_GENERATOR
-        except (LogBranch, NotMember, Overflow) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        return code
+            d = (rank if args.command == "index" else decompose)(mat, tol)
+        except (NotCCP, NotHermiticityPreserving) as exc:
+            report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
+        else:
+            report, code = args.func(args, mat, d, tol)
+        _emit(report, args.output)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_GENERATOR
+    except (LogBranch, NotMember, Overflow) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return code
 
 
 if __name__ == "__main__":

@@ -142,6 +142,28 @@ def test_decompose_round_trip(dephasing_file, tmp_path, capsys):
     assert same_generator(decompose(dephasing_generator()), decompose(mat2))
 
 
+@pytest.mark.parametrize("kind", ["superop", "gkls", "hamiltonian_lindblad"])
+def test_decompose_output_is_read_flat_as_the_same_generator(kind, tmp_path, monkeypatch, capsys):
+    """``decompose --output X``, then ``analyze --input X``, at n = 8: X,
+    which is indented, is read flat and gives the input's rank, unitality
+    and superoperator."""
+    corpus = bench_corpus()
+    gen = corpus.make_generator(np.random.default_rng(5), 8, 3, True)
+    doc = getattr(corpus, f"spec_{kind}")(gen.mat if kind == "superop" else gen)
+    spec, x = write(tmp_path, "spec.json", doc), str(tmp_path / "x.json")
+    assert main(["decompose", "--input", spec, "--output", x]) == 0
+    rc, out = run(capsys, ["analyze", "--input", spec])
+    docs = []
+    real = cli._read_flat
+    monkeypatch.setattr(cli, "_read_flat", lambda *args: docs.append(real(*args)) or docs[-1])
+    rc2, out2 = run(capsys, ["analyze", "--input", x])
+    assert rc == rc2 == 0 and docs[-1] is not None
+    rep, rep2 = json.loads(out), json.loads(out2)
+    assert (rep2["rank"], rep2["unital"]) == (rep["rank"], rep["unital"]) == (3, True)
+    mat, mat2 = (cli.load_generator(path, DEFAULT_TOL)[0] for path in (spec, x))
+    assert np.linalg.norm(mat2 - mat) <= 1e-12 * np.linalg.norm(mat)
+
+
 def test_hamiltonian_lindblad_input(tmp_path, capsys):
     doc = {
         "type": "hamiltonian_lindblad",
@@ -765,6 +787,37 @@ def test_writer_matches_json_dumps_on_analyze_report(tmp_path, capsys):
     assert json.loads(out)["rank"] == 15
 
 
+def test_reports_never_reach_the_writers_default(tmp_path, monkeypatch):
+    """Every array of a report at n = 8, the exit-2 report included, is one
+    that orjson writes itself: ``_write`` never calls its ``default``, which
+    would build the array's nested lists."""
+    corpus = bench_corpus()
+    gen = corpus.make_generator(np.random.default_rng(5), 8, 3, True)
+    bad = corpus.make_non_ccp(np.random.default_rng(5), gen.mat)
+    spec = write(tmp_path, "spec.json", corpus.spec_superop(gen.mat))
+    pair = corpus.make_unit_pair(np.random.default_rng(5), 3)
+    units = write(tmp_path, "units.json", pair.to_json())
+    calls = [
+        (["analyze", "--input", spec], 0),
+        (["decompose", "--input", spec], 0),
+        (["covariance", "--input", spec, "--units", units], 0),
+        (["verify", "--input", spec], 0),
+        (["analyze", "--input", write(tmp_path, "bad.json", corpus.spec_superop(bad))], 2),
+    ]
+    dumped, reached = [], []
+    real = cli.orjson.dumps
+
+    def dumps(obj, default, option):
+        dumped.append(obj)
+        return real(obj, default=lambda x: reached.append(type(x)) or default(x), option=option)
+
+    monkeypatch.setattr(cli.orjson, "dumps", dumps)
+    for argv, code in calls:
+        dumped.clear()
+        assert main([*argv, "--output", str(tmp_path / "out.json")]) == code
+        assert len(dumped) == 1 and reached == [], argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -843,7 +896,8 @@ def test_the_shared_parser_keeps_no_state_between_calls(dephasing_file, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The cyclic garbage collector is paused for a call and restored after it
+# The cyclic garbage collector: a call builds no Python list per [re, im]
+# pair, so it starts no collection, and it leaves the collector as it was
 
 
 def _units_file(tmp_path, rank, c2=0.0):
@@ -853,16 +907,24 @@ def _units_file(tmp_path, rank, c2=0.0):
 
 
 def test_a_call_starts_no_collection(tmp_path, capsys):
-    # an n = 8 superop spec parses to 4,096 [re, im] lists, enough to start
-    # several collections while the collector runs.  A warm call, which
-    # reuses the parser, leaves few containers in cycles to the first
-    # collection after it; from a fresh count that stays below the threshold
-    # of 700.
+    # a spec's arrays are read flat and a report's arrays are written
+    # natively, so no call builds a Python list per [re, im] pair, even at
+    # n = 16, rank 255, where the spec holds 65,536 pairs and the decompose
+    # output 65,280.  A collection starts when container allocations
+    # outnumber deallocations by 700; a warm call, which reuses the parser,
+    # stays below that from a fresh count.
     gen = random_ccp_generator(np.random.default_rng(3), 8, m=2, unital=True)
     spec = write(tmp_path, "n8.json", superop_doc(gen, 8))
+    corpus = bench_corpus()
+    big = corpus.make_generator(np.random.default_rng(7), 16, 255, True)
+    big_spec = corpus.write_json(str(tmp_path / "n16.json"), corpus.spec_superop(big.mat))
+    gkls, out = str(tmp_path / "gkls.json"), str(tmp_path / "out.json")
     calls = [
         ["analyze", "--input", spec],
         ["covariance", "--input", spec, "--units", _units_file(tmp_path, 2)],
+        ["analyze", "--input", big_spec, "--output", out],
+        ["decompose", "--input", big_spec, "--output", gkls],
+        ["analyze", "--input", gkls, "--output", out],
     ]
     for argv in calls:  # warm-up: the first covariance call imports scipy
         assert main(argv) == 0
@@ -878,7 +940,7 @@ def test_a_call_starts_no_collection(tmp_path, capsys):
             gc.collect()
             started.clear()
             assert main(argv) == 0
-            assert started == [], argv[0]
+            assert started == [], argv
     finally:
         gc.callbacks.remove(count)
 
@@ -1039,8 +1101,22 @@ _ROUTE_CASES = {
     "newline-in-array": (_SUPEROP_TEXT.replace(", ", ",\n"), True),
     "tab-in-array": (_SUPEROP_TEXT.replace(", ", ",\t"), True),
     "crlf-in-array": (_SUPEROP_TEXT.replace(", ", ",\r\n"), True),
-    "newline-after-a-bracket": (_SUPEROP_TEXT.replace("[", "[\n"), False),
-    "space-before-a-bracket": (_SUPEROP_TEXT.replace("]", " ]"), False),
+    "newline-after-a-bracket": (_SUPEROP_TEXT.replace("[", "[\n"), True),
+    "space-before-a-bracket": (_SUPEROP_TEXT.replace("]", " ]"), True),
+    "indent-2-superop": (json.dumps(_SUPEROP, indent=2), True),
+    "indent-2-gkls": (json.dumps(_gkls_doc(), indent=2), True),
+    "indent-2-hamiltonian-lindblad": (json.dumps(_specs()["hamiltonian_lindblad"], indent=2), True),
+    "pair-[ 1, 2 ]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[ 1, 2 ]"), True),
+    "pair-[ ,2]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[ ,2]"), False),
+    "pair-[1, ]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1, ]"), False),
+    "pair-[1 2 ]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1 2 ]"), False),
+    "pair-[- 1, 2]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[- 1, 2]"), False),
+    "number-after-a-pair-behind-a-space": (
+        _with_text(_SUPEROP, ("matrix", 0), "[[1, ] 2, [3, 4], [5, 6], [7, 8]]"), False),
+    "number-before-a-pair-behind-a-space": (
+        _with_text(_SUPEROP, ("matrix", 0), "[[1, 2], 3 [ , 4], [5, 6], [7, 8]]"), False),
+    "numbers-joined-across-a-bracket-and-a-space": (
+        _with_text(_SUPEROP, ("matrix", 0), "[[1, 2] 3, [4, 5], [6, 7], [8, 9]]"), False),
     "pair-[1,,2]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1,,2]"), False),
     "pair-[1 2]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1 2]"), False),
     "pair-[1,]": (_with_text(_SUPEROP, ("matrix", 0, 0), "[1,]"), False),
@@ -1102,9 +1178,9 @@ _SWEEP_BYTES = b'[]{},:" \t\n\r-+.eE0123456789tfnNI\\ax\xc3\xff'
 
 
 def test_single_byte_edits_read_like_the_json_module(tmp_path, monkeypatch):
-    """Each spec type at n = 2 and 3, with one byte replaced, inserted or
-    deleted at a random place: the reader gives the reference's matrix or
-    its message."""
+    """Each spec type at n = 2 and 3, and the n = 3 ``gkls`` spec indented,
+    with one byte replaced, inserted or deleted at a random place: the reader
+    gives the reference's matrix or its message."""
     rng = np.random.default_rng(30)
     docs = []
     for n in (2, 3):
@@ -1113,10 +1189,11 @@ def test_single_byte_edits_read_like_the_json_module(tmp_path, monkeypatch):
         ops = [m2j(v) for v in dec.space.basis]
         docs += [superop_doc(gen, n), {"type": "gkls", "n": n, "kraus": ops, "k": m2j(dec.k)},
                  {"type": "hamiltonian_lindblad", "n": n, "h": m2j(np.eye(n)), "lindblad": ops}]
+    texts = [json.dumps(doc) for doc in docs] + [json.dumps(docs[-2], indent=2)]
     path = tmp_path / "spec.json"
     routes = []
-    for doc in docs:
-        raw = json.dumps(doc).encode()
+    for text in texts:
+        raw = text.encode()
         for _ in range(150):
             at = int(rng.integers(len(raw)))
             byte = _SWEEP_BYTES[int(rng.integers(len(_SWEEP_BYTES)))].to_bytes(1, "big")
@@ -1152,10 +1229,10 @@ def test_reader_rounds_numbers_like_the_json_module(tmp_path):
 
 
 def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
-    """Well-formed specs are read without the json module, and those at n = 8
-    of each type without ``decode``'s object walk: every array reaches
-    ``decode`` as a float array.  A units file, whose value holds objects,
-    is read as lists."""
+    """Well-formed specs are read without the json module, and every array of
+    those at n = 8 of each type reaches ``decode`` as a float array.  A units
+    file, whose value holds objects, is read by one call of the json module,
+    as lists."""
     calls = []
     real = json.loads
 
@@ -1188,15 +1265,16 @@ def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
         mat, n = cli.load_generator(path, DEFAULT_TOL)
         assert n == 8 and np.allclose(mat, gen.mat, rtol=0, atol=1e-12)
     assert seen == [(what, np.ndarray) for what in ("matrix", "kraus", "k", "h", "lindblad")]
+    assert calls == []
     seen.clear()
     u1, u2 = cli.load_units(units, decompose(gen.mat, DEFAULT_TOL))
     assert [kind for _, kind in seen] == [list] * 4
     assert u1.v_coords.tobytes() == pair.v1.astype(complex).tobytes()
     assert (u1.c, u2.c) == (pair.c1, pair.c2)
-    assert calls == []
+    assert len(calls) == 1
     with pytest.raises(ParseError, match="^matrix: every entry must be finite$"):
         cli.load_generator(str(nan), DEFAULT_TOL)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -1204,11 +1282,11 @@ def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
     [
         (b"", 0), (b"1", 0), (b'"[[{"', 0), (b'{"a": [[1], {"b": []}]}', 4),
         (b'{"k": "]]]]]]", "v": [[[]]]}', 4), (b'["}", ["{"]]', 2),
-        (b'{"k\\"": [1]}', 12), (b'[[1, 2], [3, [4, 5]]]', 3),
+        (b'[[1, 2], [3, [4, 5]]]', 3),
     ],
 )
 def test_nesting_depth(raw, depth):
-    assert cli._nesting_depth(raw, cli._skeleton(raw)) == depth
+    assert cli._nesting_depth(cli._skeleton(raw)) == depth
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,8 @@ host.  A child is this script with ``--group``; it prints its rows as JSON.
   (``ccp`` false, exit 2), each through ``cli.main`` with ``--output`` to a
   temporary file: the best of 3 calls after one warm-up, and the kernel
   counts of one more call (:func:`kernel_ledger`, side n^2).  ``covariance`` reads
-  ``make_unit_pair(default_rng(7), rank)``.
+  ``make_unit_pair(default_rng(7), rank)``.  ``reread`` is ``analyze`` on the
+  tree's own ``decompose --output`` file, an indented ``gkls`` spec.
 * ``cold``: ``analyze`` and ``verify`` at n = 16, one subprocess per call,
   best of 5 wall times, with the child's peak RSS (its ``VmHWM``; Linux).
 * ``library``: the library's CCP routes, which no CLI call makes, at n in
@@ -238,6 +239,9 @@ def _group(tree: str, group: list) -> list[dict]:
         pair = corpus.make_unit_pair(np.random.default_rng(7), rank)
         units = corpus.write_json(os.path.join(tmp, "units.json"), pair.to_json())
         rows = _in_process(cli, spec, out, n, rank, _calls(units))
+        gkls = os.path.join(tmp, "gkls.json")
+        cli.main(["decompose", "--input", spec, "--output", gkls])
+        rows += _in_process(cli, gkls, out, n, rank, [("reread", ["analyze"])])
         if rank == 2:
             bad = corpus.make_non_ccp(np.random.default_rng(7), gen.mat)
             spec = corpus.write_json(os.path.join(tmp, "bad.json"), corpus.spec_superop(bad))
