@@ -49,6 +49,7 @@ from .semigroup import (
     verify_units,
 )
 from .superop import (
+    Flow,
     ad_superop,
     apply_superop,
     choi_spectrum,

@@ -74,7 +74,7 @@ from .generator import GklsForm, gauge_check, gkls_superop, is_unital_generator
 from .numerics import frob, is_hermitian, within
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
-from .superop import dim_of
+from .superop import Flow, dim_of
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -474,18 +474,19 @@ _ALL_CHECKS = ("product_system", "domination", "gauge", "units", "covariance")
 def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
     rng = np.random.default_rng(args.seed)
     checks: dict = {}
+    flow = Flow(mat, tol)  # exp(tL) for every check that samples it
     if "product_system" in args.checks:
-        ok1 = product_system_check(mat, 0.5, 0.5, tol)
-        ok2 = product_system_check(mat, 0.3, 0.7, tol)
+        ok1 = product_system_check(flow, 0.5, 0.5, tol)
+        ok2 = product_system_check(flow, 0.3, 0.7, tol)
         checks["product_system"] = {"pass": bool(ok1 and ok2)}
     if "domination" in args.checks:
         bigger = mat + random_cp_map(rng, d.n, m=1)
-        checks["domination"] = {"pass": bool(dominates(mat, bigger, tol=tol))}
+        checks["domination"] = {"pass": bool(dominates(flow, Flow(bigger, tol), tol))}
     if "gauge" in args.checks:
         checks["gauge"] = gauge_check(d, rng, tol)
     if "units" in args.checks:
         units = sample_units(d, 2, seed=args.seed)
-        checks["units"] = {"pass": verify_units(mat, units, tol=tol)}
+        checks["units"] = {"pass": verify_units(flow, units, tol=tol)}
     if "covariance" in args.checks:
         units = sample_units(d, d.space.dim + 3, seed=args.seed)
         kern = covariance_kernel(d, units)

@@ -31,13 +31,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 from .numerics import (
-    DEFAULT_TOL, Tolerances, _require_finite, anchor, expm_times, frob, is_hermitian, is_psd,
-    within,
+    DEFAULT_TOL, Tolerances, _require_finite, anchor, frob, is_hermitian, is_psd, within,
 )
 from .opspace import MetricOperatorSpace, space_from_spectrum
 from .superop import (
+    Flow,
     _complex_form,
-    _real_form,
     apply_superop,
     dim_of,
     kraus_to_superop,
@@ -300,8 +299,9 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
 _DOMINATION_TIMES = (0.125, 0.25, 0.5, 0.75, 1.0)
 
 
-def dominates(mat1: np.ndarray, mat2: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff exp(t L2) - exp(t L1) is completely positive at each sample.
+def dominates(flow1: Flow, flow2: Flow, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff exp(t L2) - exp(t L1) is completely positive at each sample,
+    for the semigroups ``flow1`` of L1 and ``flow2`` of L2.
 
     When L2 - L1 is completely positive this holds for every t >= 0; the
     check stops at the first sampled difference that is not.  Each semigroup
@@ -310,14 +310,13 @@ def dominates(mat1: np.ndarray, mat2: np.ndarray, tol: Tolerances = DEFAULT_TOL)
     :func:`~cpsemi.numerics.is_psd`, whose Cholesky fast exit (shift
     psd_slack * s_lo, s_lo at most the spectrum's scale) keeps the rule and
     certifies a CP difference without an eigenvalue.  Each semigroup reuses
-    its exponentials across the times (:func:`~cpsemi.numerics.expm_times`);
+    its exponentials across the times (:meth:`~cpsemi.superop.Flow.grid`);
     the grid ``_DOMINATION_TIMES`` is dyadic so that every step between
     samples is an earlier sample: one ``expm`` and four products per semigroup.
     """
-    if np.asarray(mat1).shape != np.asarray(mat2).shape:
+    if flow1.real.shape != flow2.real.shape:
         raise ValueError("generators must act on the same algebra")
-    r1, r2 = _real_form(mat1, tol), _real_form(mat2, tol)
-    for p2, p1 in zip(expm_times(r2, _DOMINATION_TIMES), expm_times(r1, _DOMINATION_TIMES)):
+    for p2, p1 in zip(flow2.grid(_DOMINATION_TIMES), flow1.grid(_DOMINATION_TIMES)):
         if not is_psd(superop_to_choi(_complex_form(p2 - p1)), tol):
             return False
     return True

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "spectrum",
     "is_psd",
     "expm",
-    "expm_times",
 ]
 
 
@@ -364,30 +363,3 @@ def _expm_rounding(m: np.ndarray, e: np.ndarray) -> float:
     law P_s P_t = P_{s+t} missed by at most 4 % of this allowance plus
     ``residual`` ||e||_F."""
     return len(m) * np.finfo(float).eps * frob(m) * frob(e)
-
-
-def expm_times(m: np.ndarray, times: Sequence[float]) -> Iterator[np.ndarray]:
-    """Yield exp(t m) for each t of ``times``, in order, lazily.
-
-    Multiples of one matrix commute, so exp(t m) = exp(t' m) exp((t - t') m)
-    for any t'.  When the step t - t' from the previous time t' is exactly an
-    earlier sample time, the result is the previous one times the kept
-    exponential of that time; every other time gets its own :func:`expm`.
-    Only the exponentials that a later step reuses are kept.  For the times
-    (0.125, 0.25, 0.5, 0.75, 1.0) that is 1 exponential and 4 products, for
-    (0.1, 0.5, 1.0) 2 exponentials and 1 product.
-
-    :raises Overflow: at the first result whose norm is not finite.
-    """
-    m = np.asarray(m)
-    times = [float(t) for t in times]
-    steps = [None] + [b - a for a, b in zip(times, times[1:])]
-    reused = {step for i, step in enumerate(steps) if step in times[:i]}
-    kept: dict[float, np.ndarray] = {}
-    last = None
-    for t, step in zip(times, steps):
-        last = _finite(np.matmul, last, kept[step]) if step in kept else expm(t * m)
-        if t in reused:
-            kept[t] = last
-        yield last
-

@@ -29,10 +29,10 @@ import numpy as np
 from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Overflow
 from .generator import GklsForm, rank
 from .numerics import (
-    DEFAULT_TOL, Tolerances, _expm_rounding, expm, expm_times, frob, is_psd, spectrum, within,
+    DEFAULT_TOL, Tolerances, _expm_rounding, expm, frob, is_psd, spectrum, within,
 )
 from .opspace import MetricOperatorSpace, space_from_cp_map
-from .superop import _complex_form, _real_form, choi_spectrum, superop_to_choi, vec
+from .superop import Flow, _complex_form, choi_spectrum, superop_to_choi, vec
 
 __all__ = [
     "evolve",
@@ -56,11 +56,10 @@ _BRANCH_MODULUS = 1e-300
 
 
 def evolve(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Superoperator matrix of exp(t L), taken of L's real form so that it preserves
-    Hermiticity exactly; raises NotHermiticityPreserving if L does not."""
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    return _complex_form(expm(t * _real_form(mat, tol)))
+    """Superoperator matrix of exp(t L), taken of L's real form (:meth:`Flow.at`) so
+    that it preserves Hermiticity exactly; raises NotHermiticityPreserving if L does
+    not, and ValueError unless 0 <= t < inf."""
+    return _complex_form(Flow(mat, tol).at(t))
 
 
 def space_at(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> MetricOperatorSpace:
@@ -74,9 +73,7 @@ def space_at(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> Metric
     return space_from_cp_map(evolve(mat, t, tol), tol)
 
 
-def product_system_check(
-    mat: np.ndarray, s: float, t: float, tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def product_system_check(flow: Flow, s: float, t: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Check the semigroup law P_s P_t = P_{s+t} and that E(s) E(t) spans E(s + t).
 
     The law holds when ||P_s P_t - P_{s+t}||_F, less the rounding that
@@ -94,25 +91,25 @@ def product_system_check(
     Kraus bases :func:`space_at` extracts from those ranges, which
     ``test_space_at_goldens`` and acceptance criterion 2 cover.
 
-    Each distinct time of {s, t, s + t} gets its own exponential of L's
-    real form (two when s == t), and the product is taken in that form.
-    The check never derives exp((s + t) L) from the factors: the law it
-    tests would then hold by construction.  Where the law fails, no rank is
-    computed.
+    Each time of {s, t, s + t} is read from :meth:`Flow.at`, which holds one
+    direct exponential of L's real form per time (two when s == t) and
+    never a product of :meth:`Flow.grid`, and the product is taken in that
+    form.  The check never derives exp((s + t) L) from the factors: the law
+    it tests would then hold by construction.  Where the law fails, no rank
+    is computed.
 
     :raises NotCP: if exp(s L) exp(t L) or exp((s + t) L) is not completely
         positive within tolerance (i.e. L was not a generator to begin with).
     """
     if s <= 0 or t <= 0:
         raise ValueError("the spaces are defined for strictly positive times")
-    r = _real_form(mat, tol)
-    p = {x: next(expm_times(r, [x])) for x in dict.fromkeys((s, t, s + t))}
-    prod = p[s] @ p[t]
-    error = frob(prod - p[s + t]) - _expm_rounding((s + t) * r, p[s + t])
-    if not within(error, tol.residual, frob(prod), frob(p[s + t])):
+    p_s, p_t, p_st = flow.at(s), flow.at(t), flow.at(s + t)
+    prod = p_s @ p_t
+    error = frob(prod - p_st) - _expm_rounding((s + t) * flow.real, p_st)
+    if not within(error, tol.residual, frob(prod), frob(p_st)):
         return False
     j_prod = superop_to_choi(_complex_form(prod))
-    j_target = superop_to_choi(_complex_form(p[s + t]))
+    j_target = superop_to_choi(_complex_form(p_st))
     r_prod = choi_spectrum(j_prod, tol, vectors=False).kept(tol).sum()
     r_target = choi_spectrum(j_target, tol, vectors=False).kept(tol).sum()
     r_union = spectrum(j_prod + j_target, vectors=False).kept(tol).sum()
@@ -150,13 +147,13 @@ def unit_matrix(u: Unit, t: float) -> np.ndarray:
 
 
 def verify_units(
-    mat: np.ndarray,
+    flow: Flow,
     units: Sequence[Unit],
     t_samples: Sequence[float] = (0.1, 0.5, 1.0),
     tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
-    """Verify the defining property of every unit against the semigroup of
-    ``mat``: at each sampled t, the Choi matrix of e^{alpha t} exp(tL) -
+    """Verify the defining property of every unit against ``flow``, the
+    semigroup of L: at each sampled t, the Choi matrix of e^{alpha t} exp(tL) -
     (x -> T x T*) is PSD within ``psd_slack``, alpha = <v, v> + 2 Re c.
     ||a||^2_E(t) is the least c >= 0 for which c P_t - (x -> a x a*) is CP,
     and only members of E(t) have one: the test also says that T(t) lies in
@@ -164,16 +161,15 @@ def verify_units(
     decides it, so a passing unit costs no eigenvalue.  The Choi matrix of
     x -> T x T* is vec(T) vec(T)*, so each unit is checked against the one
     Choi matrix J_t of exp(tL).  A single unit is ``[u]``; to lower every
-    alpha by s, pass L - s id (its semigroup is e^{-st} exp(tL)).
+    alpha by s, pass ``Flow(L - s id)`` (its semigroup is e^{-st} exp(tL)).
 
     exp(tL) is computed once per sampled t for all units, reusing earlier
-    times' exponentials (:func:`~cpsemi.numerics.expm_times`).  Returns False
-    at the first failure; raises Overflow if a difference is not finite.
+    times' exponentials (:meth:`Flow.grid`).  Returns False at the first
+    failure; raises Overflow if a difference is not finite, and ValueError
+    at the first time that is not 0 <= t < inf.
     """
-    if any(t < 0 for t in t_samples):
-        raise ValueError("evolution time must be nonnegative")
     alphas = [float(np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real) for u in units]
-    for t, big in zip(t_samples, map(_complex_form, expm_times(_real_form(mat, tol), t_samples))):
+    for t, big in zip(t_samples, map(_complex_form, flow.grid(t_samples))):
         choi = superop_to_choi(big)
         for u, a in zip(units, alphas):
             r = vec(unit_matrix(u, t))

@@ -25,12 +25,14 @@ All maps here act in the Heisenberg picture: "unital" means P(1) = 1.
 from __future__ import annotations
 
 import functools
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotCP, NotHermiticityPreserving
 from .numerics import (
-    DEFAULT_TOL, Spectrum, Tolerances, frob, is_hermitian, is_psd, spectrum, within
+    DEFAULT_TOL, Spectrum, Tolerances, _finite, expm, frob, is_hermitian, is_psd, spectrum,
+    within,
 )
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "kraus_from_spectrum",
     "is_hermiticity_preserving",
     "is_completely_positive",
+    "Flow",
 ]
 
 
@@ -223,6 +226,62 @@ def _complex_form(r: np.ndarray) -> np.ndarray:
     """B r B*, the inverse of :func:`_real_form`.  Its Choi matrix is Hermitian bit for bit:
     an entry and its transpose's are formed alike from conjugate coefficients."""
     return _sandwich(r, *_hermitian_basis(dim_of(r))[1])
+
+
+class Flow:
+    """The semigroup exp(tL) of one superoperator matrix L, sampled at times 0 <= t < inf in
+    L's real form ``real``, so that :func:`_complex_form` of each sample preserves
+    Hermiticity exactly.  ``real`` is made on first use: a caller that samples no time
+    pays nothing.  ``at(t)`` is the one direct :func:`~cpsemi.numerics.expm` of t, made once;
+    ``grid(times)`` reuses results by the semigroup law but never stores a product where
+    ``at`` would return it, so a test of that law can read ``at`` alone."""
+
+    def __init__(self, mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+        self._mat, self._tol = mat, tol
+        self._at: dict[float, np.ndarray] = {}
+
+    @functools.cached_property
+    def real(self) -> np.ndarray:
+        """:func:`_real_form` of L; raises NotHermiticityPreserving as it does."""
+        return _real_form(self._mat, self._tol)
+
+    def at(self, t: float) -> np.ndarray:
+        """exp(t real) by its own expm, made once per t.
+
+        :raises ValueError: unless 0 <= t < inf.
+        :raises Overflow: if its norm is not finite.
+        """
+        t = float(t)
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"evolution time must be nonnegative and finite, got {t}")
+        if t not in self._at:
+            self._at[t] = expm(t * self.real)
+        return self._at[t]
+
+    def grid(self, times: Sequence[float]) -> Iterator[np.ndarray]:
+        """Yield exp(t real) for each t of ``times``, in order, lazily.
+
+        Multiples of one matrix commute, so exp(t L) = exp(t' L) exp((t - t') L).
+        When the step t - t' from the previous time t' is exactly an earlier
+        time of the grid, the result is the previous one times that time's
+        result; every other time is :meth:`at`.  The time of a product is the
+        sum of two times already accepted, so it needs no check of its own.
+        Only the results that a later step reads are kept.  For the times (0.125, 0.25,
+        0.5, 0.75, 1.0) that is 1 exponential and 4 products, for (0.1, 0.5,
+        1.0) 2 exponentials and 1 product.
+
+        :raises Overflow: at the first result whose norm is not finite.
+        """
+        times = [float(t) for t in times]
+        steps = [None] + [b - a for a, b in zip(times, times[1:])]
+        reused = {step for i, step in enumerate(steps) if step in times[:i]}
+        kept: dict[float, np.ndarray] = {}
+        last = None
+        for t, step in zip(times, steps):
+            last = _finite(np.matmul, last, kept[step]) if step in kept else self.at(t)
+            if t in reused:
+                kept[t] = last
+            yield last
 
 
 def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -121,10 +121,13 @@ def dephasing_generator():
 
 
 def expm_spy(monkeypatch):
-    """The list of matrices that ``numerics.expm`` is called on from now on."""
+    """The list of matrices that ``numerics.expm`` is called on from now on, from
+    every ``cpsemi`` module that holds it (``from .numerics import expm``)."""
     calls = []
     real = numerics.expm
-    monkeypatch.setattr(numerics, "expm", lambda m: calls.append(m) or real(m))
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "cpsemi" and getattr(module, "expm", None) is real:
+            monkeypatch.setattr(module, "expm", lambda m: calls.append(m) or real(m))
     return calls
 
 

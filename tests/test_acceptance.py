@@ -36,6 +36,7 @@ from cpsemi.semigroup import (
     verify_units,
 )
 from cpsemi.superop import (
+    Flow,
     ad_superop,
     apply_superop,
     identity_superop,
@@ -122,7 +123,7 @@ def test_criterion_4_sampled_units_verify():
         mat = random_ccp_generator(rng, n, unital=True)
         d = decompose(mat)
         for u in sample_units(d, 3, seed=40 + i)[1:]:
-            assert verify_units(mat, [u], t_samples=T_GRID)
+            assert verify_units(Flow(mat), [u], t_samples=T_GRID)
             checked += 1
     assert checked == 20
 
@@ -147,8 +148,9 @@ def test_criterion_6_product_system_property():
     for i in range(20):
         n = 2 if i % 2 == 0 else 3
         mat = random_ccp_generator(rng, n)
-        assert product_system_check(mat, 0.5, 0.5)
-        assert product_system_check(mat, 0.3, 0.7)
+        flow = Flow(mat)
+        assert product_system_check(flow, 0.5, 0.5)
+        assert product_system_check(flow, 0.3, 0.7)
 
 
 def test_criterion_7_gauge_invariance():

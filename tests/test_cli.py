@@ -418,17 +418,11 @@ def test_verify_product_system_sees_a_broken_semigroup_law(
 ):
     """exp(tL) times a factor of 1 at t = 0 keeps every Choi range, so only the
     law P_s P_t = P_{s+t} sees it; the rank comparison alone passed both."""
-    import cpsemi.semigroup as semigroup
+    from cpsemi.superop import Flow
 
-    real = semigroup.expm_times
-
-    def planted(m, times):
-        times = list(times)
-        for t, e in zip(times, real(m, times)):
-            yield factor(t) * e
-
-    _fails_once_planted(capsys, corpus_spec, "product_system",
-                        lambda: monkeypatch.setattr(semigroup, "expm_times", planted))
+    real = Flow.at
+    _fails_once_planted(capsys, corpus_spec, "product_system", lambda: monkeypatch.setattr(
+        Flow, "at", lambda flow, t: factor(t) * real(flow, t)))
 
 
 def test_verify_units_sees_an_inflated_unit(corpus_spec, monkeypatch, capsys):

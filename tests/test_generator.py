@@ -38,7 +38,7 @@ from cpsemi.opspace import space_from_cp_map
 from cpsemi.sampling import random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, index
 from cpsemi.superop import (
-    _real_form,
+    Flow,
     ad_superop,
     apply_superop,
     identity_superop,
@@ -239,12 +239,12 @@ def test_extract_gauge_recovers_shift(rng):
 
 def test_dominates(rng):
     mat = random_ccp_generator(rng, 2)
-    assert dominates(mat, mat)
+    assert dominates(Flow(mat), Flow(mat))
     h = np.array([[0.5, 0.1], [0.1, -0.5]])
     lower = two_sided(1j * h, -1j * h)
     upper = lower + ad_superop(random_matrix(rng, 2))
-    assert dominates(lower, upper)
-    assert not dominates(upper, lower)
+    assert dominates(Flow(lower), Flow(upper))
+    assert not dominates(Flow(upper), Flow(lower))
 
 
 def test_dominates_makes_one_expm_per_semigroup(monkeypatch):
@@ -252,11 +252,12 @@ def test_dominates_makes_one_expm_per_semigroup(monkeypatch):
     rng = np.random.default_rng(3)
     mat = random_ccp_generator(rng, 3)
     bigger = mat + random_cp_map(rng, 3, m=1)
+    flow, flow_bigger = Flow(mat), Flow(bigger)
     calls = expm_spy(monkeypatch)
-    assert dominates(mat, bigger)
+    assert dominates(flow, flow_bigger)
     assert len(calls) == 2
-    assert np.array_equal(calls[0], 0.125 * _real_form(bigger))
-    assert np.array_equal(calls[1], 0.125 * _real_form(mat))
+    assert np.array_equal(calls[0], 0.125 * flow_bigger.real)
+    assert np.array_equal(calls[1], 0.125 * flow.real)
 
 
 def test_passing_dominates_computes_no_eigenvalue(monkeypatch):
@@ -266,13 +267,13 @@ def test_passing_dominates_computes_no_eigenvalue(monkeypatch):
     bigger = mat + random_cp_map(rng, 4, m=1)  # as verify's domination check
     eig_calls = linalg_spy(monkeypatch, "eigvalsh")
     chol_calls = linalg_spy(monkeypatch, "cholesky")
-    assert dominates(mat, bigger)
+    assert dominates(Flow(mat), Flow(bigger))
     assert eig_calls == []
     assert chol_calls == [(16, 16)] * len(_DOMINATION_TIMES)
     # the first difference that is not CP fails its factorisation and is
     # decided by its spectrum, and no later one is tried
     chol_calls.clear()
-    assert not dominates(bigger, mat)
+    assert not dominates(Flow(bigger), Flow(mat))
     assert eig_calls == [(16, 16)] and chol_calls == [(16, 16)]
 
 
@@ -287,12 +288,12 @@ def test_dominates_decides_differences_that_are_hermitian_bit_for_bit(monkeypatc
     seen = []
     real = generator.is_psd
     monkeypatch.setattr(generator, "is_psd", lambda m, tol: seen.append(m) or real(m, tol))
-    assert dominates(mat, bigger)
+    assert dominates(Flow(mat), Flow(bigger))
     assert len(seen) == len(_DOMINATION_TIMES)
     for j in seen:
         assert np.array_equal(j, j.conj().T)
     with pytest.raises(NotHermiticityPreserving):
-        dominates(mat, bigger + 1e-3j * scale * identity_superop(3))
+        dominates(Flow(mat), Flow(bigger + 1e-3j * scale * identity_superop(3)))
 
 
 def _dominates_oracle(mat1, mat2):
@@ -315,7 +316,7 @@ def test_dominates_agrees_with_per_time_expm():
             for other in (mat + s * cp, mat - s * ad_superop(v)):
                 for m1, m2 in ((mat, other), (other, mat)):
                     want = _dominates_oracle(m1, m2)
-                    assert dominates(m1, m2) == want, (seed, s)
+                    assert dominates(Flow(m1), Flow(m2)) == want, (seed, s)
                     verdicts.append(want)
     assert len(verdicts) == 240
     assert 50 < verdicts.count(False) < 190

@@ -15,7 +15,6 @@ from cpsemi.numerics import (
     Tolerances,
     anchor,
     expm,
-    expm_times,
     frob,
     is_psd,
     spectrum,
@@ -24,8 +23,8 @@ from cpsemi.numerics import (
 from cpsemi.sampling import random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, sample_units, unit_matrix
 from cpsemi.superop import (
+    Flow,
     _complex_form,
-    _real_form,
     ad_superop,
     identity_superop,
     superop_to_choi,
@@ -166,7 +165,7 @@ def _psd_decisions(n, seed):
     rng = np.random.default_rng(seed)
     mat = bench_corpus().make_generator(rng, n, int(rng.integers(1, n * n)), seed % 2 == 0).mat
     bigger = mat + random_cp_map(rng, n, m=1)
-    flows = (expm_times(_real_form(m), _DOMINATION_TIMES) for m in (bigger, mat))
+    flows = (Flow(m).grid(_DOMINATION_TIMES) for m in (bigger, mat))
     for p2, p1 in zip(*flows):
         yield superop_to_choi(_complex_form(p2 - p1))
         yield superop_to_choi(_complex_form(p1 - p2))
@@ -276,7 +275,8 @@ def test_expm_keeps_real_input_real(rng):
     e = expm(m)
     assert e.dtype == np.float64
     np.testing.assert_allclose(e, scipy.linalg.expm(m.astype(complex)).real, rtol=1e-13)
-    assert all(p.dtype == np.float64 for p in expm_times(m, (0.25, 0.5, 0.75)))
+    flow = Flow(random_ccp_generator(rng, 3))
+    assert all(p.dtype == np.float64 for p in flow.grid((0.25, 0.5, 0.75)))
 
 
 UNITS_TIMES = (0.1, 0.5, 1.0)
@@ -287,13 +287,15 @@ UNEVEN_TIMES = (0.1, 0.25, 0.5, 0.75, 1.0)
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("unital", [True, False])
 def test_expm_times_matches_per_time_expm(n, unital):
+    # Flow.grid, products included, against one expm per time
     mat = random_ccp_generator(np.random.default_rng(100 + n), n, unital=unital)
     grids = (_DOMINATION_TIMES, UNEVEN_TIMES, UNITS_TIMES, (0.0, 0.5, 1.0), (1.0, 0.25, 0.5, 0.75))
     for times in grids:
-        got = list(expm_times(mat, times))
+        flow = Flow(mat)
+        got = list(flow.grid(times))
         assert len(got) == len(times)
         for t, p in zip(times, got):
-            want = expm(t * mat)
+            want = expm(t * flow.real)
             assert frob(p - want) <= 1e-12 * frob(want), (n, unital, times, t)
 
 
@@ -315,23 +317,25 @@ def test_expm_times_matches_per_time_expm(n, unital):
     ],
 )
 def test_expm_times_exponentiates_only_unreached_times(monkeypatch, times, expm_at):
-    mat = random_ccp_generator(np.random.default_rng(3), 2)
+    # Flow.grid makes an expm (Flow.at) only where the step is no earlier time
+    flow = Flow(random_ccp_generator(np.random.default_rng(3), 2))
     calls = expm_spy(monkeypatch)
-    out = list(expm_times(mat, times))
+    out = list(flow.grid(times))
     assert len(out) == len(times)
     assert len(calls) == len(expm_at)
     for m, t in zip(calls, expm_at):
-        assert np.array_equal(m, t * mat)
+        assert np.array_equal(m, t * flow.real)
 
 
 def test_expm_times_is_lazy(monkeypatch):
-    mat = random_ccp_generator(np.random.default_rng(3), 2)
+    # Flow.grid makes nothing, L's real form included, before its first result
+    flow = Flow(random_ccp_generator(np.random.default_rng(3), 2))
     calls = expm_spy(monkeypatch)
-    gen = expm_times(mat, UNEVEN_TIMES)
-    assert calls == []
+    gen = flow.grid(UNEVEN_TIMES)
+    assert calls == [] and "real" not in vars(flow)
     first = next(gen)
     assert len(calls) == 1
-    assert np.array_equal(first, expm(0.1 * mat))
+    assert np.array_equal(first, expm(0.1 * flow.real))
 
 
 def test_eigendecompositions_only_in_numerics():
@@ -374,39 +378,24 @@ def test_hermiticity_is_decided_outside_spectrum():
     assert raisers == ["hamiltonian_lindblad"]
 
 
-def _bindings(fn):
-    """Each name a function assigns, with the expression assigned to it
-    (plain and tuple-to-tuple assignments)."""
-    out = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                pairs = [(target, node.value)]
-                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
-                    pairs = zip(target.elts, node.value.elts)
-                out.update((t.id, v) for t, v in pairs if isinstance(t, ast.Name))
-    return out
-
-
 def test_superoperator_exponentials_are_taken_in_real_form():
-    # numerics.expm is called only by evolve, unit_matrix (an n x n operator)
-    # and expm_times, and expm_times only on a _real_form value
-    expm_callers = set()
+    # numerics.expm is called only by Flow.at and unit_matrix (an n x n
+    # operator), and _real_form only inside Flow, whose at exponentiates it
+    expm_callers, real_form_callers = set(), set()
     for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for call in _calls(fn, "expm"):
-                func = call.func
-                if isinstance(func, ast.Name) or getattr(func.value, "id", None) == "numerics":
-                    expm_callers.add(fn.name)
-            bound = _bindings(fn)
-            for call in _calls(fn, "expm_times"):
-                arg = call.args[0]
-                arg = bound.get(arg.id, arg) if isinstance(arg, ast.Name) else arg
-                assert _calls(arg, "_real_form") == [arg], (path.name, call.lineno)
-    assert expm_callers == {"evolve", "unit_matrix", "expm_times"}
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for fn in ast.walk(top):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for call in _calls(fn, "expm"):
+                    func = call.func
+                    if isinstance(func, ast.Name) or getattr(func.value, "id", None) == "numerics":
+                        expm_callers.add(fn.name)
+                if _calls(fn, "_real_form"):
+                    real_form_callers.add((owner, fn.name))
+    assert expm_callers == {"at", "unit_matrix"}
+    assert real_form_callers == {("Flow", "real")}
 
 
 def test_threshold_rule_only_in_numerics():

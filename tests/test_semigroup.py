@@ -36,7 +36,7 @@ from cpsemi.semigroup import (
     unit_matrix,
     verify_units,
 )
-from cpsemi.superop import _real_form, ad_superop, apply_superop, identity_superop, vec
+from cpsemi.superop import Flow, ad_superop, apply_superop, identity_superop, vec
 from cpsemi.errors import DimensionMismatch
 
 
@@ -70,8 +70,10 @@ def test_evolve_dephasing_eigenrelation(dephasing):
 
 
 def test_evolve_rejects_negative_time(dephasing):
-    with pytest.raises(ValueError):
-        evolve(dephasing, -0.1)
+    # and every time that is not finite: Flow.at checks each one
+    for t in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            evolve(dephasing, t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
@@ -106,33 +108,46 @@ def test_space_at_goldens(dephasing):
 def test_space_at_rejects_non_generator():
     with pytest.raises(NotCP):
         space_at(-ad_superop(SZ), 1.0)
-    with pytest.raises(ValueError):
-        space_at(dephasing_generator(), 0.0)
+    for t in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            space_at(dephasing_generator(), t)
 
 
 def test_product_system_check(dephasing):
-    assert product_system_check(np.zeros((4, 4)), 0.3, 0.9)
-    assert product_system_check(dephasing, 0.5, 0.5)
-    assert product_system_check(dephasing, 0.3, 0.7)
+    assert product_system_check(Flow(np.zeros((4, 4))), 0.3, 0.9)
+    assert product_system_check(Flow(dephasing), 0.5, 0.5)
+    assert product_system_check(Flow(dephasing), 0.3, 0.7)
     # strong commuting dephasing: products of its Kraus operators include
     # roundoff-sized ones, which must not count as new directions
     strong = hamiltonian_lindblad(np.zeros((2, 2)), [np.diag([10, 10j])])
-    assert product_system_check(strong, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        product_system_check(dephasing, 0.0, 0.5)
+    assert product_system_check(Flow(strong), 0.5, 0.5)
+    for s, t in ((0.0, 0.5), (np.nan, 0.5), (0.5, np.nan)):
+        with pytest.raises(ValueError):
+            product_system_check(Flow(dephasing), s, t)
     with pytest.raises(NotCP):
-        product_system_check(-ad_superop(SZ), 0.5, 0.5)
+        product_system_check(Flow(-ad_superop(SZ)), 0.5, 0.5)
 
 
 def test_product_system_check_evolves_each_distinct_time_once(monkeypatch):
-    mat = random_ccp_generator(np.random.default_rng(4), 3, m=2, unital=True)
-    r = _real_form(mat)
+    # the second pair reads exp(1.0 L) that the first one made
+    flow = Flow(random_ccp_generator(np.random.default_rng(4), 3, m=2, unital=True))
     calls = expm_spy(monkeypatch)
-    for s, t, times in ((0.5, 0.5, [0.5, 1.0]), (0.3, 0.7, [0.3, 0.7, 1.0])):
+    for s, t, times in ((0.5, 0.5, [0.5, 1.0]), (0.3, 0.7, [0.3, 0.7])):
         calls.clear()
-        assert product_system_check(mat, s, t)
+        assert product_system_check(flow, s, t)
         assert len(calls) == len(times)
-        assert all(np.array_equal(m, x * r) for m, x in zip(calls, times))
+        assert all(np.array_equal(m, x * flow.real) for m, x in zip(calls, times))
+
+
+def test_product_system_check_reads_no_product_of_a_grid(monkeypatch):
+    # verify_units' grid makes exp(1.0 L) as exp(0.5 L) exp(0.5 L); the law
+    # test still exponentiates 1.0 on its own, or it would hold by construction
+    mat = random_ccp_generator(np.random.default_rng(4), 3, m=2, unital=True)
+    flow = Flow(mat)
+    assert verify_units(flow, sample_units(decompose(mat), 2, seed=1))
+    calls = expm_spy(monkeypatch)
+    assert product_system_check(flow, 0.5, 0.5)
+    assert len(calls) == 1 and np.array_equal(calls[0], 1.0 * flow.real)
 
 
 def test_product_system_check_reads_no_eigenvectors(monkeypatch):
@@ -141,8 +156,8 @@ def test_product_system_check_reads_no_eigenvectors(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    assert product_system_check(mat, 0.5, 0.5)
-    assert product_system_check(mat, 0.3, 0.7)
+    assert product_system_check(Flow(mat), 0.5, 0.5)
+    assert product_system_check(Flow(mat), 0.3, 0.7)
     assert calls == []
 
 
@@ -173,37 +188,44 @@ def test_unit_matrix_goldens(dephasing):
 
 
 def test_verify_units_shares_each_time_between_units(monkeypatch):
-    import cpsemi.numerics as numerics
     import cpsemi.semigroup as semigroup
 
     mat = random_ccp_generator(np.random.default_rng(4), 3, m=4, unital=True)
     d = decompose(mat)
     units = sample_units(d, 3, seed=1)
-    # the exponentials of the semigroup (unit operators are n x n, not spied)
-    calls, spaces = [], []
-    real_expm, real_space = numerics.expm, semigroup.space_from_cp_map
-    monkeypatch.setattr(numerics, "expm", lambda m: calls.append(m) or real_expm(m))
+    spied, spaces = expm_spy(monkeypatch), []
+
+    def calls():
+        # the exponentials of the semigroup, not the n x n unit operators
+        return [m for m in spied if len(m) == 9]
+
+    real_space = semigroup.space_from_cp_map
     monkeypatch.setattr(
         semigroup,
         "space_from_cp_map",
         lambda big, tol: spaces.append(big) or real_space(big, tol),
     )
-    assert verify_units(mat, units)
+    flow = Flow(mat)
+    assert verify_units(flow, units)
     # no space of exp(tL) is built; exp(1.0 L) = exp(0.5 L) exp(0.5 L)
-    assert len(calls) == 2
-    r = _real_form(mat)
-    assert np.array_equal(calls[0], 0.1 * r) and np.array_equal(calls[1], 0.5 * r)
-    calls.clear()
-    assert all(verify_units(mat, [u]) for u in units)
-    assert len(calls) == 6
+    assert len(calls()) == 2
+    assert np.array_equal(calls()[0], 0.1 * flow.real)
+    assert np.array_equal(calls()[1], 0.5 * flow.real)
+    spied.clear()
+    assert all(verify_units(Flow(mat), [u]) for u in units)
+    assert len(calls()) == 6
+    # one flow makes each time once, however many calls read it
+    spied.clear()
+    assert all(verify_units(flow, [u]) for u in units)
+    assert calls() == []
     # alpha = -1 for every unit breaks positivity; the first failure stops it.
     # exp(t (L - s id)) = e^(-st) exp(tL) lowers every unit's alpha by s.
     alphas = [np.vdot(u.v_coords, u.v_coords).real + 2.0 * u.c.real for u in units]
-    shifted = mat - (max(alphas) + 1.0) * identity_superop(3)
-    calls.clear()
+    shifted = Flow(mat - (max(alphas) + 1.0) * identity_superop(3))
+    spied.clear()
     assert not verify_units(shifted, units)
-    assert len(calls) == 1 and np.array_equal(calls[0], 0.1 * _real_form(shifted))
-    assert not verify_units(mat - (alphas[0] + 1.0) * identity_superop(3), [units[0]])
+    assert len(calls()) == 1 and np.array_equal(calls()[0], 0.1 * shifted.real)
+    assert not verify_units(Flow(mat - (alphas[0] + 1.0) * identity_superop(3)), [units[0]])
     assert spaces == []
 
 
@@ -215,12 +237,12 @@ def test_passing_verify_units_computes_no_eigenvalue(monkeypatch):
     eig_calls = linalg_spy(monkeypatch, "eigvalsh")
     eigh_calls = linalg_spy(monkeypatch, "eigh")
     chol_calls = linalg_spy(monkeypatch, "cholesky")
-    assert verify_units(mat, units)
+    assert verify_units(Flow(mat), units)
     assert eig_calls == [] and eigh_calls == []
     assert chol_calls == [(16, 16)] * 9
     # the first unit of the first time fails: one factorisation, one spectrum
     chol_calls.clear()
-    assert not verify_units(mat - 10.0 * identity_superop(4), units)
+    assert not verify_units(Flow(mat - 10.0 * identity_superop(4)), units)
     assert eig_calls == [(16, 16)] and chol_calls == [(16, 16)]
     assert eigh_calls == []
 
@@ -243,7 +265,7 @@ def test_verify_units_accepts_units_the_membership_cut_rejected():
     ]
     for i, (seed, mat) in enumerate(cases):
         for u in sample_units(decompose(mat), 3, seed=seed)[1:]:
-            assert verify_units(mat, [u]), i
+            assert verify_units(Flow(mat), [u]), i
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -254,8 +276,8 @@ def test_verify_units_rejects_units_of_another_generator(n):
     for m in (1, 2, n * n - 1):
         mat, other = (bench_corpus().make_generator(rng, n, m, True).mat for _ in range(2))
         units = sample_units(decompose(other), 3, seed=n)[1:]
-        assert all(verify_units(other, [u]) for u in units)
-        assert not any(verify_units(mat, [u]) for u in units)
+        assert all(verify_units(Flow(other), [u]) for u in units)
+        assert not any(verify_units(Flow(mat), [u]) for u in units)
 
 
 @pytest.mark.filterwarnings("error")
@@ -264,25 +286,26 @@ def test_verify_units_refuses_a_difference_that_is_not_finite(dephasing):
     # inf - inf, which is a numerical limit, not a verdict
     d = decompose(dephasing)
     with pytest.raises(Overflow, match="not finite"):
-        verify_units(dephasing, [make_unit(d, 354.9, [0.0])], t_samples=(1.0,))
+        verify_units(Flow(dephasing), [make_unit(d, 354.9, [0.0])], t_samples=(1.0,))
     with pytest.raises(Overflow, match="overflows"):
-        verify_units(dephasing, [make_unit(d, 355.5, [0.0])], t_samples=(1.0,))
+        verify_units(Flow(dephasing), [make_unit(d, 355.5, [0.0])], t_samples=(1.0,))
 
 
 def test_verify_units_rejects_negative_time(dephasing):
     d = decompose(dephasing)
-    with pytest.raises(ValueError):
-        verify_units(dephasing, [make_unit(d, 0.0, [0.0])], (0.5, -0.1))
+    for t in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            verify_units(Flow(dephasing), [make_unit(d, 0.0, [0.0])], (0.5, t))
 
 
 def test_verify_unit(dephasing):
     d = decompose(dephasing)
-    assert verify_units(dephasing, [make_unit(d, 0.0, [0.0])])
+    assert verify_units(Flow(dephasing), [make_unit(d, 0.0, [0.0])])
     u = make_unit(d, 0.0, [1.0])
-    assert verify_units(dephasing, [u], t_samples=tuple(np.linspace(0.1, 1.0, 10)))
+    assert verify_units(Flow(dephasing), [u], t_samples=tuple(np.linspace(0.1, 1.0, 10)))
     # alpha = <v,v> + 2 Re c = 1 is minimal: lowering it by 0.5, as the
     # shifted generator does, breaks positivity
-    assert not verify_units(dephasing - 0.5 * identity_superop(2), [u])
+    assert not verify_units(Flow(dephasing - 0.5 * identity_superop(2)), [u])
 
 
 def test_covariance_goldens(dephasing):

@@ -19,8 +19,10 @@ together (``PARENT CHANGE``) are timed side by side under the same load of the
 host.  A child is this script with ``--group``; it prints its rows as JSON.
 
 * ``in_process``: the ``analyze``, ``decompose``, ``index`` and
-  ``covariance`` subcommands and each ``verify`` check alone (``verify
-  <check>``) at n in {4, 8, 16} and ranks {2, n^2 / 4, n^2 - 1}, and
+  ``covariance`` subcommands, each ``verify`` check alone (``verify
+  <check>``) and all five in one ``verify`` call, whose checks share one
+  ``Flow`` of L (7 ``expm``; the five calls alone make 8), at n in
+  {4, 8, 16} and ranks {2, n^2 / 4, n^2 - 1}, and
   ``analyze`` and ``index`` on ``make_non_ccp`` of the rank-2 generator
   (``ccp`` false, exit 2), each through ``cli.main`` with ``--output`` to a
   temporary file: the best of 3 calls after one warm-up, and the kernel
@@ -131,7 +133,8 @@ def _calls(units: str | None) -> list[tuple[str, list[str]]]:
     if units is None:
         return calls
     calls += [("decompose", ["decompose"]), ("covariance", ["covariance", "--units", units])]
-    return calls + [(f"verify {c}", ["verify", "--checks", c]) for c in CHECKS]
+    calls += [(f"verify {c}", ["verify", "--checks", c]) for c in CHECKS]
+    return calls + [("verify", ["verify"])]
 
 
 # A cold call reports its own peak RSS, the VmHWM of its address space: its
