@@ -299,9 +299,9 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
 _DOMINATION_TIMES = (0.125, 0.25, 0.5, 0.75, 1.0)
 
 
-def dominates(flow1: Flow, flow2: Flow, tol: Tolerances = DEFAULT_TOL) -> bool:
+def dominates(flow1: Flow, flow2: Flow) -> bool:
     """True iff exp(t L2) - exp(t L1) is completely positive at each sample,
-    for the semigroups ``flow1`` of L1 and ``flow2`` of L2.
+    for the semigroups ``flow1`` of L1 and ``flow2`` of L2, which share one tolerance.
 
     When L2 - L1 is completely positive this holds for every t >= 0; the
     check stops at the first sampled difference that is not.  Each semigroup
@@ -314,10 +314,12 @@ def dominates(flow1: Flow, flow2: Flow, tol: Tolerances = DEFAULT_TOL) -> bool:
     the grid ``_DOMINATION_TIMES`` is dyadic so that every step between
     samples is an earlier sample: one ``expm`` and four products per semigroup.
     """
-    if flow1.real.shape != flow2.real.shape:
+    if flow1.shape != flow2.shape:
         raise ValueError("generators must act on the same algebra")
+    if flow1.tol != flow2.tol:
+        raise ValueError("both semigroups must share one tolerance")
     for p2, p1 in zip(flow2.grid(_DOMINATION_TIMES), flow1.grid(_DOMINATION_TIMES)):
-        if not is_psd(superop_to_choi(_complex_form(p2 - p1)), tol):
+        if not is_psd(superop_to_choi(_complex_form(p2 - p1)), flow1.tol):
             return False
     return True
 

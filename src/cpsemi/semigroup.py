@@ -73,14 +73,15 @@ def space_at(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> Metric
     return space_from_cp_map(evolve(mat, t, tol), tol)
 
 
-def product_system_check(flow: Flow, s: float, t: float, tol: Tolerances = DEFAULT_TOL) -> bool:
+def product_system_check(flow: Flow, s: float, t: float) -> bool:
     """Check the semigroup law P_s P_t = P_{s+t} and that E(s) E(t) spans E(s + t).
 
     The law holds when ||P_s P_t - P_{s+t}||_F, less the rounding that
     exp((s + t) L) itself may carry (:func:`~cpsemi.numerics._expm_rounding`,
     which grows with ||(s + t) L||), is within ``residual`` of
     anchor(||P_s P_t||_F, ||P_{s+t}||_F), compared in L's real form, whose
-    Frobenius norms are those of the maps.
+    Frobenius norms are those of the maps.  Every decision is taken with
+    ``flow.tol``.
 
     Products of Kraus operators of P_s and P_t are Kraus operators of
     P_s P_t, so E(s) E(t) spans the range of J(P_s P_t) and E(s + t) the
@@ -103,6 +104,7 @@ def product_system_check(flow: Flow, s: float, t: float, tol: Tolerances = DEFAU
     """
     if s <= 0 or t <= 0:
         raise ValueError("the spaces are defined for strictly positive times")
+    tol = flow.tol
     p_s, p_t, p_st = flow.at(s), flow.at(t), flow.at(s + t)
     prod = p_s @ p_t
     error = frob(prod - p_st) - _expm_rounding((s + t) * flow.real, p_st)
@@ -150,11 +152,11 @@ def verify_units(
     flow: Flow,
     units: Sequence[Unit],
     t_samples: Sequence[float] = (0.1, 0.5, 1.0),
-    tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
     """Verify the defining property of every unit against ``flow``, the
     semigroup of L: at each sampled t, the Choi matrix of e^{alpha t} exp(tL) -
-    (x -> T x T*) is PSD within ``psd_slack``, alpha = <v, v> + 2 Re c.
+    (x -> T x T*) is PSD within the ``psd_slack`` of ``flow.tol``,
+    alpha = <v, v> + 2 Re c.
     ||a||^2_E(t) is the least c >= 0 for which c P_t - (x -> a x a*) is CP,
     and only members of E(t) have one: the test also says that T(t) lies in
     E(t), and no membership is tested.  :func:`~cpsemi.numerics.is_psd`
@@ -175,7 +177,7 @@ def verify_units(
             r = vec(unit_matrix(u, t))
             with np.errstate(over="ignore", invalid="ignore"):  # is_psd raises Overflow
                 diff = np.exp(a * t) * choi - np.outer(r, r.conj())
-            if not is_psd(diff, tol):
+            if not is_psd(diff, flow.tol):
                 return False
     return True
 

@@ -234,19 +234,21 @@ class Flow:
     Hermiticity exactly.  ``real`` is made on first use: a caller that samples no time
     pays nothing.  ``at(t)`` is the one direct :func:`~cpsemi.numerics.expm` of t, made once;
     ``grid(times)`` reuses results by the semigroup law but never stores a product where
-    ``at`` would return it, so a test of that law can read ``at`` alone."""
+    ``at`` would return it, so a test of that law can read ``at`` alone.  ``tol`` is the
+    one tolerance of every check that samples the semigroup; ``shape`` is L's."""
 
     def __init__(self, mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-        self._mat, self._tol = mat, tol
+        self._mat, self.tol, self.shape = mat, tol, np.shape(mat)
         self._at: dict[float, np.ndarray] = {}
 
     @functools.cached_property
     def real(self) -> np.ndarray:
         """:func:`_real_form` of L; raises NotHermiticityPreserving as it does."""
-        return _real_form(self._mat, self._tol)
+        return _real_form(self._mat, self.tol)
 
     def at(self, t: float) -> np.ndarray:
-        """exp(t real) by its own expm, made once per t.
+        """exp(t real) by its own expm, made once per t.  Every later read of t returns
+        the same array, so it is read-only.
 
         :raises ValueError: unless 0 <= t < inf.
         :raises Overflow: if its norm is not finite.
@@ -256,6 +258,7 @@ class Flow:
             raise ValueError(f"evolution time must be nonnegative and finite, got {t}")
         if t not in self._at:
             self._at[t] = expm(t * self.real)
+            self._at[t].flags.writeable = False
         return self._at[t]
 
     def grid(self, times: Sequence[float]) -> Iterator[np.ndarray]:

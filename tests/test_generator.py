@@ -33,7 +33,7 @@ from cpsemi.generator import (
     rebuild,
     same_generator,
 )
-from cpsemi.numerics import DEFAULT_TOL, expm, spectrum
+from cpsemi.numerics import DEFAULT_TOL, Tolerances, expm, spectrum
 from cpsemi.opspace import space_from_cp_map
 from cpsemi.sampling import random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, index
@@ -245,6 +245,17 @@ def test_dominates(rng):
     upper = lower + ad_superop(random_matrix(rng, 2))
     assert dominates(Flow(lower), Flow(upper))
     assert not dominates(Flow(upper), Flow(lower))
+
+
+def test_dominates_compares_shapes_and_tolerances_before_any_real_form(rng):
+    mat = random_ccp_generator(rng, 2)
+    not_hp = 1j * identity_superop(3)
+    for flow1, flow2 in ((Flow(not_hp), Flow(mat)), (Flow(mat), Flow(np.zeros((5, 5))))):
+        with pytest.raises(ValueError, match="same algebra"):
+            dominates(flow1, flow2)
+        assert "real" not in vars(flow1) and "real" not in vars(flow2)
+    with pytest.raises(ValueError, match="one tolerance"):
+        dominates(Flow(mat), Flow(mat, Tolerances(rel=1e-6)))
 
 
 def test_dominates_makes_one_expm_per_semigroup(monkeypatch):

@@ -338,6 +338,15 @@ def test_expm_times_is_lazy(monkeypatch):
     assert np.array_equal(first, expm(0.1 * flow.real))
 
 
+def test_flow_results_that_are_kept_are_read_only():
+    # every later read of a time returns the one array at made for it
+    flow = Flow(random_ccp_generator(np.random.default_rng(3), 2))
+    p = flow.at(0.5)
+    assert flow.at(0.5) is p and not p.flags.writeable
+    with pytest.raises(ValueError):
+        p *= 2.0
+
+
 def test_eigendecompositions_only_in_numerics():
     # every PSD and rank decision reads one Spectrum, or is_psd's Cholesky
     # certificate: no other module eigendecomposes, factorises or takes a

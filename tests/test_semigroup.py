@@ -128,6 +128,19 @@ def test_product_system_check(dephasing):
         product_system_check(Flow(-ad_superop(SZ)), 0.5, 0.5)
 
 
+def test_sampled_checks_read_the_one_tolerance_of_their_flow(dephasing):
+    # the real form and the checks' own decisions take the same flow.tol
+    skewed = dephasing + 1e-6j * identity_superop(2)
+    unit = [make_unit(decompose(dephasing), 0.0, [0.0])]
+    with pytest.raises(NotHermiticityPreserving):
+        product_system_check(Flow(skewed), 0.5, 0.5)
+    with pytest.raises(NotHermiticityPreserving):
+        verify_units(Flow(skewed), unit)
+    loose = Tolerances(rel=1e-3)
+    assert product_system_check(Flow(skewed, loose), 0.5, 0.5)
+    assert verify_units(Flow(skewed, loose), unit)
+
+
 def test_product_system_check_evolves_each_distinct_time_once(monkeypatch):
     # the second pair reads exp(1.0 L) that the first one made
     flow = Flow(random_ccp_generator(np.random.default_rng(4), 3, m=2, unital=True))
