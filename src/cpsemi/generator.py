@@ -307,9 +307,8 @@ def dominates(flow1: Flow, flow2: Flow) -> bool:
     check stops at the first sampled difference that is not.  Each semigroup
     is exponentiated in its real form, so the Choi matrix of a difference is
     Hermitian bit for bit and needs no Hermiticity test: it goes straight to
-    :func:`~cpsemi.numerics.is_psd`, whose Cholesky fast exit (shift
-    psd_slack * s_lo, s_lo at most the spectrum's scale) keeps the rule and
-    certifies a CP difference without an eigenvalue.  Each semigroup reuses
+    :func:`~cpsemi.numerics.is_psd`, whose Cholesky certificate keeps the rule
+    and passes a CP difference without an eigenvalue.  Each semigroup reuses
     its exponentials across the times (:meth:`~cpsemi.superop.Flow.grid`);
     the grid ``_DOMINATION_TIMES`` is dyadic so that every step between
     samples is an earlier sample: one ``expm`` and four products per semigroup.

@@ -13,19 +13,19 @@ anchor of its largest |eigenvalue|; a stack of matrices, shape (..., k, k),
 gets one scale and one verdict per matrix.  :func:`spectrum` takes the
 Hermitian part and decides nothing; whether the input had to be Hermitian
 is its caller's :func:`is_hermitian` (for a Choi matrix,
-:func:`~cpsemi.superop.choi_spectrum`).  :func:`is_psd` is the PSD verdict
-alone, with a fast exit that keeps the rule: s_lo = anchor(max |h_ii|) is at
-most ``scale``, so a Cholesky factorisation of h + psd_slack * s_lo * 1
-proves it True, knowing the bound -psd_slack * s_lo and not an eigenvalue.
-:func:`_factor_spectrum` keeps the rule the same way for a matrix of low
-rank: a pivoted Cholesky factor and Weyl's inequality certify its PSD
-verdict and its kept pairs, or a negative pivot shows it is not PSD and
-:func:`_witness_spectrum` finds the lowest eigenvector by ``eigvalsh`` and
-one solve, or it declines.  :func:`_full_rank_certified` certifies a rank
-of n^2 - 1, the largest of a projected Choi matrix, by one Cholesky
-factorisation and rank-one interlacing.  Where they decline, one ``eigh``
-decides: it is the one fallback, so a count and a basis read the same
-eigenvalues.
+:func:`~cpsemi.superop.choi_spectrum`).  Every Cholesky certificate is one
+:func:`_shifted_cholesky`: a factor of h + c * 1 puts h's eigenvalues above -c.
+:func:`is_psd`, the PSD verdict alone, exits True at c = psd_slack * s_lo, s_lo =
+anchor(max |h_ii|) <= ``scale``, knowing that bound and not an eigenvalue; at
+c = -10 eig_cut U, U >= ``scale``, :func:`_kept_by_margin` keeps them all by a
+margin of 10, for full Choi ranks in :func:`~cpsemi.semigroup.product_system_check`
+and, after a rank-one term, n^2 - 1 in :func:`~cpsemi.symbols._full_rank_certified`.
+:func:`_factor_spectrum` keeps the rule for a matrix of low rank: a pivoted
+Cholesky factor and Weyl's inequality certify its PSD verdict and kept pairs,
+or a negative pivot shows it is not PSD and :func:`_witness_spectrum` finds
+the lowest eigenvector by ``eigvalsh`` and one solve, or it declines.  Where
+they decline, one ``eigh`` decides: it is the one fallback, so a count and a
+basis read the same eigenvalues.
 Every matrix exponential is made here.  One whose norm overflows raises
 :class:`~cpsemi.errors.Overflow`, as does a Hermiticity, spectrum or PSD
 verdict on a matrix that is not finite, before any arithmetic on it.
@@ -34,7 +34,6 @@ verdict on a matrix that is not finite, before any arithmetic on it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -237,41 +236,6 @@ def _factor_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum | None:
     return Spectrum(lam, (f @ w) / np.sqrt(lam), anchor(np.abs(lam).max(initial=0.0)))
 
 
-def _full_rank_certified(h: np.ndarray, tol: Tolerances) -> bool:
-    """True iff one Cholesky factorisation certifies that ``h``, Hermitian and
-    k x k with k = n^2, is PSD with k - 1 eigenvalues kept and the one along
-    omega = vec(1) (1 at the positions ``::n+1``) dropped, as
-    :class:`Spectrum`'s rules would find on eigh's eigenvalues.  For the
-    projected Choi matrix, whose kernel holds omega, that is the largest
-    rank, n^2 - 1.
-
-    With w = omega / sqrt(n) and U = anchor(||h||_F) >= ``scale``, a factor of
-    h + U w w* - c 1, c = 10 eig_cut U, puts every eigenvalue of h + U w w*
-    above c, and by rank-one interlacing (the i-th eigenvalue of h is at
-    least the (i + 1)-th of h + U w w*) the k - 1 largest of h too: kept, by
-    a margin of 10.  h has an eigenvalue within ||h w|| of 0, and when
-    ||h w|| <= min(eig_cut, psd_slack) s_lo / 10 < c it can only be the
-    last: dropped and PSD, by a margin of 10 again (s_lo = anchor(max |h_ii|)
-    <= ``scale``).  That test, a column sum, comes first.
-    """
-    _require_finite(h)
-    k = len(h)
-    n = math.isqrt(k)
-    ones = slice(None, None, n + 1)  # omega's support
-    hw = np.linalg.norm(h[:, ones].sum(axis=1)) / np.sqrt(n)
-    if not within(_FACTOR_MARGIN * hw, min(tol.eig_cut, tol.psd_slack), _diagonal_scale(h)):
-        return False
-    top = anchor(frob(h))
-    g = h.copy()
-    g[ones, ones] += top / n
-    g.reshape(-1)[:: k + 1] -= _FACTOR_MARGIN * tol.eig_cut * top
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _witness_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum:
     """Every eigenvalue of ``h``, Hermitian, and where h is not PSD the unit
     eigenvector of the lowest as the one column of ``u``, (k, 1), without the
@@ -304,32 +268,44 @@ def _witness_spectrum(h: np.ndarray, tol: Tolerances) -> Spectrum:
     return s._replace(u=x[:, None])
 
 
+def _shifted_cholesky(h: np.ndarray, shift: float) -> bool:
+    """True iff ``cholesky`` factorises h + shift * 1, ``h`` Hermitian, with a
+    finite factor: h's eigenvalues are then above -shift, within its backward
+    error of about k eps ||h||.  h's diagonal is shifted in place through
+    ``flat``, right on any layout, and restored bit for bit whatever the answer."""
+    diagonal = slice(None, None, len(h) + 1)
+    saved = h.flat[diagonal]  # a copy
+    h.flat[diagonal] = saved + shift
+    try:
+        # a NaN or inf anywhere in h reaches a pivot: the factor is then no certificate
+        return bool(np.isfinite(np.linalg.cholesky(h).trace()))
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        h.flat[diagonal] = saved
+
+
+def _kept_by_margin(h: np.ndarray, top: float, tol: Tolerances) -> bool:
+    """True iff :func:`_shifted_cholesky` puts every eigenvalue of ``h`` above
+    10 eig_cut top: where top >= ``scale``, all are kept by a margin of 10."""
+    return _shifted_cholesky(h, -_FACTOR_MARGIN * tol.eig_cut * top)
+
+
 def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """``spectrum(m, vectors=False).psd(tol)`` for one square matrix, with a fast exit.
 
-    The Hermitian part h is formed once.  max |h_ii| <= ||h||_2, so s_lo =
-    anchor(max |h_ii|) <= ``scale``, and if ``cholesky`` factorises
-    h + psd_slack * s_lo * 1 the answer is True with no eigenvalue computed;
-    otherwise the diagonal is restored and :meth:`Spectrum.psd` decides on h.
-    The paths can disagree only within Cholesky's backward error, about
-    k eps ||h|| for k x k, of the bound.
+    The Hermitian part h is formed once.  s_lo = anchor(max |h_ii|) <= ``scale``
+    (max |h_ii| <= ||h||_2), so where :func:`_shifted_cholesky` factorises
+    h + psd_slack * s_lo * 1 the answer is True with no eigenvalue computed, or
+    else :meth:`Spectrum.psd` decides; they differ only within its backward error.
     """
     m = np.asarray(m, dtype=complex)
     _require_finite(m)
     h = np.conjugate(m.T, order="C")
     h += m
     h *= 0.5
-    diag = h.reshape(-1)[:: len(h) + 1]
-    saved = diag.copy()
-    diag += tol.psd_slack * _diagonal_scale(h)
-    try:
-        # a NaN or inf anywhere in h reaches a pivot: the factor is then no certificate
-        if np.isfinite(np.linalg.cholesky(h).trace()):
-            return True
-    except np.linalg.LinAlgError:
-        pass
-    diag[:] = saved
-    return _hermitian_spectrum(h, False).psd(tol)
+    s_lo = _diagonal_scale(h)
+    return _shifted_cholesky(h, tol.psd_slack * s_lo) or _hermitian_spectrum(h, False).psd(tol)
 
 
 def _finite(f, *args) -> np.ndarray:

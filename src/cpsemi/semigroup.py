@@ -29,7 +29,8 @@ import numpy as np
 from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Overflow
 from .generator import GklsForm, rank
 from .numerics import (
-    DEFAULT_TOL, Tolerances, _expm_rounding, expm, frob, is_psd, spectrum, within,
+    DEFAULT_TOL, Tolerances, _expm_rounding, _kept_by_margin, anchor, expm, frob, is_psd,
+    spectrum, within,
 )
 from .opspace import MetricOperatorSpace, space_from_cp_map
 from .superop import Flow, _complex_form, choi_spectrum, superop_to_choi, vec
@@ -84,20 +85,26 @@ def product_system_check(flow: Flow, s: float, t: float) -> bool:
     ``flow.tol``.
 
     Products of Kraus operators of P_s and P_t are Kraus operators of
-    P_s P_t, so E(s) E(t) spans the range of J(P_s P_t) and E(s + t) the
-    range of J(P_{s+t}).  Both Choi matrices are PSD, so the range of their
-    sum is the sum of their ranges: the spans are equal iff the two ranks
-    and the rank of the sum agree.  On its own this tests the semigroup law
-    of the exponential at the level of Choi ranges; it does not test the
-    Kraus bases :func:`space_at` extracts from those ranges, which
-    ``test_space_at_goldens`` and acceptance criterion 2 cover.
+    P_s P_t, so E(s) E(t) spans the range of A = J(P_s P_t) and E(s + t) that
+    of B = J(P_{s+t}).  Both are PSD, so the range of A + B is the sum of
+    their ranges: the spans are equal iff the ranks of A, B and A + B agree.
+    No rank is computed where :func:`~cpsemi.numerics._kept_by_margin` finds
+    every eigenvalue of J = A, B above 10 eig_cut U_J, U_J = anchor(||J||_F):
+    all n^2 of each are kept, and of A + B, as lambda_min(A + B) >=
+    lambda_min(A) + lambda_min(B) > 10 eig_cut (U_A + U_B) >= 10 eig_cut
+    anchor(||A + B||_F); A and B, Hermitian bit for bit, are then positive
+    definite, so :func:`~cpsemi.superop.choi_spectrum` would raise no NotCP.
+    On its own this tests the semigroup law of the exponential at the level
+    of Choi ranges; it does not test the Kraus bases :func:`space_at`
+    extracts from those ranges, which ``test_space_at_goldens`` and
+    acceptance criterion 2 cover.
 
     Each time of {s, t, s + t} is read from :meth:`Flow.at`, which holds one
     direct exponential of L's real form per time (two when s == t) and
     never a product of :meth:`Flow.grid`, and the product is taken in that
     form.  The check never derives exp((s + t) L) from the factors: the law
-    it tests would then hold by construction.  Where the law fails, no rank
-    is computed.
+    it tests would then hold by construction.  Where the law fails, no
+    factorisation and no rank is computed.
 
     :raises NotCP: if exp(s L) exp(t L) or exp((s + t) L) is not completely
         positive within tolerance (i.e. L was not a generator to begin with).
@@ -112,6 +119,8 @@ def product_system_check(flow: Flow, s: float, t: float) -> bool:
         return False
     j_prod = superop_to_choi(_complex_form(prod))
     j_target = superop_to_choi(_complex_form(p_st))
+    if all(_kept_by_margin(j, anchor(frob(j)), tol) for j in (j_prod, j_target)):
+        return True
     r_prod = choi_spectrum(j_prod, tol, vectors=False).kept(tol).sum()
     r_target = choi_spectrum(j_target, tol, vectors=False).kept(tol).sum()
     r_union = spectrum(j_prod + j_target, vectors=False).kept(tol).sum()

@@ -289,8 +289,8 @@ class Flow:
 
 def is_completely_positive(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff :func:`choi_spectrum` accepts the Choi matrix: it is Hermitian and
-    :func:`~cpsemi.numerics.is_psd`, the same PSD rule, whose Cholesky fast exit
-    (shift psd_slack * s_lo, s_lo <= scale) certifies a CP map with no eigenvalue."""
+    :func:`~cpsemi.numerics.is_psd`, the same PSD rule, whose Cholesky certificate
+    passes a CP map with no eigenvalue."""
     choi = superop_to_choi(mat)
     return is_hermitian(choi, tol) and is_psd(choi, tol)
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import ConstraintViolated, NotCCP, NotHermiticityPreserving
 from .numerics import (
-    DEFAULT_TOL, Spectrum, Tolerances, _factor_spectrum, _full_rank_certified,
-    _hermitian_spectrum, anchor, frob, is_hermitian, spectrum, within,
+    _FACTOR_MARGIN, DEFAULT_TOL, Spectrum, Tolerances, _diagonal_scale, _factor_spectrum,
+    _hermitian_spectrum, _kept_by_margin, _require_finite, anchor, frob, is_hermitian,
+    spectrum, within,
 )
 from .sampling import random_constrained_tuples
 from .superop import _fix_phases, _operator, dim_of, superop_to_choi, unvec, vec
@@ -141,13 +142,38 @@ def _ccp_spectrum(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return _hermitian_spectrum(h, True) if s is None else s
 
 
+def _full_rank_certified(h: np.ndarray, tol: Tolerances) -> bool:
+    """True iff one Cholesky factorisation certifies that ``h``, Hermitian and
+    n^2 x n^2, is PSD with n^2 - 1 eigenvalues kept and the one along omega =
+    vec(1) (1 at ``::n+1``) dropped by :class:`Spectrum`'s rules: rank n^2 - 1.
+
+    With w = omega / sqrt(n) and U = anchor(||h||_F) >= ``scale``, a factor of
+    h + U w w* - c 1, c = 10 eig_cut U (:func:`~cpsemi.numerics._kept_by_margin`),
+    puts every eigenvalue of h + U w w* above c, and by rank-one interlacing
+    (the i-th eigenvalue of h is at least the (i + 1)-th of h + U w w*) the
+    n^2 - 1 largest of h too: kept, by a margin of 10.  h has an eigenvalue
+    within ||h w|| of 0, and when ||h w|| <= min(eig_cut, psd_slack) s_lo / 10
+    < c it can only be the last: dropped and PSD, by a margin of 10 again
+    (s_lo = anchor(max |h_ii|) <= ``scale``).  That test, a column sum, is first.
+    """
+    _require_finite(h)
+    n = dim_of(h)
+    ones = slice(None, None, n + 1)  # omega's support
+    hw = np.linalg.norm(h[:, ones].sum(axis=1)) / np.sqrt(n)
+    if not within(_FACTOR_MARGIN * hw, min(tol.eig_cut, tol.psd_slack), _diagonal_scale(h)):
+        return False
+    top = anchor(frob(h))
+    g = h.copy()
+    g[ones, ones] += top / n
+    return _kept_by_margin(g, top, tol)
+
+
 def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """The rank of the projected Choi matrix h of a CCP map: the count of
     :func:`_ccp_spectrum`'s kept pairs, with one more certificate before its
     eigendecomposition.  From n = 8, where the factor declines and one
-    Cholesky factorisation certifies it
-    (:func:`~cpsemi.numerics._full_rank_certified`), the rank is n^2 - 1,
-    the largest, with no eigenvalue computed.
+    Cholesky factorisation certifies it (:func:`_full_rank_certified`), the
+    rank is n^2 - 1, the largest, with no eigenvalue computed.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     :raises NotCCP: as :func:`_require_ccp`.

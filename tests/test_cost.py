@@ -11,7 +11,9 @@ is ``eigvalsh``'s and whose witness one ``solve`` finds.  The library's
 witness search, which no CLI call makes, has rows of its own at n = 6.  A
 full ``verify`` hands its checks one ``Flow`` of L: ``product_system``'s two
 pairs share exp(1.0 L) and ``units`` reads its exp(0.5 L), so it makes 7
-``expm``, one fewer than its checks alone.  The counts are exact; a change
+``expm``, one fewer than its checks alone.  Two certified full-rank Choi
+matrices settle ``product_system``'s spans with no ranks, so each of its pairs
+makes 2 ``cholesky``, not 3 ``eigvalsh``.  The counts are exact; a change
 that adds or removes a kernel updates this table.
 """
 
@@ -38,8 +40,8 @@ LEDGER = {
     (2, "decompose"): (0, 0, 0, 0, 0, 0),
     (2, "index"): (0, 0, 0, 0, 0, 0),
     (2, "covariance"): (1, 0, 0, 0, 0, 1),
-    (2, "verify"): (0, 6, 11, 0, 0, 7),
-    (2, "verify product_system"): (0, 6, 0, 0, 0, 4),
+    (2, "verify"): (0, 0, 15, 0, 0, 7),
+    (2, "verify product_system"): (0, 0, 4, 0, 0, 4),
     (2, "verify domination"): (0, 0, 5, 0, 0, 2),
     (2, "verify gauge"): (0, 0, 0, 0, 0, 0),
     (2, "verify units"): (0, 0, 6, 0, 0, 2),
@@ -50,8 +52,8 @@ LEDGER = {
     (63, "decompose"): (1, 0, 0, 0, 0, 0),
     (63, "index"): (0, 0, 1, 0, 0, 0),
     (63, "covariance"): (2, 0, 0, 0, 0, 1),
-    (63, "verify"): (1, 7, 11, 1, 1, 7),
-    (63, "verify product_system"): (1, 6, 0, 0, 0, 4),
+    (63, "verify"): (1, 1, 15, 1, 1, 7),
+    (63, "verify product_system"): (1, 0, 4, 0, 0, 4),
     (63, "verify domination"): (1, 0, 5, 0, 0, 2),
     (63, "verify gauge"): (1, 0, 0, 1, 1, 0),
     (63, "verify units"): (1, 0, 6, 0, 0, 2),

@@ -254,6 +254,58 @@ def test_is_psd_leaves_its_input_alone(rng):
     assert np.array_equal(m, before)
 
 
+def test_shifted_cholesky_restores_the_diagonal_whatever_it_answers(rng):
+    # a success, a failure and a NaN entry each leave h bit for bit as it was
+    a = random_matrix(rng, 6)
+    h = a @ a.conj().T + np.eye(6)
+    low = spectrum(h, vectors=False).w[-1]
+    nan = h.copy()
+    nan[3, 1] = nan[1, 3] = np.nan
+    for m, shift, certified in ((h, -0.5 * low, True), (h, -2.0 * low, False), (nan, 1.0, False)):
+        before = m.tobytes()
+        assert numerics._shifted_cholesky(m, shift) is certified
+        assert m.tobytes() == before
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed", "strided"])
+def test_shifted_cholesky_shifts_any_layout(rng, layout):
+    # lowest eigenvalue 1: a shift of -0.9 factorises and -1.1 does not, so a
+    # shift lost in a copy of the diagonal (reshape of a non-contiguous array)
+    # would certify the second
+    u = _unitary(rng, 6)
+    h = (u * np.linspace(1.0, 3.0, 6)) @ u.conj().T
+    h = (h + h.conj().T) / 2.0
+    m = {
+        "C": h,
+        "transposed": h.conj().T,
+        "strided": np.kron(h, np.ones((2, 2)))[::2, ::2],
+    }[layout]
+    assert m.flags.c_contiguous == (layout == "C")
+    before = m.copy()
+    assert numerics._shifted_cholesky(m, -0.9)
+    assert not numerics._shifted_cholesky(m, -1.1)
+    assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("k", [4, 16, 64])
+@pytest.mark.parametrize("c", [0.5, 0.9, 1.1, 1.5])
+def test_kept_by_margin_at_its_bound(k, c):
+    # lowest eigenvalue c * 10 * eig_cut * U, U = anchor(||J||_F): Spectrum's
+    # rule keeps every eigenvalue, and the certificate holds where its margin
+    # of 10 does
+    rng = np.random.default_rng(k)
+    rest = rng.uniform(1.0, 5.0, k - 1)
+    bound = 10.0 * DEFAULT_TOL.eig_cut * anchor(np.linalg.norm(rest))
+    u = _unitary(rng, k)
+    j = (u * np.concatenate([rest, [c * bound]])) @ u.conj().T
+    j = (j + j.conj().T) / 2.0
+    top = anchor(frob(j))
+    s = spectrum(j, vectors=False)
+    assert top == pytest.approx(bound / (10.0 * DEFAULT_TOL.eig_cut), rel=1e-12)
+    assert s.w[-1] == pytest.approx(c * bound, rel=1e-4) and s.kept().all()
+    assert numerics._kept_by_margin(j, top, DEFAULT_TOL) == (c > 1)
+
+
 def test_is_psd_of_the_empty_matrix():
     assert is_psd(np.zeros((0, 0))) and spectrum(np.zeros((0, 0)), vectors=False).psd()
 
@@ -348,9 +400,9 @@ def test_flow_results_that_are_kept_are_read_only():
 
 
 def test_eigendecompositions_only_in_numerics():
-    # every PSD and rank decision reads one Spectrum, or is_psd's Cholesky
-    # certificate: no other module eigendecomposes, factorises or takes a
-    # rank, and no module takes singular values or an SVD-based solve
+    # every PSD and rank decision reads one Spectrum, or a Cholesky
+    # certificate of numerics: no other module eigendecomposes, factorises or
+    # takes a rank, and no module takes singular values or an SVD-based solve
     sources = sorted(Path(numerics.__file__).parent.glob("*.py"))
     assert len(sources) > 1
     for path in sources:
@@ -366,6 +418,17 @@ def _calls(tree, name):
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
     ]
+
+
+def test_every_cholesky_certificate_is_one_factorisation():
+    # is_psd, the full-rank rung and product_system's Choi ranks all reach
+    # np.linalg.cholesky through numerics._shifted_cholesky alone
+    callers = []
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls(fn, "cholesky"):
+                callers.append((path.name, fn.name))
+    assert callers == [("numerics.py", "_shifted_cholesky")]
 
 
 def test_hermiticity_is_decided_outside_spectrum():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,7 @@ from cpsemi.errors import (
     OwnerMismatch,
 )
 from cpsemi.generator import decompose, hamiltonian_lindblad, rebuild
-from cpsemi.numerics import DEFAULT_TOL, Tolerances, frob, is_hermitian
+from cpsemi.numerics import DEFAULT_TOL, Tolerances, _kept_by_margin, anchor, frob, is_hermitian
 from cpsemi.semigroup import (
     covariance,
     covariance_estimate,
@@ -36,7 +38,16 @@ from cpsemi.semigroup import (
     unit_matrix,
     verify_units,
 )
-from cpsemi.superop import Flow, ad_superop, apply_superop, identity_superop, vec
+from cpsemi.superop import (
+    Flow,
+    _complex_form,
+    ad_superop,
+    apply_superop,
+    choi_spectrum,
+    identity_superop,
+    superop_to_choi,
+    vec,
+)
 from cpsemi.errors import DimensionMismatch
 
 
@@ -172,6 +183,35 @@ def test_product_system_check_reads_no_eigenvectors(monkeypatch):
     assert product_system_check(Flow(mat), 0.5, 0.5)
     assert product_system_check(Flow(mat), 0.3, 0.7)
     assert calls == []
+
+
+def test_product_system_check_ranks_where_a_choi_matrix_is_not_full_rank(monkeypatch, dephasing):
+    # J(id) has rank 1, and dephasing's Choi matrices rank 2 of 4: the
+    # certificate declines and the three eigvalsh ranks decide
+    calls = linalg_spy(monkeypatch, "eigvalsh")
+    for mat in (np.zeros((4, 4)), dephasing):
+        for s, t in ((0.5, 0.5), (0.3, 0.7)):
+            calls.clear()
+            assert product_system_check(Flow(mat), s, t)
+            assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+def test_product_system_certificate_keeps_what_eigvalsh_keeps(n):
+    # wherever the Choi matrix of P_s P_t or P_{s+t} is certified full rank,
+    # Spectrum's rule keeps every eigenvalue; every corpus case certifies up
+    # to n = 8, and at n = 12, rank 1 (down to 1.3 times the cut) some decline
+    corpus = bench_corpus()
+    ranks = [1] if n == 12 else sorted({1, 2, n * n // 4, n * n - 1})
+    certified = []
+    for m, unital, seed in itertools.product(ranks, (True, False), range(6)):
+        flow = Flow(corpus.make_generator(np.random.default_rng(seed), n, m, unital).mat)
+        for s, t in ((0.5, 0.5), (0.3, 0.7)):
+            for p in (flow.at(s) @ flow.at(t), flow.at(s + t)):
+                j = superop_to_choi(_complex_form(p))
+                certified.append(_kept_by_margin(j, anchor(frob(j)), DEFAULT_TOL))
+                assert not certified[-1] or choi_spectrum(j, vectors=False).kept().all()
+    assert all(certified) if n <= 8 else 0 < sum(certified) < len(certified)
 
 
 def test_make_unit_checks_dimensions(dephasing):
