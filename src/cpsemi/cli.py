@@ -18,10 +18,10 @@ nested lists of such pairs::
 
 A spec's top-level arrays of [re, im] pairs are read flat where their
 skeleton, the structure bytes that one pass keeps, is rectangular: orjson
-parses their numbers as one list each, and the rest of the text apart
-(:func:`_read_flat`).  Everything else is read by the json module
-(:func:`_parse`), and :func:`decode` checks its lists, with the same arrays
-and messages.
+parses their numbers as one flat list each, and the json module the rest
+of the text (:func:`_read_flat`).  Everything else is read by the json
+module alone (:func:`_parse`), and :func:`decode` checks its lists, with
+the same arrays and messages.
 
 A report's numeric data are C-contiguous float arrays from :func:`encode`,
 which orjson writes without building a list.  Output
@@ -94,10 +94,10 @@ _INDEX_NOTE = (
 def encode(a) -> np.ndarray:
     """Report form of a complex scalar or array: a float array of shape
     ``a.shape + (2,)``, every entry an [re, im] pair.  It is C-contiguous,
-    as orjson needs to write it without ``default``: ``np.stack`` lays its
-    result out as its input is laid out."""
+    as orjson needs to write it without ``default``, and a view of ``a``
+    where ``a`` is already a C-contiguous complex array (a copy otherwise)."""
     a = np.asarray(a, dtype=complex, order="C")
-    return np.stack([a.real, a.imag], -1)
+    return a.reshape(-1).view(float).reshape(a.shape + (2,))
 
 
 def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -127,10 +127,8 @@ def decode(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
     return f.view(complex).reshape(shape)
 
 
-# Deepest nesting handed to orjson.  A spec nests 5 deep; orjson 3.8 recurses
-# without a limit when it builds the Python objects, so a document nested
-# about 10^5 deep overflows the C stack (the json module raises
-# RecursionError instead).
+# Deepest nesting of an array of [re, im] pairs that _rectangular builds a
+# template for (a spec's nest 3 or 4 deep); deeper text is the json module's.
 _MAX_DEPTH = 64
 # Every byte but brackets, braces, commas, quotes and the backslash (see _skeleton).
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{},"\\')))
@@ -153,13 +151,10 @@ def _skeleton(raw: bytes) -> list[bytes] | None:
     return None if b"\\" in skeleton else skeleton.split(b'"')
 
 
-def _nesting_depth(pieces: list[bytes]) -> int:
-    """Deepest nesting of arrays and objects in JSON text whose skeleton is
-    ``pieces`` (see :func:`_skeleton`), for text that is valid JSON (orjson
-    builds nothing from any other)."""
-    brackets = np.frombuffer(b"".join(pieces[::2]).translate(None, b","), dtype=np.uint8)
-    steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
-    return int(np.cumsum(steps).max(initial=0))
+def _loads(raw: bytes):
+    """The json module's value of the bytes ``raw`` read as a text-mode
+    open() reads them: strict UTF-8, universal newlines."""
+    return json.loads(raw.decode().replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _parse(path: str, raw: bytes):
@@ -168,9 +163,7 @@ def _parse(path: str, raw: bytes):
     NaN and Infinity (``decode`` then names the entry that is not finite),
     and its message is the parse error."""
     try:
-        # The text a text-mode open() reads: UTF-8, universal newlines.
-        text = raw.decode().replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
+        return _loads(raw)
     except (ValueError, RecursionError) as exc:  # ValueError: also bytes that are not UTF-8
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -234,17 +227,19 @@ def _flat_array(flat: bytearray, start: int, end: int, shape: list[int]):
     return f.reshape(*shape, 2) if np.isfinite(f).all() else None
 
 
-def _read_flat(raw: bytes, pieces: list[bytes], arrays) -> dict | None:
-    """The top-level JSON object of ``raw``, whose skeleton is ``pieces``, with
-    the value of each key in ``arrays`` that is an array of filled [re, im]
-    pairs read flat (:func:`_flat_array`); None where the json module reads
-    ``raw`` (:func:`_parse`).  An array whose pairs are not filled is tested
-    again with its whitespace deleted, as indented text needs; orjson still
-    parses the flat form of the text as it is.  Such a value is cut out for
-    a string that no text without a backslash holds, ``"\\u0000<i>"``, and
-    orjson parses the rest.  Every failure declines, and so does a cut value
-    that is not then its key's value at the top level (a duplicate key,
-    say)."""
+def _read_flat(raw: bytes, arrays) -> dict | None:
+    """The top-level JSON object of ``raw`` with the value of each key in
+    ``arrays`` that is an array of filled [re, im] pairs read flat
+    (:func:`_flat_array`); None where the json module reads ``raw``
+    (:func:`_parse`).  An array whose pairs are not filled is tested again
+    with its whitespace deleted, as indented text needs; orjson still parses
+    the flat form of the text as it is.  Such a value is cut out for a
+    string that no text without a backslash holds, ``"\\u0000<i>"``, and the
+    json module parses the rest, so orjson sees flat lists only.  Every
+    failure declines, and so does a cut value that is not then its key's
+    value at the top level (a duplicate key, say)."""
+    if (pieces := _skeleton(raw)) is None:
+        return None
     cuts, quotes = [], [-1]  # quotes[i]: the quote before pieces[i]
     for i in range(2, len(pieces), 2):
         if not (shape := _rectangular(pieces[i])):
@@ -257,24 +252,22 @@ def _read_flat(raw: bytes, pieces: list[bytes], arrays) -> dict | None:
             start = raw.find(b"[", quotes[i])
             end = raw.rfind(b"]", start, len(raw) if stop < 0 else stop) + 1
             if _pairs_filled(raw, start, end) or _pairs_filled(raw, start, end, b" \t\n\r"):
-                cuts.append((i, start, end, shape, key.decode()))
+                cuts.append((start, end, shape, key.decode()))
     if not cuts:
         return None
-    parts, done, rest = [], 0, pieces[:]
-    for k, (i, start, end, _, _) in enumerate(cuts):
+    parts, done = [], 0
+    for k, (start, end, _, _) in enumerate(cuts):
         parts += (raw[done:start], b'"\\u0000%d"' % k)
-        rest[i], done = pieces[i][-1:], end
+        done = end
     parts.append(raw[done:])
-    if _nesting_depth(rest) > _MAX_DEPTH:
-        return None
     try:
-        doc = orjson.loads(b"".join(parts))
-    except orjson.JSONDecodeError:
+        doc = _loads(b"".join(parts))
+    except (ValueError, RecursionError):
         return None
-    if not isinstance(doc, dict) or any(doc.get(c[4]) != f"\0{k}" for k, c in enumerate(cuts)):
+    if not isinstance(doc, dict) or any(doc.get(c[3]) != f"\0{k}" for k, c in enumerate(cuts)):
         return None
     flat = bytearray(raw).translate(_FLAT)  # mutable: _flat_array puts brackets back
-    for _, start, end, shape, key in cuts:
+    for start, end, shape, key in cuts:
         doc[key] = _flat_array(flat, start, end, shape)
         if doc[key] is None:
             return None
@@ -289,8 +282,7 @@ def _read_json(path: str, arrays=()) -> dict:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    pieces = _skeleton(raw)
-    doc = _read_flat(raw, pieces, arrays) if pieces and arrays else None
+    doc = _read_flat(raw, arrays) if arrays else None
     if doc is None:
         doc = _parse(path, raw)
     if not isinstance(doc, dict):

@@ -1,11 +1,15 @@
 import argparse
+import ast
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from conftest import (
     SZ,
@@ -504,6 +508,29 @@ def test_encode_matches_reference_and_decode_inverts(rng):
     assert json.dumps(encode(()), default=np.ndarray.tolist) == "[]"
 
 
+_Z = np.random.default_rng(12).standard_normal((3, 4, 5, 2)).view(complex)[..., 0]
+
+
+@pytest.mark.parametrize(
+    "x, view",
+    [(np.complex128(-0.0 + 2j), False), (np.zeros((0, 4), dtype=complex), False), (_Z, True),
+     (_Z[1], True), (_Z.swapaxes(0, 2), False), (np.asfortranarray(_Z[0]), False),
+     (_Z.real, False), (np.arange(-3, 3).reshape(2, 3), False)],
+    ids=["0-d", "empty", "c-order", "c-order-slice", "swapaxes", "f-order", "real", "int"],
+)
+def test_encode_is_the_stacked_pairs(x, view):
+    """``encode`` is the [re, im] pairs stacked, bit for bit, C-contiguous so
+    that orjson writes it with no ``default``, and a view of a C-contiguous
+    complex input."""
+    a = np.asarray(x, dtype=complex)
+    got = encode(x)
+    assert got.dtype == float and got.flags.c_contiguous
+    assert got.shape == a.shape + (2,)
+    assert got.tobytes() == np.stack([a.real, a.imag], -1).tobytes()
+    assert orjson.dumps(got, option=orjson.OPT_SERIALIZE_NUMPY)
+    assert np.shares_memory(got, x) == view
+
+
 def _first_number(obj):
     """The innermost list that holds the first number of a nested list."""
     while isinstance(obj[0], list):
@@ -991,7 +1018,8 @@ def test_collector_state_is_restored(
 
 
 # ---------------------------------------------------------------------------
-# The input reader: orjson, with the json module as the reference
+# The input reader: orjson for flat number lists, the json module for the
+# rest and as the reference
 
 
 def _reference_read_json(path, arrays=()):
@@ -1134,6 +1162,8 @@ _ROUTE_CASES = {
     "numeric-array-below-the-top-level": (
         _SUPEROP_TEXT[:-1] + ', "o": {"matrix": ' + _MATRIX + ', "y": 1}}', False),
     "non-ascii-key": (_SUPEROP_TEXT[:-1] + ', "clé": 1}', True),
+    "nan-beside-the-arrays": (_SUPEROP_TEXT[:-1] + ', "note": NaN}', True),
+    "-infinity-beside-the-arrays": (_SUPEROP_TEXT[:-1] + ', "note": -Infinity}', True),
     "bom-leaves-the-flat-route": ("\ufeff" + _SUPEROP_TEXT, False),
     "empty-kraus-stack": (json.dumps({**_gkls_doc(), "kraus": []}), True),
     "ragged-kraus-stack": (
@@ -1223,16 +1253,20 @@ def test_reader_rounds_numbers_like_the_json_module(tmp_path):
 
 
 def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
-    """Well-formed specs are read without the json module, and every array of
-    those at n = 8 of each type reaches ``decode`` as a float array.  A units
-    file, whose value holds objects, is read by one call of the json module,
-    as lists."""
-    calls = []
-    real = json.loads
+    """Well-formed specs never take the json module's route: it parses only
+    their rest, which holds no array, and every array of those at n = 8 of
+    each type reaches ``decode`` as a float array.  A units file, whose value
+    holds objects, is read by one call of ``_parse``, as lists."""
+    calls, parsed = [], []
+    real, real_parse = json.loads, cli._parse
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
+
+    def parse_spy(path, raw):
+        parsed.append(path)
+        return real_parse(path, raw)
 
     good = tmp_path / "good.json"
     good.write_text(_spec_text())
@@ -1252,6 +1286,7 @@ def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
         return real_decode(obj, shape, what)
 
     monkeypatch.setattr(cli.json, "loads", spy)
+    monkeypatch.setattr(cli, "_parse", parse_spy)
     mat, n = cli.load_generator(str(good), DEFAULT_TOL)
     assert n == 2 and mat.tobytes() == dephasing_generator().tobytes()
     monkeypatch.setattr(cli, "decode", decode_spy)
@@ -1259,28 +1294,122 @@ def test_well_formed_specs_never_reach_the_json_module(tmp_path, monkeypatch):
         mat, n = cli.load_generator(path, DEFAULT_TOL)
         assert n == 8 and np.allclose(mat, gen.mat, rtol=0, atol=1e-12)
     assert seen == [(what, np.ndarray) for what in ("matrix", "kraus", "k", "h", "lindblad")]
-    assert calls == []
+    assert parsed == [] and len(calls) == 4
+    assert not any("[" in text for text, in calls)
     seen.clear()
     u1, u2 = cli.load_units(units, decompose(gen.mat, DEFAULT_TOL))
     assert [kind for _, kind in seen] == [list] * 4
     assert u1.v_coords.tobytes() == pair.v1.astype(complex).tobytes()
     assert (u1.c, u2.c) == (pair.c1, pair.c2)
-    assert len(calls) == 1
+    assert parsed == [units]
     with pytest.raises(ParseError, match="^matrix: every entry must be finite$"):
         cli.load_generator(str(nan), DEFAULT_TOL)
-    assert len(calls) == 2
+    assert parsed == [units, str(nan)]
 
 
-@pytest.mark.parametrize(
-    "raw, depth",
-    [
-        (b"", 0), (b"1", 0), (b'"[[{"', 0), (b'{"a": [[1], {"b": []}]}', 4),
-        (b'{"k": "]]]]]]", "v": [[[]]]}', 4), (b'["}", ["{"]]', 2),
-        (b'[[1, 2], [3, [4, 5]]]', 3),
-    ],
-)
-def test_nesting_depth(raw, depth):
-    assert cli._nesting_depth(cli._skeleton(raw)) == depth
+def test_orjson_parses_flat_number_lists_only(tmp_path, monkeypatch):
+    """Every text orjson parses while the three spec types at n = 2, 8 and 16
+    and the indented ``decompose`` output at n = 8 are read is one flat list:
+    a ``[``, then no bracket or brace until the closing ``]``."""
+    corpus = bench_corpus()
+    specs = []
+    for n in (2, 8, 16):
+        gen = corpus.make_generator(np.random.default_rng(n), n, 2, True)
+        docs = [corpus.spec_superop(gen.mat), corpus.spec_gkls(gen),
+                corpus.spec_hamiltonian_lindblad(gen)]
+        specs += [(write(tmp_path, f"{i}-{n}.json", doc), n, gen.mat) for i, doc in enumerate(docs)]
+    out = str(tmp_path / "decomposed.json")
+    assert main(["decompose", "--input", specs[3][0], "--output", out]) == 0
+    specs.append((out, 8, specs[3][2]))
+    texts = []
+    real = orjson.loads
+    monkeypatch.setattr(cli.orjson, "loads", lambda text: texts.append(bytes(text)) or real(text))
+    for path, n, want in specs:
+        mat, got_n = cli.load_generator(path, DEFAULT_TOL)
+        assert got_n == n and np.allclose(mat, want, rtol=0, atol=1e-12)
+    assert len(texts) == 3 * 5 + 2  # one per array: every one was read flat
+    for text in texts:
+        assert text[:1] == b"[" and text[-1:] == b"]"
+        assert text[1:-1].translate(None, b"[]{}") == text[1:-1]
+
+
+_EXTRA_KEYS = ['"note": NaN', '"big": 123456789012345678901234567890', '"n": 2', '"n": 3',
+               '"s": "]][[{,}"', '"k": "]["']
+_NUMBER = r"-?\d[\d.eE+-]*"
+
+
+def _mutated(text, rng):
+    """``text`` with one random edit of a kind that hand-written specs show."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    kind = int(rng.integers(5))
+    if kind == 0:  # whitespace after some commas
+        ws = pick([" ", "\t", "\r\n"])
+        return re.sub(", ", lambda m: "," + ws if rng.random() < 0.3 else m[0], text)
+    if kind == 1:  # a pair with one or three entries
+        m = pick(list(re.finditer(rf"\[({_NUMBER}),\s*({_NUMBER})\]", text)))
+        pair = f"[{m[1]}]" if rng.random() < 0.5 else f"[{m[1]}, {m[2]}, 0.5]"
+        return text[: m.start()] + pair + text[m.end() :]
+    if kind == 2:  # whitespace just inside a bracket
+        m = pick(list(re.finditer(r"[\[\]]", text)))
+        at = m.end() if m[0] == "[" else m.start()
+        return text[:at] + pick([" ", "\t", "\n", "\r\n"]) + text[at:]
+    if kind == 3:  # an entry, or n, spelled by another literal
+        m = pick(list(re.finditer(_NUMBER, text)))
+        return text[: m.start()] + pick(_ENTRY_LITERALS) + text[m.end() :]
+    return text[:-1] + ", " + pick(_EXTRA_KEYS) + "}"  # an extra top-level key
+
+
+@pytest.mark.parametrize("kind", ["superop", "gkls", "hamiltonian_lindblad"])
+def test_mutated_specs_read_like_the_json_module(kind, tmp_path, monkeypatch):
+    """170 specs of each type at n = 2, each with one to three random edits
+    (whitespace, pairs of the wrong length, odd literals, extra keys): the
+    reader gives the reference's matrix or its message."""
+    rng = np.random.default_rng(34)
+    gen = random_ccp_generator(rng, 2, 2)
+    dec = decompose(gen, DEFAULT_TOL)
+    ops = [m2j(v) for v in dec.space.basis]
+    text = json.dumps({
+        "superop": superop_doc(gen, 2),
+        "gkls": {"type": "gkls", "n": 2, "kraus": ops, "k": m2j(dec.k)},
+        "hamiltonian_lindblad": {"type": "hamiltonian_lindblad", "n": 2,
+                                 "h": m2j(np.diag([1.0, -1.0])), "lindblad": ops},
+    }[kind])
+    path = tmp_path / "spec.json"
+    outcomes, routes = [], []
+    for _ in range(170):
+        edited = text
+        for _ in range(int(rng.integers(1, 4))):
+            edited = _mutated(edited, rng)
+        path.write_text(edited, newline="")
+        # an entry near the float maximum overflows, with a warning, where the
+        # superoperator is built, on either route; the outcome is compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, flat = _flat_outcome(str(path), monkeypatch)
+            assert got == _reference_outcome(str(path), monkeypatch), edited
+        outcomes.append(got[0])
+        routes.append(flat)
+    assert 15 < outcomes.count("ok") < len(outcomes) - 15
+    assert 15 < sum(routes) < len(routes) - 15  # both routes are taken often
+
+
+def test_one_call_site_per_parser():
+    # orjson parses flat number lists in _flat_array alone and the json
+    # module every other text in _loads alone; _write alone calls each writer
+    sites = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in (
+                        "json", "orjson") and func.attr in ("load", "loads", "dump", "dumps"):
+                    owner = getattr(top, "name", None)
+                    sites.append((f"{func.value.id}.{func.attr}", path.name, owner))
+    assert sorted(sites) == [
+        ("json.dumps", "cli.py", "_write"), ("json.loads", "cli.py", "_loads"),
+        ("orjson.dumps", "cli.py", "_write"), ("orjson.loads", "cli.py", "_flat_array"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1295,9 +1424,10 @@ def test_nesting_depth(raw, depth):
 )
 def test_deep_or_escaped_text_never_reaches_orjson(raw, tmp_path, monkeypatch, capsys):
     """orjson 3.8 recurses without a limit and overflows the C stack on text
-    nested ~10^5 deep; such text goes to the json module, and so does text
-    with an escape and more than _MAX_DEPTH bytes, whose string boundaries
-    the depth scan cannot see."""
+    nested ~10^5 deep, so it parses flat lists only: the json module parses
+    such text, beside a cut array or not, and raises RecursionError, and it
+    reads text with an escape, whose string boundaries the skeleton cannot
+    see."""
     seen = []
     monkeypatch.setattr(cli.orjson, "loads", seen.append)
     path = tmp_path / "deep.json"
