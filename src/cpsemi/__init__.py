@@ -27,7 +27,6 @@ from .generator import (
     gauge_check,
     gauge_shift,
     hamiltonian_lindblad,
-    rank,
     rebuild,
     same_generator,
 )
@@ -66,6 +65,7 @@ from .symbols import (
     block_positivity_witness,
     check_block_positivity,
     is_conditionally_cp,
+    rank,
     symbols_equal,
 )
 

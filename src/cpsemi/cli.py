@@ -27,7 +27,7 @@ A report's numeric data are C-contiguous float arrays from :func:`encode`,
 which orjson writes without building a list.  Output
 (stdout or --output) is the text of json.dumps(report, sort_keys=True,
 indent=2, default=np.ndarray.tolist) plus a newline; it is byte-identical
-for identical (input, flags, seed).
+for identical input and flags (``verify``'s ``--seed`` among them).
 Exit codes: 0 ok, 1 parse error (including a bad flag value, a usage error,
 an --output that cannot be written and a stdout whose reader has gone), 2
 input is not a generator (one report for every subcommand, see
@@ -506,7 +506,6 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="generator spec (JSON)")
     p.add_argument("--tol", type=float, default=1e-9, help="base tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
@@ -543,6 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run sampled consistency checks")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument(
         "--checks",
         default=None,
@@ -577,9 +577,9 @@ def _check_flags(args) -> Tolerances:
         step = 0.0
     if not step > 0:
         raise ParseError(f"--t / --m must be a float > 0, got {t} / {m}")
-    if args.seed < 0:
-        raise ParseError(f"--seed must be at least 0, got {args.seed}")
     if args.command == "verify":
+        if args.seed < 0:
+            raise ParseError(f"--seed must be at least 0, got {args.seed}")
         args.checks = args.checks.split(",") if args.checks else list(_ALL_CHECKS)
         for name in args.checks:
             if name not in _ALL_CHECKS:
@@ -588,27 +588,29 @@ def _check_flags(args) -> Tolerances:
 
 
 def main(argv=None) -> int:
-    """Run one CLI call and return its exit code."""
+    """Run one CLI call and return its exit code, with no floating-point warning:
+    an input near the float maximum ends in one error line (exit 3)."""
     args = build_parser().parse_args(argv)
-    try:
-        tol = _check_flags(args)
-        mat, n = load_generator(args.input, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            d = (rank if args.command == "index" else decompose)(mat, tol)
-        except (NotCCP, NotHermiticityPreserving) as exc:
-            report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
-        else:
-            report, code = args.func(args, mat, d, tol)
-        _emit(report, args.output)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GENERATOR
-    except (LogBranch, NotMember, Overflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+            tol = _check_flags(args)
+            mat, n = load_generator(args.input, tol)
+            try:
+                d = (rank if args.command == "index" else decompose)(mat, tol)
+            except (NotCCP, NotHermiticityPreserving) as exc:
+                report, code = _rejection(args.command, n, exc), EXIT_NOT_GENERATOR
+            else:
+                report, code = args.func(args, mat, d, tol)
+            _emit(report, args.output)
+        except ParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NOT_GENERATOR
+        except (LogBranch, NotMember, Overflow) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     return code
 
 

@@ -51,7 +51,7 @@ class LogBranch(CpsemiError):
 
 
 class Overflow(CpsemiError):
-    """A matrix exponential's norm, a covariance estimate or a spectrum's input is not finite."""
+    """An exponential, a covariance estimate, a spectrum's input or an anchor is not finite."""
 
 
 class ParseError(CpsemiError):

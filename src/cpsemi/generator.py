@@ -15,9 +15,8 @@ semigroup it generates.
 Construction: the basis is extracted from the kept eigenpairs of the
 projected Choi matrix of L (compression to the orthogonal complement of
 vec(1)), whose eigenvectors are automatically orthogonal to vec(1), hence
-traceless as operators.  From n = 8 they come from a pivoted Cholesky factor
-when it certifies the rank, otherwise from one eigendecomposition; the rank
-alone, :func:`rank`, is read off certificates where they hold.  k is
+traceless as operators.  :mod:`cpsemi.symbols` finds them, and the rank
+alone (:func:`~cpsemi.symbols.rank`), on one ladder of certificates.  k is
 the two-sided least-squares fit of mat(L) - mat(P), x -> a x + x b, as
 k = (a + b*) / 2.
 """
@@ -43,7 +42,7 @@ from .superop import (
     superop_to_choi,
     vec,
 )
-from .symbols import _ccp_rank, _ccp_spectrum, _require_ccp, _two_sided_fit, symbols_equal
+from .symbols import _ccp_spectrum, _require_ccp, _two_sided_fit, rank, symbols_equal
 
 __all__ = [
     "GklsForm",
@@ -91,14 +90,8 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
     """Canonical decomposition of a generator.
 
     One spectrum of the projected Choi matrix gives the verdict, the
-    witness, the Kraus basis and the space's inner product.  From n = 8 it
-    is first certified from a pivoted Cholesky factor, an r x r eigenproblem
-    at rank r, which gives only the kept pairs of a PSD matrix; a pivot
-    below -psd_slack s_lo shows the matrix is not PSD, and its eigenvalues
-    alone and one solve give its verdict and witness; where the factor
-    declines (rank n^2 / 4 or more, a margin of less than 10 to the cut or
-    the slack) one eigendecomposition gives every pair
-    (:func:`~cpsemi.symbols._ccp_spectrum`).
+    witness, the Kraus basis and the space's inner product
+    (:func:`~cpsemi.symbols._ccp_spectrum`, whose rungs are described there).
 
     :param mat: superoperator matrix of a Hermiticity-preserving,
         conditionally completely positive map.
@@ -122,21 +115,6 @@ def decompose(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> GklsForm:
 def rebuild(d: GklsForm) -> np.ndarray:
     """Superoperator matrix of the generator described by a canonical form."""
     return gkls_superop(d.k, kraus_to_superop(d.space.basis))
-
-
-def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a generator: the dimension of its metric operator space.  It
-    is also the numerical index of the semigroup the generator generates
-    (the index of its minimal dilation to a semigroup of *-endomorphisms),
-    so :func:`cpsemi.semigroup.index` is this function.
-
-    It reads a count and builds no canonical form, on the spectrum that
-    :func:`decompose` reads, so the two agree at every tolerance; from n = 8
-    one Cholesky factorisation certifies rank n^2 - 1 before any
-    eigendecomposition (:func:`~cpsemi.symbols._ccp_rank`).  It raises as
-    :func:`decompose`.
-    """
-    return _ccp_rank(mat, tol)
 
 
 def is_unital_generator(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

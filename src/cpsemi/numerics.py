@@ -27,13 +27,14 @@ the lowest eigenvector by ``eigvalsh`` and one solve, or it declines.  Where
 they decline, one ``eigh`` decides: it is the one fallback, so a count and a
 basis read the same eigenvalues.
 Every matrix exponential is made here.  One whose norm overflows raises
-:class:`~cpsemi.errors.Overflow`, as does a Hermiticity, spectrum or PSD
-verdict on a matrix that is not finite, before any arithmetic on it.
+:class:`~cpsemi.errors.Overflow`, as does a Hermiticity, spectrum or PSD verdict
+on a matrix that is not finite, before any arithmetic on it, or an infinite anchor.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,11 +85,22 @@ def frob(m: np.ndarray) -> float:
 
 def anchor(*norms, floor: float = 1.0):
     """The scale a relative bound is taken against: max(floor, norms...),
-    elementwise when a norm is an array, else a scalar."""
+    elementwise when a norm is an array, else a scalar.
+
+    :raises Overflow: if the scale is infinite: a bound taken against it
+        passes any value, so it decides nothing.
+    """
     for norm in norms:
         if isinstance(norm, np.ndarray):
-            return functools.reduce(np.maximum, norms, floor)
-    return max((floor, *norms))
+            scale = functools.reduce(np.maximum, norms, floor)
+            infinite = np.isinf(scale).any()
+            break
+    else:
+        scale = max((floor, *norms))
+        infinite = scale == math.inf
+    if infinite:
+        raise Overflow("a norm a tolerance is anchored at is not finite: no verdict")
+    return scale
 
 
 def within(value, rel: float, *norms, floor: float = 1.0):

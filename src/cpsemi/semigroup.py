@@ -27,13 +27,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, LogBranch, NotMember, OwnerMismatch, Overflow
-from .generator import GklsForm, rank
+from .generator import GklsForm
 from .numerics import (
     DEFAULT_TOL, Tolerances, _expm_rounding, _kept_by_margin, anchor, expm, frob, is_psd,
     spectrum, within,
 )
 from .opspace import MetricOperatorSpace, space_from_cp_map
 from .superop import Flow, _complex_form, choi_spectrum, superop_to_choi, vec
+from .symbols import rank as index  # the numerical index is the generator's rank
 
 __all__ = [
     "evolve",
@@ -239,11 +240,6 @@ def covariance_estimate(
     if not np.isfinite(estimate):
         raise Overflow("covariance estimate overflows: (m / t) * Log z is not finite")
     return estimate
-
-
-# The numerical index of the semigroup generated by a generator is the
-# generator's rank: the dimension of its metric operator space.
-index = rank
 
 
 def covariance_kernel(d: GklsForm, units: Sequence[Unit]) -> np.ndarray:

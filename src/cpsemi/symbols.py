@@ -31,6 +31,7 @@ __all__ = [
     "symbols_equal",
     "projected_choi",
     "is_conditionally_cp",
+    "rank",
     "check_block_positivity",
     "block_positivity_witness",
 ]
@@ -168,15 +169,23 @@ def _full_rank_certified(h: np.ndarray, tol: Tolerances) -> bool:
     return _kept_by_margin(g, top, tol)
 
 
-def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """The rank of the projected Choi matrix h of a CCP map: the count of
-    :func:`_ccp_spectrum`'s kept pairs, with one more certificate before its
-    eigendecomposition.  From n = 8, where the factor declines and one
-    Cholesky factorisation certifies it (:func:`_full_rank_certified`), the
-    rank is n^2 - 1, the largest, with no eigenvalue computed.
+def rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Rank of a generator: the dimension of its metric operator space, the
+    rank of its projected Choi matrix h.  It is also the numerical index of
+    the semigroup the generator generates (the index of its minimal dilation
+    to a semigroup of *-endomorphisms), so :func:`cpsemi.semigroup.index` is
+    this function.
+
+    It counts the kept pairs of :func:`_ccp_spectrum`, the spectrum that
+    :func:`~cpsemi.generator.decompose` reads, so the two agree at every
+    tolerance, and builds no canonical form.  One more certificate comes
+    before the eigendecomposition: from n = 8, where the factor declines and
+    one Cholesky factorisation certifies it (:func:`_full_rank_certified`),
+    the rank is n^2 - 1, the largest, with no eigenvalue computed.
 
     :raises NotHermiticityPreserving: if the Choi matrix is not Hermitian.
     :raises NotCCP: as :func:`_require_ccp`.
+    :raises Overflow: if the Choi matrix, or a norm a decision is anchored at, is not finite.
     """
     h = _projected(mat, tol)
     if dim_of(mat) < _FACTOR_MIN_N:
@@ -189,7 +198,7 @@ def _ccp_rank(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def _require_ccp(s: Spectrum, tol: Tolerances) -> Spectrum:
-    """``s``, a spectrum of :func:`_ccp_spectrum` or :func:`_ccp_rank`, if it
+    """``s``, a spectrum of :func:`_ccp_spectrum` or :func:`rank`, if it
     is PSD within ``psd_slack``.
 
     :raises NotCCP: if it is not; the witness attached is its lowest
@@ -209,11 +218,10 @@ def _require_ccp(s: Spectrum, tol: Tolerances) -> Spectrum:
 def is_conditionally_cp(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``mat`` generates a semigroup of completely positive maps:
     the map is Hermiticity-preserving and its projected Choi matrix is PSD
-    within ``psd_slack``.  This is the verdict of
-    :func:`~cpsemi.generator.rank`, the test that
-    :func:`~cpsemi.generator.decompose` applies before it raises NotCCP."""
+    within ``psd_slack``.  This is the verdict of :func:`rank`, the test
+    that :func:`~cpsemi.generator.decompose` applies before it raises NotCCP."""
     try:
-        _ccp_rank(mat, tol)
+        rank(mat, tol)
     except (NotCCP, NotHermiticityPreserving):
         return False
     return True

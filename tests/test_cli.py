@@ -21,7 +21,7 @@ from conftest import (
 
 import cpsemi.cli as cli
 import cpsemi.generator as generator
-from cpsemi import DEFAULT_TOL, NotCCP, ParseError
+from cpsemi import DEFAULT_TOL, NotCCP, Overflow, ParseError
 from cpsemi.cli import _rejection, _write, cmd_analyze, cmd_covariance, decode, encode, main
 from cpsemi.generator import decompose, same_generator
 
@@ -304,6 +304,7 @@ def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(generator, "extract_gauge", spy)
     rc, out = run(capsys, ["verify", "--input", path, "--checks", "gauge", "--seed", "5"])
     assert rc == 0
+    assert json.loads(out)["seed"] == 5
     assert json.loads(out)["checks"]["gauge"] == {
         "pass": True, "perturbation_detected": True, "shift_same_generator": True,
         "symbols_equal": True,
@@ -603,16 +604,50 @@ def test_malformed_numbers_and_flags_are_parse_errors(
             target = target[key]
         _first_number(target)[0] = bad
     gen = docs[spec] if spec in ("gkls", "hamiltonian_lindblad") else docs["superop"]
-    argv = [
-        "covariance",
-        "--input", write(tmp_path, "gen.json", gen),
-        "--units", write(tmp_path, "units.json", docs["units"]),
-        *flags,
-    ]
+    # --seed is verify's flag; covariance takes every other flag and both files
+    command = "verify" if "--seed" in flags else "covariance"
+    argv = [command, "--input", write(tmp_path, "gen.json", gen), *flags]
+    if command == "covariance":
+        argv += ["--units", write(tmp_path, "units.json", docs["units"])]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose", "index", "covariance"])
+def test_seed_is_a_usage_error_where_nothing_samples(command, tmp_path, capsys):
+    docs = _specs()
+    argv = [command, "--input", write(tmp_path, "gen.json", docs["superop"]), "--seed", "1"]
+    if command == "covariance":
+        argv += ["--units", write(tmp_path, "units.json", docs["units"])]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cpsemi ")
+    assert captured.err.endswith("cpsemi: error: unrecognized arguments: --seed 1\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "index", "verify"])
+@pytest.mark.parametrize("spec, keys, field", _FIELDS[:5], ids=[f for _, _, f in _FIELDS[:5]])
+def test_an_entry_at_the_float_maximum_is_one_error_line(
+    command, spec, keys, field, tmp_path, capsys
+):
+    """Each generator array with an entry of the largest float: every norm
+    of it overflows, so the call decides nothing and exits 3, with no report
+    and, under this suite's RuntimeWarning filter, no floating-point warning
+    on stderr before the error line."""
+    doc = _specs()[spec]
+    target = doc
+    for key in keys:
+        target = target[key]
+    _first_number(target)[0] = 1.7976931348623157e308
+    assert main([command, "--input", write(tmp_path, "gen.json", doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]*not finite: no verdict\n", err), err
 
 
 def _with(matrix, row, col, value):
@@ -1042,6 +1077,8 @@ def _load_outcome(path):
         mat, n = cli.load_generator(path, DEFAULT_TOL)
     except ParseError as exc:
         return "error", str(exc)
+    except Overflow as exc:  # an entry near the float maximum: its norms overflow
+        return "overflow", str(exc)
     return "ok", n, mat.shape, mat.tobytes()
 
 

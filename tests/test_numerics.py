@@ -61,6 +61,20 @@ def test_anchor_floors_at_one_unless_told():
     assert within(1e-12, 1e-10, 0.0)
 
 
+@pytest.mark.parametrize(
+    "norms",
+    [(np.inf,), (2.0, np.float64(np.inf)), (np.array([1.0, np.inf]),), (np.array([2.0]), np.inf)],
+    ids=["inf", "float64-inf", "array", "array-and-inf"],
+)
+def test_an_infinite_anchor_decides_nothing(norms):
+    # value <= rel * inf holds for every value, so no bound is taken against it
+    with pytest.raises(Overflow, match="not finite: no verdict"):
+        anchor(*norms)
+    with pytest.raises(Overflow, match="not finite: no verdict"):
+        within(np.inf, 1e-10, *norms)
+    assert anchor(np.finfo(float).max) == np.finfo(float).max
+
+
 def test_within_decides_arrays_elementwise():
     values = np.array([1e-10, 2e-10, 3e-10, 0.0])
     norms = np.array([0.5, 1.0, 2.0, 0.0])

@@ -1,10 +1,13 @@
-"""README's public-API list names exactly what the package exports."""
+"""README's public-API list names exactly what the package exports, and its
+library example computes what its comments say."""
 
 import ast
 import importlib
 import pkgutil
 import re
 from pathlib import Path
+
+import numpy as np
 
 import cpsemi
 
@@ -93,3 +96,23 @@ def test_every_module_all_entry_exists():
         module = importlib.import_module(f"cpsemi.{name}")
         for entry in getattr(module, "__all__", ()):
             assert hasattr(module, entry), f"cpsemi.{name}.__all__ lists missing {entry}"
+
+
+def test_library_example_computes_its_comments():
+    """Runs the block under "## Library example" statement by statement and
+    checks the value of each bare expression against its comment."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("```python", lines.index("## Library example"))
+    code = "\n".join(lines[start + 1 : lines.index("```", start)])
+    namespace, values = {}, []
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    (dim, k), index, closed, estimate = values
+    assert dim == 1
+    np.testing.assert_allclose(k, -0.5 * np.eye(2), rtol=0, atol=1e-12)
+    assert index == 1
+    assert closed == 1
+    assert abs(estimate - 1) < 1e-6

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from conftest import (
     transpose_superop,
 )
 
+import cpsemi
 import cpsemi.cli as cli
 import cpsemi.generator as generator
 import cpsemi.numerics as numerics
+import cpsemi.semigroup as semigroup
 import cpsemi.symbols as symbols
 from cpsemi.errors import (
     ConstraintViolated, DimensionMismatch, NotCCP, NotHermiticityPreserving, Overflow
@@ -282,6 +286,21 @@ def test_ccp_routes_refuse_a_map_that_is_not_finite(bad, recwarn):
         with pytest.raises(Overflow, match="not finite"):
             route(mat)
     assert not recwarn.list
+
+
+def test_a_norm_that_overflows_decides_nothing():
+    """i 1 + L is not Hermiticity-preserving at every scale, but from about
+    1e154 ||J||_F overflows, and a Hermiticity test anchored at it would pass
+    any J: the CCP routes raise Overflow there instead of a verdict."""
+    gen = bench_corpus().make_generator(np.random.default_rng(3), 3, 2, False)
+    mat = 1j * np.eye(9) + gen.mat
+    assert not is_conditionally_cp(1e150 * mat)
+    for route in (symbols.rank, decompose):
+        with pytest.raises(NotHermiticityPreserving):
+            route(1e150 * mat)
+    for route in (symbols.rank, is_conditionally_cp, decompose):
+        with pytest.raises(Overflow, match="not finite: no verdict"), np.errstate(over="ignore"):
+            route(1e160 * mat)
 
 
 def test_block_positivity_on_cp_map(rng):
@@ -734,6 +753,19 @@ def _or_none(count, mat):
         return count(mat)
     except NotCCP:
         return None
+
+
+def test_rank_is_defined_once_and_bound_everywhere():
+    assert cpsemi.rank is generator.rank is semigroup.index is symbols.rank
+    src = Path(symbols.__file__).parent
+    defined = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "rank"
+    ]
+    assert defined == ["symbols.py"]
+    assert not any("_ccp_rank" in path.read_text() for path in src.glob("*.py"))
 
 
 @pytest.mark.parametrize("n", [8, 16])
