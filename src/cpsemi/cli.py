@@ -28,10 +28,8 @@ which orjson writes without building a list.  Output
 (stdout or --output) is the text of json.dumps(report, sort_keys=True,
 indent=2, default=np.ndarray.tolist) plus a newline; it is byte-identical
 for identical input and flags (``verify``'s ``--seed`` among them).
-Exit codes: 0 ok, 1 parse error (including a bad flag value, a usage error,
-an --output that cannot be written and a stdout whose reader has gone), 2
-input is not a generator (one report for every subcommand, see
-:func:`_rejection`), 3 numerical limit exceeded (or a verification check failed).
+Exit codes: each error class carries its own (``errors.py``, README's "Exit
+codes"); a usage error exits 1, and a failed ``verify`` check 3.
 """
 
 from __future__ import annotations
@@ -49,9 +47,9 @@ import numpy as np
 import orjson
 
 from . import (
+    CpsemiError,
     LogBranch,
     NotCCP,
-    NotCP,
     NotHermitian,
     NotHermiticityPreserving,
     NotMember,
@@ -70,16 +68,12 @@ from . import (
     sample_units,
     verify_units,
 )
+from .errors import EXIT_NOT_GENERATOR, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE
 from .generator import GklsForm, gauge_check, gkls_superop, is_unital_generator
 from .numerics import frob, is_hermitian, within
 from .sampling import random_cp_map
 from .semigroup import covariance_kernel, gram_dimension
 from .superop import Flow, dim_of
-
-EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_NOT_GENERATOR = 2
-EXIT_NUMERICAL = 3
 
 _INDEX_NOTE = (
     "dimension of the generator's metric operator space; equals the numerical "
@@ -455,7 +449,7 @@ def cmd_covariance(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
     try:
         est = covariance_estimate(mat, u1, u2, t=args.t, m=args.m, tol=tol)
     except (LogBranch, NotMember, Overflow) as exc:
-        return {**report, "error": str(exc)}, EXIT_NUMERICAL
+        return {**report, "error": str(exc)}, exc.exit_code
     report.update(estimate=encode(est), abs_error=abs(est - closed), n=d.n)
     return report, EXIT_OK
 
@@ -503,12 +497,6 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
 # Entry point
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="generator spec (JSON)")
-    p.add_argument("--tol", type=float, default=1e-9, help="base tolerance")
-    p.add_argument("--output", default=None, help="write the report here instead of stdout")
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors (an unknown flag, a missing
     ``--input``, ``--tol abc``) exit 1 like every other parse error; the
@@ -520,44 +508,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+_COMMANDS = {
+    "analyze": ("full analysis report", cmd_analyze),
+    "covariance": ("closed-form and estimated covariance", cmd_covariance),
+    "verify": ("run sampled consistency checks", cmd_verify),
+    "decompose": ("canonical form (re-ingestible as gkls)", cmd_decompose),
+    "index": ("rank / numerical index", cmd_index),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing keeps no state in it."""
+    """The CLI's parser, built once per process: parsing keeps no state in it.
+    Each subcommand's parser is its namespace's ``parser``, which reports the
+    arguments that it does not take (see :func:`main`)."""
     parser = _Parser(
         prog="cpsemi",
         description="analyze generators of completely positive semigroups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full analysis report")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("covariance", help="closed-form and estimated covariance")
-    _add_common(p)
+    for name, (text, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", required=True, help="generator spec (JSON)")
+        p.add_argument("--tol", type=float, default=1e-9, help="base tolerance")
+        p.add_argument("--output", default=None, help="write the report here instead of stdout")
+        p.set_defaults(func=func, parser=p)
+    p = sub.choices["covariance"]
     p.add_argument("--units", required=True, help="units file (JSON)")
     p.add_argument("--t", type=float, default=1.0, help="total evolution time")
     p.add_argument("--m", type=int, default=512, help="partition size")
-    p.set_defaults(func=cmd_covariance)
-
-    p = sub.add_parser("verify", help="run sampled consistency checks")
-    _add_common(p)
+    p = sub.choices["verify"]
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    p.add_argument(
-        "--checks",
-        default=None,
-        help="comma-separated subset of: " + ",".join(_ALL_CHECKS),
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("decompose", help="canonical form (re-ingestible as gkls)")
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("index", help="rank / numerical index")
-    _add_common(p)
-    p.set_defaults(func=cmd_index)
-
+    p.add_argument("--checks", default=None, help="comma-separated subset of: " + ",".join(_ALL_CHECKS))
     return parser
 
 
@@ -589,8 +571,11 @@ def _check_flags(args) -> Tolerances:
 
 def main(argv=None) -> int:
     """Run one CLI call and return its exit code, with no floating-point warning:
-    an input near the float maximum ends in one error line (exit 3)."""
-    args = build_parser().parse_args(argv)
+    an input near the float maximum ends in one error line (exit 3).  An error
+    ends the call in one ``error:`` line and its class's exit code."""
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # with the subcommand's usage: the root parser's lists none of its flags
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             tol = _check_flags(args)
@@ -602,15 +587,9 @@ def main(argv=None) -> int:
             else:
                 report, code = args.func(args, mat, d, tol)
             _emit(report, args.output)
-        except ParseError as exc:
+        except CpsemiError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except (NotCCP, NotCP, NotHermiticityPreserving) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_GENERATOR
-        except (LogBranch, NotMember, Overflow) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+            return exc.exit_code
     return code
 
 

@@ -246,7 +246,8 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
     one; ``shift_same_generator``, the shifted presentation builds L;
     ``perturbation_detected``, adding 0.1 anchor(||L||) 1 to the drift
     changes L.  ``pass`` also needs :func:`extract_gauge` to relate ``d`` to
-    the shifted presentation with a residual within ``eig_cut`` of ||k||.
+    the shifted presentation with a residual within ``eig_cut`` of ||k||; its
+    ``ValueError``, the two families not agreeing modulo scalars, fails it.
     At rank 0 the family is empty and the same lines run on it.  Each
     family's CP superoperator is built once.
     """
@@ -262,8 +263,11 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
     same = _same_superop(mat, gkls_superop(k2, cp2), tol)
     # The shifted presentation itself, not a canonical form, so that
     # extract_gauge has a nonzero v2 to recover.
-    gauge = extract_gauge(d, _shifted_kraus(d, lam), k2, tol)
-    gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
+    try:
+        gauge = extract_gauge(d, _shifted_kraus(d, lam), k2, tol)
+        gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
+    except ValueError:
+        gauge_ok = False
     bump = 0.1 * anchor(frob(mat))
     different = not _same_superop(mat, gkls_superop(d.k + bump * eye, cp), tol)
     return {

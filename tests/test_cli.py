@@ -314,6 +314,26 @@ def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
     assert rel.residual <= 1e-10
 
 
+def _gauge_reproducer(tmp_path):
+    """An n = 3, rank 2 generator whose gauge check, at seed 3 and a tolerance
+    of 0.5, draws a shift that puts the identity near the span of the shifted
+    family: ``extract_gauge``'s rank test then says the families disagree."""
+    corpus = bench_corpus()
+    mat = corpus.make_generator(np.random.default_rng(7), 3, 2, True).mat
+    return write(tmp_path, "n3.json", corpus.spec_superop(mat))
+
+
+def test_verify_gauge_reports_families_that_do_not_agree(tmp_path, capsys):
+    argv = ["verify", "--input", _gauge_reproducer(tmp_path), "--checks", "gauge"]
+    rc, out = run(capsys, [*argv, "--tol", "0.5", "--seed", "3"])
+    assert rc == 3
+    assert json.loads(out)["checks"]["gauge"] == {
+        "pass": False, "perturbation_detected": True, "shift_same_generator": True,
+        "symbols_equal": True,
+    }
+    assert json.loads(out)["pass"] is False
+
+
 def _weak_jump_doc():
     """Two Choi eigenvalues about 1e-8 of the largest, 20 times the cut."""
     rng = np.random.default_rng(0)
@@ -626,8 +646,8 @@ def test_seed_is_a_usage_error_where_nothing_samples(command, tmp_path, capsys):
     assert info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: cpsemi ")
-    assert captured.err.endswith("cpsemi: error: unrecognized arguments: --seed 1\n")
+    assert captured.err.startswith(f"usage: cpsemi {command} ")
+    assert captured.err.endswith(f"cpsemi {command}: error: unrecognized arguments: --seed 1\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "index", "verify"])
@@ -951,15 +971,77 @@ def test_the_shared_parser_keeps_no_state_between_calls(dephasing_file, capsys):
     assert sorted(json.loads(rounds[0][2][1])["checks"]) == sorted(cli._ALL_CHECKS)
 
 
+_SWEEP_TOLS = ["1e-300", "1e-15", "1e-9", "1e-3", "0.1", "0.5", "0.9", "1", "10", "1e300"]
+
+
+def _sweep_argv(rng, specs, units):
+    """One random CLI call over ``specs``: a command, a ``--tol``, the
+    command's own flags and, now and then, a dropped ``--input``, an unknown
+    flag or a repeated one."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    name = pick(sorted(specs))
+    command = pick(["analyze", "covariance", "decompose", "index", "verify"])
+    argv = [command, "--input", specs[name], "--tol", pick(_SWEEP_TOLS)]
+    if command == "verify":
+        argv += ["--seed", str(rng.integers(20))]
+        checks = [c for c in cli._ALL_CHECKS if rng.random() < 0.5]
+        argv += ["--checks", ",".join(checks)] if checks else []
+    if command == "covariance":
+        argv += ["--units", units[name], "--t", pick(["1e-300", "1e-5", "1", "1e5", "1e300"])]
+        argv += ["--m", pick(["1", "512", str(10**300)])]
+    edit = rng.random()
+    if edit < 0.05:
+        del argv[1:3]
+    elif edit < 0.1:
+        argv.append("--bogus")
+    elif edit < 0.15:
+        argv += ["--tol", pick(_SWEEP_TOLS)]
+    return argv
+
+
+def test_a_seeded_sweep_of_calls_ends_in_an_exit_code(tmp_path, capsys):
+    """150 calls over five specs (README's dephasing example, a rank-2 n = 3
+    generator whose gauge check draws families that disagree, a pure
+    Hamiltonian, the zero map and the transpose, which is not CCP), every
+    command and extreme flag values: each call exits 0-3 with no exception,
+    writes a JSON object or nothing to stdout, and at most one error line."""
+    h = np.diag([1.0, 0.0, -1.0]) + np.eye(3, k=1) + np.eye(3, k=-1)
+    specs = {
+        "dephasing": write(tmp_path, "deph.json", superop_doc(dephasing_generator(), 2)),
+        "gauge": _gauge_reproducer(tmp_path),
+        "hamiltonian": write(tmp_path, "ham.json", {
+            "type": "hamiltonian_lindblad", "n": 3, "h": m2j(h), "lindblad": []}),
+        "zero": write(tmp_path, "zero.json", superop_doc(np.zeros((4, 4)), 2)),
+        "transpose": write(tmp_path, "transpose.json", superop_doc(transpose_superop(2), 2)),
+    }
+    ranks = {"dephasing": 1, "gauge": 2, "hamiltonian": 0, "zero": 0, "transpose": 3}
+    units = {name: _units_file(tmp_path, r, 0.5, f"{name}.units.json") for name, r in ranks.items()}
+    rng = np.random.default_rng(25)
+    codes = []
+    for _ in range(150):
+        argv = _sweep_argv(rng, specs, units)
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        out, err = capsys.readouterr()
+        assert codes[-1] in (0, 1, 2, 3), argv
+        assert out == "" or isinstance(json.loads(out), dict), argv
+        assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+    assert set(codes) == {0, 1, 2, 3}
+
+
 # ---------------------------------------------------------------------------
 # The cyclic garbage collector: a call builds no Python list per [re, im]
 # pair, so it starts no collection, and it leaves the collector as it was
 
 
-def _units_file(tmp_path, rank, c2=0.0):
+def _units_file(tmp_path, rank, c2=0.0, name="units.json"):
     v = np.eye(1, rank)[0]
     units = {"units": [{"c": [0.0, 0.0], "v": [c2j(z) for z in v]}, {"c": [0.0, c2], "v": [c2j(-z) for z in v]}]}
-    return write(tmp_path, "units.json", units)
+    return write(tmp_path, name, units)
 
 
 def test_a_call_starts_no_collection(tmp_path, capsys):

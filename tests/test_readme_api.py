@@ -1,4 +1,5 @@
-"""README's public-API list names exactly what the package exports, and its
+"""README's public-API list names exactly what the package exports, its
+"Exit codes" paragraph names each error class under its code, and its
 library example computes what its comments say."""
 
 import ast
@@ -116,3 +117,28 @@ def test_library_example_computes_its_comments():
     assert index == 1
     assert closed == 1
     assert abs(estimate - 1) < 1e-6
+
+
+def _error_classes():
+    """Every subclass of ``CpsemiError`` that the package defines, at any depth."""
+    found, todo = [], [cpsemi.CpsemiError]
+    while todo:
+        subclasses = [c for c in todo.pop().__subclasses__() if c.__module__.startswith("cpsemi")]
+        found += subclasses
+        todo += subclasses
+    return found
+
+
+def test_every_error_class_has_its_readme_exit_code():
+    """Each error class carries a code in {1, 2, 3}, and README's "Exit
+    codes" list names it under that code and under no other."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Exit codes:"))
+    end = lines.index("", start)
+    items = re.split(r"^- `(\d)` ", "\n".join(lines[start:end]), flags=re.M)[1:]
+    listed = {int(code): set(re.findall(r"`(\w+)`", text)) for code, text in zip(items[::2], items[1::2])}
+    classes = _error_classes()
+    assert len(classes) == 11
+    for cls in classes:
+        assert cls.exit_code in (1, 2, 3), cls
+        assert {code for code, names in listed.items() if cls.__name__ in names} == {cls.exit_code}, cls
