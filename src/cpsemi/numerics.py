@@ -4,9 +4,9 @@ one tolerance rule.
 Every tolerance decision is :func:`within`: value <= rel * anchor(norms),
 with ``rel`` one of the three bounds a :class:`Tolerances` derives from its
 one relative tolerance, and anchor(norms) = max(1, norms...) over the
-norms of what the value was computed from.  The floor of 1 keeps
-tiny inputs from facing vacuously strict checks; membership in a metric
-operator space and the unitality of a generator pass ``floor=0``.  Every
+norms of what the value was computed from.  The floor of 1 keeps tiny inputs
+from vacuously strict checks; membership, unitality, ``extract_gauge``'s rank
+test and :func:`_witness_spectrum`'s residual test pass ``floor=0``.  Every
 PSD, rank, Kraus and metric-space decision is a rule on the eigenvalues of
 one Hermitian matrix, held in one :class:`Spectrum` whose ``scale`` is the
 anchor of its largest |eigenvalue|; a stack of matrices, shape (..., k, k),
@@ -54,6 +54,11 @@ __all__ = [
     "is_psd",
     "expm",
 ]
+
+# The dense kernels, {module: names}: every call in the package looks each one up on its
+# module as it runs, so tools/bench_rows.kernel_ledger and the tests' spies patch them there.
+KERNELS = {"numpy.linalg": ("eigh", "eigvalsh", "cholesky", "qr", "solve"),
+           "scipy.linalg": ("expm",)}
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ from cpsemi import (
     apply_superop,
     identity_superop,
     kraus_to_superop,
-    numerics,
     superop_to_choi,
     vec,
 )
+from cpsemi.numerics import KERNELS
 from cpsemi.sampling import random_matrix
 from cpsemi.superop import dim_of
 
@@ -121,13 +121,12 @@ def dephasing_generator():
 
 
 def expm_spy(monkeypatch):
-    """The list of matrices that ``numerics.expm`` is called on from now on, from
-    every ``cpsemi`` module that holds it (``from .numerics import expm``)."""
+    """The list of matrices that ``numerics.expm`` exponentiates from now on: a
+    spy on the ``expm`` of ``numerics.KERNELS``, which it looks up at each call."""
     calls = []
-    real = numerics.expm
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "cpsemi" and getattr(module, "expm", None) is real:
-            monkeypatch.setattr(module, "expm", lambda m: calls.append(m) or real(m))
+    owner = importlib.import_module(next(mod for mod, names in KERNELS.items() if "expm" in names))
+    real = owner.expm
+    monkeypatch.setattr(owner, "expm", lambda m: calls.append(m) or real(m))
     return calls
 
 

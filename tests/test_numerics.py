@@ -445,6 +445,26 @@ def test_every_cholesky_certificate_is_one_factorisation():
     assert callers == [("numerics.py", "_shifted_cholesky")]
 
 
+def test_the_kernel_list_is_every_kernel_the_package_calls():
+    # numerics.KERNELS names each numpy.linalg and scipy.linalg attribute the
+    # package reads, but norm and LinAlgError, and no module binds a name of
+    # those two at import time, where it would escape every spy
+    linalg, packages = {"numpy.linalg", "scipy.linalg"}, {"np": "numpy", "scipy": "scipy"}
+    read = {}
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                bound = {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+                assert not bound & linalg, (path.name, node.lineno)
+            elif isinstance(node, ast.Import):
+                assert not [a for a in node.names if a.asname and a.name in linalg], path.name
+            elif (isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "linalg"
+                  and getattr(node.value.value, "id", None) in packages
+                  and node.attr not in ("norm", "LinAlgError")):
+                read.setdefault(f"{packages[node.value.value.id]}.linalg", set()).add(node.attr)
+    assert read == {mod: set(names) for mod, names in numerics.KERNELS.items()}
+
+
 def test_hermiticity_is_decided_outside_spectrum():
     # spectrum is a pure kernel: no call in the package hands it a tolerance,
     # and the only NotHermitian raised is hamiltonian_lindblad's (Choi

@@ -142,3 +142,25 @@ def test_every_error_class_has_its_readme_exit_code():
     for cls in classes:
         assert cls.exit_code in (1, 2, 3), cls
         assert {code for code, names in listed.items() if cls.__name__ in names} == {cls.exit_code}, cls
+
+
+def test_readme_lists_every_floorless_decision():
+    """The functions whose ``within`` or ``anchor`` calls pass ``floor``, outside
+    those two rules' own bodies, are the ones README's "Tolerances" section
+    lists as floorless."""
+    floorless = set()
+    for path in sorted((ROOT / "src" / "cpsemi").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name not in ("within", "anchor"):
+                floorless |= {
+                    fn.name for call in ast.walk(fn)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) in ("within", "anchor")
+                    and "floor" in [k.arg for k in call.keywords]
+                }
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "decisions are floorless" in line)
+    first = lines.index("", start) + 1
+    listed = re.findall(r"^- `(?:\w+\.)?(\w+)`:", "\n".join(lines[first:lines.index("", first)]), re.M)
+    assert len(floorless) == 4
+    assert sorted(listed) == sorted(floorless)

@@ -55,15 +55,20 @@ def test_field_differences_collapse_array_indices():
 
 
 def test_a_tree_against_itself_differs_nowhere():
-    # every workload, so that the CLI dump path of analyze and verify runs too
-    for workload, count in (("analyze", 16), ("verify", 10), ("crosscheck", 9)):
+    # every workload, so that the CLI dump path of analyze and verify runs too:
+    # each one alone, then all three in the one call without --workload
+    counts = {"analyze": 16, "verify": 10, "crosscheck": 9}
+    for flags in (*(["--workload", workload] for workload in counts), []):
         proc = subprocess.run(
-            [sys.executable, TOOL, ROOT, ROOT, "--workload", workload, "--seed", "3",
-             "--selfcheck"],
+            [sys.executable, TOOL, ROOT, ROOT, *flags, "--seed", "3", "--selfcheck"],
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.strip().endswith(f"0 of {count} operations differ"), workload
+        summaries = [line for line in proc.stdout.splitlines() if line.endswith("differ")]
+        assert summaries == [
+            f"{workload} seed 3: 0 of {count} operations differ"
+            for workload, count in counts.items() if flags in ([], ["--workload", workload])
+        ], flags
 
 
 def test_witness_overlap_is_blind_to_a_phase():

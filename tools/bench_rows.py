@@ -59,8 +59,6 @@ from importlib.metadata import version
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-KERNELS = ("eigh", "eigvalsh", "cholesky", "qr", "solve")
-CHECKS = ("product_system", "domination", "gauge", "units", "covariance")
 SIZES = (4, 8, 16)
 COLD_N = 16
 LIBRARY_SIZES = (3, 4, 6)
@@ -69,15 +67,19 @@ T_GRID = (0.01, 0.1, 1.0)
 
 @contextlib.contextmanager
 def kernel_ledger(side: int):
-    """Count the dense kernels called while the block runs: each of
-    ``numpy.linalg.{eigh, eigvalsh, cholesky, qr, solve}`` and
-    ``cpsemi.numerics.expm`` on a matrix whose last side is at least
-    ``side``, one per matrix of a stack.  Yields the dict of counts."""
+    """Count the dense kernels of ``cpsemi.numerics.KERNELS`` called while the
+    block runs, each on a matrix whose last side is at least ``side``, one per
+    matrix of a stack: each kernel's module attribute is patched for the block.
+    Yields the dict of counts, in the list's order."""
     import numpy as np
 
-    from cpsemi import numerics
+    from cpsemi.numerics import KERNELS
 
-    counts = dict.fromkeys((*KERNELS, "expm"), 0)
+    patched = []
+    for mod, names in KERNELS.items():
+        owner = importlib.import_module(mod)
+        patched += [(owner, name, getattr(owner, name)) for name in names]
+    counts = dict.fromkeys((name for _, name, _ in patched), 0)
 
     def spy(name, real):
         def call(a, *args, **kw):
@@ -87,11 +89,6 @@ def kernel_ledger(side: int):
             return real(a, *args, **kw)
         return call
 
-    patched = [(np.linalg, name, getattr(np.linalg, name)) for name in KERNELS]
-    expm = numerics.expm
-    for name, module in list(sys.modules.items()):  # each module that holds expm
-        if name.partition(".")[0] == "cpsemi" and getattr(module, "expm", None) is expm:
-            patched.append((module, "expm", expm))
     try:
         for owner, name, real in patched:
             setattr(owner, name, spy(name, real))
@@ -126,14 +123,14 @@ def _in_process(cli, spec: str, out: str, n: int, rank: int, calls) -> list[dict
     return rows
 
 
-def _calls(units: str | None) -> list[tuple[str, list[str]]]:
+def _calls(cli, units: str | None) -> list[tuple[str, list[str]]]:
     """(row name, argv) of the in-process calls; only ``analyze`` and
     ``index`` when ``units`` is None, for a map that is not CCP."""
     calls = [(c, [c]) for c in ("analyze", "index")]
     if units is None:
         return calls
     calls += [("decompose", ["decompose"]), ("covariance", ["covariance", "--units", units])]
-    calls += [(f"verify {c}", ["verify", "--checks", c]) for c in CHECKS]
+    calls += [(f"verify {c}", ["verify", "--checks", c]) for c in cli._ALL_CHECKS]
     return calls + [("verify", ["verify"])]
 
 
@@ -241,14 +238,14 @@ def _group(tree: str, group: list) -> list[dict]:
             return _cold(src, spec, out, rank)
         pair = corpus.make_unit_pair(np.random.default_rng(7), rank)
         units = corpus.write_json(os.path.join(tmp, "units.json"), pair.to_json())
-        rows = _in_process(cli, spec, out, n, rank, _calls(units))
+        rows = _in_process(cli, spec, out, n, rank, _calls(cli, units))
         gkls = os.path.join(tmp, "gkls.json")
         cli.main(["decompose", "--input", spec, "--output", gkls])
         rows += _in_process(cli, gkls, out, n, rank, [("reread", ["analyze"])])
         if rank == 2:
             bad = corpus.make_non_ccp(np.random.default_rng(7), gen.mat)
             spec = corpus.write_json(os.path.join(tmp, "bad.json"), corpus.spec_superop(bad))
-            rows += _in_process(cli, spec, out, n, rank, _calls(None))
+            rows += _in_process(cli, spec, out, n, rank, _calls(cli, None))
     return rows
 
 

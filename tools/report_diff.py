@@ -1,6 +1,9 @@
-"""Compare the reports of two source trees on one benchmark workload.
+"""Compare the reports of two source trees on the benchmark workloads.
 
-    python tools/report_diff.py OLD_TREE NEW_TREE --workload analyze --seed 101
+    python tools/report_diff.py OLD_TREE NEW_TREE [--workload analyze] --seed 101
+
+Without ``--workload`` it compares ``analyze``, ``verify`` and ``crosscheck``
+in turn, each printed as below.
 
 OLD_TREE and NEW_TREE are checkouts of this repository; each is run from its
 own ``src/``.  The workload's inputs and operations come from
@@ -17,7 +20,8 @@ two JSON outputs and where it sits, then a summary line, then one line per
 differing field of the outputs with its largest difference over all
 operations (array indices collapsed, as in ``.kraus[][][][]``), then, where
 witnesses differ, the smallest |<old, new>| of two unit witnesses, which is 1
-when they differ by a phase only.  The exit status is 0 iff nothing differs.
+when they differ by a phase only.  The exit status is 0 iff nothing differs in
+any workload compared.
 ``--selfcheck`` uses the benchmark's n = 2 workloads.
 """
 
@@ -35,6 +39,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WORKLOADS = ("analyze", "verify", "crosscheck")
 
 
 def _plain(value):
@@ -160,10 +165,10 @@ def describe(key: str, old: list, new: list) -> str | None:
     return line
 
 
-def _run(tree: str, args, out: str) -> dict:
+def _run(tree: str, workload: str, args, out: str) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     cmd = [sys.executable, os.path.abspath(__file__), "--dump", tree,
-           "--workload", args.workload, "--seed", str(args.seed), "--out", out]
+           "--workload", workload, "--seed", str(args.seed), "--out", out]
     if args.selfcheck:
         cmd.append("--selfcheck")
     subprocess.run(cmd, env=env, check=True)
@@ -171,10 +176,29 @@ def _run(tree: str, args, out: str) -> dict:
         return json.load(fh)
 
 
+def compare(workload: str, args) -> bool:
+    """Print the lines of one workload (above); True iff an operation differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = (_run(tree, workload, args, os.path.join(tmp, f"{i}.json"))
+                    for i, tree in enumerate(args.trees))
+    if old.keys() != new.keys():
+        raise SystemExit("the two trees built different operation lists")
+    lines = [line for key in old if (line := describe(key, old[key], new[key]))]
+    for line in lines:
+        print(line)
+    print(f"{workload} seed {args.seed}: {len(lines)} of {len(old)} operations differ")
+    for field, diff in sorted(field_differences(old, new).items()):
+        print(f"  {field}: max |diff| {diff:.3e}")
+    overlap = witness_overlap(old, new)
+    if overlap is not None:
+        print(f"  witness: min |<old, new>| = 1 - {1.0 - overlap:.3e}")
+    return bool(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("trees", nargs="*", metavar="TREE", help="old tree, then new tree")
-    ap.add_argument("--workload", choices=("analyze", "verify", "crosscheck"), required=True)
+    ap.add_argument("--workload", choices=WORKLOADS, help="one workload (default: all, in turn)")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--selfcheck", action="store_true", help="the n = 2 workloads")
     ap.add_argument("--dump", metavar="TREE", help=argparse.SUPPRESS)
@@ -185,21 +209,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if len(args.trees) != 2:
         ap.error("need two source trees")
-    with tempfile.TemporaryDirectory() as tmp:
-        old, new = (_run(tree, args, os.path.join(tmp, f"{i}.json"))
-                    for i, tree in enumerate(args.trees))
-    if old.keys() != new.keys():
-        raise SystemExit("the two trees built different operation lists")
-    lines = [line for key in old if (line := describe(key, old[key], new[key]))]
-    for line in lines:
-        print(line)
-    print(f"{args.workload} seed {args.seed}: {len(lines)} of {len(old)} operations differ")
-    for field, diff in sorted(field_differences(old, new).items()):
-        print(f"  {field}: max |diff| {diff:.3e}")
-    overlap = witness_overlap(old, new)
-    if overlap is not None:
-        print(f"  witness: min |<old, new>| = 1 - {1.0 - overlap:.3e}")
-    return 1 if lines else 0
+    differ = [compare(workload, args) for workload in ([args.workload] if args.workload else WORKLOADS)]
+    return 1 if any(differ) else 0
 
 
 if __name__ == "__main__":
