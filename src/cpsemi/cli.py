@@ -447,7 +447,7 @@ def cmd_covariance(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
     closed = covariance(d, u1, u2)
     report = {"command": "covariance", "closed": encode(closed), "m": args.m, "t": args.t}
     try:
-        est = covariance_estimate(mat, u1, u2, t=args.t, m=args.m, tol=tol)
+        est = covariance_estimate(Flow(mat, tol), u1, u2, t=args.t, m=args.m)
     except (LogBranch, NotMember, Overflow) as exc:
         return {**report, "error": str(exc)}, exc.exit_code
     report.update(estimate=encode(est), abs_error=abs(est - closed), n=d.n)
@@ -469,7 +469,7 @@ def cmd_verify(args, mat: np.ndarray, d: GklsForm, tol: Tolerances):
         bigger = mat + random_cp_map(rng, d.n, m=1)
         checks["domination"] = {"pass": bool(dominates(flow, Flow(bigger, tol)))}
     if "gauge" in args.checks:
-        checks["gauge"] = gauge_check(d, rng, tol)
+        checks["gauge"] = gauge_check(d, rng)
     if "units" in args.checks:
         units = sample_units(d, 2, seed=args.seed)
         checks["units"] = {"pass": verify_units(flow, units)}

@@ -66,7 +66,8 @@ class GklsForm:
     """Canonical form of a generator: metric operator space plus drift.
 
     ``residual`` is the relative reconstruction error
-    ||rebuild - L|| / anchor(||L||) observed at decomposition time.
+    ||rebuild - L|| / anchor(||L||) observed at decomposition time, and
+    ``space.tol`` the tolerance of the decomposition.
     """
 
     n: int
@@ -182,12 +183,7 @@ class GaugeRelation(NamedTuple):
     residual: float
 
 
-def extract_gauge(
-    d: GklsForm,
-    ops: Sequence[np.ndarray],
-    k2: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> GaugeRelation:
+def extract_gauge(d: GklsForm, ops: Sequence[np.ndarray], k2: np.ndarray) -> GaugeRelation:
     """Extract the gauge relating a canonical form to another presentation
     (Kraus family ``ops``, drift ``k2``) of the same generator.
 
@@ -196,6 +192,7 @@ def extract_gauge(
     D = [vec(w_1) ... vec(w_m), vec(1)] and one triangular system.  D must
     have full column rank, min |r_ii| above ``eig_cut`` of max |r_ii|, with
     no floor; each u_i must leave a residual within ``eig_cut`` of ||u_i||.
+    Both tests decide at ``d.space.tol``, the tolerance d was built with.
     The identity components define a linear functional on span(ops),
     represented by ``v2``.  d's basis is independent and traceless, so
     passing the test makes the square coordinate matrix ``theta`` invertible.
@@ -205,8 +202,7 @@ def extract_gauge(
     :raises DimensionMismatch: if an operator is not n x n.
     :raises Overflow: if ``ops`` or ``k2`` has an entry that is not finite.
     """
-    n = d.n
-    dim = d.space.dim
+    n, dim, tol = d.n, d.space.dim, d.space.tol
     ops = [np.asarray(v, dtype=complex) for v in ops]
     if len(ops) != dim:
         raise ValueError(f"need {dim} Kraus operators, got {len(ops)}")
@@ -236,7 +232,7 @@ def extract_gauge(
     return GaugeRelation(theta=theta, v2=v2, c=c, residual=leftover)
 
 
-def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL) -> dict:
+def gauge_check(d: GklsForm, rng: np.random.Generator) -> dict:
     """Check the gauge relation on a random shift of d's Kraus family.
 
     With scalars lam drawn from ``rng`` (complex standard normal), the family
@@ -249,9 +245,10 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
     the shifted presentation with a residual within ``eig_cut`` of ||k||; its
     ``ValueError``, the two families not agreeing modulo scalars, fails it.
     At rank 0 the family is empty and the same lines run on it.  Each
-    family's CP superoperator is built once.
+    family's CP superoperator is built once.  Every verdict is decided at
+    ``d.space.tol``, the tolerance d was built with.
     """
-    dim = d.space.dim
+    dim, tol = d.space.dim, d.space.tol
     lam = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     eye = np.eye(d.n)
     cp = kraus_to_superop(d.space.basis)
@@ -264,7 +261,7 @@ def gauge_check(d: GklsForm, rng: np.random.Generator, tol: Tolerances = DEFAULT
     # The shifted presentation itself, not a canonical form, so that
     # extract_gauge has a nonzero v2 to recover.
     try:
-        gauge = extract_gauge(d, _shifted_kraus(d, lam), k2, tol)
+        gauge = extract_gauge(d, _shifted_kraus(d, lam), k2)
         gauge_ok = within(gauge.residual, tol.eig_cut, frob(d.k))
     except ValueError:
         gauge_ok = False

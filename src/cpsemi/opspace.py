@@ -5,7 +5,8 @@ its Kraus operators, together with an inner product under which any linearly
 independent Kraus family representing P is an orthonormal basis.  Concretely,
 for a in E the squared norm <a, a>_E is the least c >= 0 such that
 c*P - (x -> a x a*) is completely positive; it is read off the eigenpairs
-kept from the Choi matrix of P, without forming a pseudo-inverse.
+kept from the Choi matrix of P, without forming a pseudo-inverse.  A space
+keeps the tolerance it was cut at, and each of its queries decides at it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class MetricOperatorSpace:
     in general, in the Frobenius one), a Kraus family of shape (dim, n, n):
     (0, n, n) for the zero space.  ``u`` and ``w`` are the eigenvectors
     (n^2 x dim) and eigenvalues kept from the Choi matrix J of the associated
-    CP map sum_m v_m x v_m* over the basis.  Every query projects vec(a) on
+    CP map sum_m v_m x v_m* over the basis, cut at ``tol``, the tolerance
+    every query decides at.  Every query projects vec(a) on
     the kept eigenvectors once, c = u* vec(a): membership is read off the
     remainder vec(a) - u c, and <a, b>_E = sum_k c_a,k conj(c_b,k) / w_k,
     which equals vec(b)* J^+ vec(a) without forming the n^2 x n^2
@@ -42,8 +44,9 @@ class MetricOperatorSpace:
     basis: np.ndarray
     u: np.ndarray
     w: np.ndarray
+    tol: Tolerances
 
-    def _project(self, a: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    def _project(self, a: np.ndarray) -> np.ndarray | None:
         """c = u* vec(a) if ``a`` is a member, else None.
 
         ``a`` counts as a member when the component of vec(a) orthogonal to
@@ -54,34 +57,35 @@ class MetricOperatorSpace:
         """
         r = vec(_operator(a, self.n))
         c = self.u.conj().T @ r
-        if not within(np.linalg.norm(r - self.u @ c), tol.eig_cut, np.linalg.norm(r), floor=0.0):
+        rest = np.linalg.norm(r - self.u @ c)
+        if not within(rest, self.tol.eig_cut, np.linalg.norm(r), floor=0.0):
             return None
         return c
 
-    def _member(self, a: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
-        c = self._project(a, tol)
+    def _member(self, a: np.ndarray, what: str) -> np.ndarray:
+        c = self._project(a)
         if c is None:
             raise NotMember(f"{what} is not in the metric operator space")
         return c
 
-    def membership(self, a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float | None:
+    def membership(self, a: np.ndarray) -> float | None:
         """Squared norm <a, a>_E if ``a`` lies in the space, else None.
 
         :raises DimensionMismatch: if ``a`` is not n x n.
         """
-        c = self._project(a, tol)
+        c = self._project(a)
         return None if c is None else float(np.sum(np.abs(c) ** 2 / self.w))
 
-    def inner(self, a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> complex:
+    def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         """Inner product <a, b>_E, linear in ``a`` and conjugate-linear in ``b``.
 
         :raises NotMember: if either operand is not in the space.
         """
-        ca = self._member(a, tol, "first operand")
-        cb = self._member(b, tol, "second operand")
+        ca = self._member(a, "first operand")
+        cb = self._member(b, "second operand")
         return complex(np.vdot(cb, ca / self.w))
 
-    def coords(self, a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    def coords(self, a: np.ndarray) -> np.ndarray:
         """Coordinates <a, b_j>_E of a member over the stored basis b_j.
 
         With B the matrix of columns vec(b_j) they are (u* B)* (c / w), taken
@@ -89,7 +93,7 @@ class MetricOperatorSpace:
 
         :raises NotMember: if ``a`` is not in the space.
         """
-        c = self._member(a, tol, "operand")
+        c = self._member(a, "operand")
         return vec(self.basis).conj() @ (self.u @ (c / self.w))
 
     def from_coords(self, coords: Sequence[complex]) -> np.ndarray:
@@ -109,7 +113,8 @@ def space_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> MetricOpe
 
     The eigenpairs above the cut give everything at once: the dimension,
     the basis (the Kraus operators :func:`kraus_from_spectrum` reads off
-    them) and every membership and inner-product query.
+    them) and every membership and inner-product query, each decided at
+    ``tol``.
     """
     keep = s.kept(tol)
     u, w = s.u[:, keep], s.w[keep]
@@ -119,6 +124,7 @@ def space_from_spectrum(s: Spectrum, tol: Tolerances = DEFAULT_TOL) -> MetricOpe
         basis=kraus_from_spectrum(s, tol),
         u=u,
         w=w,
+        tol=tol,
     )
 
 

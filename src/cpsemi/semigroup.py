@@ -17,6 +17,9 @@ generator and the numerical index of the minimal dilation of the semigroup
 to a semigroup of *-endomorphisms; it is also recovered as the rank of the
 centered Gram matrix of the covariance kernel over any spanning sample of
 units.
+
+A decision about one semigroup is made at the tolerance of its :class:`Flow`,
+and one about a space at the tolerance that space was cut at.
 """
 
 from __future__ import annotations
@@ -64,15 +67,15 @@ def evolve(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     return _complex_form(Flow(mat, tol).at(t))
 
 
-def space_at(mat: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> MetricOperatorSpace:
-    """Metric operator space of exp(t L) for t > 0.
+def space_at(flow: Flow, t: float) -> MetricOperatorSpace:
+    """Metric operator space of exp(t L) for t > 0, cut at ``flow.tol``.
 
     :raises NotCP: if exp(t L) is not completely positive within tolerance
         (i.e. L was not a generator to begin with).
     """
     if t <= 0:
         raise ValueError("the space is defined for strictly positive times")
-    return space_from_cp_map(evolve(mat, t, tol), tol)
+    return space_from_cp_map(_complex_form(flow.at(t)), flow.tol)
 
 
 def product_system_check(flow: Flow, s: float, t: float) -> bool:
@@ -199,18 +202,11 @@ def covariance(d: GklsForm, u1: Unit, u2: Unit) -> complex:
     return complex(u1.c + np.conj(u2.c) + np.vdot(u2.v_coords, u1.v_coords))
 
 
-def covariance_estimate(
-    mat: np.ndarray,
-    u1: Unit,
-    u2: Unit,
-    t: float = 1.0,
-    m: int = 512,
-    tol: Tolerances = DEFAULT_TOL,
-) -> complex:
+def covariance_estimate(flow: Flow, u1: Unit, u2: Unit, t: float = 1.0, m: int = 512) -> complex:
     """Uniform-partition estimate of the covariance of two units.
 
     Evaluates (m / t) * Log <T1(t/m), T2(t/m)> in the space of exp((t/m) L),
-    with the principal logarithm.
+    :func:`space_at` of the semigroup ``flow``, with the principal logarithm.
 
     :raises NotMember: if a unit operator leaves the step space (the step
         t/m is too coarse for the membership tolerance).
@@ -223,11 +219,11 @@ def covariance_estimate(
     if t <= 0 or m < 1:
         raise ValueError("need t > 0 and m >= 1")
     delta = t / m
-    step_space = space_at(mat, delta, tol)
-    c1 = step_space._project(unit_matrix(u1, delta), tol)
+    step_space = space_at(flow, delta)
+    c1 = step_space._project(unit_matrix(u1, delta))
     if c1 is None:
         raise NotMember("first unit operator is not in the step space")
-    c2 = step_space._project(unit_matrix(u2, delta), tol)
+    c2 = step_space._project(unit_matrix(u2, delta))
     if c2 is None:
         raise NotMember("second unit operator is not in the step space")
     z = complex(np.vdot(c2, c1 / step_space.w))  # the inner product <T1, T2> in E(t/m)

@@ -103,7 +103,7 @@ def test_criterion_3_covariance_estimator_matches_closed_form():
     uminus = make_unit(d, 0.0, [-1.0])
     for target, pair in [(1.0, (uz, uz)), (-1.0, (uz, uminus))]:
         errors = [
-            abs(covariance_estimate(deph, pair[0], pair[1], t=1.0, m=m) - target)
+            abs(covariance_estimate(Flow(deph), pair[0], pair[1], t=1.0, m=m) - target)
             for m in (8, 32, 128, 512)
         ]
         assert errors[-1] <= 1e-3

@@ -21,9 +21,10 @@ from conftest import (
 
 import cpsemi.cli as cli
 import cpsemi.generator as generator
-from cpsemi import DEFAULT_TOL, NotCCP, Overflow, ParseError
+from cpsemi import DEFAULT_TOL, Flow, NotCCP, Overflow, ParseError, Tolerances
 from cpsemi.cli import _rejection, _write, cmd_analyze, cmd_covariance, decode, encode, main
-from cpsemi.generator import decompose, same_generator
+from cpsemi.generator import decompose, gauge_check, same_generator
+from cpsemi.semigroup import covariance_estimate, make_unit
 
 
 def c2j(z):
@@ -297,8 +298,8 @@ def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
     relations = []
     real = generator.extract_gauge
 
-    def spy(d, ops, k2, tol):
-        relations.append(real(d, ops, k2, tol))
+    def spy(d, ops, k2):
+        relations.append(real(d, ops, k2))
         return relations[-1]
 
     monkeypatch.setattr(generator, "extract_gauge", spy)
@@ -312,6 +313,51 @@ def test_verify_gauge_extracts_a_nonzero_shift(tmp_path, monkeypatch, capsys):
     (rel,) = relations
     assert np.linalg.norm(rel.v2) > 0.1
     assert rel.residual <= 1e-10
+
+
+def _rank_one_spec(tmp_path):
+    """A corpus generator, n = 3 and rank 1, whose covariance estimate at
+    --tol 1e-6 is not the one at the default tolerance, and whose gauge check
+    passes at --tol 1e-2."""
+    corpus = bench_corpus()
+    mat = corpus.make_generator(np.random.default_rng(7), 3, 1, True).mat
+    return mat, write(tmp_path, "n3.json", corpus.spec_superop(mat))
+
+
+def test_covariance_estimates_in_the_flow_at_the_given_tolerance(tmp_path, capsys):
+    mat, path = _rank_one_spec(tmp_path)
+    units = write(tmp_path, "units.json", {"units": [
+        {"c": [0.0, 0.0], "v": [[1.0, 0.0]]}, {"c": [0.0, 1.0], "v": [[1.0, 0.0]]},
+    ]})
+    rc, out = run(capsys, ["covariance", "--input", path, "--units", units, "--tol", "1e-6"])
+    assert rc == 0
+    tol = Tolerances(1e-6)
+    d = decompose(mat, tol)
+    u1, u2 = make_unit(d, 0.0, [1.0]), make_unit(d, 1j, [1.0])
+    estimate = covariance_estimate(Flow(mat, tol), u1, u2)
+    assert json.loads(out)["estimate"] == encode(estimate).tolist()
+    assert estimate != covariance_estimate(Flow(mat), u1, u2)
+
+
+def test_verify_gauge_checks_the_form_at_the_given_tolerance(tmp_path, monkeypatch, capsys):
+    mat, path = _rank_one_spec(tmp_path)
+    forms = []
+    real = cli.gauge_check
+
+    def spy(d, rng):
+        forms.append(d)
+        return real(d, rng)
+
+    monkeypatch.setattr(cli, "gauge_check", spy)
+    argv = ["verify", "--input", path, "--checks", "gauge", "--tol", "1e-2", "--seed", "1"]
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    tol = Tolerances(1e-2)
+    (d,) = forms
+    assert d.space.tol == tol
+    assert json.loads(out)["checks"]["gauge"] == gauge_check(
+        decompose(mat, tol), np.random.default_rng(1)
+    )
 
 
 def _gauge_reproducer(tmp_path):
@@ -359,9 +405,9 @@ def test_verify_gauge_shifts_by_the_raw_draw(tmp_path, monkeypatch, capsys):
     calls = []
     real = generator.extract_gauge
 
-    def spy(d, ops, k2, tol):
+    def spy(d, ops, k2):
         calls.append((d, ops))
-        return real(d, ops, k2, tol)
+        return real(d, ops, k2)
 
     monkeypatch.setattr(generator, "extract_gauge", spy)
     rc, _ = run(capsys, ["verify", "--input", path, "--checks", "gauge", "--seed", "1"])

@@ -33,7 +33,7 @@ from cpsemi.generator import (
     rebuild,
     same_generator,
 )
-from cpsemi.numerics import DEFAULT_TOL, Tolerances, expm, spectrum
+from cpsemi.numerics import Tolerances, expm, spectrum
 from cpsemi.opspace import space_from_cp_map
 from cpsemi.sampling import random_cp_map, random_matrix
 from cpsemi.semigroup import evolve, index
@@ -377,6 +377,19 @@ def test_extract_gauge_matches_per_column_solves(n, which):
     assert rel.residual <= 1e-8
 
 
+def test_extract_gauge_decides_at_the_tolerance_of_the_form():
+    # a family within 1e-5 (relative) of the basis of a form decomposed at
+    # 1e-2 agrees with it modulo scalars at that tolerance
+    d = decompose(random_ccp_generator(np.random.default_rng(1), 3, m=2), Tolerances(1e-2))
+    rng = np.random.default_rng(2)
+    ops = []
+    for v in d.space.basis:
+        z = random_matrix(rng, 3)
+        ops.append(v + 1e-5 * np.linalg.norm(v) / np.linalg.norm(z) * z)
+    rel = extract_gauge(d, ops, d.k)
+    np.testing.assert_allclose(rel.theta, np.eye(d.space.dim), atol=1e-4)
+
+
 def test_extract_gauge_rejects_one_column_outside_span():
     rng = np.random.default_rng(5)
     d1 = decompose(random_ccp_generator(rng, 3, m=4))
@@ -435,7 +448,7 @@ def test_gauge_check_passes_on_dephasing_and_hamiltonian_only_forms(rank_):
     mat = dephasing_generator() if rank_ else hamiltonian_lindblad(SX + 0.5 * SZ, [])
     d = decompose(mat)
     assert d.space.dim == rank_
-    assert gauge_check(d, np.random.default_rng(2), DEFAULT_TOL) == {
+    assert gauge_check(d, np.random.default_rng(2)) == {
         "pass": True,
         "perturbation_detected": True,
         "shift_same_generator": True,
@@ -552,7 +565,7 @@ def test_gauge_check_builds_each_cp_superoperator_once(monkeypatch, rank_):
     for name, module in list(sys.modules.items()):
         if name.startswith("cpsemi") and getattr(module, "spectrum", None) is real_spectrum:
             monkeypatch.setattr(module, "spectrum", counting("spectrum", real_spectrum))
-    verdicts = gauge_check(d, np.random.default_rng(4), DEFAULT_TOL)
+    verdicts = gauge_check(d, np.random.default_rng(4))
     assert verdicts["pass"] is True
     assert counts == {"kraus_to_superop": 2, "spectrum": 0}
 
@@ -573,7 +586,7 @@ def test_gauge_makes_no_svd(monkeypatch):
         )
         d = decompose(mat)
         assert d.space.dim == m
-        assert gauge_check(d, rng, DEFAULT_TOL)["pass"] is True
+        assert gauge_check(d, rng)["pass"] is True
     assert calls == []
 
 
@@ -585,5 +598,5 @@ def test_gauge_check_passes_at_every_scale(n, which):
     rng = np.random.default_rng(20 * n + m)
     mat = random_ccp_generator(rng, n, m=m, unital=bool(m % 2))
     for j in range(-12, 13, 3):
-        verdicts = gauge_check(decompose(10.0**j * mat), rng, DEFAULT_TOL)
+        verdicts = gauge_check(decompose(10.0**j * mat), rng)
         assert verdicts["pass"] is True, (j, verdicts)

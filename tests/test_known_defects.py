@@ -18,7 +18,7 @@ from conftest import (
     random_hp_map,
 )
 
-from cpsemi import NotCCP, NotMember
+from cpsemi import Flow, NotCCP, NotMember
 from cpsemi.cli import main
 from cpsemi.generator import decompose, hamiltonian_lindblad
 from cpsemi.semigroup import covariance_estimate, sample_units
@@ -58,7 +58,7 @@ def test_a_large_hamiltonian_term_leaves_a_generator_ccp(n):
 def test_covariance_estimate_finds_each_unit_in_its_step_space():
     mat = bench_corpus().make_generator(np.random.default_rng(0), 8, 8, True).mat
     units = sample_units(decompose(mat), 3, 0)
-    covariance_estimate(mat, units[1], units[2], t=1.0, m=512)
+    covariance_estimate(Flow(mat), units[1], units[2], t=1.0, m=512)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

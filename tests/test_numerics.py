@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 from conftest import bench_corpus, expm_spy, linalg_spy, random_ccp_generator
 
-from cpsemi import numerics
+from cpsemi import generator, numerics, opspace, semigroup, superop, symbols
 from cpsemi.errors import Overflow
 from cpsemi.generator import _DOMINATION_TIMES, decompose
 from cpsemi.numerics import (
@@ -463,6 +464,28 @@ def test_the_kernel_list_is_every_kernel_the_package_calls():
                   and node.attr not in ("norm", "LinAlgError")):
                 read.setdefault(f"{packages[node.value.value.id]}.linalg", set()).add(node.attr)
     assert read == {mod: set(names) for mod, names in numerics.KERNELS.items()}
+
+
+def test_a_function_of_one_object_decides_at_its_tolerance():
+    # a Flow, GklsForm or MetricOperatorSpace keeps the tolerance it was built
+    # with: no function that reads one of them, nor any method of Flow or of
+    # the space, takes a tolerance of its own
+    owners = {"Flow", "GklsForm", "MetricOperatorSpace"}
+    offenders = []
+    for module in (superop, symbols, opspace, generator, semigroup):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            params = inspect.signature(fn).parameters
+            kinds = [getattr(p.annotation, "__name__", p.annotation) for p in params.values()]
+            if sum(kind in owners for kind in kinds) == 1 and "tol" in params:
+                offenders.append(name)
+    for cls in (Flow, opspace.MetricOperatorSpace):
+        for name, fn in inspect.getmembers(cls, inspect.isfunction):
+            if name != "__init__" and "tol" in inspect.signature(fn).parameters:
+                offenders.append(f"{cls.__name__}.{name}")
+    assert offenders == []
 
 
 def test_hermiticity_is_decided_outside_spectrum():

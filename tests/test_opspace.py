@@ -3,6 +3,7 @@ import pytest
 from conftest import SX, SZ
 
 from cpsemi.errors import DimensionMismatch, NotCP, NotMember
+from cpsemi.numerics import Tolerances
 from cpsemi.opspace import space_from_cp_map
 from cpsemi.superop import (
     ad_superop,
@@ -40,6 +41,22 @@ def least_domination_constant(mat, a, lo=0.0, hi=None, iters=60):
         else:
             hi = mid
     return hi
+
+
+def test_a_space_decides_membership_at_the_tolerance_it_was_cut_at():
+    # v2 is Frobenius-orthogonal to v1 with 1e-4 of its norm, so its Choi
+    # eigenvalue is 1e-8 of v1's, below a cut at 1e-6; a v2-component of
+    # 3e-7 of ||v1|| is within that space's cut, though not within 1e-9
+    rng = np.random.default_rng(0)
+    v1, w = random_matrix(rng, 3), random_matrix(rng, 3)
+    v2 = w - np.vdot(v1, w) / np.vdot(v1, v1) * v1
+    v2 *= 1e-4 * np.linalg.norm(v1) / np.linalg.norm(v2)
+    e = space_from_cp_map(kraus_to_superop([v1, v2]), Tolerances(1e-6))
+    assert e.dim == 1
+    a = v1 + 3e-3 * v2
+    assert e.membership(a) == pytest.approx(1.0)
+    assert e.inner(a, a) == pytest.approx(e.membership(a))
+    assert np.sum(np.abs(e.coords(a)) ** 2) == pytest.approx(e.membership(a))
 
 
 def test_identity_map_space():

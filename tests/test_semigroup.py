@@ -107,21 +107,21 @@ def test_evolve_rejects_a_map_that_does_not_preserve_hermiticity(dephasing):
 
 
 def test_space_at_goldens(dephasing):
-    assert space_at(np.zeros((4, 4)), 0.5).dim == 1
-    e = space_at(dephasing, 0.7)
+    assert space_at(Flow(np.zeros((4, 4))), 0.5).dim == 1
+    e = space_at(Flow(dephasing), 0.7)
     assert e.dim == 2
     b = (1 - np.exp(-2 * 0.7)) / 2
     assert e.membership(SZ) == pytest.approx(1 / b)
     for t in (0.2, 1.0, 3.0):
-        assert space_at(commutator_generator(), t).dim == 1
+        assert space_at(Flow(commutator_generator()), t).dim == 1
 
 
 def test_space_at_rejects_non_generator():
     with pytest.raises(NotCP):
-        space_at(-ad_superop(SZ), 1.0)
+        space_at(Flow(-ad_superop(SZ)), 1.0)
     for t in (0.0, np.nan):
         with pytest.raises(ValueError):
-            space_at(dephasing_generator(), t)
+            space_at(Flow(dephasing_generator()), t)
 
 
 def test_product_system_check(dephasing):
@@ -405,10 +405,10 @@ def test_covariance_estimate_matches_closed_form(dephasing):
     d = decompose(dephasing)
     uz = make_unit(d, 0.0, [1.0])
     uminus = make_unit(d, 0.0, [-1.0])
-    assert covariance_estimate(dephasing, uz, uz, t=1.0, m=512) == pytest.approx(
+    assert covariance_estimate(Flow(dephasing), uz, uz, t=1.0, m=512) == pytest.approx(
         1.0, abs=1e-3
     )
-    assert covariance_estimate(dephasing, uz, uminus, t=1.0, m=512) == pytest.approx(
+    assert covariance_estimate(Flow(dephasing), uz, uminus, t=1.0, m=512) == pytest.approx(
         -1.0, abs=1e-3
     )
 
@@ -416,8 +416,8 @@ def test_covariance_estimate_matches_closed_form(dephasing):
 def test_covariance_estimate_trivial_unit_tends_to_zero(dephasing):
     d = decompose(dephasing)
     u0 = make_unit(d, 0.0, [0.0])
-    coarse = abs(covariance_estimate(dephasing, u0, u0, t=1.0, m=8))
-    fine = abs(covariance_estimate(dephasing, u0, u0, t=1.0, m=512))
+    coarse = abs(covariance_estimate(Flow(dephasing), u0, u0, t=1.0, m=8))
+    fine = abs(covariance_estimate(Flow(dephasing), u0, u0, t=1.0, m=512))
     assert fine < coarse
     assert fine <= 2e-3
 
@@ -427,7 +427,7 @@ def test_covariance_estimate_branch_cut(dephasing):
     u1 = make_unit(d, 0.0, [0.0])
     u2 = make_unit(d, 8j * np.pi, [0.0])
     with pytest.raises(LogBranch):
-        covariance_estimate(dephasing, u1, u2, t=1.0, m=8)
+        covariance_estimate(Flow(dephasing), u1, u2, t=1.0, m=8)
 
 
 @pytest.mark.filterwarnings("error")
@@ -436,7 +436,7 @@ def test_covariance_estimate_that_overflows_is_overflow(dephasing):
     d = decompose(dephasing)
     u1, u2 = make_unit(d, 0.0, [1.0]), make_unit(d, 0.0, [-1.0])
     with pytest.raises(Overflow, match="covariance estimate overflows"):
-        covariance_estimate(dephasing, u1, u2, t=1e-10, m=10**300)
+        covariance_estimate(Flow(dephasing), u1, u2, t=1e-10, m=10**300)
 
 
 def test_covariance_estimate_foreign_units(dephasing):
@@ -444,7 +444,7 @@ def test_covariance_estimate_foreign_units(dephasing):
     d_other = decompose(other)
     u = make_unit(d_other, 0.0, [1.0])
     with pytest.raises(NotMember):
-        covariance_estimate(dephasing, u, u, t=1.0, m=64)
+        covariance_estimate(Flow(dephasing), u, u, t=1.0, m=64)
 
 
 def test_index_goldens(dephasing):
