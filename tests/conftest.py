@@ -122,11 +122,13 @@ def dephasing_generator():
 
 def expm_spy(monkeypatch):
     """The list of matrices that ``numerics.expm`` exponentiates from now on: a
-    spy on the ``expm`` of ``numerics.KERNELS``, which it looks up at each call."""
+    spy on the exponential of ``numerics.KERNELS``, which it looks up at each call."""
     calls = []
-    owner = importlib.import_module(next(mod for mod, names in KERNELS.items() if "expm" in names))
-    real = owner.expm
-    monkeypatch.setattr(owner, "expm", lambda m: calls.append(m) or real(m))
+    mod, name = next((mod, name) for mod, names in KERNELS.items() for name in names
+                     if name.endswith("expm"))
+    owner = importlib.import_module(mod)
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda m: calls.append(m) or real(m))
     return calls
 
 

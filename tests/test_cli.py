@@ -69,15 +69,23 @@ def test_analyze_dephasing(dephasing_file, capsys):
 
 
 def test_analyze_does_not_import_scipy(dephasing_file, tmp_path):
-    # scipy is imported only for a matrix exponential, which analyze never needs.
-    script = "import sys, cpsemi.cli\nrc = cpsemi.cli.main(sys.argv[1:])\nprint(rc, 'scipy' in sys.modules)"
-    argv = ["analyze", "--input", dephasing_file, "--output", str(tmp_path / "report.json")]
+    # no call imports scipy: the matrix exponential of verify and covariance is numpy's
+    script = (
+        "import json, sys, cpsemi.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(argv[0], cpsemi.cli.main(argv), 'scipy' in sys.modules)"
+    )
+    out, units = str(tmp_path / "report.json"), _units_file(tmp_path, 1)
+    calls = [[command, "--input", dephasing_file, "--output", out]
+             for command in ("analyze", "decompose", "index", "verify")]
+    calls.append(["covariance", "--input", dephasing_file, "--units", units, "--output", out])
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", script, json.dumps(calls)], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert proc.stdout.split() == [word for call in calls for word in (call[0], "0", "False")], (
+        proc.stdout, proc.stderr)
 
 
 def test_analyze_output_is_byte_stable(dephasing_file, tmp_path, capsys):
@@ -238,6 +246,19 @@ def test_overflowing_unit_operator_is_a_numerical_limit(dephasing_file, tmp_path
     )
     assert rc == 3
     assert json.loads(out)["error"] == "matrix exponential overflows: its norm is not finite"
+    assert not recwarn.list
+
+
+def test_covariance_at_a_step_near_the_float_maximum_is_a_numerical_limit(tmp_path, capsys, recwarn):
+    # t R has a 1-norm of 6e300, beyond the float maximum times the kernel's smallest
+    # theta: exp(t L) is a projection, but its squarings double the roundoff to inf
+    spec = write(tmp_path, "deph.json", superop_doc(3.0 * dephasing_generator(), 2))
+    upath = write(tmp_path, "units.json", _specs()["units"])
+    argv = ["covariance", "--input", spec, "--units", upath, "--t", "1e300", "--m", "1"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == "matrix exponential overflows: its norm is not finite"
+    assert err == ""
     assert not recwarn.list
 
 
@@ -1110,7 +1131,7 @@ def test_a_call_starts_no_collection(tmp_path, capsys):
         ["decompose", "--input", big_spec, "--output", gkls],
         ["analyze", "--input", gkls, "--output", out],
     ]
-    for argv in calls:  # warm-up: the first covariance call imports scipy
+    for argv in calls:  # warm-up
         assert main(argv) == 0
     started = []
 

@@ -1,6 +1,8 @@
 import ast
 import inspect
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -325,16 +327,93 @@ def test_is_psd_of_the_empty_matrix():
     assert is_psd(np.zeros((0, 0))) and spectrum(np.zeros((0, 0)), vectors=False).psd()
 
 
+# (row of numerics._TAYLOR, squarings): every row without a squaring, and the four rows
+# that the choice also takes with squarings, with 1 and with 5
+TAYLOR_CASES = [(i, 0) for i in range(9)] + [(i, q) for i in range(5, 9) for q in (1, 5)]
+
+
+def _taylor_case(rng, k, dtype, i, q):
+    """A k x k Gaussian matrix whose 1-norm makes the kernel take row i with q squarings."""
+    a = rng.standard_normal((k, k)) + (1j * rng.standard_normal((k, k)) if dtype is complex else 0)
+    a *= 0.95 * numerics._TAYLOR[i][0] * 2.0**q / np.abs(a).sum(axis=0).max()
+    assert numerics._taylor_choice(np.abs(a).sum(axis=0).max()) == (q, numerics._TAYLOR[i])
+    return a
+
+
 def test_expm_matches_scipy(rng):
     # one Hermitian, one normal (unitary generator), one generic matrix
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     cases = [(a + a.conj().T) / 2, 1j * (a + a.conj().T) / 2, a]
+    # and every row of the table, real and complex, each against scipy's complex path
+    # (its real one is up to 100 times less accurate); at k = 256 the largest row alone
+    for k in (2, 9, 64, 256):
+        for dtype in (float, complex):
+            for i, q in TAYLOR_CASES if k < 256 else [(8, 0), (8, 1), (8, 5)]:
+                cases.append(_taylor_case(rng, k, dtype, i, q))
     for m in cases:
-        np.testing.assert_allclose(expm(m), scipy.linalg.expm(m), atol=1e-11)
+        want = scipy.linalg.expm(m.astype(complex))
+        got = expm(m)
+        assert got.dtype == m.dtype
+        assert frob(got - want) <= 1e-13 * frob(want), (len(m), m.dtype)
+
+
+def test_expm_of_a_scalar_loses_what_its_squarings_double(rng):
+    # a 1 x 1 matrix against the exact exponential: where the real part is negative
+    # the Taylor sum cancels, by up to 5e-14 relative, and each squaring doubles that
+    for dtype in (float, complex):
+        for i, q in TAYLOR_CASES:
+            for sign in (1, -1):
+                a = sign * _taylor_case(rng, 1, dtype, i, q)
+                want = np.exp(a[0, 0])
+                assert abs(expm(a)[0, 0] - want) <= 2.0**q * 1e-13 * abs(want), (i, q, a)
+
+
+def test_the_taylor_table_is_the_remainder_series_bound():
+    # theta_m is the largest x at which the remainder h(x) = log(e^-x T_m(x)) = sum_k c_k
+    # x^k satisfies sum_k |c_k| x^(k-1) <= 2^-53.  h'(x) = -x^m / (m! T_m(x)), so c_(m+1+j)
+    # = -g_j / (m! (m + 1 + j)) for 1 / T_m = sum_j g_j x^j, which the recurrence
+    # g_j = -sum_(i=1..min(j,m)) g_(j-i) / i! gives exactly in Fractions
+    for theta, products, s, c in numerics._TAYLOR:
+        m = len(c) * s
+        assert products == s + m // s - 2
+        inverse = [Fraction(1, math.factorial(i)) for i in range(m + 1)]
+        g = [Fraction(1)]
+        for j in range(1, 120):
+            g.append(-sum(g[j - i] * inverse[i] for i in range(1, min(j, m) + 1)))
+        terms = [float(abs(gj) / (math.factorial(m) * (m + 1 + j))) for j, gj in enumerate(g)]
+        lo, hi = 0.0, 8.0
+        for _ in range(100):  # bisection: the bound rises with x
+            mid = (lo + hi) / 2
+            bound = sum(t * mid ** (m + j) for j, t in enumerate(terms))
+            lo, hi = (mid, hi) if bound <= 2.0**-53 else (lo, mid)
+        assert lo == pytest.approx(theta, rel=1e-5), m
+        # and the coefficients of the blocks are T_m's, each term once
+        series = np.zeros(m + 1)
+        for j in range(len(c)):
+            series[j * s: j * s + s + 1] += c[j]
+        np.testing.assert_allclose(series, [1 / math.factorial(j) for j in range(m + 1)],
+                                   rtol=1e-15)
 
 
 def test_expm_zero_is_identity():
-    np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+    for k in (1, 3, 64):
+        for dtype in (float, complex):
+            assert np.array_equal(expm(np.zeros((k, k), dtype)), np.eye(k))
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_that_overflows_raises_overflow_with_no_warning():
+    # e^800 is past the float range, and the kernel's squarings meet inf * 0 = nan; a 1-norm
+    # near the float maximum divided by theta_2 = 2.6e-8 would itself overflow, and one past
+    # it is not finite
+    for m in (800.0 * np.eye(3), np.array([[800.0, 1.0], [0.0, 1.0]]), np.full((2, 2), np.inf),
+              np.array([[np.nan]]), 400.0 * np.eye(2, dtype=complex), np.array([[1e301]]),
+              1e305 * np.eye(2), np.full((2, 2), 1e308)):
+        with pytest.raises(Overflow, match="overflows"):
+            expm(m)
+    # but a large norm whose exponential is finite is not an overflow
+    for m in (-800.0 * np.eye(2), -1e305 * np.eye(2)):
+        np.testing.assert_allclose(expm(m), np.zeros((2, 2)), atol=0)
 
 
 def test_expm_keeps_real_input_real(rng):
@@ -449,7 +528,8 @@ def test_every_cholesky_certificate_is_one_factorisation():
 def test_the_kernel_list_is_every_kernel_the_package_calls():
     # numerics.KERNELS names each numpy.linalg and scipy.linalg attribute the
     # package reads, but norm and LinAlgError, and no module binds a name of
-    # those two at import time, where it would escape every spy
+    # those two at import time, where it would escape every spy; its one
+    # kernel of the package's own is the exponential numerics.expm looks up
     linalg, packages = {"numpy.linalg", "scipy.linalg"}, {"np": "numpy", "scipy": "scipy"}
     read = {}
     for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
@@ -463,7 +543,10 @@ def test_the_kernel_list_is_every_kernel_the_package_calls():
                   and getattr(node.value.value, "id", None) in packages
                   and node.attr not in ("norm", "LinAlgError")):
                 read.setdefault(f"{packages[node.value.value.id]}.linalg", set()).add(node.attr)
-    assert read == {mod: set(names) for mod, names in numerics.KERNELS.items()}
+    own = {mod: names for mod, names in numerics.KERNELS.items() if mod not in linalg}
+    assert read == {mod: set(names) for mod, names in numerics.KERNELS.items() if mod in linalg}
+    assert own == {"cpsemi.numerics": ("_taylor_expm",)}
+    assert "_taylor_expm" in numerics.expm.__code__.co_names
 
 
 def test_a_function_of_one_object_decides_at_its_tolerance():

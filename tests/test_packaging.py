@@ -12,8 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imports(path: Path) -> set[str]:
-    """Top-level package of every absolute import in the file, at any depth
-    (``numerics.expm`` imports scipy in its body)."""
+    """Top-level package of every absolute import in the file, at any depth."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -23,16 +22,34 @@ def _imports(path: Path) -> set[str]:
     return names
 
 
-def test_third_party_imports_are_dependencies():
+def _project() -> dict:
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def _names(deps: list[str]) -> set[str]:
+    """The package names of a list of requirements."""
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
+
+
+def test_third_party_imports_are_dependencies():
+    declared = _names(_project()["dependencies"])
     imported = set()
     for path in sorted((ROOT / "src" / "cpsemi").glob("*.py")):
         imported |= _imports(path)
     third_party = imported - set(sys.stdlib_module_names) - {"cpsemi"}
-    assert {"numpy", "scipy", "orjson"} <= third_party
+    assert third_party == {"numpy", "orjson"}
     assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"
+
+
+def test_scipy_is_only_the_tests_oracle():
+    # the package imports no scipy (above): the tests' reference exponential
+    # is the one use, so scipy is a test extra and no dependency
+    project = _project()
+    assert "scipy" not in _names(project["dependencies"])
+    assert "scipy" in _names(project["optional-dependencies"]["test"])
+    tests = set().union(*map(_imports, sorted((ROOT / "tests").glob("*.py"))))
+    assert "scipy" in tests
 
 
 def _reexports() -> dict[str, set[str]]:

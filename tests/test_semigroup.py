@@ -93,10 +93,8 @@ def test_evolve_matches_the_complex_exponential(n):
     for m, unital in ((1, True), (2, False), (n * n - 1, True)):
         mat = bench_corpus().make_generator(rng, n, m, unital).mat
         for t in (0.1, 1.0):
-            # scipy's real Pade path is the less accurate one: against a 30-digit
-            # reference it is off by up to 1e-13 at 1-norms 4-9, the complex by 1e-15
             expected = scipy.linalg.expm(t * mat)
-            assert frob(evolve(mat, t) - expected) <= 1e-12 * frob(expected)
+            assert frob(evolve(mat, t) - expected) <= 1e-13 * frob(expected)
 
 
 def test_evolve_rejects_a_map_that_does_not_preserve_hermiticity(dephasing):
