@@ -187,15 +187,15 @@ def extract_gauge(d: GklsForm, ops: Sequence[np.ndarray], k2: np.ndarray) -> Gau
     """Extract the gauge relating a canonical form to another presentation
     (Kraus family ``ops``, drift ``k2``) of the same generator.
 
-    Each basis element u_i of d's space is expanded over ``ops`` plus the
-    identity, all in one solve: a QR factorisation of the design
-    D = [vec(w_1) ... vec(w_m), vec(1)] and one triangular system.  D must
-    have full column rank, min |r_ii| above ``eig_cut`` of max |r_ii|, with
-    no floor; each u_i must leave a residual within ``eig_cut`` of ||u_i||.
-    Both tests decide at ``d.space.tol``, the tolerance d was built with.
-    The identity components define a linear functional on span(ops),
-    represented by ``v2``.  d's basis is independent and traceless, so
-    passing the test makes the square coordinate matrix ``theta`` invertible.
+    With tau_m = tr(w_m) / n, d's basis u_i being traceless, the traces show
+    u_i = sum_m theta_mi w_m + s_i 1 iff u_i = sum_m theta_mi (w_m - tau_m 1)
+    and s = -theta^T tau, so ``v2 = sum_m gamma_m w_m`` has gamma = -conj(tau)
+    exactly.  ``theta`` takes one QR of the traceless design
+    D° = [vec(w_m - tau_m 1)] and one solve of its triangular factor.  D°
+    must have full column rank, min |r_ii| above ``eig_cut`` of max |r_ii|,
+    no floor (independent modulo scalars, whatever their size), and each u_i
+    must leave a residual within ``eig_cut`` of ||u_i||, both at
+    ``d.space.tol``; passing them makes the square ``theta`` invertible.
 
     :raises ValueError: if ``ops`` does not have one operator per basis
         element, or the two families do not agree modulo scalars.
@@ -212,18 +212,18 @@ def extract_gauge(d: GklsForm, ops: Sequence[np.ndarray], k2: np.ndarray) -> Gau
     k2 = np.asarray(k2, dtype=complex)
     _require_finite(ops)
     _require_finite(k2)
-    design = np.column_stack([vec(ops).T, vec(np.eye(n))])
+    tau = np.trace(ops, axis1=1, axis2=2) / n
+    design = vec(ops - tau[:, None, None] * np.eye(n)).T
     rhs = vec(d.space.basis).T  # the columns vec(u_i), one solve for all
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diagonal(r))
-    if within(diag.min(), tol.eig_cut, diag.max(), floor=0.0):
+    if within(diag.min(initial=np.inf), tol.eig_cut, diag.max(initial=0.0), floor=0.0):
         raise ValueError("spaces do not agree modulo scalars")
-    sol = np.linalg.solve(r, q.conj().T @ rhs)
-    res = np.linalg.norm(design @ sol - rhs, axis=0)
+    theta = np.linalg.solve(r, q.conj().T @ rhs)
+    res = np.linalg.norm(design @ theta - rhs, axis=0)
     if not np.all(within(res, tol.eig_cut, np.linalg.norm(rhs, axis=0))):
         raise ValueError("spaces do not agree modulo scalars")
-    theta = sol[:dim]
-    gamma = np.linalg.solve(theta.T, sol[dim]).conj()
+    gamma = -tau.conj()
     v2 = np.tensordot(gamma, ops, axes=1)
     vv = float(np.real(np.vdot(gamma, gamma)))
     resid_mat = k2 - d.k - v2 - 0.5 * vv * np.eye(n)

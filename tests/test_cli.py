@@ -383,14 +383,26 @@ def test_verify_gauge_checks_the_form_at_the_given_tolerance(tmp_path, monkeypat
 
 def _gauge_reproducer(tmp_path):
     """An n = 3, rank 2 generator whose gauge check, at seed 3 and a tolerance
-    of 0.5, draws a shift that puts the identity near the span of the shifted
-    family: ``extract_gauge``'s rank test then says the families disagree."""
+    of 0.5, shifts its family by about three times the family's norm: the
+    draw that failed while ``extract_gauge`` fitted the identity as a column
+    of its design."""
     corpus = bench_corpus()
     mat = corpus.make_generator(np.random.default_rng(7), 3, 2, True).mat
     return write(tmp_path, "n3.json", corpus.spec_superop(mat))
 
 
-def test_verify_gauge_reports_families_that_do_not_agree(tmp_path, capsys):
+def test_verify_gauge_reports_families_that_do_not_agree(tmp_path, monkeypatch, capsys):
+    """extract_gauge is handed the shifted family with its first operator
+    replaced by a traceless one outside E: the families do not agree modulo
+    scalars, and the check fails as a verdict."""
+    real = generator.extract_gauge
+
+    def outside(d, ops, k2):
+        w = np.diag([1.0, -1.0, 0.0]) + 0j
+        assert d.space.membership(w) is None
+        return real(d, [w, *ops[1:]], k2)
+
+    monkeypatch.setattr(generator, "extract_gauge", outside)
     argv = ["verify", "--input", _gauge_reproducer(tmp_path), "--checks", "gauge"]
     rc, out = run(capsys, [*argv, "--tol", "0.5", "--seed", "3"])
     assert rc == 3
@@ -1070,7 +1082,7 @@ def _sweep_argv(rng, specs, units):
 
 def test_a_seeded_sweep_of_calls_ends_in_an_exit_code(tmp_path, capsys):
     """150 calls over five specs (README's dephasing example, a rank-2 n = 3
-    generator whose gauge check draws families that disagree, a pure
+    generator, ``_gauge_reproducer``, a pure
     Hamiltonian, the zero map and the transpose, which is not CCP), every
     command and extreme flag values: each call exits 0-3 with no exception,
     writes a JSON object or nothing to stdout, and at most one error line."""

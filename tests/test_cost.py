@@ -52,10 +52,10 @@ LEDGER = {
     (63, "decompose"): (1, 0, 0, 0, 0, 0),
     (63, "index"): (0, 0, 1, 0, 0, 0),
     (63, "covariance"): (2, 0, 0, 0, 0, 1),
-    (63, "verify"): (1, 1, 15, 1, 1, 7),
+    (63, "verify"): (1, 1, 15, 0, 0, 7),
     (63, "verify product_system"): (1, 0, 4, 0, 0, 4),
     (63, "verify domination"): (1, 0, 5, 0, 0, 2),
-    (63, "verify gauge"): (1, 0, 0, 1, 1, 0),
+    (63, "verify gauge"): (1, 0, 0, 0, 0, 0),
     (63, "verify units"): (1, 0, 6, 0, 0, 2),
     (63, "verify covariance"): (1, 1, 0, 0, 0, 0),
 }

@@ -6,6 +6,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    bench_corpus,
     dephasing_generator,
     expm_spy,
     linalg_spy,
@@ -377,6 +378,35 @@ def test_extract_gauge_matches_per_column_solves(n, which):
     assert rel.residual <= 1e-8
 
 
+def _corpus_form(form, tol):
+    """The corpus's unital generator at (n, rank), or a rank-0 form."""
+    if form == (2, 0):
+        return decompose(hamiltonian_lindblad(SX + 0.5 * SZ, []), tol)
+    return decompose(bench_corpus().make_generator(np.random.default_rng(7), *form, True).mat, tol)
+
+
+@pytest.mark.parametrize("rel", [1e-2, 1e-6])
+@pytest.mark.parametrize("form", [(3, 2), (8, 32), (4, 15), (2, 0)], ids=str)
+def test_extract_gauge_does_not_depend_on_the_size_of_the_shift(form, rel):
+    """The family v_m + lam_m 1, with |lam_m| from 1e-3 to 1e3 of max ||v_m||,
+    is related to d's basis with the shift it was made with.  Fitted with
+    the identity as a design column, it read as dependent modulo scalars
+    from |lam_m| = 10 max ||v_m|| at 1e-2, and from 1e3 max ||v_m|| at 1e-6."""
+    d = _corpus_form(form, Tolerances(rel))
+    n, basis = d.n, d.space.basis
+    eye = np.eye(n)
+    phases = np.exp(2j * np.pi * np.random.default_rng(3).random(d.space.dim))
+    top = max((np.linalg.norm(v) for v in basis), default=1.0)
+    for j in range(-3, 4):
+        lam = 10.0**j * top * phases
+        ll = float(np.vdot(lam, lam).real)
+        u = np.tensordot(lam.conj(), basis, axes=1)
+        g = extract_gauge(d, basis + lam[:, None, None] * eye, d.k - u - 0.5 * ll * eye)
+        assert g.residual <= rel * max(1.0, np.linalg.norm(d.k)), j
+        np.testing.assert_allclose(g.v2, -u - ll * eye, rtol=0, atol=1e-12 * max(1.0, ll))
+        assert abs(g.c) <= 1e-12 * max(1.0, ll), j
+
+
 def test_extract_gauge_decides_at_the_tolerance_of_the_form():
     # a family within 1e-5 (relative) of the basis of a form decomposed at
     # 1e-2 agrees with it modulo scalars at that tolerance
@@ -571,7 +601,7 @@ def test_gauge_check_builds_each_cp_superoperator_once(monkeypatch, rank_):
 
 
 def test_gauge_makes_no_svd(monkeypatch):
-    # extract_gauge solves by one QR and square solves, at every rank
+    # extract_gauge solves by one QR and one solve, at every rank
     calls = []
     for name in ("lstsq", "svd"):
         real = getattr(np.linalg, name)

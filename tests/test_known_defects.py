@@ -72,10 +72,36 @@ def test_a_covariance_estimate_lost_to_rounding_is_a_numerical_limit(tmp_path):
     assert main(argv) == 3
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 24: gauge_check draws its shift at an absolute scale")
-def test_the_gauge_check_passes_on_a_generator_at_a_moderate_tolerance(tmp_path):
-    mat = bench_corpus().make_generator(np.random.default_rng(7), 8, 32, True).mat
+# (n, rank, --tol, --seed): the draws whose gauge check failed while
+# extract_gauge fitted the shifted family with the identity as a design column
+_GAUGE_CASES = [
+    *((8, 32, "1e-2", seed) for seed in (3, 4, 8, 9)),
+    *((3, 2, "0.5", seed) for seed in (3, 5, 6, 8)),
+    *((3, 2, "0.05", seed) for seed in (3, 6)),
+]
+
+
+@pytest.mark.parametrize("n, rank_, tol, seed", _GAUGE_CASES)
+def test_the_gauge_check_passes_on_a_generator_at_a_moderate_tolerance(tmp_path, n, rank_, tol, seed):
+    mat = bench_corpus().make_generator(np.random.default_rng(7), n, rank_, True).mat
+    report = tmp_path / "report.json"
     argv = ["verify", "--input", _superop_spec(tmp_path / "gen.json", mat), "--checks", "gauge",
-            "--tol", "1e-2", "--seed", "3", "--output", str(tmp_path / "report.json")]
+            "--tol", tol, "--seed", str(seed), "--output", str(report)]
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["checks"]["gauge"]["pass"] is True
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: membership's bound is linear in the cut, so a looser --tol "
+                          "cuts a unit out of its step space")
+@pytest.mark.parametrize("n, rank_", [(3, 1), (3, 2), (8, 2), (4, 4)])
+def test_a_looser_tolerance_keeps_each_unit_in_its_step_space(tmp_path, n, rank_):
+    mat = bench_corpus().make_generator(np.random.default_rng(7), n, rank_, True).mat
+    units = tmp_path / "units.json"
+    units.write_text(json.dumps({"units": [
+        {"c": [0.0, 0.0], "v": [[1.0, 0.0]] + [[0.0, 0.0]] * (rank_ - 1)},
+        {"c": [0.0, 1.0], "v": [[0.5, -0.25]] * rank_},
+    ]}))
+    argv = ["covariance", "--input", _superop_spec(tmp_path / "gen.json", mat), "--units", str(units),
+            "--tol", "1e-3", "--output", str(tmp_path / "report.json")]
     assert main(argv) == 0
